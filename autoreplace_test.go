@@ -145,6 +145,10 @@ func TestAutoReplaceIgnoresGhostHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	creditN(t, c, 0, 5, 5)
+	// The survivors must have heard the live incarnation of site 2 before
+	// it dies: a ghost is only recognisable next to a newer incarnation,
+	// and five commits now take less than one heartbeat interval.
+	time.Sleep(100 * time.Millisecond)
 	if err := c.CrashSite(2); err != nil {
 		t.Fatal(err)
 	}

@@ -90,9 +90,15 @@ func checkSameOrder(t *testing.T, perSite [][]MsgID) {
 
 func startOptimisticGroup(t *testing.T, h *transport.Hub, n int) []*Optimistic {
 	t.Helper()
-	group := make([]*Optimistic, n)
-	for i := 0; i < n; i++ {
-		ep := h.Endpoint(transport.NodeID(i))
+	return startOptimisticGroupOn(t, h.Endpoints()[:n])
+}
+
+// startOptimisticGroupOn is startOptimisticGroup over endpoints the test
+// may have wrapped.
+func startOptimisticGroupOn(t *testing.T, eps []transport.Endpoint) []*Optimistic {
+	t.Helper()
+	group := make([]*Optimistic, len(eps))
+	for i, ep := range eps {
 		cons := consensus.New(consensus.Config{
 			Endpoint:     ep,
 			RoundTimeout: 50 * time.Millisecond,

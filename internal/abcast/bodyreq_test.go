@@ -1,0 +1,156 @@
+package abcast
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"otpdb/internal/testutil"
+	"otpdb/internal/transport"
+)
+
+// laggingEndpoint holds back everything on the data stream until
+// released, while the consensus stream runs at full speed, and counts
+// the BodyReq broadcasts of the site behind it.
+type laggingEndpoint struct {
+	transport.Endpoint
+	release  chan struct{} // closed to let the data stream through
+	done     chan struct{} // closed when the test ends
+	data     chan transport.Envelope
+	bodyReqs atomic.Int64
+}
+
+func (e *laggingEndpoint) Subscribe(stream string) <-chan transport.Envelope {
+	if stream != StreamData {
+		return e.Endpoint.Subscribe(stream)
+	}
+	return e.data
+}
+
+func (e *laggingEndpoint) forward() {
+	in := e.Endpoint.Subscribe(StreamData)
+	select {
+	case <-e.release:
+	case <-e.done:
+		return
+	}
+	for {
+		select {
+		case env, ok := <-in:
+			if !ok {
+				return
+			}
+			select {
+			case e.data <- env:
+			case <-e.done:
+				return
+			}
+		case <-e.done:
+			return
+		}
+	}
+}
+
+func (e *laggingEndpoint) Broadcast(stream string, msg any) error {
+	if _, ok := msg.(BodyReq); ok {
+		e.bodyReqs.Add(1)
+	}
+	return e.Endpoint.Broadcast(stream, msg)
+}
+
+// A site whose data stream runs behind its decision stream must not ask
+// for the missing bodies once per stage: every peer answers every request
+// with every body, on the stream that is already behind. The number of
+// requests is bounded by the time the bodies were missing.
+func TestBodyReqBoundedByTimeNotStages(t *testing.T) {
+	h := transport.NewHub(3)
+	defer h.Close()
+	lag := &laggingEndpoint{
+		Endpoint: h.Endpoint(2),
+		release:  make(chan struct{}),
+		done:     make(chan struct{}),
+		data:     make(chan transport.Envelope),
+	}
+	forwarded := make(chan struct{})
+	go func() {
+		defer close(forwarded)
+		lag.forward()
+	}()
+	t.Cleanup(func() { // after the engines have stopped reading
+		close(lag.done)
+		<-forwarded
+	})
+	group := startOptimisticGroupOn(t, []transport.Endpoint{h.Endpoint(0), h.Endpoint(1), lag})
+
+	// One message per stage: the next goes out when site 0 has
+	// TO-delivered the previous one.
+	const msgs = 40
+	start := time.Now()
+	for i := 0; i < msgs; i++ {
+		if _, err := group[0].Broadcast(i); err != nil {
+			t.Fatal(err)
+		}
+		siteEvents(t, group[0], 1, 5*time.Second)
+	}
+	// Site 2 has the decisions — it sees every proposal and ack — but
+	// not one body.
+	testutil.Eventually(t, 5*time.Second, "site 2 to process every stage", func() bool {
+		return group[2].Stats().Stages >= msgs
+	})
+	elapsed := time.Since(start)
+	reqs := lag.bodyReqs.Load()
+	if limit := int64(elapsed/decideReqInterval) + 1; reqs < 1 || reqs > limit {
+		t.Fatalf("%d BodyReq broadcasts for %d stages in %v, want 1..%d", reqs, msgs, elapsed, limit)
+	}
+
+	close(lag.release)
+	events := siteEvents(t, group[2], msgs, 5*time.Second)
+	checkLocalOrder(t, events)
+	for i, id := range toOrder(events) {
+		if want := (MsgID{Origin: 0, Seq: uint64(i + 1)}); id != want {
+			t.Fatalf("site 2 TO position %d: %v, want %v", i, id, want)
+		}
+	}
+}
+
+// bodyLossEndpoint loses every body its site broadcasts on the way to
+// one peer, and nothing else.
+type bodyLossEndpoint struct {
+	transport.Endpoint
+	deaf transport.NodeID
+}
+
+func (e *bodyLossEndpoint) Broadcast(stream string, msg any) error {
+	if _, ok := msg.(DataMsg); !ok {
+		return e.Endpoint.Broadcast(stream, msg)
+	}
+	for to := 0; to < e.N(); to++ {
+		if transport.NodeID(to) != e.deaf {
+			if err := e.Send(transport.NodeID(to), stream, msg); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// The retry is driven by time, not by further stages: a body whose
+// request the rate limit held back is asked for again although nothing
+// else happens at the site.
+func TestBodyReqRetriedWithoutFurtherStages(t *testing.T) {
+	h := transport.NewHub(3)
+	defer h.Close()
+	group := startOptimisticGroupOn(t, []transport.Endpoint{
+		&bodyLossEndpoint{Endpoint: h.Endpoint(0), deaf: 2}, h.Endpoint(1), h.Endpoint(2)})
+	// Two stages inside one rate-limit interval: the first one's request
+	// goes out at once, the second one's has to wait for the timer.
+	const msgs = 2
+	for i := 0; i < msgs; i++ {
+		if _, err := group[0].Broadcast(i); err != nil {
+			t.Fatal(err)
+		}
+		siteEvents(t, group[0], 1, 5*time.Second)
+	}
+	events := siteEvents(t, group[2], msgs, 5*time.Second)
+	checkLocalOrder(t, events)
+}

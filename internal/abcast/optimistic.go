@@ -59,7 +59,12 @@ type Optimistic struct {
 	// lastDecideReq rate-limits gap-triggered decision catch-up
 	// broadcasts (see onDecision).
 	lastDecideReq time.Time
-	lastProp      []MsgID // this site's proposal for the in-flight stage
+	// lastBodyReq rate-limits body retransmission requests the same way;
+	// bodyRetry fires when the next one is due (nil while nothing is
+	// missing). See requestMissingBodies.
+	lastBodyReq time.Time
+	bodyRetry   <-chan time.Time
+	lastProp    []MsgID // this site's proposal for the in-flight stage
 
 	// Definitive-history retention (recovery/rejoin support): every
 	// decided message is assigned the next global definitive position and
@@ -272,6 +277,9 @@ func (o *Optimistic) run() {
 				return
 			}
 			o.onDecision(d)
+		case <-o.bodyRetry:
+			o.bodyRetry = nil
+			o.requestMissingBodies()
 		case q := <-o.defCh:
 			q.reply <- o.serveDefLog(q)
 		case reply := <-o.dumpCh:
@@ -322,9 +330,15 @@ func (o *Optimistic) applyJoin() {
 // definitive queue is blocked on. Rejoined sites hit this for backlog
 // entries served without bodies, but a site that never crashed needs it
 // too: a partition can swallow the original dissemination of a body
-// whose decision this site later catches up on. Re-invoked at every
-// processed stage, so a peer that itself lacked the body at request
-// time is asked again.
+// whose decision this site later catches up on.
+//
+// Usually a body is missing only because the data stream runs a little
+// behind the decision stream, and asking again at every stage makes it
+// worse: every peer answers every request with every body, on the very
+// stream that is behind. So at most one request goes out per
+// decideReqInterval, naming only the ids still missing, and while any is
+// missing a timer brings the engine back here — which also asks a peer
+// again that itself lacked the body the first time.
 func (o *Optimistic) requestMissingBodies() {
 	var missing []MsgID
 	for _, id := range o.pendingTO {
@@ -332,8 +346,17 @@ func (o *Optimistic) requestMissingBodies() {
 			missing = append(missing, id)
 		}
 	}
-	if len(missing) > 0 {
+	if len(missing) == 0 {
+		return
+	}
+	wait := decideReqInterval - time.Since(o.lastBodyReq)
+	if wait <= 0 {
+		o.lastBodyReq = time.Now()
 		_ = o.ep.Broadcast(StreamData, BodyReq{IDs: missing})
+		wait = decideReqInterval
+	}
+	if o.bodyRetry == nil {
+		o.bodyRetry = time.After(wait)
 	}
 }
 
@@ -394,15 +417,16 @@ func (o *Optimistic) onData(m DataMsg) {
 	o.maybePropose()
 }
 
-// decideReqInterval rate-limits gap-triggered decision catch-up
-// requests: while the gap persists, at most one broadcast per interval.
+// decideReqInterval rate-limits gap-triggered catch-up requests, for
+// decisions and for bodies: while the gap persists, at most one broadcast
+// of either kind per interval.
 const decideReqInterval = 200 * time.Millisecond
 
 // onDecision buffers out-of-order stage decisions and processes them in
 // stage order. A buffered decision above a hole means this site missed
-// earlier DECIDE broadcasts (a partition swallowed them); the hole
-// never fills on its own, so the missing range is re-requested from
-// the group.
+// an earlier stage's proposal or acks (a partition swallowed them); the
+// hole never fills on its own, so the missing range is re-requested
+// from the group.
 func (o *Optimistic) onDecision(d consensus.Decision) {
 	ids, ok := d.Value.([]MsgID)
 	if !ok {

@@ -1,26 +1,48 @@
-// Package consensus implements the Chandra–Toueg ◇S consensus algorithm
-// with a rotating coordinator, the agreement substrate referenced by the
-// paper's atomic broadcast layer ([6] in Kemme et al., ICDCS'99).
+// Package consensus implements ◇S consensus with a rotating coordinator
+// in the style of Chandra–Toueg, the agreement substrate referenced by
+// the paper's atomic broadcast layer ([6] in Kemme et al., ICDCS'99),
+// with a two-delay good case: acks are broadcast, so every process
+// decides for itself and no DECIDE message is needed.
 //
 // The engine runs an unbounded sequence of independent consensus instances
 // (one per OPT-ABcast stage). For each instance:
 //
-//	round r: coordinator = r mod n
-//	 phase 1: every process sends its (estimate, ts) to the coordinator
-//	 phase 2: the coordinator gathers a majority and broadcasts the
-//	          estimate with the highest ts as its proposal
-//	 phase 3: processes adopt the proposal and ack, or — after suspecting
-//	          the coordinator — nack and move to round r+1
-//	 phase 4: a majority of acks lets the coordinator reliably broadcast
-//	          DECIDE
+//	round r: coordinator = members[r mod n]
+//	 estimate: on entering the round, every process sends its
+//	           (estimate, ts) to the coordinator
+//	 propose:  round 0, at the process that has headed the member list
+//	           in every configuration so far — the coordinator broadcasts
+//	           the first value it holds, its own or the first estimate to
+//	           arrive (nothing can be locked before the first ballot, so
+//	           there is nothing to wait for); any other round or
+//	           coordinator — it gathers a majority of estimates and
+//	           broadcasts the one with the highest ts
+//	 ack:      a process in round r adopts the proposal (ts = r+1, in the
+//	           proposal's epoch) and broadcasts one ack; it acks at most
+//	           one proposal per round and never one of a round it has left
+//	 decide:   any process holding a round's proposal and acks for that
+//	           same proposal from a majority decides its value
+//	 rotate:   a process still undecided at the round deadline, or
+//	           suspecting the coordinator, enters round r+1
+//
+// A fault-free instance therefore costs two message delays (propose, ack)
+// and, at n = 3, ten transport messages: 2 estimates, 2 proposals, 6 acks.
+// Messages a process addresses to itself never touch the transport.
+//
+// Nobody relays decisions. A process that missed a quorum keeps rotating,
+// and any estimate or proposal — or an ack of a round other than the one
+// that decided — reaching a process that has decided is answered with
+// MsgDecide; MsgDecideReq closes gaps the ordering layer detects.
 //
 // Safety (agreement, validity) holds under arbitrary failure-detector
 // mistakes; termination needs a majority of correct processes and ◇S.
+// DESIGN.md §6 ("Two-delay ordering stages") carries the argument.
 package consensus
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,34 +62,37 @@ const Stream = "cons"
 // epoch: quorum sizes and coordinator rotation are properties of one
 // configuration, so a process only counts round traffic from processes
 // in the same epoch (DESIGN.md §9). Decisions are epoch-free — a
-// decision, once reached, is safe to adopt in any epoch, and the DECIDE
-// relay is how laggards straddling a reconfiguration converge.
+// decision, once reached, is safe to adopt in any epoch — and a laggard
+// straddling a reconfiguration gets one in answer to its next estimate.
 type (
-	// MsgEstimate is a phase 1 message carrying a process's current
-	// estimate and the round in which it was last updated.
+	// MsgEstimate carries a process's current estimate and the round in
+	// which it was last updated to the coordinator of the round entered.
 	MsgEstimate struct {
 		Inst  uint64
 		Round int
 		Epoch uint64
 		Est   any
-		TS    int
+		// TS and TSEpoch say which proposal Est was adopted from: round+1
+		// and epoch of that proposal, both zero for a value never adopted.
+		TS      int
+		TSEpoch uint64
 	}
-	// MsgPropose is the phase 2 coordinator proposal.
+	// MsgPropose is the coordinator's proposal for a round.
 	MsgPropose struct {
 		Inst  uint64
 		Round int
 		Epoch uint64
 		Val   any
 	}
-	// MsgAck is the phase 3 reply: OK reports adoption, !OK is a nack
-	// after suspecting the coordinator.
+	// MsgAck reports to the whole group that the sender adopted the
+	// round's proposal.
 	MsgAck struct {
 		Inst  uint64
 		Round int
 		Epoch uint64
-		OK    bool
 	}
-	// MsgDecide is the reliably broadcast decision.
+	// MsgDecide carries a decision to a process that shows it has not
+	// decided yet.
 	MsgDecide struct {
 		Inst uint64
 		Val  any
@@ -76,7 +101,7 @@ type (
 	// instance >= From they know of — the catch-up primitive a restarted
 	// site uses to close the gap between the instance it rejoined at and
 	// the instances decided while it was down. Decisions are tombstoned
-	// forever (onDecide), so any correct peer can serve the request.
+	// forever (decide), so any correct peer can serve the request.
 	MsgDecideReq struct {
 		From uint64
 	}
@@ -104,6 +129,8 @@ type Decision struct {
 // filters, counts and stamps against it, so a configuration change
 // landing mid-handler cannot pair an old-epoch vote set with a
 // new-epoch majority (the snapshot is either wholly old or wholly new).
+// Epochs number the configurations consecutively: an epoch that is not
+// the last one seen plus one tells the engine it missed a configuration.
 type View interface {
 	// Snapshot returns the configuration's epoch and its member
 	// identifiers in ascending order, captured atomically. Callers must
@@ -150,9 +177,9 @@ type Config struct {
 	// Suspector drives coordinator rotation. Defaults to never-suspect
 	// (rounds then advance on RoundTimeout alone).
 	Suspector fd.Suspector
-	// RoundTimeout bounds how long a process waits for the coordinator's
-	// proposal before nacking, in addition to failure-detector suspicion.
-	// Defaults to 100 ms.
+	// RoundTimeout bounds how long a process waits for a round to decide
+	// before entering the next one, in addition to failure-detector
+	// suspicion. Defaults to 100 ms.
 	RoundTimeout time.Duration
 	// TickEvery is the deadline-check granularity. Defaults to
 	// RoundTimeout/4.
@@ -160,22 +187,24 @@ type Config struct {
 	// CatchUpFrom, when positive, makes the engine broadcast a decision
 	// retransmission request for instances >= CatchUpFrom as soon as it
 	// starts — the rejoin path of a restarted site. Decisions made at
-	// peers after they serve the request arrive through the normal
-	// DECIDE broadcast (the endpoint is live by then), so the two
-	// channels together cover every instance >= CatchUpFrom.
+	// peers after they serve the request form here too, from the
+	// proposals and acks every member is sent (the endpoint is live by
+	// then), so the two channels together cover every instance >=
+	// CatchUpFrom.
 	CatchUpFrom uint64
 	// View supplies the (possibly dynamic) group membership. Defaults to
 	// the endpoint's full static node range at epoch 0.
 	View View
 	// Metrics, when non-nil, registers engine telemetry (decision
-	// latency, rounds per instance, decision re-requests) under the
-	// scope's labels.
+	// latency, rounds per instance, round-0 decisions, decision
+	// re-requests) under the scope's labels.
 	Metrics *metrics.Scope
 }
 
 // Engine executes consensus instances. Create with New, then Start.
 type Engine struct {
 	ep        transport.Endpoint
+	id        transport.NodeID
 	susp      fd.Suspector
 	view      View
 	timeout   time.Duration
@@ -186,16 +215,39 @@ type Engine struct {
 	dumpCh    chan chan string
 	decisions *queue.Q[Decision]
 
+	// Engine-goroutine state (no locking needed).
 	instances map[uint64]*instance
+	// active holds the instances proposed here and still undecided: the
+	// only ones a tick has to look at.
+	active map[uint64]*instance
+	// decidedIDs lists the decided instances in ascending order, so a
+	// MsgDecideReq is served from its first instance on without walking
+	// every tombstone.
+	decidedIDs []uint64
+	// loopback queues the messages this process addressed to itself. They
+	// are handled when the current handler returns and never reach the
+	// transport.
+	loopback []any
+	// epoch is the configuration last seen by snapshot. ownsRound0 says
+	// that this process may propose in round 0 without an estimate quorum:
+	// it started with the group (no CatchUpFrom) and has headed the member
+	// list in every configuration from then on, none of them skipped — so
+	// no other process was ever the round-0 coordinator of any instance.
+	// Once false it stays false.
+	epoch      uint64
+	ownsRound0 bool
 
 	// Telemetry (inert unregistered instruments without cfg.Metrics).
 	// decLatency covers locally proposed instances only: Propose to
-	// DECIDE. rounds counts rounds entered before the decision landed —
-	// 1 means the fast path (round 0 decided).
+	// decision. rounds counts rounds entered before the decision landed —
+	// 1 means round 0 was enough. fastCount counts the decisions this
+	// process formed itself from a round-0 ack quorum, the two-delay path;
+	// decCount less fastCount took a later round or came by MsgDecide.
 	decLatency *metrics.Histogram
 	rounds     *metrics.Histogram
 	reReqs     *metrics.Counter
 	decCount   *metrics.Counter
+	fastCount  *metrics.Counter
 
 	stop chan struct{}
 	done chan struct{}
@@ -210,48 +262,81 @@ type proposeReq struct {
 	val  any
 }
 
-// instance is the per-consensus-instance state machine.
+// instance is the per-consensus-instance state machine. Once decided it
+// is a tombstone: id, decision and quorumRound only.
 type instance struct {
 	id        uint64
-	round     int
+	round     int // round this process is in; -1 until proposed here
 	estimate  any
-	ts        int
+	ts        stamp
 	startedAt time.Time // local Propose time (zero when never proposed here)
 	started   bool      // local Propose seen
-	waiting   bool      // in phase 3, waiting for the coordinator's proposal
-	deadline  time.Time
+	deadline  time.Time // when a started instance leaves its round
 	decided   bool
 	decision  any
-	relayed   bool
-	announced bool
+	// quorumRound is the round whose ack quorum decided here, -1 while
+	// undecided or when the decision came by MsgDecide.
+	quorumRound int
 
-	// Per-round coordinator state. Any process may become coordinator of
-	// some round — even of instances it never locally started — so every
-	// instance tracks these.
-	estimates map[int]map[transport.NodeID]MsgEstimate
-	acks      map[int]map[transport.NodeID]bool
-	voteEpoch map[int]uint64     // epoch whose votes a round's maps hold
-	proposals map[int]MsgPropose // buffered proposals from future rounds
-	sentVal   map[int]any        // values we proposed, by round
-	decideFor map[int]bool       // rounds for which we already decided
+	// Any process may coordinate some round and may decide from any
+	// round's acks — even of instances it never proposed — so every
+	// instance tracks rounds: the few it has seen traffic of, in order of
+	// first use.
+	rounds []*round
 }
 
-// resetStaleVotes discards a round's accumulated estimate/ack votes when
-// the configuration changed since they were collected: a quorum must be
-// counted within one epoch, never mixing votes accepted under two
-// different majorities. sentVal/decideFor are deliberately retained —
-// the value proposed for a round stays unique across the switch, so
-// fresh same-epoch votes for it are sound.
-func (st *instance) resetStaleVotes(round int, epoch uint64) {
-	if st.voteEpoch == nil {
-		st.voteEpoch = make(map[int]uint64)
+// stamp names the proposal an estimate was adopted from: round+1 and the
+// epoch the proposal was made in, zero for a process's own initial value.
+// Stamps order by round first. Two proposals of one round exist only when
+// the configuration changed in between, and then the one of the later
+// epoch is the one that may have been acked by a majority (DESIGN.md §6).
+type stamp struct {
+	round int
+	epoch uint64
+}
+
+func (a stamp) after(b stamp) bool {
+	return a.round > b.round || a.round == b.round && a.epoch > b.epoch
+}
+
+// round is one round's state at one process. Votes — the proposal held,
+// the acks and the estimates — are counted within one epoch and dropped
+// when the configuration changes (see at). proposed and acked outlive
+// the epoch: a process proposes once and acks once per round whatever the
+// configuration, which is what the locking argument counts on (DESIGN.md
+// §6).
+type round struct {
+	r        int
+	epoch    uint64
+	proposed bool // this process, as coordinator, has proposed
+	acked    bool // this process has acked a proposal of this round
+	hasProp  bool // val holds the round's proposal
+	val      any
+	acks     []transport.NodeID // who acked, each once
+	ests     []estimate         // coordinator of a round ≥ 1: at most one per sender
+}
+
+type estimate struct {
+	from transport.NodeID
+	est  any
+	ts   stamp
+}
+
+// at returns the state of round r, creating it on first use and dropping
+// votes collected under another epoch: a quorum must be counted within
+// one configuration, never mixing votes accepted under two majorities.
+func (st *instance) at(r int, epoch uint64) *round {
+	for _, rd := range st.rounds {
+		if rd.r == r {
+			if rd.epoch != epoch {
+				*rd = round{r: r, epoch: epoch, proposed: rd.proposed, acked: rd.acked}
+			}
+			return rd
+		}
 	}
-	if e, ok := st.voteEpoch[round]; ok && e == epoch {
-		return
-	}
-	st.voteEpoch[round] = epoch
-	delete(st.estimates, round)
-	delete(st.acks, round)
+	rd := &round{r: r, epoch: epoch}
+	st.rounds = append(st.rounds, rd)
+	return rd
 }
 
 // New creates an engine. Call Start before proposing.
@@ -271,21 +356,27 @@ func New(cfg Config) *Engine {
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = cfg.RoundTimeout / 4
 	}
+	epoch, members := cfg.View.Snapshot()
 	return &Engine{
 		ep:         cfg.Endpoint,
+		id:         cfg.Endpoint.ID(),
 		susp:       cfg.Suspector,
 		view:       cfg.View,
 		timeout:    cfg.RoundTimeout,
 		tickEvery:  cfg.TickEvery,
 		catchUp:    cfg.CatchUpFrom,
+		epoch:      epoch,
+		ownsRound0: cfg.CatchUpFrom == 0 && members[0] == cfg.Endpoint.ID(),
 		proposeCh:  make(chan proposeReq),
 		dumpCh:     make(chan chan string),
 		decisions:  queue.New[Decision](),
 		instances:  make(map[uint64]*instance),
+		active:     make(map[uint64]*instance),
 		decLatency: cfg.Metrics.Histogram("consensus_decision_seconds"),
 		rounds:     cfg.Metrics.SizeHistogram("consensus_rounds_per_instance"),
 		reReqs:     cfg.Metrics.Counter("consensus_decide_rerequest_total"),
 		decCount:   cfg.Metrics.Counter("consensus_decided_total"),
+		fastCount:  cfg.Metrics.Counter("consensus_fast_decide_total"),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -339,12 +430,12 @@ func (e *Engine) run() {
 	defer close(e.done)
 	in := e.ep.Subscribe(Stream)
 	if e.catchUp > 0 {
-		// Subscribe first, then ask: every decision a peer makes after
-		// serving the request reaches us through its normal DECIDE
-		// broadcast (the transport buffers messages from subscription
-		// time), so the reply and the live stream overlap with no gap.
-		e.reReqs.Inc()
-		_ = e.ep.Broadcast(Stream, MsgDecideReq{From: e.catchUp})
+		// Subscribe first, then ask: every decision reached after a peer
+		// served the request forms here as well, from the proposals and
+		// acks all members are sent (the transport buffers messages from
+		// subscription time), so the reply and the live stream overlap
+		// with no gap.
+		e.RequestDecisions(e.catchUp)
 	}
 	ticker := time.NewTicker(e.tickEvery)
 	defer ticker.Stop()
@@ -370,18 +461,52 @@ func (e *Engine) run() {
 func (e *Engine) get(inst uint64) *instance {
 	st, ok := e.instances[inst]
 	if !ok {
-		st = &instance{
-			id:        inst,
-			round:     -1,
-			estimates: make(map[int]map[transport.NodeID]MsgEstimate),
-			acks:      make(map[int]map[transport.NodeID]bool),
-			proposals: make(map[int]MsgPropose),
-			sentVal:   make(map[int]any),
-			decideFor: make(map[int]bool),
-		}
+		st = &instance{id: inst, round: -1, quorumRound: -1}
 		e.instances[inst] = st
 	}
 	return st
+}
+
+// snapshot is the engine goroutine's view.Snapshot: it also keeps
+// ownsRound0 up to date. A process that joined a running group knows
+// nothing of the configurations before its own; one that sees the epoch
+// jump has missed a configuration that another process may have headed.
+func (e *Engine) snapshot() (uint64, []transport.NodeID) {
+	epoch, members := e.view.Snapshot()
+	if epoch != e.epoch {
+		e.ownsRound0 = e.ownsRound0 && epoch == e.epoch+1 && members[0] == e.id
+		e.epoch = epoch
+	}
+	return epoch, members
+}
+
+// send hands msg to one member. What this process addresses to itself
+// is queued for drainLoopback instead: a hop through the transport would
+// cost a message delay and buy nothing.
+func (e *Engine) send(to transport.NodeID, msg any) {
+	if to == e.id {
+		e.loopback = append(e.loopback, msg)
+		return
+	}
+	_ = e.ep.Send(to, Stream, msg)
+}
+
+func (e *Engine) broadcast(members []transport.NodeID, msg any) {
+	for _, to := range members {
+		e.send(to, msg)
+	}
+}
+
+// drainLoopback handles the self-addressed messages the handlers queued,
+// including those their own handling queues. Every entry point of the
+// engine goroutine ends with it, so a handler always runs to completion
+// before the next message — loopback or not — is looked at.
+func (e *Engine) drainLoopback() {
+	for i := 0; i < len(e.loopback); i++ {
+		e.handle(e.id, e.loopback[i])
+	}
+	clear(e.loopback)
+	e.loopback = e.loopback[:0]
 }
 
 func (e *Engine) handlePropose(inst uint64, val any) {
@@ -391,249 +516,268 @@ func (e *Engine) handlePropose(inst uint64, val any) {
 	}
 	st.started = true
 	st.startedAt = time.Now()
-	if st.estimate == nil {
-		st.estimate = val
-		st.ts = 0
-	}
+	st.estimate = val
+	e.active[inst] = st
 	e.startRound(st, 0)
+	e.drainLoopback()
 }
 
-// startRound enters round r: phase 1 (send estimate to the coordinator)
-// and phase 3 setup (arm the proposal wait). The proposal timeout backs
-// off exponentially with the round number so that, even when the
-// configured timeout undershoots the actual message delay, some round is
-// eventually long enough for the coordinator to be heard — the practical
-// realization of the ◇S eventual-timeliness assumption that CT's
-// termination proof needs.
+// startRound enters round r: send the estimate to the coordinator and arm
+// the round deadline. The deadline backs off exponentially with the round
+// number so that, even when the configured timeout undershoots the actual
+// message delay, some round is eventually long enough for a proposal and
+// its acks to get through — the practical realization of the ◇S
+// eventual-timeliness assumption that CT's termination proof needs.
 func (e *Engine) startRound(st *instance, r int) {
-	epoch, members := e.view.Snapshot()
+	epoch, members := e.snapshot()
 	st.round = r
-	st.waiting = true
-	backoff := r
-	if backoff > 6 {
-		backoff = 6
-	}
-	st.deadline = time.Now().Add(e.timeout << uint(backoff))
-	_ = e.ep.Send(coordOf(members, r), Stream, MsgEstimate{
-		Inst:  st.id,
-		Round: r,
-		Epoch: epoch,
-		Est:   st.estimate,
-		TS:    st.ts,
+	st.deadline = time.Now().Add(e.timeout << uint(min(r, 6)))
+	e.send(coordOf(members, r), MsgEstimate{
+		Inst:    st.id,
+		Round:   r,
+		Epoch:   epoch,
+		Est:     st.estimate,
+		TS:      st.ts.round,
+		TSEpoch: st.ts.epoch,
 	})
 	// A proposal for this round may have arrived before we entered it.
-	if p, ok := st.proposals[r]; ok {
-		delete(st.proposals, r)
-		e.adoptProposal(st, p, epoch, members)
+	if rd := st.at(r, epoch); rd.hasProp {
+		e.ack(st, rd, epoch, members)
 	}
 }
 
 func (e *Engine) handleEnvelope(env transport.Envelope) {
-	switch m := env.Msg.(type) {
+	e.handle(env.From, env.Msg)
+	e.drainLoopback()
+}
+
+func (e *Engine) handle(from transport.NodeID, msg any) {
+	switch m := msg.(type) {
 	case MsgEstimate:
-		e.onEstimate(env.From, m)
+		e.onEstimate(from, m)
 	case MsgPropose:
-		e.onPropose(m)
+		e.onPropose(from, m)
 	case MsgAck:
-		e.onAck(env.From, m)
+		e.onAck(from, m)
 	case MsgDecide:
 		e.onDecide(m)
 	case MsgDecideReq:
-		e.onDecideReq(env.From, m)
+		e.onDecideReq(from, m)
 	}
 }
 
-// RequestDecisions broadcasts a retransmission request for the
-// decisions of every instance at or above from. The ordering layer
-// calls it when it detects a decision gap — typically after a healed
-// partition swallowed DECIDE broadcasts. Safe from any goroutine.
+// RequestDecisions asks every other member to retransmit the decisions
+// of every instance at or above from. The ordering layer calls it when
+// it detects a decision gap — typically after a healed partition
+// swallowed a stage's proposals and acks. Safe from any goroutine.
 func (e *Engine) RequestDecisions(from uint64) {
 	e.reReqs.Inc()
-	_ = e.ep.Broadcast(Stream, MsgDecideReq{From: from})
-}
-
-// onDecideReq retransmits known decisions to a catching-up peer.
-func (e *Engine) onDecideReq(from transport.NodeID, m MsgDecideReq) {
-	for inst, st := range e.instances {
-		if st.decided && inst >= m.From {
-			_ = e.ep.Send(from, Stream, MsgDecide{Inst: inst, Val: st.decision})
+	_, members := e.view.Snapshot()
+	for _, to := range members {
+		if to != e.id {
+			_ = e.ep.Send(to, Stream, MsgDecideReq{From: from})
 		}
 	}
 }
 
-// onEstimate is coordinator phase 2: with a majority of estimates for a
-// round we coordinate, propose the one with the highest timestamp.
+// onDecideReq retransmits known decisions to a catching-up peer, in
+// instance order.
+func (e *Engine) onDecideReq(from transport.NodeID, m MsgDecideReq) {
+	i, _ := slices.BinarySearch(e.decidedIDs, m.From)
+	for _, inst := range e.decidedIDs[i:] {
+		e.sendDecision(from, e.instances[inst])
+	}
+}
+
+// sendDecision answers a process that is still working on a decided
+// instance. Nobody re-runs the round protocol for a decided instance and
+// nobody relays decisions, so this is how a process that missed the
+// deciding round's proposal or acks — it was partitioned away, or the
+// sender crashed between two sends — converges. The handlers do this
+// before they look at the message's epoch: a decision holds in any
+// epoch, and a process left behind in an old one needs it most.
+func (e *Engine) sendDecision(to transport.NodeID, st *instance) {
+	e.send(to, MsgDecide{Inst: st.id, Val: st.decision})
+}
+
+// onEstimate is the coordinator's step. In round 0 the process that owns
+// it (ownsRound0) proposes the first value to arrive, its own or a
+// peer's: it alone ever proposes in round 0, no round precedes it, so no
+// value can be locked yet and any estimate is safe. Every other proposal
+// waits for a majority of estimates and takes the one with the highest
+// stamp, which is the value an earlier proposal may have locked — in
+// round 0 too, where the majority tells the coordinator nothing but keeps
+// its senders from acking the round-0 proposal of an earlier epoch.
 // Estimates from another epoch are dropped: their sender counts toward
 // that epoch's quorum, not ours. One snapshot serves the filter, the
 // majority and the stamp, so a configuration change landing mid-handler
 // cannot mix the two epochs.
 func (e *Engine) onEstimate(from transport.NodeID, m MsgEstimate) {
-	epoch, members := e.view.Snapshot()
-	if m.Epoch != epoch {
-		return
-	}
 	st := e.get(m.Inst)
 	if st.decided {
-		// The sender missed this instance's DECIDE broadcast (it was
-		// partitioned away when the decision fired) and is still spinning
-		// rounds for it. Nobody will re-run the round protocol for a
-		// decided instance, so answering with the decision here is the
-		// only way the sender ever converges.
-		_ = e.ep.Send(from, Stream, MsgDecide{Inst: m.Inst, Val: st.decision})
+		e.sendDecision(from, st)
 		return
 	}
-	if coordOf(members, m.Round) != e.ep.ID() {
-		return
-	}
-	if _, already := st.sentVal[m.Round]; already {
-		return
-	}
-	st.resetStaleVotes(m.Round, epoch)
-	byNode, ok := st.estimates[m.Round]
-	if !ok {
-		byNode = make(map[transport.NodeID]MsgEstimate)
-		st.estimates[m.Round] = byNode
-	}
-	byNode[from] = m
-	if len(byNode) < majorityOf(members) {
-		return
-	}
-	best := MsgEstimate{TS: -1}
-	for _, est := range byNode {
-		if est.TS > best.TS {
-			best = est
-		}
-	}
-	// Remember the proposed value: phase 4 must decide exactly this
-	// value, not whatever the coordinator's own estimate happens to be
-	// (the coordinator may not even participate in the instance).
-	st.sentVal[m.Round] = best.Est
-	_ = e.ep.Broadcast(Stream, MsgPropose{Inst: m.Inst, Round: m.Round, Epoch: epoch, Val: best.Est})
-}
-
-// onPropose is participant phase 3: adopt the coordinator's proposal for
-// the current round; buffer proposals from rounds we have not reached.
-func (e *Engine) onPropose(m MsgPropose) {
-	epoch, members := e.view.Snapshot()
+	epoch, members := e.snapshot()
 	if m.Epoch != epoch {
 		return
 	}
-	st := e.get(m.Inst)
-	if st.decided {
+	if coordOf(members, m.Round) != e.id {
 		return
 	}
-	switch {
-	case m.Round == st.round && st.waiting:
-		e.adoptProposal(st, m, epoch, members)
-	case m.Round > st.round:
-		st.proposals[m.Round] = m
-	}
-}
-
-//otp:fenced both callers fence: onPropose compares m.Epoch against the view snapshot before adopting or buffering, and startRound only replays proposals that passed that check
-func (e *Engine) adoptProposal(st *instance, m MsgPropose, epoch uint64, members []transport.NodeID) {
-	st.estimate = m.Val
-	// The adoption timestamp must dominate the never-adopted initial
-	// estimates (ts 0) even in round 0, otherwise a later coordinator
-	// could propose a value different from one already locked by a
-	// round-0 majority — the classic CT locking argument.
-	st.ts = m.Round + 1
-	st.waiting = false
-	_ = e.ep.Send(coordOf(members, m.Round), Stream, MsgAck{Inst: st.id, Round: m.Round, Epoch: epoch, OK: true})
-	// Proceed to the next round; a DECIDE will normally arrive first and
-	// halt the instance.
-	e.startRound(st, m.Round+1)
-}
-
-// onAck is coordinator phase 4: a majority of positive acks decides.
-// Like onEstimate, the filter, the quorum count and the membership all
-// come from one snapshot.
-func (e *Engine) onAck(from transport.NodeID, m MsgAck) {
-	epoch, members := e.view.Snapshot()
-	if m.Epoch != epoch {
+	rd := st.at(m.Round, epoch)
+	if rd.proposed {
 		return
 	}
-	st := e.get(m.Inst)
-	if st.decided || coordOf(members, m.Round) != e.ep.ID() || st.decideFor[m.Round] {
-		return
-	}
-	st.resetStaleVotes(m.Round, epoch)
-	byNode, ok := st.acks[m.Round]
-	if !ok {
-		byNode = make(map[transport.NodeID]bool)
-		st.acks[m.Round] = byNode
-	}
-	byNode[from] = m.OK
-	positive := 0
-	for _, ok := range byNode {
-		if ok {
-			positive++
+	val := m.Est
+	if m.Round > 0 || !e.ownsRound0 {
+		// A process sends one estimate per round; a second copy is a
+		// retransmission.
+		if !slices.ContainsFunc(rd.ests, func(known estimate) bool { return known.from == from }) {
+			rd.ests = append(rd.ests, estimate{from, m.Est, stamp{m.TS, m.TSEpoch}})
 		}
-	}
-	if positive >= majorityOf(members) {
-		val, proposed := st.sentVal[m.Round]
-		if !proposed {
-			// Acks for a round we never proposed in: stale traffic.
+		if len(rd.ests) < majorityOf(members) {
 			return
 		}
-		st.decideFor[m.Round] = true
-		_ = e.ep.Broadcast(Stream, MsgDecide{Inst: m.Inst, Val: val})
+		best := rd.ests[0]
+		for _, est := range rd.ests[1:] {
+			if est.ts.after(best.ts) {
+				best = est
+			}
+		}
+		val, rd.ests = best.est, nil
+	}
+	rd.proposed = true
+	e.broadcast(members, MsgPropose{Inst: m.Inst, Round: m.Round, Epoch: epoch, Val: val})
+}
+
+// onPropose holds the round's proposal — whatever round this process is
+// in, because any round's acks may decide — and acks it when it is this
+// process's current round.
+func (e *Engine) onPropose(from transport.NodeID, m MsgPropose) {
+	st := e.get(m.Inst)
+	if st.decided {
+		e.sendDecision(from, st)
+		return
+	}
+	epoch, members := e.snapshot()
+	if m.Epoch != epoch {
+		return
+	}
+	rd := st.at(m.Round, epoch)
+	if rd.hasProp {
+		return
+	}
+	rd.hasProp, rd.val = true, m.Val
+	if m.Round == st.round {
+		e.ack(st, rd, epoch, members)
+	}
+	// Under jitter the acks may have overtaken the proposal.
+	e.tryDecide(st, m.Round, rd, members)
+}
+
+// ack adopts the proposal rd holds for the round this process is in and
+// tells the whole group, once per round. The process then stays in the
+// round until it decides, the deadline passes or the coordinator is
+// suspected: entering the next round any sooner would only produce
+// traffic the decision makes void.
+func (e *Engine) ack(st *instance, rd *round, epoch uint64, members []transport.NodeID) {
+	if rd.acked {
+		return
+	}
+	rd.acked = true
+	st.estimate = rd.val
+	// The adoption stamp must dominate the never-adopted initial
+	// estimates (the zero stamp) even in round 0, otherwise a later
+	// coordinator could propose a value different from one already locked
+	// by a round-0 majority — the classic CT locking argument.
+	st.ts = stamp{st.round + 1, epoch}
+	e.broadcast(members, MsgAck{Inst: st.id, Round: st.round, Epoch: epoch})
+}
+
+// onAck counts one ack per sender and round. Like onEstimate, the filter,
+// the quorum count and the membership all come from one snapshot.
+func (e *Engine) onAck(from transport.NodeID, m MsgAck) {
+	st := e.get(m.Inst)
+	if st.decided {
+		// An ack of the round that decided here trails its own quorum: the
+		// sender is being sent the same acks. Any other round's ack comes
+		// from a process the decision has not reached.
+		if m.Round != st.quorumRound {
+			e.sendDecision(from, st)
+		}
+		return
+	}
+	epoch, members := e.snapshot()
+	if m.Epoch != epoch {
+		return
+	}
+	rd := st.at(m.Round, epoch)
+	if slices.Contains(rd.acks, from) {
+		return
+	}
+	if rd.acks == nil {
+		rd.acks = make([]transport.NodeID, 0, len(members))
+	}
+	rd.acks = append(rd.acks, from)
+	e.tryDecide(st, m.Round, rd, members)
+}
+
+// tryDecide decides round r's proposal once a majority has acked it. Any
+// process may: a majority of acks means the value is locked — every later
+// round can only propose it again — so whoever sees the quorum knows the
+// only value this instance can ever decide.
+func (e *Engine) tryDecide(st *instance, r int, rd *round, members []transport.NodeID) {
+	if !rd.hasProp || len(rd.acks) < majorityOf(members) {
+		return
+	}
+	st.quorumRound = r
+	if r == 0 {
+		e.fastCount.Inc()
+	}
+	e.decide(st, rd.val)
+}
+
+func (e *Engine) onDecide(m MsgDecide) {
+	if st := e.get(m.Inst); !st.decided {
+		e.decide(st, m.Val)
 	}
 }
 
-// onDecide is the reliable-broadcast delivery: decide once, relay once.
-func (e *Engine) onDecide(m MsgDecide) {
-	st := e.get(m.Inst)
-	if !st.relayed {
-		st.relayed = true
-		_ = e.ep.Broadcast(Stream, MsgDecide{Inst: m.Inst, Val: m.Val})
-	}
-	if st.decided {
-		return
-	}
+func (e *Engine) decide(st *instance, val any) {
 	st.decided = true
-	st.decision = m.Val
-	st.waiting = false
+	st.decision = val
 	e.decCount.Inc()
 	if st.started {
 		e.decLatency.Observe(time.Since(st.startedAt))
 		e.rounds.ObserveInt(int64(st.round) + 1)
+		delete(e.active, st.id)
 	}
-	if !st.announced {
-		st.announced = true
-		e.decisions.Push(Decision{Instance: m.Inst, Value: m.Val})
-	}
-	// Release per-round state; only the decision tombstone remains.
-	st.estimates = nil
-	st.acks = nil
-	st.voteEpoch = nil
-	st.proposals = nil
-	st.sentVal = nil
+	i, _ := slices.BinarySearch(e.decidedIDs, st.id)
+	e.decidedIDs = slices.Insert(e.decidedIDs, i, st.id)
+	e.decisions.Push(Decision{Instance: st.id, Value: val})
+	// Release the round state; only the decision tombstone remains.
+	st.estimate, st.rounds = nil, nil
 }
 
-// checkDeadlines implements the "coordinator suspected" branch of phase 3:
-// nack and move on when the proposal did not arrive in time or the
-// failure detector suspects the coordinator.
+// checkDeadlines moves every instance that is still undecided past its
+// round's deadline, or whose coordinator the failure detector suspects,
+// into the next round.
 func (e *Engine) checkDeadlines() {
 	now := time.Now()
-	epoch, members := e.view.Snapshot()
-	for _, st := range e.instances {
-		if st.decided || !st.started || !st.waiting {
-			continue
-		}
+	_, members := e.snapshot()
+	for _, st := range e.active {
 		if now.Before(st.deadline) && !e.susp.Suspected(coordOf(members, st.round)) {
 			continue
 		}
-		r := st.round
-		st.waiting = false
-		_ = e.ep.Send(coordOf(members, r), Stream, MsgAck{Inst: st.id, Round: r, Epoch: epoch, OK: false})
-		e.startRound(st, r+1)
+		e.startRound(st, st.round+1)
 	}
+	e.drainLoopback()
 }
 
 // String aids debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("consensus.Engine(%v)", e.ep.ID())
+	return fmt.Sprintf("consensus.Engine(%v)", e.id)
 }
 
 // Dump returns a human-readable snapshot of all undecided instances, for
@@ -656,12 +800,11 @@ func (e *Engine) dumpLocked() string {
 			continue
 		}
 		undecided++
-		ests := 0
-		for _, byNode := range st.estimates {
-			ests += len(byNode)
+		out += fmt.Sprintf(" [inst=%d round=%d started=%v", inst, st.round, st.started)
+		for _, rd := range st.rounds {
+			out += fmt.Sprintf(" r%d{prop=%v acked=%v acks=%d}", rd.r, rd.hasProp, rd.acked, len(rd.acks))
 		}
-		out += fmt.Sprintf(" [inst=%d round=%d started=%v waiting=%v est=%d]",
-			inst, st.round, st.started, st.waiting, ests)
+		out += "]"
 	}
 	if undecided == 0 {
 		out += " all-decided"

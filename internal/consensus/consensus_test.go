@@ -2,10 +2,12 @@ package consensus
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"otpdb/internal/fd"
+	"otpdb/internal/metrics"
 	"otpdb/internal/transport"
 )
 
@@ -266,10 +268,10 @@ func TestSingleNodeDecidesAlone(t *testing.T) {
 	}
 }
 
-// Round timeouts far below the message delay force nacks and multi-round
+// Round timeouts far below the message delay force multi-round
 // instances on every decision — the regime that exposes locking bugs in
 // the coordinator's estimate selection (a round-0 adoption must dominate
-// initial estimates, see adoptProposal).
+// initial estimates, see ack).
 func TestAgreementUnderConstantRoundRotation(t *testing.T) {
 	h := transport.NewHub(3, transport.WithDelay(4*time.Millisecond),
 		transport.WithJitter(8*time.Millisecond), transport.WithSeed(23))
@@ -342,5 +344,119 @@ func TestAgreementUnderMessageJitter(t *testing.T) {
 			t.Fatalf("instance %d: %v %v %v",
 				inst, decided[0][inst], decided[1][inst], decided[2][inst])
 		}
+	}
+}
+
+// countingEndpoint counts what an engine hands to the transport, by
+// message type, and the messages of any round after the first.
+type countingEndpoint struct {
+	transport.Endpoint
+	mu     sync.Mutex
+	byType map[string]int
+	later  int
+}
+
+func (c *countingEndpoint) Send(to transport.NodeID, stream string, msg any) error {
+	c.count(msg, 1)
+	return c.Endpoint.Send(to, stream, msg)
+}
+
+func (c *countingEndpoint) Broadcast(stream string, msg any) error {
+	c.count(msg, c.N())
+	return c.Endpoint.Broadcast(stream, msg)
+}
+
+func (c *countingEndpoint) count(msg any, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byType == nil {
+		c.byType = make(map[string]int)
+	}
+	c.byType[fmt.Sprintf("%T", msg)] += n
+	round := 0
+	switch m := msg.(type) {
+	case MsgEstimate:
+		round = m.Round
+	case MsgPropose:
+		round = m.Round
+	case MsgAck:
+		round = m.Round
+	}
+	if round > 0 {
+		c.later += n
+	}
+}
+
+func (c *countingEndpoint) sent(msgType string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.byType[msgType]
+}
+
+func countedEngines(t *testing.T, h *transport.Hub, n int, reg *metrics.Registry) ([]*Engine, []*countingEndpoint) {
+	t.Helper()
+	engines := make([]*Engine, n)
+	eps := make([]*countingEndpoint, n)
+	for i := range engines {
+		eps[i] = &countingEndpoint{Endpoint: h.Endpoint(transport.NodeID(i))}
+		engines[i] = New(Config{Endpoint: eps[i], RoundTimeout: 5 * time.Second,
+			Metrics: reg.Scope("site", fmt.Sprint(i))})
+		engines[i].Start()
+	}
+	t.Cleanup(func() {
+		for _, e := range engines {
+			e.Stop()
+		}
+	})
+	return engines, eps
+}
+
+// The price of a fault-free instance at n = 3 is ten messages: the two
+// estimates, two proposals and six acks that have to cross the network,
+// nothing to oneself, nothing of a second round, no DECIDE — and every
+// site counts the decision as one it formed itself in round 0.
+func TestFaultFreeMessageBudget(t *testing.T) {
+	h := transport.NewHub(3)
+	defer h.Close()
+	reg := metrics.NewRegistry()
+	engines, eps := countedEngines(t, h, 3, reg)
+	// Nodes 1 and 2 are in round 0 before the coordinator proposes, so
+	// each of them acks the moment the proposal arrives — and a process
+	// sends its ack before it can decide, so once all three have decided
+	// every message of the instance has been sent. What they send the
+	// coordinator is held up for a moment: an estimate that beat its own
+	// Propose would make it propose, and perhaps decide, before it has
+	// entered round 0, and a process that decides outside the round never
+	// acks.
+	for _, from := range []transport.NodeID{1, 2} {
+		h.SetLink(from, 0, transport.LinkProfile{Delay: 20 * time.Millisecond})
+	}
+	for _, i := range []int{1, 2, 0} {
+		if err := engines[i].Propose(1, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range engines {
+		if got := collectDecision(t, e, 1, 5*time.Second); got != "v" {
+			t.Fatalf("decided %v, want v", got)
+		}
+	}
+	var est, prop, ack, later int
+	for _, ep := range eps {
+		est += ep.sent("consensus.MsgEstimate")
+		prop += ep.sent("consensus.MsgPropose")
+		ack += ep.sent("consensus.MsgAck")
+		later += ep.later
+	}
+	if est != 2 || prop != 2 || ack != 6 || later != 0 {
+		t.Fatalf("%d estimates, %d proposals, %d acks, %d messages of a later round; want 2, 2, 6, 0",
+			est, prop, ack, later)
+	}
+	totals := make(map[string]float64)
+	for _, sample := range reg.Snapshot() {
+		totals[sample.Name] += sample.Value
+	}
+	if fast, all := totals["consensus_fast_decide_total"], totals["consensus_decided_total"]; fast != 3 || all != 3 {
+		t.Fatalf("consensus_fast_decide_total %v of consensus_decided_total %v, want 3 of 3", fast, all)
 	}
 }

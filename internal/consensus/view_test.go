@@ -135,3 +135,62 @@ func TestViewNonContiguousMembers(t *testing.T) {
 		}
 	}
 }
+
+// stubView is a view the test moves by hand.
+type stubView struct {
+	epoch   uint64
+	members []transport.NodeID
+}
+
+func (v *stubView) Snapshot() (uint64, []transport.NodeID) { return v.epoch, v.members }
+
+// TestAcksFromAnotherEpochNeverCompleteAQuorum: every process counts acks
+// for itself now, so every process — the coordinator as much as a
+// bystander — must refuse an ack stamped with another epoch, and must
+// forget the votes it holds when its own epoch moves.
+func TestAcksFromAnotherEpochNeverCompleteAQuorum(t *testing.T) {
+	w := buildWorld(-1, func(transport.NodeID) (*stubView, uint64) {
+		return &stubView{epoch: 5, members: []transport.NodeID{0, 1, 2}}, 0
+	})
+	defer w.close()
+	views := w.views
+	deliver := func(to, from transport.NodeID, msg any) {
+		w.engines[to].handleEnvelope(transport.Envelope{From: from, Stream: Stream, Msg: msg})
+	}
+	undecided := func(when string) {
+		t.Helper()
+		for id, e := range w.engines {
+			if v := e.decidedValue(); v != nil {
+				t.Fatalf("node %d decided %v %s", id, v, when)
+			}
+		}
+	}
+
+	// Only the coordinator takes part: afterwards every node holds the
+	// proposal and the coordinator's ack, one short of a majority.
+	w.add(0, proposeEvent{val: "a"})
+	for len(w.pending) > 0 {
+		w.step(0)
+	}
+	undecided("on the coordinator's ack alone")
+
+	foreign := MsgAck{Inst: exploreInst, Round: 0, Epoch: 6}
+	for to := range w.engines {
+		deliver(transport.NodeID(to), 2, foreign)
+	}
+	undecided("counting an epoch-6 ack in epoch 5")
+
+	// The coordinator's own epoch moves: what it held was voted under the
+	// old configuration, and one epoch-6 ack is no majority.
+	views[0].epoch = 6
+	deliver(0, 2, foreign)
+	undecided("mixing an epoch-5 ack with an epoch-6 ack")
+
+	// The second ack of the right epoch decides.
+	for _, to := range []transport.NodeID{1, 2} {
+		deliver(to, 1, MsgAck{Inst: exploreInst, Round: 0, Epoch: 5})
+		if got := w.engines[to].decidedValue(); got != "a" {
+			t.Fatalf("node %d decided %v on two epoch-5 acks, want a", to, got)
+		}
+	}
+}

@@ -120,9 +120,12 @@ func (e *executor) Submit(tx *otp.MultiTxn, epoch int) {
 		parts[i] = storage.Partition(c)
 	}
 	e.mu.Lock()
-	if epoch < e.abortedBelow[tx.ID] {
+	if epoch < e.abortedBelow[tx.ID] || tx.Committed() {
 		// A racing abort already superseded this submission; the
-		// scheduler will resubmit with a fresh epoch.
+		// scheduler will resubmit with a fresh epoch — or has, and the
+		// transaction has even committed since, which took the epoch fence
+		// away (Commit). An attempt started now would run the body a
+		// second time and hold its partitions for good.
 		e.mu.Unlock()
 		return
 	}

@@ -61,6 +61,13 @@ func (t *MultiTxn) Epoch() int { return t.epoch }
 // committed transaction with Aborts() > 0 took the retry path.
 func (t *MultiTxn) Aborts() int { return t.epoch }
 
+// Committed reports whether the transaction has committed. A deferred
+// Submit may reach the executor that late — its goroutine was held up
+// behind a commit's hooks while another goroutine aborted, resubmitted,
+// executed and committed the transaction — and must then be dropped.
+// Valid for as long as the callback holds the struct.
+func (t *MultiTxn) Committed() bool { return t.committed.Load() == 1 }
+
 // Reordered reports whether TO-delivery moved the transaction ahead of
 // pending transactions in at least one of its class queues — i.e. its
 // definitive position contradicted the tentative one (CC10).
@@ -352,7 +359,7 @@ func (m *MultiManager) perform(acts []multiAction) {
 		}
 		// Flag load BEFORE the decrement — see Manager.perform for the
 		// ordering argument.
-		committed := a.tx.committed.Load() == 1
+		committed := a.tx.Committed()
 		if a.tx.refs.Add(-1) == 0 && committed {
 			multiTxnPool.Put(a.tx)
 		}
