@@ -9,6 +9,8 @@ import (
 	"otpdb/internal/events"
 	"otpdb/internal/fd"
 	"otpdb/internal/member"
+	"otpdb/internal/metrics"
+	"otpdb/internal/site"
 	"otpdb/internal/transport"
 )
 
@@ -16,6 +18,42 @@ import (
 // membership proposals through every shard group plus the state
 // transfer that rebuilds the replacement.
 const autoReplaceTimeout = 30 * time.Second
+
+// newDetector creates the failure detector of one site, on the first
+// group's endpoint: site i of every group shares a failure domain, so
+// one verdict covers all shards. It doubles as the consensus suspector —
+// rotation and replacement then act on the same evidence. The default
+// clock-derived incarnation makes a rebuilt site supersede its dead
+// predecessor's retransmitted heartbeats.
+func (c *Cluster) newDetector(ep transport.Endpoint, scope *metrics.Scope) *fd.Detector {
+	interval := c.cfg.suspectWin / 8
+	if interval > 25*time.Millisecond {
+		interval = 25 * time.Millisecond
+	}
+	return fd.New(ep, fd.Config{Interval: interval, Metrics: scope, Events: c.cfg.events})
+}
+
+// armAutoReplace starts site self's detector and replacer beside its
+// started stack and returns the function that stops all three.
+func (c *Cluster) armAutoReplace(self int, det *fd.Detector, s *site.Site) func() {
+	// Subscribe, then read: a change committing in between reaches the
+	// detector twice, never not at all.
+	s.Tracker.OnChange(func(next member.Config) { det.SetMembers(next.IDs()) })
+	det.Start()
+	det.SetMembers(s.Tracker.Config().IDs())
+	stopReplace := make(chan struct{})
+	go c.autoReplaceLoop(self, det, stopReplace)
+	return func() {
+		// The replacer is signalled, not joined: the winner of a
+		// replacement holds c.mu while stopping the victim's stack, and
+		// the victim's own replacer may itself be blocked on c.mu.
+		// Joining the detector is safe — its goroutine never takes
+		// cluster locks.
+		close(stopReplace)
+		det.Stop()
+		s.Stop()
+	}
+}
 
 // autoReplaceLoop is the per-site half of WithAutoReplace: it watches the
 // site's failure detector and, when a peer has been continuously
@@ -110,7 +148,7 @@ func (c *Cluster) tryAutoReplace(self, victim int, suspectedAt time.Time) {
 	if ok {
 		captured = make([]member.Config, len(c.groups))
 		for g := range c.groups {
-			captured[g] = c.groups[g].trackers[self].Config()
+			captured[g] = c.groups[g].sites[self].Tracker.Config()
 		}
 	}
 	c.mu.RUnlock()

@@ -14,12 +14,10 @@ import (
 
 	"otpdb"
 	"otpdb/internal/abcast"
-	"otpdb/internal/consensus"
 	"otpdb/internal/experiments"
 	"otpdb/internal/netsim"
 	"otpdb/internal/otp"
 	"otpdb/internal/storage"
-	"otpdb/internal/transport"
 )
 
 // BenchmarkFigure1SpontaneousOrder regenerates one point of Figure 1 per
@@ -241,37 +239,6 @@ func BenchmarkStorageCommitSharded(b *testing.B) {
 		next[p]++
 		if err := tx.Commit(next[p]); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConsensusDecide measures end-to-end decision latency of the
-// Chandra–Toueg engine on a 3-node in-memory network.
-func BenchmarkConsensusDecide(b *testing.B) {
-	h := transport.NewHub(3)
-	defer h.Close()
-	engines := make([]*consensus.Engine, 3)
-	for i := range engines {
-		engines[i] = consensus.New(consensus.Config{
-			Endpoint:     h.Endpoint(transport.NodeID(i)),
-			RoundTimeout: 100 * time.Millisecond,
-		})
-		engines[i].Start()
-		defer engines[i].Stop()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst := uint64(i + 1)
-		for _, e := range engines {
-			if err := e.Propose(inst, i); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Wait for the local decision at engine 0.
-		for d := range engines[0].Decisions() {
-			if d.Instance == inst {
-				break
-			}
 		}
 	}
 }

@@ -149,8 +149,8 @@ import (
 	"otpdb/internal/member"
 	"otpdb/internal/metrics"
 	"otpdb/internal/obs"
-	"otpdb/internal/recovery"
 	"otpdb/internal/shard"
+	"otpdb/internal/site"
 	"otpdb/internal/sproc"
 	"otpdb/internal/statex"
 	"otpdb/internal/storage"
@@ -260,9 +260,9 @@ func demoRegistry(classes int) (*sproc.Registry, error) {
 // every phase so operators (and tests) can watch a joiner catch up.
 type shardStack struct {
 	rep     atomic.Pointer[db.Replica]
-	xs      atomic.Pointer[statex.Server]
+	site    atomic.Pointer[site.Site] // the stack behind rep: its donor service tells the role
 	tracker atomic.Pointer[member.Tracker]
-	base    atomic.Int64 // locally recovered definitive index
+	base    atomic.Int64 // locally recovered (then transferred) definitive index
 }
 
 // server is the process state the client protocol serves from.
@@ -309,7 +309,7 @@ func (s *server) role() string {
 		return "joining"
 	}
 	for _, st := range s.shards {
-		if xs := st.xs.Load(); xs != nil && xs.Serving() > 0 {
+		if st.role() == "donor" {
 			return "donor"
 		}
 	}
@@ -322,29 +322,10 @@ func (s *shardStack) role() string {
 	if s.rep.Load() == nil {
 		return "joining"
 	}
-	if xs := s.xs.Load(); xs != nil && xs.Serving() > 0 {
+	if st := s.site.Load(); st != nil && st.Serving() > 0 {
 		return "donor"
 	}
 	return "serving"
-}
-
-// donorOrder lists candidate state-transfer donors: every group member
-// but ourselves, unsuspected ones first. Right after startup the
-// detector has heard nobody, so the order degenerates to id order and
-// Fetch's per-donor timeout skims past dead peers.
-func donorOrder(d *fd.Detector, self transport.NodeID, ids []transport.NodeID) []transport.NodeID {
-	var live, suspect []transport.NodeID
-	for _, id := range ids {
-		if id == self {
-			continue
-		}
-		if d.Suspected(id) {
-			suspect = append(suspect, id)
-		} else {
-			live = append(live, id)
-		}
-	}
-	return append(live, suspect...)
 }
 
 // shiftAddr rebases a host:port address to port + delta — shard g's mesh
@@ -506,9 +487,7 @@ func run(id int, peerList, clientAddr string, classes, shards int, dataDir, fsyn
 		}
 	}()
 
-	// Build every shard group's stack in shard order. Each is the full
-	// single-group pipeline: local recovery, membership, optional state
-	// transfer, consensus, OPT-ABcast, replica, statex donor service.
+	// Build every shard group's stack in shard order.
 	for g := 0; g < shards; g++ {
 		stopShard, err := buildShard(ctx, srv, g, id, parts, shards, dataDir, fsync, forceJoin, inc)
 		if err != nil {
@@ -526,8 +505,13 @@ func run(id int, peerList, clientAddr string, classes, shards int, dataDir, fsyn
 }
 
 // buildShard brings one shard group's replica up and publishes it in
-// srv.shards[g]. The returned function tears the stack down.
-func buildShard(ctx context.Context, srv *server, g, id int, peers []string, shards int, dataDir, fsync string, forceJoin bool, inc uint64) (func(), error) {
+// srv.shards[g]. The stack itself — recovery, state transfer, consensus,
+// broadcast, replica, donor service — is the shared site builder's; this
+// function owns what is the daemon's: the TCP node, the failure
+// detector, the observability station, following the membership with
+// the peer links, and the operator's log lines. The returned function
+// tears everything down.
+func buildShard(ctx context.Context, srv *server, g, id int, peers []string, shards int, dataDir, fsync string, forceJoin bool, inc uint64) (_ func(), err error) {
 	st := srv.shards[g]
 	addrs := make(map[transport.NodeID]string, len(peers))
 	for i, addr := range peers {
@@ -538,12 +522,16 @@ func buildShard(ctx context.Context, srv *server, g, id int, peers []string, sha
 		addrs[transport.NodeID(i)] = shifted
 	}
 	var cleanup []func()
-	fail := func(err error) (func(), error) {
+	stop := func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {
 			cleanup[i]()
 		}
-		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			stop()
+		}
+	}()
 
 	scope := srv.metrics.Scope("shard", strconv.Itoa(g), "site", strconv.Itoa(id))
 	node, err := transport.ListenTCP(transport.TCPConfig{
@@ -553,7 +541,7 @@ func buildShard(ctx context.Context, srv *server, g, id int, peers []string, sha
 		Metrics:     scope,
 	})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	cleanup = append(cleanup, func() { _ = node.Close() })
 
@@ -568,38 +556,38 @@ func buildShard(ctx context.Context, srv *server, g, id int, peers []string, sha
 	detector.Start()
 	cleanup = append(cleanup, detector.Stop)
 
-	// Local recovery: a durable replica replays checkpoint + WAL tail
-	// and resumes at the recovered definitive index. The group
-	// configuration is seeded from -peers at version 0; recovered or
+	// The group configuration is seeded from -peers; recovered or
 	// transferred state carrying a newer committed configuration
 	// overrides the seed, so the replica lands in the correct epoch.
-	shardDir := dataDir
-	if dataDir != "" && shards > 1 {
-		shardDir = filepath.Join(dataDir, fmt.Sprintf("shard-%d", g))
+	cfg := site.Config{
+		Endpoint:     node,
+		Bootstrap:    member.Bootstrap(addrs),
+		Dir:          dataDir,
+		Suspector:    detector,
+		RoundTimeout: 250 * time.Millisecond,
+		Replica:      db.Config{Registry: srv.reg, Trace: srv.trace, Shard: g},
+		Metrics:      scope,
+		Events:       srv.events,
 	}
-	bootstrap := member.Bootstrap(addrs)
-	store := storage.NewStore()
-	member.Seed(store, bootstrap)
-	base := int64(0)
-	var dur *recovery.Durability
-	if shardDir != "" {
-		policy, perr := wal.ParseSyncPolicy(fsync)
-		if perr != nil {
-			return fail(perr)
+	if dataDir != "" {
+		if shards > 1 {
+			cfg.Dir = filepath.Join(dataDir, fmt.Sprintf("shard-%d", g))
 		}
-		d, derr := recovery.Open(shardDir, recovery.Options{Sync: policy, Metrics: scope})
-		if derr != nil {
-			return fail(derr)
+		if cfg.Sync, err = wal.ParseSyncPolicy(fsync); err != nil {
+			return nil, err
 		}
-		b, rerr := d.Recover(store)
-		if rerr != nil {
-			_ = d.Close()
-			return fail(rerr)
-		}
-		dur, base = d, b
-		fmt.Printf("otpd: replica %d%s recovered to commit index %d (fsync=%s)\n", id, shardTag(g, shards), base, policy)
 	}
-	st.base.Store(base)
+	s, err := site.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The replica flushes and closes the WAL on Stop, so the
+	// SIGINT/SIGTERM path never drops the log tail.
+	cleanup = append(cleanup, s.Stop)
+	if dataDir != "" {
+		fmt.Printf("otpd: replica %d%s recovered to commit index %d (fsync=%s)\n", id, shardTag(g, shards), s.Base, cfg.Sync)
+	}
+	st.base.Store(s.Base)
 
 	// The membership tracker is primed from the committed configuration
 	// the store now holds — the -peers seed for a fresh start, the
@@ -609,20 +597,17 @@ func buildShard(ctx context.Context, srv *server, g, id int, peers []string, sha
 	// replaced at new addresses while we were down), and both the join
 	// probe below and the consensus view must follow the committed
 	// membership, not the stale command line.
-	mcfg, err := member.CommittedConfig(store)
-	if err != nil {
-		return fail(fmt.Errorf("membership: %w", err))
-	}
+	tracker := s.Tracker
+	mcfg := tracker.Config()
 	applyMembership := func(cfg member.Config) {
 		node.SetPeers(cfg.Addrs())
 		detector.SetMembers(cfg.IDs())
 		fmt.Printf("otpd: replica %d%s membership %s\n", id, shardTag(g, shards), cfg)
 	}
-	tracker := member.NewTracker(mcfg)
 	if g == 0 {
 		tracker.SetEvents(srv.events, id)
 		// The tracker only records configurations it *applies*; the
-		// bootstrap install happens in NewTracker, so log it here —
+		// bootstrap install happened in site.Open, so log it here —
 		// a fresh replica's flight recorder is never empty and WATCH
 		// always has a first event to replay.
 		srv.events.Record(id, events.KindEpochChange,
@@ -654,126 +639,32 @@ func buildShard(ctx context.Context, srv *server, g, id int, peers []string, sha
 	// -join forces the same for a replica with no local state. A cluster
 	// where every process restarts together has no donor to answer, so
 	// the probe times out and the replica falls back to a cold start.
-	var joinState *abcast.JoinState
-	if len(peers) > 1 && (forceJoin || base > 0) {
-		fmt.Printf("otpd: replica %d%s joining: advertising recovered index %d to peers\n", id, shardTag(g, shards), base)
-		// Two probe rounds: the second catches a staggered restart where
-		// the first round raced the donors' own startup.
-		var xfer *statex.Transfer
-		var jerr error
-		for attempt := 0; attempt < 2; attempt++ {
-			xfer, jerr = statex.Fetch(ctx, node, base, donorOrder(detector, transport.NodeID(id), tracker.Members()),
-				statex.Options{RespTimeout: 3 * time.Second, Parallel: true, Metrics: scope, Events: srv.events})
-			if jerr == nil || ctx.Err() != nil {
-				break
-			}
-		}
-		switch {
-		case jerr == nil:
-			if xfer.Mode == statex.CheckpointTail {
-				store = storage.NewStore()
-				store.InstallCheckpoint(xfer.Checkpoint)
-				base = xfer.Base
-				st.base.Store(base)
-				if dur != nil {
-					// Local history is obsolete below the transferred
-					// checkpoint; reset the directory to it.
-					if rerr := dur.ResetTo(xfer.Checkpoint); rerr != nil {
-						_ = dur.Close()
-						return fail(rerr)
-					}
-				}
-				// The transferred checkpoint may carry a newer committed
-				// configuration than local recovery did; follow it before
-				// consensus starts.
-				if nc, cerr := member.CommittedConfig(store); cerr == nil {
-					tracker.Apply(nc)
-				}
-			}
-			joinState = &xfer.Join
-			fmt.Printf("otpd: replica %d%s state transfer from %v: %s, base %d, backlog %d, resume stage %d\n",
-				id, shardTag(g, shards), xfer.Donor, xfer.Mode, base, len(xfer.Join.Backlog), xfer.Join.StartStage)
-		case forceJoin:
-			if dur != nil {
-				_ = dur.Close()
-			}
-			return fail(fmt.Errorf("join: %w", jerr))
-		default:
-			// Correct for a whole-cluster restart (nobody was serving,
-			// every replica cold-starts from the same index); wrong if
-			// the cluster actually kept running — this replica would
-			// re-enter ordering misaligned with the survivors. Make the
-			// fallback loud so the operator can tell which one happened.
-			fmt.Printf("otpd: WARNING: replica %d%s found no live donor; cold-starting from local state.\n", id, shardTag(g, shards))
-			fmt.Printf("otpd: WARNING: safe only if all replicas restart together — if the cluster is still running, stop this replica and restart it with -join\n")
-			fmt.Printf("otpd: (join error: %v)\n", jerr)
-		}
+	var donors []transport.NodeID
+	if len(peers) > 1 && (forceJoin || s.Base > 0) {
+		fmt.Printf("otpd: replica %d%s joining: advertising recovered index %d to peers\n", id, shardTag(g, shards), s.Base)
+		donors = tracker.Members()
 	}
-
-	ccfg := consensus.Config{
-		Endpoint:     node,
-		Suspector:    detector,
-		RoundTimeout: 250 * time.Millisecond,
-		View:         tracker,
-		Metrics:      scope,
+	if err := s.Start(ctx, donors, forceJoin); err != nil {
+		return nil, err
 	}
-	if joinState != nil {
-		ccfg.CatchUpFrom = joinState.StartStage
+	st.base.Store(s.Base)
+	switch j := s.Join; {
+	case j.Mode != 0:
+		fmt.Printf("otpd: replica %d%s state transfer from %v: %s, base %d, backlog %d, resume stage %d\n",
+			id, shardTag(g, shards), j.Donor, j.Mode, s.Base, j.Backlog, j.Stage)
+	case j.Err != nil:
+		// Correct for a whole-cluster restart (nobody was serving,
+		// every replica cold-starts from the same index); wrong if
+		// the cluster actually kept running — this replica would
+		// re-enter ordering misaligned with the survivors. Make the
+		// fallback loud so the operator can tell which one happened.
+		fmt.Printf("otpd: WARNING: replica %d%s found no live donor; cold-starting from local state.\n", id, shardTag(g, shards))
+		fmt.Printf("otpd: WARNING: safe only if all replicas restart together — if the cluster is still running, stop this replica and restart it with -join\n")
+		fmt.Printf("otpd: (join error: %v)\n", j.Err)
 	}
-	cons := consensus.New(ccfg)
-	cons.Start()
-	cleanup = append(cleanup, cons.Stop)
-
-	aopts := []abcast.Option{abcast.WithDefBase(uint64(base)), abcast.WithMetrics(scope)}
-	if joinState != nil {
-		aopts = append(aopts, abcast.WithJoin(*joinState))
-	}
-	bc := abcast.NewOptimistic(node, cons, aopts...)
-	if err := bc.Start(); err != nil {
-		return fail(err)
-	}
-	cleanup = append(cleanup, func() { _ = bc.Stop() })
-
-	cfg := db.Config{
-		ID:          transport.NodeID(id),
-		Broadcast:   bc,
-		Registry:    srv.reg,
-		Store:       store,
-		Metrics:     scope,
-		Trace:       srv.trace,
-		Shard:       g,
-		ConfigClass: member.Class,
-		OnConfigCommit: func(v storage.Value, _ int64) {
-			if next, derr := member.Decode(v); derr == nil {
-				tracker.Apply(next)
-			}
-		},
-	}
-	if dur != nil {
-		// The replica owns the handle and flushes/closes the WAL on
-		// Stop, so the SIGINT/SIGTERM path never drops the log tail.
-		cfg.Durability = dur
-		cfg.InitialTOIndex = base
-	}
-	rep, err := db.New(cfg)
-	if err != nil {
-		return fail(err)
-	}
-	rep.Start()
-	cleanup = append(cleanup, rep.Stop)
-
-	// Serve state transfers to future joiners.
-	xs := statex.NewServer(node, statex.ReplicaSource{Replica: rep, Engine: bc}, statex.WithEvents(srv.events))
-	xs.Start()
-	cleanup = append(cleanup, xs.Stop)
-
-	st.rep.Store(rep)
-	st.xs.Store(xs)
-	return func() {
-		for i := len(cleanup) - 1; i >= 0; i-- {
-			cleanup[i]()
-		}
-	}, nil
+	st.site.Store(s)
+	st.rep.Store(s.Replica)
+	return stop, nil
 }
 
 // shardTag renders " shard g" in log lines, empty in single-shard mode

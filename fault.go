@@ -52,7 +52,7 @@ func (f *FaultInjector) checkSites(sites ...int) error {
 	if !f.c.started || f.c.stopped {
 		return ErrNotStarted
 	}
-	n := len(f.c.groups[0].replicas)
+	n := len(f.c.groups[0].sites)
 	for _, s := range sites {
 		if s < 0 || s >= n {
 			return fmt.Errorf("%w: %d", ErrBadSite, s)
@@ -161,8 +161,8 @@ func (f *FaultInjector) StallCommits(site int, d time.Duration) error {
 	f.c.mu.RLock()
 	defer f.c.mu.RUnlock()
 	for _, grp := range f.c.groups {
-		if site < len(grp.replicas) && !f.c.crashed[site] && !f.c.removed[site] {
-			grp.replicas[site].SetCommitStall(d)
+		if site < len(grp.sites) && !f.c.crashed[site] && !f.c.removed[site] {
+			grp.sites[site].Replica.SetCommitStall(d)
 		}
 	}
 	return nil

@@ -6,14 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"otpdb/internal/abcast"
-	"otpdb/internal/consensus"
-	"otpdb/internal/db"
-	"otpdb/internal/history"
+	"otpdb"
 	"otpdb/internal/metrics"
-	"otpdb/internal/sproc"
-	"otpdb/internal/storage"
-	"otpdb/internal/transport"
 )
 
 // QueriesParams configures the Section 5 experiment: snapshot queries run
@@ -38,26 +32,25 @@ func DefaultQueriesParams() QueriesParams {
 	return QueriesParams{Sites: 2, Classes: 2, TransfersPerSite: 150, Queries: 60}
 }
 
-// queriesRegistry: per-class transfer (conserves the class total) plus a
+// registerQueries: per-class transfer (conserves the class total) plus a
 // cross-class sum query.
-func queriesRegistry(classes int) (*sproc.Registry, error) {
-	reg := sproc.NewRegistry()
-	for c := 0; c < classes; c++ {
-		class := sproc.ClassID(fmt.Sprintf("c%d", c))
-		err := reg.RegisterUpdate(sproc.Update{
+func registerQueries(c *otpdb.Cluster, classes int) error {
+	for i := 0; i < classes; i++ {
+		class := otpdb.Class(fmt.Sprintf("c%d", i))
+		err := c.RegisterUpdate(otpdb.Update{
 			Name:  "transfer-" + string(class),
 			Class: class,
-			Fn: func(ctx sproc.UpdateCtx) (storage.Value, error) {
+			Fn: func(ctx otpdb.UpdateCtx) (otpdb.Value, error) {
 				a, _ := ctx.Read("a")
 				b, _ := ctx.Read("b")
-				if err := ctx.Write("a", storage.Int64Value(storage.ValueInt64(a)-1)); err != nil {
+				if err := ctx.Write("a", otpdb.Int64(otpdb.AsInt64(a)-1)); err != nil {
 					return nil, err
 				}
-				return nil, ctx.Write("b", storage.Int64Value(storage.ValueInt64(b)+1))
+				return nil, ctx.Write("b", otpdb.Int64(otpdb.AsInt64(b)+1))
 			},
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// sumAll models a long-running analytical report: it pauses between
@@ -65,75 +58,51 @@ func queriesRegistry(classes int) (*sproc.Registry, error) {
 	// scan and tear the total. A Section 5 snapshot is immune: every read
 	// resolves against the same definitive index no matter how long the
 	// query runs.
-	err := reg.RegisterQuery(sproc.Query{
+	return c.RegisterQuery(otpdb.Query{
 		Name: "sumAll",
-		Fn: func(ctx sproc.QueryCtx) (storage.Value, error) {
+		Fn: func(ctx otpdb.QueryCtx) (otpdb.Value, error) {
 			var sum int64
-			for c := 0; c < classes; c++ {
-				class := sproc.ClassID(fmt.Sprintf("c%d", c))
-				for _, k := range []storage.Key{"a", "b"} {
+			for i := 0; i < classes; i++ {
+				class := otpdb.Class(fmt.Sprintf("c%d", i))
+				for _, k := range []otpdb.Key{"a", "b"} {
 					v, _ := ctx.Read(class, k)
-					sum += storage.ValueInt64(v)
+					sum += otpdb.AsInt64(v)
 					time.Sleep(500 * time.Microsecond)
 				}
 			}
-			return storage.Int64Value(sum), nil
+			return otpdb.Int64(sum), nil
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return reg, nil
 }
 
-// queriesCell runs the mixed workload in the given query mode and reports
+// queriesCell runs the mixed workload with snapshot or dirty queries and reports
 // query latency, update throughput, inconsistent query results and the
 // serializability verdict.
-func queriesCell(p QueriesParams, mode db.QueryMode) (qLat metrics.Summary, updPerSec float64, inconsistent int, serializable bool, err error) {
-	reg, err := queriesRegistry(p.Classes)
+func queriesCell(p QueriesParams, dirty bool) (qLat metrics.Summary, updPerSec float64, inconsistent int, serializable bool, err error) {
+	opts := []otpdb.Option{otpdb.WithReplicas(p.Sites), otpdb.WithNetworkJitter(500 * time.Microsecond),
+		otpdb.WithSeed(5), otpdb.WithHistoryRecording()}
+	if dirty {
+		opts = append(opts, otpdb.WithDirtyQueries())
+	}
+	cluster, err := otpdb.NewCluster(opts...)
 	if err != nil {
-		return metrics.Summary{}, 0, 0, false, err
+		return
 	}
-	hub := transport.NewHub(p.Sites, transport.WithJitter(500*time.Microsecond), transport.WithSeed(5))
-	defer hub.Close()
-	rec := history.NewRecorder()
-	var reps []*db.Replica
-	var stops []func()
+	if err = registerQueries(cluster, p.Classes); err != nil {
+		return
+	}
 	const seedPerKey = 1000
-	for i := 0; i < p.Sites; i++ {
-		ep := hub.Endpoint(transport.NodeID(i))
-		cons := consensus.New(consensus.Config{Endpoint: ep, RoundTimeout: 100 * time.Millisecond})
-		cons.Start()
-		bc := abcast.NewOptimistic(ep, cons)
-		if err := bc.Start(); err != nil {
-			return metrics.Summary{}, 0, 0, false, err
+	for c := 0; c < p.Classes; c++ {
+		for _, k := range []otpdb.Key{"a", "b"} {
+			if err = cluster.Seed(otpdb.Class(fmt.Sprintf("c%d", c)), k, otpdb.Int64(seedPerKey)); err != nil {
+				return
+			}
 		}
-		store := storage.NewStore()
-		for c := 0; c < p.Classes; c++ {
-			part := storage.Partition(fmt.Sprintf("c%d", c))
-			store.Load(part, "a", storage.Int64Value(seedPerKey))
-			store.Load(part, "b", storage.Int64Value(seedPerKey))
-		}
-		rep, nerr := db.New(db.Config{
-			ID:        transport.NodeID(i),
-			Broadcast: bc,
-			Registry:  reg,
-			Store:     store,
-			Queries:   mode,
-			History:   rec,
-		})
-		if nerr != nil {
-			return metrics.Summary{}, 0, 0, false, nerr
-		}
-		rep.Start()
-		reps = append(reps, rep)
-		stops = append(stops, func() { rep.Stop(); _ = bc.Stop(); cons.Stop() })
 	}
-	defer func() {
-		for _, s := range stops {
-			s()
-		}
-	}()
+	if err = cluster.Start(); err != nil {
+		return
+	}
+	defer cluster.Stop()
 
 	expectedTotal := int64(p.Classes * 2 * seedPerKey)
 	ctx := context.Background()
@@ -142,54 +111,49 @@ func queriesCell(p QueriesParams, mode db.QueryMode) (qLat metrics.Summary, updP
 
 	var wg sync.WaitGroup
 	tput := metrics.NewThroughput()
-	for i, rep := range reps {
+	for i := 0; i < p.Sites; i++ {
 		wg.Add(1)
-		go func(i int, rep *db.Replica) {
+		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < p.TransfersPerSite; j++ {
 				class := fmt.Sprintf("c%d", (i+j)%p.Classes)
-				if _, err := rep.Exec(ctx, "transfer-"+class); err != nil {
+				if err := cluster.Exec(ctx, i, "transfer-"+class); err != nil {
 					return
 				}
 				tput.Inc()
 			}
-		}(i, rep)
+		}(i)
 	}
 	var qwg sync.WaitGroup
 	var qmu sync.Mutex
-	for i, rep := range reps {
+	for i := 0; i < p.Sites; i++ {
 		qwg.Add(1)
-		go func(i int, rep *db.Replica) {
+		go func(i int) {
 			defer qwg.Done()
 			for j := 0; j < p.Queries; j++ {
 				start := time.Now()
-				v, err := rep.Query(ctx, "sumAll")
+				v, err := cluster.QueryAt(ctx, i, "sumAll")
 				if err != nil {
 					return
 				}
 				qHist.Observe(time.Since(start))
-				if storage.ValueInt64(v) != expectedTotal {
+				if otpdb.AsInt64(v) != expectedTotal {
 					qmu.Lock()
 					inconsistentCount++
 					qmu.Unlock()
 				}
 			}
-		}(i, rep)
+		}(i)
 	}
 	wg.Wait()
 	qwg.Wait()
 	updRate := tput.PerSecond()
 
 	// Quiesce before the final history check.
-	total := p.Sites * p.TransfersPerSite
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	for _, rep := range reps {
-		if err := rep.WaitCommits(wctx, total); err != nil {
-			break
-		}
-	}
+	_ = cluster.WaitForCommits(wctx, p.Sites*p.TransfersPerSite)
 	cancel()
-	serializable = rec.Check() == nil
+	serializable = cluster.CheckHistory() == nil
 	return qHist.Summarize(), updRate, inconsistentCount, serializable, nil
 }
 
@@ -214,12 +178,12 @@ func Queries(p QueriesParams) (Table, error) {
 			"transfers conserve totals: every consistent snapshot sums to the seed",
 		},
 	}
-	for _, mode := range []db.QueryMode{db.SnapshotQueries, db.DirtyQueries} {
+	for _, dirty := range []bool{false, true} {
 		name := "snapshot (§5)"
-		if mode == db.DirtyQueries {
+		if dirty {
 			name = "dirty reads"
 		}
-		sum, updRate, torn, serializable, err := queriesCell(p, mode)
+		sum, updRate, torn, serializable, err := queriesCell(p, dirty)
 		if err != nil {
 			return Table{}, err
 		}

@@ -6,10 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"otpdb/internal/abcast"
+	"otpdb"
 	"otpdb/internal/baseline"
-	"otpdb/internal/consensus"
-	"otpdb/internal/db"
 	"otpdb/internal/metrics"
 	"otpdb/internal/sproc"
 	"otpdb/internal/storage"
@@ -33,18 +31,15 @@ func DefaultVsAsyncParams() VsAsyncParams {
 	return VsAsyncParams{Sites: 3, IncrementsPerSite: 60, NetDelay: 2 * time.Millisecond}
 }
 
-func incrRegistry() (*sproc.Registry, error) {
-	reg := sproc.NewRegistry()
-	err := reg.RegisterUpdate(sproc.Update{
-		Name:  "incr",
-		Class: "counter",
-		Fn: func(ctx sproc.UpdateCtx) (storage.Value, error) {
-			cur, _ := ctx.Read("n")
-			next := storage.Int64Value(storage.ValueInt64(cur) + 1)
-			return next, ctx.Write("n", next)
-		},
-	})
-	return reg, err
+// incr is the conflicting workload: every site increments one counter.
+var incr = sproc.Update{
+	Name:  "incr",
+	Class: "counter",
+	Fn: func(ctx sproc.UpdateCtx) (storage.Value, error) {
+		cur, _ := ctx.Read("n")
+		next := storage.Int64Value(storage.ValueInt64(cur) + 1)
+		return next, ctx.Write("n", next)
+	},
 }
 
 // vsAsyncResult is one engine's measurement.
@@ -56,54 +51,36 @@ type vsAsyncResult struct {
 }
 
 func runOTPSide(p VsAsyncParams) (vsAsyncResult, error) {
-	reg, err := incrRegistry()
+	cluster, err := otpdb.NewCluster(otpdb.WithReplicas(p.Sites), otpdb.WithNetworkDelay(p.NetDelay), otpdb.WithSeed(1))
 	if err != nil {
 		return vsAsyncResult{}, err
 	}
-	hub := transport.NewHub(p.Sites, transport.WithDelay(p.NetDelay), transport.WithSeed(1))
-	defer hub.Close()
-	var reps []*db.Replica
-	var stops []func()
-	for i := 0; i < p.Sites; i++ {
-		ep := hub.Endpoint(transport.NodeID(i))
-		cons := consensus.New(consensus.Config{Endpoint: ep, RoundTimeout: 100 * time.Millisecond})
-		cons.Start()
-		bc := abcast.NewOptimistic(ep, cons)
-		if err := bc.Start(); err != nil {
-			return vsAsyncResult{}, err
-		}
-		rep, err := db.New(db.Config{ID: transport.NodeID(i), Broadcast: bc, Registry: reg})
-		if err != nil {
-			return vsAsyncResult{}, err
-		}
-		rep.Start()
-		reps = append(reps, rep)
-		stops = append(stops, func() { rep.Stop(); _ = bc.Stop(); cons.Stop() })
+	if err := cluster.RegisterUpdate(incr); err != nil {
+		return vsAsyncResult{}, err
 	}
-	defer func() {
-		for _, s := range stops {
-			s()
-		}
-	}()
+	if err := cluster.Start(); err != nil {
+		return vsAsyncResult{}, err
+	}
+	defer cluster.Stop()
 
 	hist := metrics.NewHistogram()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	var execErr error
 	var errOnce sync.Once
-	for _, rep := range reps {
+	for site := 0; site < p.Sites; site++ {
 		wg.Add(1)
-		go func(rep *db.Replica) {
+		go func(site int) {
 			defer wg.Done()
 			for i := 0; i < p.IncrementsPerSite; i++ {
 				start := time.Now()
-				if _, err := rep.Exec(ctx, "incr"); err != nil {
+				if err := cluster.Exec(ctx, site, "incr"); err != nil {
 					errOnce.Do(func() { execErr = err })
 					return
 				}
 				hist.Observe(time.Since(start))
 			}
-		}(rep)
+		}(site)
 	}
 	wg.Wait()
 	if execErr != nil {
@@ -112,22 +89,18 @@ func runOTPSide(p VsAsyncParams) (vsAsyncResult, error) {
 	// Quiesce: every replica commits every transaction.
 	total := p.Sites * p.IncrementsPerSite
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	for _, rep := range reps {
-		if err := rep.WaitCommits(wctx, total); err != nil {
-			break
-		}
-	}
+	_ = cluster.WaitForCommits(wctx, total)
 	cancel()
 
 	res := vsAsyncResult{meanLatency: hist.Mean(), p95Latency: hist.Percentile(95)}
 	expected := int64(total)
-	d0 := reps[0].Store().Digest()
-	for _, rep := range reps {
-		v, _ := rep.Store().Get("counter", "n")
+	d0, _ := cluster.DigestAt(0)
+	for site := 0; site < p.Sites; site++ {
+		v, _, _ := cluster.Read(site, "counter", "n")
 		if got := storage.ValueInt64(v); expected-got > res.lost {
 			res.lost = expected - got
 		}
-		if rep.Store().Digest() != d0 {
+		if d, _ := cluster.DigestAt(site); d != d0 {
 			res.diverged++
 		}
 	}
@@ -135,8 +108,8 @@ func runOTPSide(p VsAsyncParams) (vsAsyncResult, error) {
 }
 
 func runAsyncSide(p VsAsyncParams) (vsAsyncResult, error) {
-	reg, err := incrRegistry()
-	if err != nil {
+	reg := sproc.NewRegistry()
+	if err := reg.RegisterUpdate(incr); err != nil {
 		return vsAsyncResult{}, err
 	}
 	hub := transport.NewHub(p.Sites, transport.WithDelay(p.NetDelay), transport.WithSeed(2))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"otpdb"
+	"otpdb/internal/events"
 	"otpdb/internal/testutil"
 )
 
@@ -74,7 +75,8 @@ func assertEpoch(t *testing.T, c *otpdb.Cluster, epoch uint64, members int, site
 // configuration change, statex-joins mid-traffic, serves transactions,
 // and converges to the group digest.
 func TestAddSiteGrowsGroup(t *testing.T) {
-	c := accountsCluster(t, otpdb.WithReplicas(3))
+	flight := events.NewRecorder(256)
+	c := accountsCluster(t, otpdb.WithReplicas(3), otpdb.WithEvents(flight))
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +92,15 @@ func TestAddSiteGrowsGroup(t *testing.T) {
 	}
 	if c.Size() != 4 {
 		t.Fatalf("Size after add = %d", c.Size())
+	}
+	// The new site's state transfer is in the flight recorder, as a
+	// restarted site's is: a "fetch" entry opens every transfer.
+	fetch := false
+	for _, ev := range flight.Events() {
+		fetch = fetch || (ev.Kind == events.KindStatex && ev.Site == site && ev.Fields["phase"] == "fetch")
+	}
+	if !fetch {
+		t.Fatalf("no statex fetch event for added site %d in %v", site, flight.Events())
 	}
 	// Epoch 2 everywhere, four members.
 	assertEpoch(t, c, 2, 4, 0, 1, 2, 3)

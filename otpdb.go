@@ -79,7 +79,6 @@ import (
 	"time"
 
 	"otpdb/internal/abcast"
-	"otpdb/internal/consensus"
 	"otpdb/internal/db"
 	"otpdb/internal/events"
 	"otpdb/internal/fd"
@@ -87,10 +86,9 @@ import (
 	"otpdb/internal/member"
 	"otpdb/internal/metrics"
 	"otpdb/internal/otp"
-	"otpdb/internal/recovery"
 	"otpdb/internal/shard"
+	"otpdb/internal/site"
 	"otpdb/internal/sproc"
-	"otpdb/internal/statex"
 	"otpdb/internal/storage"
 	"otpdb/internal/transport"
 	"otpdb/internal/wal"
@@ -372,19 +370,15 @@ func WithCrossShardTimeouts(vote, resolve time.Duration) Option {
 	}
 }
 
-// group is one shard's replica group: its own in-memory network, OPT-
-// ABcast engines, schedulers, membership trackers and durability state —
-// structurally a pre-sharding Cluster. Site i of every group lives in
-// the same failure domain (CrashSite downs site i of all groups).
+// group is one shard's replica group: its own in-memory network and one
+// site stack per site — structurally a pre-sharding Cluster. Site i of
+// every group lives in the same failure domain (CrashSite downs site i
+// of all groups).
 type group struct {
-	hub       *transport.Hub
-	recorder  *history.Recorder
-	replicas  []*db.Replica
-	engines   []*abcast.Optimistic // per-site OPT-ABcast engine; nil under ConservativeOrdering
-	trackers  []*member.Tracker    // per-site membership view
-	stops     []func()
-	bases     []int64 // recovered definitive index per site (durability)
-	joinModes map[int]statex.Mode
+	hub      *transport.Hub
+	recorder *history.Recorder
+	sites    []*site.Site // replica, engine (nil under ConservativeOrdering), tracker, base, join outcome
+	stops    []func()     // per site: what the cluster runs beside the stack, then the stack
 }
 
 // seedEntry is a deferred store seed, tagged with the class it loads so
@@ -397,12 +391,13 @@ type seedEntry struct {
 // Cluster is an in-process set of replicated shard groups (one group in
 // the default single-shard configuration).
 type Cluster struct {
-	cfg      config
-	registry *sproc.Registry
-	smap     *shard.Map
-	shub     *shard.Hub
-	coord    *shard.Coordinator
-	seeds    []seedEntry
+	cfg       config
+	registry  *sproc.Registry
+	smap      *shard.Map
+	shub      *shard.Hub
+	coord     *shard.Coordinator
+	seeds     []seedEntry
+	bootstrap member.Config // epoch-1 configuration seeded into every fresh store (set by Start)
 
 	// mu guards the per-site state below: RestartSite swaps a site's
 	// whole stack while sessions and cluster methods resolve replicas
@@ -619,139 +614,6 @@ func (c *Cluster) siteDir(g, i int) string {
 	return filepath.Join(c.cfg.durDir, fmt.Sprintf("shard-%d", g), fmt.Sprintf("site-%d", i))
 }
 
-// buildSite assembles one site's full stack in one group — broadcast
-// engine (with optional rejoin state), membership tracker, replica, stop
-// function — on the given endpoint. The caller provides the store
-// (recovered or fresh) and the definitive index it is consistent at; the
-// tracker is primed from the committed configuration that store carries.
-func (c *Cluster) buildSite(grp *group, g, i int, ep transport.Endpoint, join *abcast.JoinState,
-	store *storage.Store, base int64, dur *recovery.Durability) (*db.Replica, *abcast.Optimistic, *member.Tracker, func(), error) {
-	mcfg, err := member.CommittedConfig(store)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("otpdb: site %d membership: %w", i, err)
-	}
-	tracker := member.NewTracker(mcfg)
-	if g == 0 {
-		// One epoch-change event per site, not per shard replica: group 0
-		// is where membership is gated (see tryAutoReplace).
-		tracker.SetEvents(c.cfg.events, i)
-	}
-	scope := c.siteScope(g, i)
-	var bc abcast.Broadcaster
-	var opt *abcast.Optimistic
-	var det *fd.Detector
-	var stopEngine func()
-	switch c.cfg.ordering {
-	case ConservativeOrdering:
-		seq := abcast.NewSequencer(ep)
-		bc, stopEngine = seq, func() { _ = seq.Stop() }
-	default:
-		ccfg := consensus.Config{
-			Endpoint:     ep,
-			RoundTimeout: c.cfg.roundTimeout,
-			View:         tracker,
-			Metrics:      scope,
-		}
-		if join != nil {
-			ccfg.CatchUpFrom = join.StartStage
-		}
-		if c.cfg.autoReplace && g == 0 {
-			// One detector per site, on the first group's endpoint: site i
-			// of every group shares a failure domain, so one verdict covers
-			// all shards. It doubles as the consensus suspector — rotation
-			// and replacement then act on the same evidence. The default
-			// clock-derived incarnation makes a rebuilt site supersede its
-			// dead predecessor's retransmitted heartbeats.
-			interval := c.cfg.suspectWin / 8
-			if interval > 25*time.Millisecond {
-				interval = 25 * time.Millisecond
-			}
-			det = fd.New(ep, fd.Config{Interval: interval, Metrics: scope, Events: c.cfg.events})
-			tracker.OnChange(func(next member.Config) { det.SetMembers(next.IDs()) })
-			ccfg.Suspector = det
-		}
-		cons := consensus.New(ccfg)
-		cons.Start()
-		aopts := []abcast.Option{abcast.WithDefBase(uint64(base)), abcast.WithMetrics(scope)}
-		if c.cfg.defLogCap > 0 {
-			aopts = append(aopts, abcast.WithDefLogCap(c.cfg.defLogCap))
-		}
-		if join != nil {
-			aopts = append(aopts, abcast.WithJoin(*join))
-		}
-		o := abcast.NewOptimistic(ep, cons, aopts...)
-		opt = o
-		bc, stopEngine = o, func() { _ = o.Stop(); cons.Stop() }
-	}
-	if err := bc.Start(); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("otpdb: start broadcast %d: %w", i, err)
-	}
-	cfg := db.Config{
-		ID:             transport.NodeID(i),
-		Broadcast:      bc,
-		Registry:       c.registry,
-		Store:          store,
-		WriteMode:      c.cfg.writeMode,
-		Queries:        c.cfg.queryMode,
-		PruneInterval:  c.cfg.pruneEvery,
-		CommitDelay:    c.cfg.commitDelay,
-		Durability:     dur,
-		InitialTOIndex: base,
-		Metrics:        scope,
-		Trace:          c.cfg.trace,
-		Shard:          g,
-		ConfigClass:    member.Class,
-		OnConfigCommit: func(v storage.Value, _ int64) {
-			if next, derr := member.Decode(v); derr == nil {
-				tracker.Apply(next)
-			}
-		},
-	}
-	if grp.recorder != nil {
-		cfg.History = grp.recorder
-	}
-	rep, err := db.New(cfg)
-	if err != nil {
-		stopEngine()
-		return nil, nil, nil, nil, fmt.Errorf("otpdb: replica %d: %w", i, err)
-	}
-	rep.Start()
-	// Every optimistic site doubles as a state-transfer donor: the same
-	// wire protocol serves in-process rejoin (RestartSite) and TCP
-	// clusters (cmd/otpd).
-	var xs *statex.Server
-	if opt != nil {
-		xs = statex.NewServer(ep, statex.ReplicaSource{Replica: rep, Engine: opt},
-			statex.WithEvents(c.cfg.events))
-		xs.Start()
-	}
-	stop := func() {
-		if xs != nil {
-			xs.Stop()
-		}
-		rep.Stop()
-		stopEngine()
-	}
-	if det != nil {
-		det.Start()
-		det.SetMembers(tracker.Config().IDs())
-		stopReplace := make(chan struct{})
-		go c.autoReplaceLoop(i, det, stopReplace)
-		inner := stop
-		stop = func() {
-			// The replacer is signalled, not joined: the winner of a
-			// replacement holds c.mu while stopping the victim's stack,
-			// and the victim's own replacer may itself be blocked on c.mu.
-			// Joining the detector is safe — its goroutine never takes
-			// cluster locks.
-			close(stopReplace)
-			det.Stop()
-			inner()
-		}
-	}
-	return rep, opt, tracker, stop, nil
-}
-
 // seedStore loads a fresh store with every seed owned by shard g.
 func (c *Cluster) seedStore(g int, store *storage.Store) {
 	for _, se := range c.seeds {
@@ -759,6 +621,64 @@ func (c *Cluster) seedStore(g int, store *storage.Store) {
 			se.fn(store)
 		}
 	}
+}
+
+// startSite brings site i of group g to life on ep (internal/site): a
+// cold start, or with donors named a required state-transfer join. The
+// cluster adds the option plumbing and, with WithAutoReplace, the site's
+// failure detector and replacer. It returns the stack and the function
+// that stops it. Callers hold c.mu.
+func (c *Cluster) startSite(ctx context.Context, grp *group, g, i int, ep transport.Endpoint,
+	donors []transport.NodeID) (*site.Site, func(), error) {
+	scope := c.siteScope(g, i)
+	cfg := site.Config{
+		Endpoint:        ep,
+		Bootstrap:       c.bootstrap,
+		Seed:            func(s *storage.Store) { c.seedStore(g, s) },
+		Sync:            c.cfg.syncPolicy,
+		CheckpointEvery: c.cfg.ckptEvery,
+		Sequencer:       c.cfg.ordering == ConservativeOrdering,
+		RoundTimeout:    c.cfg.roundTimeout,
+		DefLogCap:       c.cfg.defLogCap,
+		Replica: db.Config{
+			Registry:      c.registry,
+			WriteMode:     c.cfg.writeMode,
+			Queries:       c.cfg.queryMode,
+			PruneInterval: c.cfg.pruneEvery,
+			CommitDelay:   c.cfg.commitDelay,
+			Trace:         c.cfg.trace,
+			Shard:         g,
+		},
+		Metrics: scope,
+		Events:  c.cfg.events,
+	}
+	if c.cfg.durDir != "" {
+		cfg.Dir = c.siteDir(g, i)
+	}
+	if grp.recorder != nil {
+		cfg.Replica.History = grp.recorder
+	}
+	var det *fd.Detector
+	if c.cfg.autoReplace && g == 0 {
+		det = c.newDetector(ep, scope)
+		cfg.Suspector = det
+	}
+	s, err := site.Open(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("otpdb: %w", err)
+	}
+	if g == 0 {
+		// One epoch-change event per site, not per shard replica: group 0
+		// is where membership is gated (see tryAutoReplace).
+		s.Tracker.SetEvents(c.cfg.events, i)
+	}
+	if err := s.Start(ctx, donors, len(donors) > 0); err != nil {
+		return nil, nil, fmt.Errorf("otpdb: %w", err)
+	}
+	if det == nil {
+		return s, s.Stop, nil
+	}
+	return s, c.armAutoReplace(i, det, s), nil
 }
 
 // Start builds the networks, broadcast engines and replicas of every
@@ -771,10 +691,9 @@ func (c *Cluster) Start() error {
 	}
 	c.started = true
 	// The group configuration is ordinary replicated state: register the
-	// reserved change procedure and seed the epoch-1 bootstrap config at
-	// version 0 of every store (recovered state overrides the seed).
-	// Each shard group carries its own copy — membership changes are
-	// committed through every group's definitive order.
+	// reserved change procedure; every site seeds the epoch-1 bootstrap
+	// config below. Each shard group carries its own copy — membership
+	// changes are committed through every group's definitive order.
 	if err := member.RegisterProc(c.registry); err != nil {
 		return fmt.Errorf("otpdb: register membership procedure: %w", err)
 	}
@@ -794,11 +713,33 @@ func (c *Cluster) Start() error {
 	for i := 0; i < c.cfg.replicas; i++ {
 		bootstrapIDs[transport.NodeID(i)] = ""
 	}
-	bootstrap := member.Bootstrap(bootstrapIDs)
-	c.seeds = append(c.seeds, seedEntry{class: "", fn: func(s *storage.Store) { member.Seed(s, bootstrap) }})
+	c.bootstrap = member.Bootstrap(bootstrapIDs)
 
+	if err := c.startGroups(); err != nil {
+		return err
+	}
+	for i := 0; i < c.cfg.replicas; i++ {
+		c.sessions = append(c.sessions, &Session{c: c, site: i})
+		c.attachSite(i)
+	}
+	c.shub.Start()
+	return nil
+}
+
+// startGroups cold-starts every site of every shard group. A failure
+// tears down everything built so far — running sites, their open
+// durability directories, the hubs — and leaves the cluster stopped.
+func (c *Cluster) startGroups() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fail := func(err error) error {
+		c.stopped = true
+		stopGroups(c.groups)
+		c.groups = nil
+		return err
+	}
 	for g := 0; g < c.cfg.shards; g++ {
-		grp := &group{joinModes: make(map[int]statex.Mode)}
+		grp := &group{}
 		if c.cfg.recordHist {
 			grp.recorder = history.NewRecorder()
 		}
@@ -812,60 +753,37 @@ func (c *Cluster) Start() error {
 			hubOpts = append(hubOpts, transport.WithJitter(c.cfg.netJitter))
 		}
 		grp.hub = transport.NewHub(c.cfg.replicas, hubOpts...)
-		for i := 0; i < c.cfg.replicas; i++ {
-			ep := grp.hub.Endpoint(transport.NodeID(i))
-			store := storage.NewStore()
-			c.seedStore(g, store)
-			var dur *recovery.Durability
-			base := int64(0)
-			if c.cfg.durDir != "" {
-				d, err := recovery.Open(c.siteDir(g, i), recovery.Options{
-					Sync:            c.cfg.syncPolicy,
-					CheckpointEvery: c.cfg.ckptEvery,
-					Metrics:         c.siteScope(g, i),
-				})
-				if err != nil {
-					return fmt.Errorf("otpdb: durability %d/%d: %w", g, i, err)
-				}
-				b, err := d.Recover(store)
-				if err != nil {
-					_ = d.Close()
-					return fmt.Errorf("otpdb: recover %d/%d: %w", g, i, err)
-				}
-				dur, base = d, b
-			}
-			if i > 0 && c.cfg.durDir != "" && base != grp.bases[0] {
-				// Sites that recovered different definitive indexes would
-				// assign different TOIndexes to the same decisions and diverge
-				// silently. This happens after an unclean multi-site shutdown
-				// under the grouped/off sync policies; the crashed-site path
-				// is RestartSite against a running majority, not a cold
-				// restart. Fail loudly instead.
-				_ = dur.Close()
-				return fmt.Errorf("otpdb: durable sites of shard %d recovered to different indexes (site 0: %d, site %d: %d); restart lagging sites into a running cluster with RestartSite",
-					g, grp.bases[0], i, base)
-			}
-			rep, opt, tracker, stop, err := c.buildSite(grp, g, i, ep, nil, store, base, dur)
-			if err != nil {
-				if dur != nil {
-					_ = dur.Close()
-				}
-				return err
-			}
-			grp.replicas = append(grp.replicas, rep)
-			grp.engines = append(grp.engines, opt)
-			grp.trackers = append(grp.trackers, tracker)
-			grp.stops = append(grp.stops, stop)
-			grp.bases = append(grp.bases, base)
-		}
 		c.groups = append(c.groups, grp)
+		for i := 0; i < c.cfg.replicas; i++ {
+			s, stop, err := c.startSite(context.Background(), grp, g, i, grp.hub.Endpoint(transport.NodeID(i)), nil)
+			if err != nil {
+				return fail(err)
+			}
+			grp.sites = append(grp.sites, s)
+			grp.stops = append(grp.stops, stop)
+			if s.Base != grp.sites[0].Base {
+				// Sites that recovered different definitive indexes would
+				// assign different TOIndexes to the same decisions and
+				// diverge silently. This happens after an unclean multi-site
+				// shutdown under the grouped/off sync policies; the
+				// crashed-site path is RestartSite against a running
+				// majority, not a cold restart. Fail loudly instead.
+				return fail(fmt.Errorf("otpdb: durable sites of shard %d recovered to different indexes (site 0: %d, site %d: %d); restart lagging sites into a running cluster with RestartSite",
+					g, grp.sites[0].Base, i, s.Base))
+			}
+		}
 	}
-	for i := 0; i < c.cfg.replicas; i++ {
-		c.sessions = append(c.sessions, &Session{c: c, site: i})
-		c.attachSite(i)
-	}
-	c.shub.Start()
 	return nil
+}
+
+// stopGroups stops every site stack and network of the given groups.
+func stopGroups(groups []*group) {
+	for _, grp := range groups {
+		for _, stop := range grp.stops {
+			stop()
+		}
+		grp.hub.Close()
+	}
 }
 
 // attachSite wires one site's replicas (one per shard) into the
@@ -880,10 +798,10 @@ func (c *Cluster) attachSite(site int) {
 			if !c.started || c.stopped || c.crashed[site] || c.removed[site] {
 				return nil
 			}
-			if g >= len(c.groups) || site >= len(c.groups[g].replicas) {
+			if g >= len(c.groups) || site >= len(c.groups[g].sites) {
 				return nil
 			}
-			return c.groups[g].replicas[site]
+			return c.groups[g].sites[site].Replica
 		})
 	}
 }
@@ -901,12 +819,7 @@ func (c *Cluster) Stop() {
 	if c.shub != nil {
 		c.shub.Stop()
 	}
-	for _, grp := range groups {
-		for _, stop := range grp.stops {
-			stop()
-		}
-		grp.hub.Close()
-	}
+	stopGroups(groups)
 }
 
 // Size reports the number of site slots (including crashed and removed
@@ -939,7 +852,7 @@ func (c *Cluster) ShardRecoveredIndex(site, shardID int) (int64, error) {
 	if _, err := c.replicaLocked(shardID, site); err != nil {
 		return 0, err
 	}
-	return grp.bases[site], nil
+	return grp.sites[site].Base, nil
 }
 
 func (c *Cluster) groupLocked(g int) (*group, error) {
@@ -963,10 +876,10 @@ func (c *Cluster) replicaLocked(g, site int) (*db.Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	if site < 0 || site >= len(grp.replicas) {
+	if site < 0 || site >= len(grp.sites) {
 		return nil, fmt.Errorf("%w: %d", ErrBadSite, site)
 	}
-	return grp.replicas[site], nil
+	return grp.sites[site].Replica, nil
 }
 
 // Exec submits an update transaction at the given site and waits until it
@@ -1077,9 +990,9 @@ func (c *Cluster) WaitForCommits(ctx context.Context, n int) error {
 	}
 	if len(c.groups) == 1 {
 		var live []*db.Replica
-		for i, rep := range c.groups[0].replicas {
+		for i, s := range c.groups[0].sites {
 			if !c.crashed[i] && !c.removed[i] {
-				live = append(live, rep)
+				live = append(live, s.Replica)
 			}
 		}
 		c.mu.RUnlock()
@@ -1095,13 +1008,13 @@ func (c *Cluster) WaitForCommits(ctx context.Context, n int) error {
 	// once, so sum(LastTO) counts commits including recovered bases).
 	type siteReps struct{ reps []*db.Replica }
 	var sites []siteReps
-	for i := range c.groups[0].replicas {
+	for i := range c.groups[0].sites {
 		if c.crashed[i] || c.removed[i] {
 			continue
 		}
 		var sr siteReps
 		for g := range c.groups {
-			sr.reps = append(sr.reps, c.groups[g].replicas[i])
+			sr.reps = append(sr.reps, c.groups[g].sites[i].Replica)
 		}
 		sites = append(sites, sr)
 	}
@@ -1137,7 +1050,7 @@ func (c *Cluster) Converged() (bool, error) {
 	}
 	for _, grp := range c.groups {
 		first := -1
-		for i, rep := range grp.replicas {
+		for i, s := range grp.sites {
 			if c.crashed[i] || c.removed[i] {
 				continue
 			}
@@ -1145,7 +1058,7 @@ func (c *Cluster) Converged() (bool, error) {
 				first = i
 				continue
 			}
-			if rep.Store().Digest() != grp.replicas[first].Store().Digest() {
+			if s.Replica.Store().Digest() != grp.sites[first].Replica.Store().Digest() {
 				return false, nil
 			}
 		}
@@ -1179,20 +1092,11 @@ func (c *Cluster) CrashSite(site int) error {
 // RestartSite brings a crashed site back into the running cluster — the
 // live-rejoin half of the durability story (the paper's Section 3.2
 // defers both to "traditional recovery techniques"). Every shard replica
-// the site hosts runs the same statex wire protocol a TCP otpd uses,
-// over the in-process transport:
-//
-//  1. The site recovers whatever its local durability directory holds
-//     (nothing for in-memory sites) and advertises that index to a live
-//     donor (statex.Fetch, failing over across live peers).
-//  2. The donor answers tail-only when its retained definitive history
-//     covers the gap, or streams a consistent checkpoint of its current
-//     state first (the same MVCC snapshot Section 5 queries read, so no
-//     site pauses) — see internal/statex for the negotiation.
-//  3. The site installs the received state, replays the backlog through
-//     a fresh engine primed with the join state, and re-enters
-//     consensus at the current stage; missed stage decisions and
-//     message bodies are retransmitted by peers on request.
+// the site hosts goes through the site lifecycle a TCP otpd goes through
+// (internal/site), over the in-process transport: it recovers whatever
+// its durability directory holds, advertises that index to the live
+// sites, installs the tail or the checkpoint plus tail a donor answers
+// with, and re-enters consensus at the current stage.
 //
 // The restarted site then executes and commits new transactions in
 // agreement with the survivors. With durability enabled a transferred
@@ -1221,7 +1125,7 @@ func (c *Cluster) RestartSite(ctx context.Context, site int) error {
 	return c.rejoinLocked(ctx, site, false)
 }
 
-// rejoinLocked rebuilds a crashed site's stack — one rejoin per shard
+// rejoinLocked rebuilds a crashed site's stack — one join per shard
 // group — through statex transfers from live donors. With wipe set the
 // site's previous durable state is discarded first (the ReplaceSite
 // semantics, where the returning identity is a fresh machine). A partial
@@ -1230,7 +1134,7 @@ func (c *Cluster) RestartSite(ctx context.Context, site int) error {
 // validated the site.
 func (c *Cluster) rejoinLocked(ctx context.Context, site int, wipe bool) error {
 	for g := range c.groups {
-		if err := c.rejoinGroupLocked(ctx, g, site, wipe); err != nil {
+		if err := c.joinGroupLocked(ctx, g, site, wipe); err != nil {
 			for _, grp := range c.groups {
 				grp.hub.Crash(transport.NodeID(site))
 			}
@@ -1241,97 +1145,55 @@ func (c *Cluster) rejoinLocked(ctx context.Context, site int, wipe bool) error {
 	return nil
 }
 
-func (c *Cluster) rejoinGroupLocked(ctx context.Context, g, site int, wipe bool) error {
-	grp := c.groups[g]
+// joinGroupLocked brings one site of one group into the running group
+// from the live sites' state: a crashed site's slot is rebuilt (its dead
+// stack stopped, its endpoint revived), the slot after the last is a
+// newly admitted site's. On failure the endpoint is down again, so
+// peers do not flood a mailbox nobody drains and a retry starts clean.
+func (c *Cluster) joinGroupLocked(ctx context.Context, g, site int, wipe bool) error {
+	grp, id := c.groups[g], transport.NodeID(site)
 	var donors []transport.NodeID
-	for i := range grp.replicas {
+	for i := range grp.sites {
 		if !c.crashed[i] && !c.removed[i] && i != site {
 			donors = append(donors, transport.NodeID(i))
 		}
 	}
 	if len(donors) == 0 {
-		return errors.New("otpdb: no live peer to rejoin from")
+		return errors.New("otpdb: no live peer to join from")
 	}
-
-	// Tear down the dead stack and revive the endpoint. If any later
-	// step fails the caller re-crashes the endpoint, so peers do not
-	// flood a mailbox nobody drains and a retry starts from a clean
-	// "crashed" state.
-	grp.stops[site]()
-	ep := grp.hub.Restart(transport.NodeID(site))
-
+	rebuild := site < len(grp.sites)
+	var ep transport.Endpoint
+	switch {
+	case rebuild:
+		grp.stops[site]()
+		grp.stops[site] = func() {} // stopped: a failed join leaves nothing to stop twice
+		ep = grp.hub.Restart(id)
+	case grp.hub.Len() > site:
+		// A resumed AddSite already grew the hub; revive that node
+		// instead of appending a second one.
+		ep = grp.hub.Restart(id)
+	default:
+		ep = grp.hub.Add()
+	}
 	if wipe && c.cfg.durDir != "" {
 		// The replacement is a new machine: the dead incarnation's
 		// durable history does not come with it.
 		if err := os.RemoveAll(c.siteDir(g, site)); err != nil {
+			grp.hub.Crash(id)
 			return fmt.Errorf("otpdb: wipe durability %d: %w", site, err)
 		}
 	}
-
-	// Local recovery first: a durable site advertises the index its own
-	// checkpoint + log reach, so a short outage costs only a tail
-	// transfer. The store is seeded exactly as Start seeds fresh ones (a
-	// transferred checkpoint, when needed, replaces the content anyway).
-	store := storage.NewStore()
-	c.seedStore(g, store)
-	base := int64(0)
-	var dur *recovery.Durability
-	if c.cfg.durDir != "" {
-		d, derr := recovery.Open(c.siteDir(g, site), recovery.Options{
-			Sync:            c.cfg.syncPolicy,
-			CheckpointEvery: c.cfg.ckptEvery,
-			Metrics:         c.siteScope(g, site),
-		})
-		if derr != nil {
-			return fmt.Errorf("otpdb: reopen durability %d: %w", site, derr)
-		}
-		b, rerr := d.Recover(store)
-		if rerr != nil {
-			_ = d.Close()
-			return fmt.Errorf("otpdb: recover %d: %w", site, rerr)
-		}
-		dur, base = d, b
-	}
-
-	xfer, err := statex.Fetch(ctx, ep, base, donors, statex.Options{
-		Parallel: true,
-		Metrics:  c.siteScope(g, site),
-		Events:   c.cfg.events,
-	})
-	if err != nil {
-		if dur != nil {
-			_ = dur.Close()
-		}
-		return fmt.Errorf("otpdb: state transfer %d: %w", site, err)
-	}
-	if xfer.Mode == statex.CheckpointTail {
-		// The donor's snapshot replaces local state wholesale; with
-		// durability the directory is reset to it so cold restarts
-		// recover from here on.
-		store = storage.NewStore()
-		store.InstallCheckpoint(xfer.Checkpoint)
-		base = xfer.Base
-		if dur != nil {
-			if rerr := dur.ResetTo(xfer.Checkpoint); rerr != nil {
-				_ = dur.Close()
-				return fmt.Errorf("otpdb: reset durability %d: %w", site, rerr)
-			}
-		}
-	}
-	join := xfer.Join
-	rep, opt, tracker, stop, err := c.buildSite(grp, g, site, ep, &join, store, base, dur)
-	if err != nil {
-		if dur != nil {
-			_ = dur.Close()
-		}
+	s, stop, err := c.startSite(ctx, grp, g, site, ep, donors)
+	switch {
+	case err != nil:
+		grp.hub.Crash(id)
 		return err
+	case rebuild:
+		grp.sites[site], grp.stops[site] = s, stop
+	default:
+		grp.sites = append(grp.sites, s)
+		grp.stops = append(grp.stops, stop)
 	}
-	grp.replicas[site] = rep
-	grp.engines[site] = opt
-	grp.trackers[site] = tracker
-	grp.stops[site] = stop
-	grp.bases[site] = base
-	grp.joinModes[site] = xfer.Mode
 	return nil
 }
 
@@ -1345,11 +1207,10 @@ func (c *Cluster) RejoinMode(site int) (string, error) {
 	if _, err := c.replicaLocked(0, site); err != nil {
 		return "", err
 	}
-	mode, ok := c.groups[0].joinModes[site]
-	if !ok {
-		return "", nil
+	if mode := c.groups[0].sites[site].Join.Mode; mode != 0 {
+		return mode.String(), nil
 	}
-	return mode.String(), nil
+	return "", nil
 }
 
 // liveSiteLocked returns the index of a live (not crashed, not removed)
@@ -1357,7 +1218,7 @@ func (c *Cluster) RejoinMode(site int) (string, error) {
 // write).
 func (c *Cluster) liveSiteLocked(avoid int) (int, error) {
 	fallback := -1
-	for i := range c.groups[0].replicas {
+	for i := range c.groups[0].sites {
 		if c.crashed[i] || c.removed[i] {
 			continue
 		}
@@ -1394,8 +1255,8 @@ func (c *Cluster) proposeChange(ctx context.Context, g, submitter int,
 		return member.Config{}, errors.New("otpdb: membership changes require OptimisticOrdering")
 	}
 	grp := c.groups[g]
-	cfg := grp.trackers[submitter].Config()
-	rep := grp.replicas[submitter]
+	cfg := grp.sites[submitter].Tracker.Config()
+	rep := grp.sites[submitter].Replica
 	c.mu.RUnlock()
 	proposed, err := mutate(cfg)
 	if err != nil {
@@ -1439,7 +1300,7 @@ func (c *Cluster) AddSite(ctx context.Context) (int, error) {
 	built := 0
 	for g := 0; g < c.cfg.shards; g++ {
 		c.mu.RLock()
-		resuming := c.groups[g].trackers[submitter].Config().Has(transport.NodeID(newID))
+		resuming := c.groups[g].sites[submitter].Tracker.Config().Has(transport.NodeID(newID))
 		c.mu.RUnlock()
 		if !resuming {
 			if _, err = c.proposeChange(ctx, g, submitter, func(cfg member.Config) (member.Config, error) {
@@ -1466,7 +1327,7 @@ func (c *Cluster) AddSite(ctx context.Context) (int, error) {
 		var rbErrs []error
 		for g := 0; g < c.cfg.shards; g++ {
 			c.mu.RLock()
-			committed := g < len(c.groups) && c.groups[g].trackers[submitter].Config().Has(transport.NodeID(newID))
+			committed := g < len(c.groups) && c.groups[g].sites[submitter].Tracker.Config().Has(transport.NodeID(newID))
 			c.mu.RUnlock()
 			if !committed {
 				continue
@@ -1475,14 +1336,11 @@ func (c *Cluster) AddSite(ctx context.Context) (int, error) {
 				// Tear the already-built replica down before removing it.
 				c.mu.Lock()
 				grp := c.groups[g]
-				if len(grp.replicas) == newID+1 {
+				if len(grp.sites) == newID+1 {
 					grp.stops[newID]()
 					grp.hub.Crash(transport.NodeID(newID))
-					grp.replicas = grp.replicas[:newID]
-					grp.engines = grp.engines[:newID]
-					grp.trackers = grp.trackers[:newID]
+					grp.sites = grp.sites[:newID]
 					grp.stops = grp.stops[:newID]
-					grp.bases = grp.bases[:newID]
 				}
 				c.mu.Unlock()
 			}
@@ -1505,81 +1363,14 @@ func (c *Cluster) AddSite(ctx context.Context) (int, error) {
 }
 
 // buildAddedSite builds and activates the replica the committed addition
-// admitted to one shard group: endpoint, fresh (or transferred) state,
-// full stack.
+// admitted to one shard group.
 func (c *Cluster) buildAddedSite(ctx context.Context, g, newID int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	grp := c.groups[g]
-	if len(grp.replicas) != newID {
+	if len(c.groups[g].sites) != newID {
 		return fmt.Errorf("%w: site table moved past %d", errAddRaced, newID)
 	}
-	// A resumed attempt may already have grown the hub; revive that
-	// node instead of appending a second one.
-	var ep transport.Endpoint
-	if grp.hub.Len() > newID {
-		ep = grp.hub.Restart(transport.NodeID(newID))
-	} else {
-		ep = grp.hub.Add()
-	}
-	var donors []transport.NodeID
-	for i := range grp.replicas {
-		if !c.crashed[i] && !c.removed[i] {
-			donors = append(donors, transport.NodeID(i))
-		}
-	}
-	fail := func(err error) error {
-		grp.hub.Crash(transport.NodeID(newID))
-		return err
-	}
-	store := storage.NewStore()
-	c.seedStore(g, store)
-	base := int64(0)
-	var dur *recovery.Durability
-	if c.cfg.durDir != "" {
-		d, derr := recovery.Open(c.siteDir(g, newID), recovery.Options{
-			Sync:            c.cfg.syncPolicy,
-			CheckpointEvery: c.cfg.ckptEvery,
-			Metrics:         c.siteScope(g, newID),
-		})
-		if derr != nil {
-			return fail(fmt.Errorf("otpdb: durability %d: %w", newID, derr))
-		}
-		dur = d
-	}
-	xfer, err := statex.Fetch(ctx, ep, base, donors, statex.Options{Parallel: true, Metrics: c.siteScope(g, newID)})
-	if err != nil {
-		if dur != nil {
-			_ = dur.Close()
-		}
-		return fail(fmt.Errorf("otpdb: state transfer %d: %w", newID, err))
-	}
-	if xfer.Mode == statex.CheckpointTail {
-		store = storage.NewStore()
-		store.InstallCheckpoint(xfer.Checkpoint)
-		base = xfer.Base
-		if dur != nil {
-			if rerr := dur.ResetTo(xfer.Checkpoint); rerr != nil {
-				_ = dur.Close()
-				return fail(fmt.Errorf("otpdb: reset durability %d: %w", newID, rerr))
-			}
-		}
-	}
-	join := xfer.Join
-	rep, opt, tracker, stop, err := c.buildSite(grp, g, newID, ep, &join, store, base, dur)
-	if err != nil {
-		if dur != nil {
-			_ = dur.Close()
-		}
-		return fail(err)
-	}
-	grp.replicas = append(grp.replicas, rep)
-	grp.engines = append(grp.engines, opt)
-	grp.trackers = append(grp.trackers, tracker)
-	grp.stops = append(grp.stops, stop)
-	grp.bases = append(grp.bases, base)
-	grp.joinModes[newID] = xfer.Mode
-	return nil
+	return c.joinGroupLocked(ctx, g, newID, false)
 }
 
 // RemoveSite shrinks the group: the removal is committed as a
@@ -1689,7 +1480,7 @@ func (c *Cluster) ShardEpoch(site, shardID int) (uint64, error) {
 	if _, err := c.replicaLocked(shardID, site); err != nil {
 		return 0, err
 	}
-	return c.groups[shardID].trackers[site].Epoch(), nil
+	return c.groups[shardID].sites[site].Tracker.Epoch(), nil
 }
 
 // Members reports the group membership as a site currently sees it
@@ -1700,7 +1491,7 @@ func (c *Cluster) Members(site int) ([]int, error) {
 	if _, err := c.replicaLocked(0, site); err != nil {
 		return nil, err
 	}
-	ids := c.groups[0].trackers[site].Members()
+	ids := c.groups[0].sites[site].Tracker.Members()
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		out[i] = int(id)
@@ -1741,7 +1532,7 @@ func (c *Cluster) DumpEngine(site int) (string, error) {
 			c.mu.RUnlock()
 			return "", err
 		}
-		engines = append(engines, c.groups[g].engines[site])
+		engines = append(engines, c.groups[g].sites[site].Engine)
 	}
 	c.mu.RUnlock()
 	var b strings.Builder
@@ -1795,8 +1586,8 @@ func (c *Cluster) CheckInvariants() error {
 		return ErrNotStarted
 	}
 	for g, grp := range c.groups {
-		for i, rep := range grp.replicas {
-			if err := rep.Manager().CheckInvariants(); err != nil {
+		for i, s := range grp.sites {
+			if err := s.Replica.Manager().CheckInvariants(); err != nil {
 				return fmt.Errorf("shard %d site %d: %w", g, i, err)
 			}
 		}

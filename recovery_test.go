@@ -2,11 +2,13 @@ package otpdb_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"otpdb"
+	"otpdb/internal/testutil"
 )
 
 // bumpN drives n "incr" transactions (see session_test.go's
@@ -126,6 +128,65 @@ func TestDurableCrashRestart(t *testing.T) {
 	}
 	if res := bumpN(t, c2, 0, 5); res.TOIndex != 65 {
 		t.Fatalf("post-crash commit TOIndex = %d, want 65", res.TOIndex)
+	}
+}
+
+// TestStartFailureTearsDown: a cold Start that fails part-way — here
+// because one durable site recovered to an older index than the others
+// — must stop the sites it had already started and release their
+// directories; a failed Start leaves nothing for Stop to find.
+func TestStartFailureTearsDown(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	dir := t.TempDir()
+	mk := func(replicas int) *otpdb.Cluster {
+		return counterCluster(t,
+			otpdb.WithReplicas(replicas),
+			otpdb.WithDurability(dir),
+			otpdb.WithConsensusRoundTimeout(50*time.Millisecond),
+		)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// Site 2 stops logging at index 10; sites 0 and 1 go on to 20.
+	c := mk(3)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	bumpN(t, c, 0, 10)
+	if err := c.WaitForCommits(ctx, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CrashSite(2); err != nil {
+		t.Fatal(err)
+	}
+	bumpN(t, c, 0, 10)
+	if err := c.WaitForCommits(ctx, 20); err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+
+	// Sites 0 and 1 come up, site 2 trips the check.
+	err := mk(3).Start()
+	if err == nil || !strings.Contains(err.Error(), "different indexes") {
+		t.Fatalf("Start over diverged directories = %v, want the different-indexes error", err)
+	}
+	testutil.Eventually(t, 10*time.Second, "the sites of the failed Start to stop", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
+
+	// The directories of the sites that had started reopen and log on.
+	again := mk(2)
+	if err := again.Start(); err != nil {
+		t.Fatalf("reopen sites 0 and 1: %v", err)
+	}
+	for site := 0; site < 2; site++ {
+		if base, err := again.RecoveredIndex(site); err != nil || base != 20 {
+			t.Fatalf("site %d recovered index = %d, %v; want 20", site, base, err)
+		}
+	}
+	if res := bumpN(t, again, 0, 1); res.TOIndex != 21 {
+		t.Fatalf("commit after reopen = TO %d, want 21", res.TOIndex)
 	}
 }
 

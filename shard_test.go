@@ -253,9 +253,12 @@ func TestCrossShardAbortPropagation(t *testing.T) {
 		if _, ok := readInt64(t, c, site, "alpha", "mark-0"); ok {
 			t.Fatalf("site %d: aborted attempt's write alpha/mark-0 was applied", site)
 		}
-		if v, _ := readInt64(t, c, site, "beta", "mirrored"); v != 1 {
-			t.Fatalf("site %d: beta/mirrored = %d, want 1", site, v)
-		}
+		// Shard 1 commits the attempt on its own schedule: alpha/mark-1
+		// being there says nothing about beta yet.
+		waitUntil(t, 5*time.Second, fmt.Sprintf("site %d: beta/mirrored = 1", site), func() bool {
+			v, _ := readInt64(t, c, site, "beta", "mirrored")
+			return v == 1
+		})
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
