@@ -357,7 +357,7 @@ func run(id int, peerList, clientAddr string, classes, shards int, dataDir, fsyn
 		return fmt.Errorf("-join needs at least one peer to join from")
 	}
 
-	// Wire registration for the gob codec.
+	// Wire registration: every message type the TCP transport carries.
 	fd.RegisterWire()
 	consensus.RegisterWire()
 	abcast.RegisterWire()

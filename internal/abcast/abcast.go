@@ -142,12 +142,6 @@ type DefEntry struct {
 	HasBody bool
 }
 
-// RegisterWire registers broadcast message types with the gob codec used
-// by the TCP transport. Payload types must be registered separately.
-func RegisterWire() {
-	transport.Register(DataMsg{}, OrderMsg{}, MsgID{}, []MsgID(nil), BodyReq{}, DefEntry{}, []DefEntry(nil))
-}
-
 // Stats are cumulative engine counters, exposed for the experiment
 // harness.
 type Stats struct {

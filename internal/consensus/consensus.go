@@ -55,8 +55,9 @@ import (
 // Stream is the transport stream used by the engine.
 const Stream = "cons"
 
-// Wire messages. Values proposed through the engine must themselves be
-// registered with transport.Register when running over TCP.
+// Wire messages (wire.go has their codecs). Values proposed through the
+// engine must themselves be registered with the transport when running
+// over TCP.
 //
 // Estimate, propose and ack messages carry the sender's membership
 // epoch: quorum sizes and coordinator rotation are properties of one
@@ -106,12 +107,6 @@ type (
 		From uint64
 	}
 )
-
-// RegisterWire registers the engine's message types with the gob codec
-// used by the TCP transport.
-func RegisterWire() {
-	transport.Register(MsgEstimate{}, MsgPropose{}, MsgAck{}, MsgDecide{}, MsgDecideReq{})
-}
 
 // Decision is an output of the engine.
 type Decision struct {

@@ -979,8 +979,9 @@ func (r *Replica) waitCommitted(ctx context.Context, part storage.Partition, tar
 	return nil
 }
 
-// RegisterWire registers the payload types the replica broadcasts with
-// the gob codec used by the TCP transport.
+// RegisterWire makes the payload types the replica broadcasts known to
+// the TCP transport.
 func RegisterWire() {
-	transport.Register(sproc.Request{}, storage.Value(nil), []storage.Value(nil))
+	sproc.RegisterWire()
+	transport.Register([]storage.Value(nil))
 }

@@ -11,6 +11,7 @@
 package fd
 
 import (
+	"encoding/binary"
 	"sync"
 	"time"
 
@@ -36,10 +37,27 @@ type Heartbeat struct {
 	Inc uint64
 }
 
-// RegisterWire registers the detector's message types with the gob codec
-// used by the TCP transport. Call once per process before ListenTCP nodes
-// exchange traffic.
-func RegisterWire() { transport.Register(Heartbeat{}) }
+// tagHeartbeat is the heartbeat's wire tag (transport/wire.go has the
+// table). Stable: changing it is a wire version change.
+const tagHeartbeat = 0x08
+
+// RegisterWire makes the detector's message type known to the TCP
+// transport. Call once per process before ListenTCP nodes exchange
+// traffic.
+func RegisterWire() {
+	transport.RegisterCodec(tagHeartbeat, Heartbeat.AppendWire, decodeHeartbeat)
+}
+
+// AppendWire appends the incarnation.
+func (h Heartbeat) AppendWire(b []byte) ([]byte, error) {
+	return binary.AppendUvarint(b, h.Inc), nil
+}
+
+func decodeHeartbeat(b []byte) (Heartbeat, error) {
+	r := transport.NewWireReader(b)
+	h := Heartbeat{Inc: r.Uvarint()}
+	return h, r.Done()
+}
 
 // Suspector reports suspicion. It is the read interface consumed by the
 // consensus engine; tests substitute scripted implementations.

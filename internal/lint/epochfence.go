@@ -20,7 +20,7 @@ import (
 // A struct type is *fenced* when either
 //
 //   - its doc comment carries `//otp:fence <Field>`, naming the fence
-//     field explicitly (JoinResp, Heartbeat, tcpFrame, ...), or
+//     field explicitly (JoinResp, Heartbeat, transport.frame, ...), or
 //   - its name matches the wire-reply convention — `Msg*` or `*Reply`
 //     — and it declares an Epoch, Inc or Incarnation field.
 //

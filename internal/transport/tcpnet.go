@@ -3,25 +3,19 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
 	"otpdb/internal/metrics"
-	"otpdb/internal/queue"
 )
-
-// Register makes concrete message types known to the gob codec used by the
-// TCP transport. Every type sent through Endpoint.Send/Broadcast as the
-// dynamic value of Envelope.Msg must be registered by both ends.
-func Register(values ...any) {
-	for _, v := range values {
-		gob.Register(v)
-	}
-}
 
 // TCPConfig configures one node of a TCP mesh.
 type TCPConfig struct {
@@ -38,8 +32,8 @@ type TCPConfig struct {
 	// restart cannot mint a stale one.
 	Incarnation uint64
 	// Metrics, when non-nil, registers transport telemetry (inbound
-	// frames, coalesce batch sizes, dial retries) under the scope's
-	// labels.
+	// frames, coalesce batch sizes, dial retries, bytes written and
+	// bytes awaiting acknowledgement per peer) under the scope's labels.
 	Metrics *metrics.Scope
 	// Trace, when non-nil, receives a net-recv span for every fresh
 	// inbound data frame whose payload carries a trace ID (see
@@ -47,44 +41,13 @@ type TCPConfig struct {
 	Trace *metrics.TraceRing
 }
 
-// tcpFrame is the wire unit. Data frames (IsAck false) flow from the
-// connection initiator to the acceptor; cumulative acknowledgements flow
-// back on the same connection. Sequence numbers are per directed link and
-// let the receiver deduplicate retransmissions.
-//
-// Inc is the sender's incarnation: a clock-derived value fixed at node
-// creation. A restarted process numbers its frames from 1 again; without
-// the incarnation, peers that remember the pre-crash sequence floor
-// would silently drop everything the new process sends (while still
-// acknowledging it). A frame with a newer incarnation resets the
-// receiver's dedup floor for that sender; frames from an older
-// incarnation are stale retransmissions and are dropped.
-//
-// The clock-derived default assumes the host clock does not step
-// backwards across a restart. If it does (NTP correction, VM snapshot
-// restore), peers stay deaf to the restarted node until its clock
-// passes the old incarnation — a visible availability failure (its
-// state-transfer probes time out loudly), never silent divergence.
-// Durable deployments close the window by passing a persisted
-// monotonic incarnation (PersistentIncarnation) in TCPConfig; cmd/otpd
-// does so whenever -data is set.
-//
-//otp:fence Inc
-type tcpFrame struct {
-	IsAck bool
-	Seq   uint64 // data sequence number (IsAck false)
-	Ack   uint64 // cumulative acknowledged sequence (IsAck true)
-	Inc   uint64 // sender incarnation (IsAck false)
-	Trace string // trace ID of the payload's transaction ("" untraced)
-	Env   Envelope
-}
-
-// TCPNode is a transport endpoint over a full TCP mesh. Frames are gob
-// encoded. Outbound messages are buffered, acknowledged end-to-end, and
-// retransmitted across reconnects, giving reliable FIFO delivery to every
-// peer that stays up or restarts on the same address (crash-stop peers
-// simply never acknowledge). Duplicate deliveries are filtered by
-// per-sender sequence numbers.
+// TCPNode is a transport endpoint over a full TCP mesh, speaking the
+// frame format of wire.go. A message is encoded once, when it is sent;
+// each link keeps the encoded frames until the peer acknowledges them
+// and rewrites those bytes on every new connection, giving reliable FIFO
+// delivery to every peer that stays up or restarts on the same address
+// (crash-stop peers simply never acknowledge). Duplicate deliveries are
+// filtered by per-sender sequence numbers.
 //
 // The peer set is dynamic: AddPeer/RemovePeer/SetPeers reconfigure the
 // mesh at runtime (group membership changes), creating or tearing down
@@ -98,17 +61,21 @@ type TCPNode struct {
 	wg   sync.WaitGroup
 
 	// Telemetry (inert unregistered instruments without cfg.Metrics).
-	framesIn    *metrics.Counter
-	dupFrames   *metrics.Counter
-	dialRetries *metrics.Counter
-	batchSizes  *metrics.Histogram
+	framesIn     *metrics.Counter
+	dupFrames    *metrics.Counter
+	dialRetries  *metrics.Counter
+	wireMismatch *metrics.Counter
+	batchSizes   *metrics.Histogram
 
-	mu      sync.Mutex
-	addrs   map[NodeID]string // current peer map, including self
-	out     map[NodeID]*peerLink
+	mu     sync.Mutex
+	addrs  map[NodeID]string // current peer map, including self
+	out    map[NodeID]*peerLink
+	links  []*peerLink // out's values; replaced, never modified, when out changes
+	closed bool
+
+	rmu     sync.Mutex        // inbound: dedup state and the order of delivery
 	lastSeq map[NodeID]uint64 // highest data seq delivered per sender incarnation
 	lastInc map[NodeID]uint64 // newest incarnation seen per sender
-	closed  bool
 }
 
 var _ Endpoint = (*TCPNode)(nil)
@@ -128,33 +95,45 @@ func ListenTCP(cfg TCPConfig) (*TCPNode, error) {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
 	}
 	n := &TCPNode{
-		cfg:         cfg,
-		ln:          ln,
-		box:         newMailbox(),
-		addrs:       make(map[NodeID]string, len(cfg.Addrs)),
-		out:         make(map[NodeID]*peerLink),
-		inc:         cfg.Incarnation,
-		stop:        make(chan struct{}),
-		lastSeq:     make(map[NodeID]uint64),
-		lastInc:     make(map[NodeID]uint64),
-		framesIn:    cfg.Metrics.Counter("transport_frames_in_total"),
-		dupFrames:   cfg.Metrics.Counter("transport_dup_frames_total"),
-		dialRetries: cfg.Metrics.Counter("transport_dial_retry_total"),
-		batchSizes:  cfg.Metrics.SizeHistogram("transport_coalesce_batch"),
+		cfg:          cfg,
+		ln:           ln,
+		box:          newMailbox(),
+		addrs:        make(map[NodeID]string, len(cfg.Addrs)),
+		out:          make(map[NodeID]*peerLink),
+		inc:          cfg.Incarnation,
+		stop:         make(chan struct{}),
+		lastSeq:      make(map[NodeID]uint64),
+		lastInc:      make(map[NodeID]uint64),
+		framesIn:     cfg.Metrics.Counter("transport_frames_in_total"),
+		dupFrames:    cfg.Metrics.Counter("transport_dup_frames_total"),
+		dialRetries:  cfg.Metrics.Counter("transport_dial_retry_total"),
+		wireMismatch: cfg.Metrics.Counter("transport_wire_mismatch_total"),
+		batchSizes:   cfg.Metrics.SizeHistogram("transport_coalesce_batch"),
+	}
+	if n.inc == 0 {
+		n.inc = uint64(time.Now().UnixNano())
 	}
 	for id, peerAddr := range cfg.Addrs {
 		n.addrs[id] = peerAddr
 		if id == cfg.ID {
 			continue
 		}
-		n.out[id] = newPeerLink(n, peerAddr)
+		n.out[id] = newPeerLink(n, id, peerAddr)
 	}
-	if n.inc == 0 {
-		n.inc = uint64(time.Now().UnixNano())
-	}
+	n.relink()
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
+}
+
+// relink republishes the link list after n.out changed. Caller holds
+// n.mu (or, in ListenTCP, the only reference).
+func (n *TCPNode) relink() {
+	links := make([]*peerLink, 0, len(n.out))
+	for _, link := range n.out {
+		links = append(links, link)
+	}
+	n.links = links
 }
 
 // AddPeer attaches (or re-addresses) a peer at runtime. An existing link
@@ -177,7 +156,8 @@ func (n *TCPNode) AddPeer(id NodeID, addr string) {
 		return
 	}
 	n.addrs[id] = addr
-	n.out[id] = newPeerLink(n, addr)
+	n.out[id] = newPeerLink(n, id, addr)
+	n.relink()
 	n.mu.Unlock()
 	if old != nil {
 		old.close()
@@ -193,6 +173,7 @@ func (n *TCPNode) RemovePeer(id NodeID) {
 	link := n.out[id]
 	delete(n.out, id)
 	delete(n.addrs, id)
+	n.relink()
 	n.mu.Unlock()
 	if link != nil {
 		link.close()
@@ -213,6 +194,7 @@ func (n *TCPNode) SetPeers(addrs map[NodeID]string) {
 			delete(n.addrs, id)
 		}
 	}
+	n.relink()
 	n.mu.Unlock()
 	for _, link := range gone {
 		link.close()
@@ -242,24 +224,19 @@ func (n *TCPNode) N() int {
 
 // Send implements Endpoint.
 func (n *TCPNode) Send(to NodeID, stream string, msg any) error {
-	env := Envelope{From: n.cfg.ID, Stream: stream, Msg: msg}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	if to == n.cfg.ID {
-		n.mu.Unlock()
-		n.box.enqueue(env)
-		return nil
-	}
-	link, ok := n.out[to]
+	closed, link := n.closed, n.out[to]
 	n.mu.Unlock()
-	if !ok {
+	switch {
+	case closed:
+		return ErrClosed
+	case to == n.cfg.ID:
+		n.box.enqueue(Envelope{From: to, Stream: stream, Msg: msg})
+		return nil
+	case link == nil:
 		return fmt.Errorf("tcpnet: unknown peer %v", to)
 	}
-	link.send(env)
-	return nil
+	return n.transmit(stream, msg, link)
 }
 
 // Broadcast implements Endpoint. The recipient set is the peer map at
@@ -267,21 +244,27 @@ func (n *TCPNode) Send(to NodeID, stream string, msg any) error {
 // the changing peer, exactly as a racing unicast would.
 func (n *TCPNode) Broadcast(stream string, msg any) error {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	closed, links := n.closed, n.links
+	n.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	links := make([]*peerLink, 0, len(n.out))
-	for _, link := range n.out {
-		links = append(links, link)
+	n.box.enqueue(Envelope{From: n.cfg.ID, Stream: stream, Msg: msg})
+	return n.transmit(stream, msg, links...)
+}
+
+// transmit encodes msg once and queues the bytes on every link.
+func (n *TCPNode) transmit(stream string, msg any, links ...*peerLink) error {
+	buf := framePool.Get().(*[]byte)
+	shared, err := appendShared((*buf)[:0], n.cfg.ID, stream, msg)
+	if err == nil {
+		for _, link := range links {
+			link.enqueue(shared)
+		}
 	}
-	n.mu.Unlock()
-	env := Envelope{From: n.cfg.ID, Stream: stream, Msg: msg}
-	n.box.enqueue(env)
-	for _, link := range links {
-		link.send(env)
-	}
-	return nil
+	*buf = shared
+	framePool.Put(buf)
+	return err
 }
 
 // Subscribe implements Endpoint.
@@ -297,10 +280,7 @@ func (n *TCPNode) Close() error {
 		return nil
 	}
 	n.closed = true
-	links := make([]*peerLink, 0, len(n.out))
-	for _, link := range n.out {
-		links = append(links, link)
-	}
+	links := n.links
 	n.mu.Unlock()
 	close(n.stop)
 	_ = n.ln.Close()
@@ -330,15 +310,14 @@ func (n *TCPNode) acceptLoop() {
 }
 
 // serveConn handles one inbound connection: data frames in, cumulative
-// acks out on the same connection. Acks are coalesced: the decoder posts
-// the latest sequence into a one-slot mailbox and a dedicated writer
-// acknowledges whatever is newest, so a burst of inbound frames costs
-// one ack syscall instead of one per frame (acks are cumulative, so
-// acknowledging only the newest is lossless).
+// acks out on the same connection. Acks are coalesced: one is written
+// when the reader has caught up with what the connection has delivered,
+// so a burst of inbound frames costs one ack instead of one per frame
+// (acks are cumulative, so acknowledging only the newest is lossless).
 func (n *TCPNode) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() { _ = conn.Close() }()
-	// Unblock the decoder on shutdown.
+	// Unblock the reader on shutdown.
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -348,103 +327,107 @@ func (n *TCPNode) serveConn(conn net.Conn) {
 		case <-done:
 		}
 	}()
-	dec := gob.NewDecoder(conn)
-	ackCh := make(chan uint64, 1)
-	defer close(ackCh)
-	go n.writeAcks(conn, ackCh)
+	err := n.readFrames(conn)
+	if errors.Is(err, errWire) {
+		// Not a broken connection but a peer this node cannot talk to (or
+		// a corrupt stream): say so. Closing is safe either way — a peer
+		// that does speak the format retransmits on its next connection.
+		n.wireMismatch.Inc()
+		log.Printf("tcpnet %v: closing connection from %s: %v", n.cfg.ID, conn.RemoteAddr(), err)
+	}
+}
+
+// readFrames runs the acceptor's side of the protocol on conn until the
+// connection fails or stops making sense. A write failure ends it too —
+// a half-broken link (readable but unwritable) must tear down fully, or
+// the sender's retransmission buffer would grow forever waiting for acks.
+func (n *TCPNode) readFrames(conn net.Conn) error {
+	fr := newFrameReader(conn)
+	if err := checkHello(fr.r); err != nil {
+		return err
+	}
+	if _, err := conn.Write(hello[:]); err != nil {
+		return err
+	}
+	ack := [ackLen]byte{kindAck}
 	for {
-		var f tcpFrame
-		if err := dec.Decode(&f); err != nil {
-			return
+		f, err := fr.next()
+		if err != nil {
+			return err
 		}
-		if f.IsAck {
-			continue // acks are never expected inbound on accepted conns
-		}
-		n.mu.Lock()
-		fresh := false
-		switch {
-		case f.Inc > n.lastInc[f.Env.From]:
-			// A restarted sender: its sequence numbering begins anew, so
-			// the dedup floor must too.
-			n.lastInc[f.Env.From] = f.Inc
-			n.lastSeq[f.Env.From] = f.Seq
-			fresh = true
-		case f.Inc == n.lastInc[f.Env.From] && f.Seq > n.lastSeq[f.Env.From]:
-			n.lastSeq[f.Env.From] = f.Seq
-			fresh = true
-		}
-		n.mu.Unlock()
 		n.framesIn.Inc()
-		if fresh {
-			if f.Trace != "" {
-				n.cfg.Trace.Record(metrics.TraceEvent{
-					Trace: f.Trace, Span: metrics.SpanNetRecv,
-					Site: int(n.cfg.ID), Note: f.Env.Stream,
-				})
-			}
-			n.box.enqueue(f.Env)
-		} else {
+		if !n.deliver(f) {
 			n.dupFrames.Inc()
 		}
 		// Acknowledge regardless: duplicates mean the ack was lost.
-		// Replace any unsent older ack — the newest covers it.
-		select {
-		case ackCh <- f.Seq:
-		default:
-			select {
-			case <-ackCh:
-			default:
-			}
-			select {
-			case ackCh <- f.Seq:
-			default:
+		if !fr.buffered() {
+			binary.BigEndian.PutUint64(ack[1:], f.Seq)
+			if _, err := conn.Write(ack[:]); err != nil {
+				return err
 			}
 		}
 	}
 }
 
-// writeAcks drains the ack mailbox onto the connection, flushing only
-// when no newer ack is already pending. A write failure closes the
-// connection so the decoder in serveConn notices too — a half-broken
-// link (readable but unwritable) must tear down fully, or the sender's
-// retransmission buffer would grow forever waiting for acks.
-func (n *TCPNode) writeAcks(conn net.Conn, ackCh <-chan uint64) {
-	bw := bufio.NewWriter(conn)
-	enc := gob.NewEncoder(bw)
-	for seq := range ackCh {
-		if err := enc.Encode(tcpFrame{IsAck: true, Ack: seq}); err != nil {
-			_ = conn.Close()
-			return
-		}
-		if len(ackCh) == 0 {
-			if err := bw.Flush(); err != nil {
-				_ = conn.Close()
-				return
-			}
-		}
+// deliver hands a frame to the mailbox unless it is a duplicate. The
+// lock is held across the hand-over: after a reconnect the old and the
+// new connection from one sender are read side by side, and the order of
+// the dedup decisions must be the order in the mailbox.
+func (n *TCPNode) deliver(f frame) (fresh bool) {
+	from := f.Env.From
+	n.rmu.Lock()
+	defer n.rmu.Unlock()
+	switch {
+	case f.Inc > n.lastInc[from]:
+		// A restarted sender: its sequence numbering begins anew, so
+		// the dedup floor must too.
+		n.lastInc[from] = f.Inc
+	case f.Inc < n.lastInc[from] || f.Seq <= n.lastSeq[from]:
+		return false
 	}
+	n.lastSeq[from] = f.Seq
+	if f.Trace != "" {
+		n.cfg.Trace.Record(metrics.TraceEvent{
+			Trace: f.Trace, Span: metrics.SpanNetRecv,
+			Site: int(n.cfg.ID), Note: f.Env.Stream,
+		})
+	}
+	n.box.enqueue(f.Env)
+	return true
 }
 
-// peerLink owns the outbound traffic to one peer: an unbounded send queue
-// plus a retransmission buffer of unacknowledged frames, drained by a
-// writer goroutine that dials (and redials) the peer. Links are torn
-// down individually when membership removes or re-addresses a peer, so
-// close must interrupt a writer parked in dial backoff against a dead
-// address, not just one reading the queue.
+// peerLink owns the outbound traffic to one peer: the encoded frames the
+// peer has not acknowledged yet, in one byte buffer, and a writer
+// goroutine that dials (and redials) the peer and writes what the
+// current connection has not carried. Links are torn down individually
+// when membership removes or re-addresses a peer, so close must
+// interrupt a writer parked in dial backoff against a dead address, not
+// just one waiting for work.
 type peerLink struct {
 	node *TCPNode
 	addr string
-	q    *queue.Q[Envelope]
 	done chan struct{}
-	stop chan struct{} // closed by close(); unblocks dial/backoff/encode
+	stop chan struct{} // closed by close(); unblocks dial/backoff/write
 	once sync.Once
+	// wake tells the writer there is something to do: bytes queued, or
+	// the connection failed. One pending signal covers any number.
+	wake chan struct{}
 
-	mu      sync.Mutex
-	conn    net.Conn   // current outbound connection, for prompt teardown
-	pending []tcpFrame // sent but not yet acknowledged, ascending seq
-	nextSeq uint64
+	bytesOut *metrics.Counter
+	unacked  *metrics.Gauge
 
-	connErr chan struct{} // signalled by the ack reader on conn failure
+	mu   sync.Mutex
+	conn net.Conn // current outbound connection, for prompt teardown
+	// buf[head:] holds the frames sent (or queued) but not acknowledged,
+	// back to back in sequence order; buf[sent:] has not been written on
+	// conn. The bytes hold no pointers, so a long backlog costs the
+	// collector nothing to scan.
+	buf        []byte
+	head, sent int
+	acked      uint64 // sequence number of the last frame before head
+	nextSeq    uint64
+	writing    bool  // the writer is reading buf's array: do not move bytes within it
+	failure    error // why the ack reader gave up on conn; nil while it reads
 
 	// tries and rng drive the reconnect backoff schedule. Both are
 	// touched only from the writeLoop goroutine (dial and backoff run
@@ -453,218 +436,220 @@ type peerLink struct {
 	rng   *rand.Rand
 }
 
-func newPeerLink(n *TCPNode, addr string) *peerLink {
+func newPeerLink(n *TCPNode, id NodeID, addr string) *peerLink {
+	peer := strconv.Itoa(int(id))
 	l := &peerLink{
-		node:    n,
-		addr:    addr,
-		q:       queue.New[Envelope](),
-		done:    make(chan struct{}),
-		stop:    make(chan struct{}),
-		connErr: make(chan struct{}, 1),
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(n.cfg.ID)<<32)),
+		node:     n,
+		addr:     addr,
+		done:     make(chan struct{}),
+		stop:     make(chan struct{}),
+		wake:     make(chan struct{}, 1),
+		bytesOut: n.cfg.Metrics.Counter("transport_bytes_out_total", "peer", peer),
+		unacked:  n.cfg.Metrics.Gauge("transport_unacked_bytes", "peer", peer),
+		rng:      rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(n.cfg.ID)<<32)),
 	}
 	go l.writeLoop()
 	return l
 }
 
-func (l *peerLink) send(env Envelope) { l.q.Push(env) }
+// minLinkBuf is the smallest array a link moves its backlog to.
+const minLinkBuf = 64 << 10
+
+// enqueue appends one frame around the encoded message and wakes the
+// writer. Space the acknowledged prefix occupied is reclaimed here, when
+// the array is full: in place if the writer is not reading it and at
+// least half would be freed, by moving to a new array otherwise.
+func (l *peerLink) enqueue(shared []byte) {
+	need := framePrefix + len(shared)
+	l.mu.Lock()
+	if live := len(l.buf) - l.head; len(l.buf)+need > cap(l.buf) && l.head > 0 {
+		if l.writing || l.head < live {
+			l.buf = append(make([]byte, 0, max(2*(live+need), minLinkBuf)), l.buf[l.head:]...)
+		} else {
+			l.buf = l.buf[:copy(l.buf, l.buf[l.head:])]
+		}
+		l.sent -= l.head
+		l.head = 0
+	}
+	l.nextSeq++
+	l.buf = appendFrame(l.buf, l.nextSeq, l.node.inc, shared)
+	l.unacked.Set(int64(len(l.buf) - l.head))
+	l.mu.Unlock()
+	l.signal()
+}
+
+func (l *peerLink) signal() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
 
 func (l *peerLink) close() {
 	l.once.Do(func() {
 		close(l.stop)
 		l.mu.Lock()
 		if l.conn != nil {
-			_ = l.conn.Close() // unblock a writer mid-encode
+			_ = l.conn.Close() // unblock a writer mid-write
 		}
 		l.mu.Unlock()
-		l.q.Close()
 	})
 	<-l.done
 }
 
-// setConn records the live outbound connection for teardown.
-func (l *peerLink) setConn(c net.Conn) {
-	l.mu.Lock()
-	l.conn = c
-	l.mu.Unlock()
-}
-
 // ackUpTo drops acknowledged frames from the retransmission buffer.
-//
-//otp:fenced sender side: pending holds frames this link built under its own incarnation; Inc fencing happens on the inbound path (handleConn)
 func (l *peerLink) ackUpTo(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := 0
-	for i < len(l.pending) && l.pending[i].Seq <= seq {
-		i++
+	for l.acked < seq && l.head < len(l.buf) {
+		l.head += frameLen(l.buf[l.head:])
+		l.acked++
 	}
-	l.pending = l.pending[i:]
+	if l.sent < l.head {
+		// Acknowledged on an earlier connection after this one began:
+		// no need to write them again.
+		l.sent = l.head
+	}
+	if l.head == len(l.buf) && !l.writing {
+		l.buf, l.head, l.sent = l.buf[:0], 0, 0
+	}
+	l.unacked.Set(int64(len(l.buf) - l.head))
 }
 
-func (l *peerLink) signalConnErr() {
+// take hands the writer what conn has not carried yet — everything
+// unacknowledged when conn is new — or the reason its ack reader gave up
+// on conn. Until wrote is called the bytes must stay where they are.
+func (l *peerLink) take(fresh bool) (chunk []byte, failure error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.failure != nil {
+		return nil, l.failure
+	}
+	if fresh {
+		l.sent = l.head
+	}
+	chunk = l.buf[l.sent:]
+	l.sent = len(l.buf)
+	l.writing = len(chunk) > 0
+	return chunk, nil
+}
+
+func (l *peerLink) wrote() {
+	l.mu.Lock()
+	l.writing = false
+	l.mu.Unlock()
+}
+
+// setConn records the live outbound connection, for teardown and so
+// that only its own ack reader can declare it failed. A connection that
+// arrives after close() looked for one to tear down is torn down here.
+func (l *peerLink) setConn(c net.Conn) {
+	l.mu.Lock()
+	l.conn, l.failure = c, nil
+	l.mu.Unlock()
 	select {
-	case l.connErr <- struct{}{}:
+	case <-l.stop:
+		if c != nil {
+			_ = c.Close()
+		}
 	default:
 	}
 }
 
-// maxWriteBatch bounds how many queued envelopes one writeLoop drain
-// coalesces into a single encode+flush.
-const maxWriteBatch = 128
-
 func (l *peerLink) writeLoop() {
 	defer close(l.done)
 	var conn net.Conn
-	var bw *bufio.Writer
-	var enc *gob.Encoder
 	disconnect := func() {
 		if conn != nil {
 			_ = conn.Close()
-			conn, bw, enc = nil, nil, nil
-			l.setConn(nil)
+			conn = nil
 		}
+		l.setConn(nil)
 	}
 	defer disconnect()
-
-	// connect dials and replays the retransmission buffer (which already
-	// contains any batch being sent, so a reconnect completes the send).
-	// It returns false when the node is shutting down.
-	connect := func() bool {
-		for {
-			disconnect()
-			c, err := l.dial()
-			if err != nil {
-				return false
-			}
-			conn = c
-			l.setConn(c)
-			bw = bufio.NewWriter(conn)
-			enc = gob.NewEncoder(bw)
-			// Drain any stale failure signal from the previous conn.
-			select {
-			case <-l.connErr:
-			default:
-			}
-			go l.readAcks(c)
-			l.mu.Lock()
-			resend := make([]tcpFrame, len(l.pending))
-			copy(resend, l.pending)
-			l.mu.Unlock()
-			ok := true
-			for _, f := range resend {
-				if err := enc.Encode(f); err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok && bw.Flush() == nil {
-				return true
-			}
-			if !l.backoff() {
-				return false
-			}
-		}
-	}
-
-	// sendBatch encodes the frames and flushes once. On a connection
-	// error it reconnects; connect() replays the retransmission buffer,
-	// which includes the batch, so the send completes either way. It
-	// returns false when the node is shutting down.
-	sendBatch := func(frames []tcpFrame) bool {
-		for {
-			if conn == nil {
-				return connect()
-			}
-			ok := true
-			for _, f := range frames {
-				if err := enc.Encode(f); err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok && bw.Flush() == nil {
-				return true
-			}
-			disconnect()
-			if !l.backoff() {
-				return false
-			}
-		}
-	}
-
-	batch := make([]tcpFrame, 0, maxWriteBatch)
 	for {
 		select {
-		case env, open := <-l.q.Chan():
-			if !open {
-				return
-			}
-			// Coalesce: greedily drain whatever else is queued so the
-			// whole burst shares one encoder flush (one syscall) —
-			// consensus votes and data messages ride together.
-			batch = batch[:0]
-			closed := false
-			l.mu.Lock()
-			l.nextSeq++
-			batch = append(batch, tcpFrame{Seq: l.nextSeq, Inc: l.node.inc, Trace: TraceOf(env.Msg), Env: env})
-		drain:
-			for len(batch) < maxWriteBatch {
-				select {
-				case env2, open2 := <-l.q.Chan():
-					if !open2 {
-						closed = true
-						break drain
-					}
-					l.nextSeq++
-					batch = append(batch, tcpFrame{Seq: l.nextSeq, Inc: l.node.inc, Trace: TraceOf(env2.Msg), Env: env2})
-				default:
-					break drain
-				}
-			}
-			l.pending = append(l.pending, batch...)
-			l.mu.Unlock()
-			l.node.batchSizes.ObserveInt(int64(len(batch)))
-			if !sendBatch(batch) {
-				return
-			}
-			if closed {
-				return
-			}
-		case <-l.connErr:
-			// Connection died while idle: reconnect so pending frames
-			// are retransmitted promptly.
-			l.mu.Lock()
-			hasPending := len(l.pending) > 0
-			l.mu.Unlock()
-			disconnect()
-			if hasPending {
-				if !connect() {
-					return
-				}
-			}
+		case <-l.wake:
+		case <-l.stop:
+			return
 		case <-l.node.stop:
 			return
+		}
+		// Write until the link has nothing unwritten. A connection that
+		// fails — under the writer or, while it idles, under the ack
+		// reader — is replaced once there is something to send, and the
+		// new one starts from the oldest unacknowledged byte: retransmission
+		// is writing buf[head:] again.
+		for {
+			chunk, failure := l.take(conn == nil)
+			if failure != nil {
+				disconnect()
+				// A peer that answers in another format will do so again.
+				if errors.Is(failure, errWire) && !l.backoff() {
+					return
+				}
+				continue
+			}
+			if len(chunk) == 0 {
+				break
+			}
+			var err error
+			if conn == nil {
+				if conn, err = l.dial(); err != nil {
+					return // shutting down
+				}
+				l.setConn(conn)
+				go l.readAcks(conn)
+				_, err = conn.Write(hello[:])
+			}
+			if err == nil {
+				_, err = conn.Write(chunk)
+			}
+			size, frames := len(chunk), int64(0)
+			for ; len(chunk) > 0; chunk = chunk[frameLen(chunk):] {
+				frames++
+			}
+			l.wrote() // chunk's bytes may move from here on
+			if err != nil {
+				disconnect()
+				if !l.backoff() {
+					return
+				}
+				continue
+			}
+			l.bytesOut.Add(uint64(size))
+			l.node.batchSizes.ObserveInt(frames)
 		}
 	}
 }
 
-// readAcks consumes acknowledgement frames from an outbound connection and
-// releases the retransmission buffer.
-//
-//otp:fenced acks arrive on the connection this link dialed itself, so they answer its own incarnation; inbound data frames are fenced in handleConn
+// readAcks consumes acknowledgements from an outbound connection and
+// releases the retransmission buffer. When the connection fails — or the
+// acceptor turns out not to speak the wire format — it tells the writer,
+// unless the writer has moved on to another connection already.
 func (l *peerLink) readAcks(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	for {
-		var f tcpFrame
-		if err := dec.Decode(&f); err != nil {
-			l.signalConnErr()
-			return
-		}
-		if f.IsAck {
-			l.ackUpTo(f.Ack)
+	r := bufio.NewReaderSize(conn, 64*ackLen)
+	err := checkHello(r)
+	var ack [ackLen]byte
+	for err == nil {
+		if _, err = io.ReadFull(r, ack[:]); err == nil {
+			if ack[0] != kindAck {
+				err = fmt.Errorf("%w: frame kind %d where an ack was expected", errWire, ack[0])
+				break
+			}
+			l.ackUpTo(binary.BigEndian.Uint64(ack[1:]))
 		}
 	}
+	if errors.Is(err, errWire) {
+		l.node.wireMismatch.Inc()
+		log.Printf("tcpnet %v: closing connection to %s: %v", l.node.cfg.ID, l.addr, err)
+	}
+	l.mu.Lock()
+	if l.conn == conn {
+		l.failure = err
+	}
+	l.mu.Unlock()
+	l.signal()
 }
 
 // backoff waits before the next reconnection attempt. Consecutive

@@ -3,8 +3,9 @@
 //
 //   - memnet: an in-process transport for tests and single-process
 //     clusters, with optional delay, reordering, partitions and crashes.
-//   - tcpnet: a real TCP mesh with gob-encoded frames for multi-process
-//     deployments (cmd/otpd).
+//   - tcpnet: a real TCP mesh for multi-process deployments (cmd/otpd),
+//     speaking self-contained binary frames (wire.go): a message is
+//     encoded once by its own codec and retransmitted as bytes.
 //
 // Both provide reliable FIFO point-to-point channels between correct
 // nodes, matching the paper's system model (asynchronous, reliable
