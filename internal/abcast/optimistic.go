@@ -266,12 +266,18 @@ func (o *Optimistic) run() {
 			if !ok {
 				return
 			}
-			switch m := env.Msg.(type) {
-			case DataMsg:
-				o.onData(m)
-			case BodyReq:
-				o.onBodyReq(env.From, m)
+			o.onEnvelope(env)
+			// Take what else has already arrived before opening a stage,
+			// so the stage proposes all of it. Bounded by what was buffered
+			// when we looked: a sender that outruns this loop must not keep
+			// it from the decisions.
+			for n := len(data); n > 0; n-- {
+				if env, ok = <-data; !ok {
+					return
+				}
+				o.onEnvelope(env)
 			}
+			o.maybePropose()
 		case d, ok := <-decisions:
 			if !ok {
 				return
@@ -287,6 +293,15 @@ func (o *Optimistic) run() {
 		case <-o.stop:
 			return
 		}
+	}
+}
+
+func (o *Optimistic) onEnvelope(env transport.Envelope) {
+	switch m := env.Msg.(type) {
+	case DataMsg:
+		o.onData(m)
+	case BodyReq:
+		o.onBodyReq(env.From, m)
 	}
 }
 
@@ -389,8 +404,8 @@ func (o *Optimistic) retain(ent *DefEntry) {
 	}
 }
 
-// onData Opt-delivers a newly received message and schedules it for
-// definitive ordering.
+// onData Opt-delivers a newly received message and lists it for
+// definitive ordering; run opens the stage.
 func (o *Optimistic) onData(m DataMsg) {
 	if o.optDone[m.ID] {
 		return // duplicate (transport retransmission)
@@ -414,7 +429,6 @@ func (o *Optimistic) onData(m DataMsg) {
 		return
 	}
 	o.undecided = append(o.undecided, m.ID)
-	o.maybePropose()
 }
 
 // decideReqInterval rate-limits gap-triggered catch-up requests, for
@@ -463,13 +477,13 @@ func (o *Optimistic) processStage(stage uint64, ids []MsgID) {
 	}
 	o.mu.Unlock()
 
-	decidedSet := make(map[MsgID]bool, len(ids))
+	fresh := false
 	for _, id := range ids {
 		if o.decided[id] {
 			continue // defensive: never TO-deliver twice
 		}
 		o.decided[id] = true
-		decidedSet[id] = true
+		fresh = true
 		// Assign the message its global definitive position and retain it
 		// (every site processes the same stage decisions in the same
 		// order, so positions agree everywhere).
@@ -483,10 +497,10 @@ func (o *Optimistic) processStage(stage uint64, ids []MsgID) {
 		o.pendingTO = append(o.pendingTO, id)
 	}
 	// Drop decided messages from our own tentative list.
-	if len(decidedSet) > 0 {
+	if fresh {
 		kept := o.undecided[:0]
 		for _, id := range o.undecided {
-			if !decidedSet[id] {
+			if !o.decided[id] {
 				kept = append(kept, id)
 			}
 		}

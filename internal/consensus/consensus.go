@@ -362,7 +362,10 @@ func New(cfg Config) *Engine {
 		catchUp:    cfg.CatchUpFrom,
 		epoch:      epoch,
 		ownsRound0: cfg.CatchUpFrom == 0 && members[0] == cfg.Endpoint.ID(),
-		proposeCh:  make(chan proposeReq),
+		// One slot: the ordering layer has one stage in flight, so its
+		// Propose returns at once and the engine goroutine picks the
+		// request up on its next turn.
+		proposeCh:  make(chan proposeReq, 1),
 		dumpCh:     make(chan chan string),
 		decisions:  queue.New[Decision](),
 		instances:  make(map[uint64]*instance),
@@ -412,7 +415,15 @@ var ErrStopped = errors.New("consensus: engine stopped")
 // Propose submits this node's initial value for an instance. Proposing
 // twice for the same instance is a no-op; different nodes may propose
 // different values (validity guarantees the decision is one of them).
+// Propose does not wait for the engine goroutine to take the value up,
+// unless the previous request is still waiting for it.
 func (e *Engine) Propose(inst uint64, val any) error {
+	select {
+	case <-e.stop:
+		// Checked first: the hand-off below has room after Stop too.
+		return ErrStopped
+	default:
+	}
 	select {
 	case e.proposeCh <- proposeReq{inst: inst, val: val}:
 		return nil

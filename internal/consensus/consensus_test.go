@@ -8,6 +8,7 @@ import (
 
 	"otpdb/internal/fd"
 	"otpdb/internal/metrics"
+	"otpdb/internal/testutil"
 	"otpdb/internal/transport"
 )
 
@@ -423,15 +424,21 @@ func TestFaultFreeMessageBudget(t *testing.T) {
 	// Nodes 1 and 2 are in round 0 before the coordinator proposes, so
 	// each of them acks the moment the proposal arrives — and a process
 	// sends its ack before it can decide, so once all three have decided
-	// every message of the instance has been sent. What they send the
-	// coordinator is held up for a moment: an estimate that beat its own
-	// Propose would make it propose, and perhaps decide, before it has
-	// entered round 0, and a process that decides outside the round never
-	// acks.
+	// every message of the instance has been sent. Propose returns before
+	// the engine has entered the round; the estimate it then sends shows
+	// that it has. What the two send the coordinator is held up for a
+	// moment: an estimate that beat its own Propose would make it propose,
+	// and perhaps decide, before it has entered round 0, and a process
+	// that decides outside the round never acks.
 	for _, from := range []transport.NodeID{1, 2} {
-		h.SetLink(from, 0, transport.LinkProfile{Delay: 20 * time.Millisecond})
+		h.SetLink(from, 0, transport.LinkProfile{Delay: 100 * time.Millisecond})
 	}
 	for _, i := range []int{1, 2, 0} {
+		if i == 0 {
+			testutil.Eventually(t, 5*time.Second, "nodes 1 and 2 to enter round 0", func() bool {
+				return eps[1].sent("consensus.MsgEstimate") == 1 && eps[2].sent("consensus.MsgEstimate") == 1
+			})
+		}
 		if err := engines[i].Propose(1, "v"); err != nil {
 			t.Fatal(err)
 		}

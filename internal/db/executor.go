@@ -13,22 +13,35 @@ import (
 	"otpdb/internal/wal"
 )
 
-// executor runs stored procedures on behalf of the OTP scheduler: one
-// goroutine per in-flight transaction. Single-class procedures (the
-// paper's model) and multi-class procedures (the [13] extension) share
-// the same machinery; the storage transaction simply spans one or more
-// partitions. The tricky part is the abort path: the scheduler may abort
-// a transaction while its goroutine is mid-procedure, so every data
-// access is guarded by the attempt's lock and an aborted flag, and
-// completions of superseded attempts are fenced by epochs both here and
-// in the scheduler.
+// executor runs stored procedures on behalf of the OTP scheduler, each
+// attempt on one of its worker goroutines. Workers are long-lived: one
+// that has finished an attempt parks on the work channel and takes the
+// next, so the stack a procedure grew is there for the one after it.
+// Submit starts a worker only when none is parked. A procedure blocked on
+// its simulated cost, on Definitive() or on a partition therefore never
+// holds up an attempt of another class — there are always as many
+// workers as attempts in flight, as when every attempt had a goroutine
+// of its own — and workers leave when the replica stops.
+//
+// Single-class procedures (the paper's model) and multi-class procedures
+// (the [13] extension) share the same machinery; the storage transaction
+// simply spans one or more partitions. The tricky part is the abort
+// path: the scheduler may abort a transaction while its worker is
+// mid-procedure, so every data access is guarded by the attempt's lock
+// and an aborted flag, and completions of superseded attempts are fenced
+// by epochs both here and in the scheduler.
 //
 // The scheduler recycles MultiTxn structs after commit, so the executor
 // copies everything an attempt needs (ID, classes, payload) out of the
-// transaction while Submit holds it live; the execution goroutine never
-// dereferences the MultiTxn.
+// transaction while Submit holds it live; a worker never dereferences
+// the MultiTxn.
 type executor struct {
 	r *Replica
+
+	// work hands an attempt to a parked worker. Unbuffered: a send that
+	// does not find a worker receiving must start one, not queue behind
+	// a procedure that may be blocked.
+	work chan *attempt
 
 	mu           sync.Mutex
 	running      map[abcast.MsgID]*attempt
@@ -39,7 +52,7 @@ type executor struct {
 var _ otp.MultiExecutor = (*executor)(nil)
 
 // attempt is one execution attempt of a transaction. Attempts are
-// pooled: the executor map and the execution goroutine each hold one
+// pooled: the executor map and the worker running it each hold one
 // reference, and the last release returns the struct to the pool.
 type attempt struct {
 	id      abcast.MsgID
@@ -65,11 +78,14 @@ type attempt struct {
 var attemptPool = sync.Pool{New: func() any { return new(attempt) }}
 
 // newAttempt prepares a pooled attempt for one execution, with two
-// references (executor map + goroutine).
-func newAttempt(id abcast.MsgID, parts []storage.Partition, req sproc.Request, epoch int) *attempt {
+// references (executor map + worker).
+func newAttempt(id abcast.MsgID, classes []otp.ClassID, req sproc.Request, epoch int) *attempt {
 	att := attemptPool.Get().(*attempt)
 	att.id = id
-	att.parts = parts
+	att.parts = att.parts[:0]
+	for _, c := range classes {
+		att.parts = append(att.parts, storage.Partition(c))
+	}
 	att.req = req
 	att.epoch = epoch
 	att.abortCh = make(chan struct{})
@@ -83,13 +99,13 @@ func newAttempt(id abcast.MsgID, parts []storage.Partition, req sproc.Request, e
 }
 
 // release drops one reference and recycles the attempt when both the
-// executor map and the goroutine are done with it.
+// executor map and the worker are done with it. parts keeps its backing
+// array for the next attempt (storage copies what it is handed).
 func (a *attempt) release() {
 	if a.refs.Add(-1) == 0 {
 		a.req = sproc.Request{}
 		a.result = nil
 		a.stx = nil
-		a.parts = nil
 		attemptPool.Put(a)
 	}
 }
@@ -97,15 +113,16 @@ func (a *attempt) release() {
 func newExecutor(r *Replica) *executor {
 	return &executor{
 		r:            r,
+		work:         make(chan *attempt),
 		running:      make(map[abcast.MsgID]*attempt),
 		abortedBelow: make(map[abcast.MsgID]int),
 		toDelivered:  make(map[abcast.MsgID]bool),
 	}
 }
 
-// Submit implements otp.MultiExecutor. It captures everything the
-// execution goroutine needs out of tx before returning (the scheduler
-// may recycle tx once the transaction commits).
+// Submit implements otp.MultiExecutor. It captures everything the worker
+// needs out of tx before returning (the scheduler may recycle tx once
+// the transaction commits).
 func (e *executor) Submit(tx *otp.MultiTxn, epoch int) {
 	req, ok := tx.Payload.(sproc.Request)
 	if !ok {
@@ -114,10 +131,6 @@ func (e *executor) Submit(tx *otp.MultiTxn, epoch int) {
 		// protocol treats malformed payloads as fatal to the submitter
 		// only (matches the previous behaviour).
 		return
-	}
-	parts := make([]storage.Partition, len(tx.Classes))
-	for i, c := range tx.Classes {
-		parts[i] = storage.Partition(c)
 	}
 	e.mu.Lock()
 	if epoch < e.abortedBelow[tx.ID] || tx.Committed() {
@@ -129,7 +142,7 @@ func (e *executor) Submit(tx *otp.MultiTxn, epoch int) {
 		e.mu.Unlock()
 		return
 	}
-	att := newAttempt(tx.ID, parts, req, epoch)
+	att := newAttempt(tx.ID, tx.Classes, req, epoch)
 	if e.toDelivered[tx.ID] {
 		// The transaction was TO-delivered before reaching the head of
 		// its queues; this attempt starts out definitive.
@@ -138,7 +151,25 @@ func (e *executor) Submit(tx *otp.MultiTxn, epoch int) {
 	}
 	e.running[tx.ID] = att
 	e.mu.Unlock()
-	go e.runTxn(att)
+	select {
+	case e.work <- att:
+	default:
+		go e.worker(att)
+	}
+}
+
+// worker runs att and then whatever Submit hands it, until the replica
+// stops. A worker started after the stop runs its one attempt — the
+// scheduler may still be finishing a commit — and leaves.
+func (e *executor) worker(att *attempt) {
+	for {
+		e.runTxn(att)
+		select {
+		case att = <-e.work:
+		case <-e.r.stop:
+			return
+		}
+	}
 }
 
 // Abort implements otp.MultiExecutor: it undoes the transaction's effects
