@@ -1,267 +1,112 @@
 // Command otpbench regenerates the paper's figure and the quantitative
-// claims of Kemme et al. (ICDCS'99) as plain-text tables. See DESIGN.md
-// §4 for the experiment index.
+// claims of Kemme et al. (ICDCS'99) as plain-text tables. The experiments
+// are the entries of experiments.Index (DESIGN.md §4); `otpbench -h`
+// lists them.
 //
 // Usage:
 //
-//	otpbench [-quick] [-json] [-out file] [experiment ...]
+//	otpbench [-quick] [experiment ...]
 //	otpbench [-quick] chaos [-seed S] [-v] [-dump dir] [scenario ...]
 //
-// Experiments: figure1, abortrate, overlap, async, queries, ordering,
-// pipeline, commit, recovery, rejoin, reconfig, shard, chaos. With no
-// arguments every experiment runs.
+// With no arguments every experiment runs once, in index order. An
+// experiment whose verdict is a failure — a chaos scenario violating an
+// invariant, the trace ring over its overhead budget — prints its table
+// and makes otpbench exit nonzero.
 //
-// The chaos experiment is the E13 fault-injection matrix: every shipped
-// scenario of internal/chaos runs at -seed (identical seeds replay
-// identical fault schedules), reporting pass/fail per scenario against
-// the invariants (digest convergence, no lost acked commit, effect-once,
-// epoch monotonicity). A failing scenario makes otpbench exit nonzero.
-// Arguments after "chaos" belong to it: -seed, -v (stream the fault
-// schedule as it executes), -dump (directory receiving a
-// flight-recorder dump per failed scenario — what the nightly chaos
-// job uploads as its failure artifact) and an optional list of
-// scenario names.
-//
-// The commit experiment is the tracked commit-path benchmark: with
-// -json it also writes its report (throughput and p50/p99 commit
-// latency for the end-to-end, pipeline and snapshot-read workloads) to
-// BENCH_commit.json (or -out), the perf trajectory every performance PR
-// regenerates and must not regress.
+// chaos is the one target with arguments of its own, and everything
+// after it belongs to it: -seed (identical seeds replay identical fault
+// schedules), -v (stream progress and each fault schedule), -dump
+// (directory receiving a flight-recorder dump per failed scenario —
+// what the nightly chaos job uploads as its failure artifact) and an
+// optional list of scenario names replacing the shipped matrix.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"strings"
 
-	"otpdb/internal/chaos"
 	"otpdb/internal/experiments"
-	"otpdb/internal/netsim"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "smaller parameter sweeps (seconds instead of minutes)")
-	jsonOut := flag.Bool("json", false, "write the commit benchmark report to -out as JSON")
-	outPath := flag.String("out", "BENCH_commit.json", "output path for the -json report")
-	flag.Parse()
-	targets := flag.Args()
-	if len(targets) == 0 {
-		// "recovery", "rejoin", "reconfig" and "shard" are not listed:
-		// the commit benchmark already embeds the full E9–E12 sweeps in
-		// its report, and running them twice would double the slowest
-		// cells of the suite. All remain available as explicit targets.
-		targets = []string{"figure1", "abortrate", "overlap", "async", "queries", "ordering", "pipeline", "commit"}
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintln(w, "usage: otpbench [-quick] [experiment ...]")
+		fmt.Fprintln(w, "       otpbench [-quick] chaos [-seed S] [-v] [-dump dir] [scenario ...]")
+		flag.PrintDefaults()
+		fmt.Fprintln(w, "experiments (none named = all of them, in this order):")
+		for _, e := range experiments.Index {
+			fmt.Fprintf(w, "  %-14s %-4s %s\n", e.Name, e.ID, e.Claim)
+		}
 	}
-	if err := run(targets, *quick, *jsonOut, *outPath); err != nil {
+	flag.Parse()
+	if err := run(flag.Args(), *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "otpbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(targets []string, quick, jsonOut bool, outPath string) error {
-	for i, target := range targets {
-		switch target {
-		case "chaos":
-			// Everything after "chaos" is its own argument list.
-			return runChaos(targets[i+1:], quick)
-		case "figure1":
-			p := experiments.DefaultFigure1Params()
-			if quick {
-				p.PerSite = 150
-				p.Intervals = []time.Duration{
-					100 * time.Microsecond, 500 * time.Microsecond,
-					1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
+func run(targets []string, quick bool) error {
+	todo := experiments.Index
+	if len(targets) > 0 {
+		todo = nil
+		for i, target := range targets {
+			e, err := find(target)
+			if err != nil {
+				return err
+			}
+			if target == "chaos" {
+				// The one target with arguments: the rest of the line.
+				if e.Run, err = chaosRun(targets[i+1:]); err != nil {
+					return err
 				}
+				todo = append(todo, e)
+				break
 			}
-			t := experiments.Figure1(p)
+			todo = append(todo, e)
+		}
+	}
+	for _, e := range todo {
+		// A table returned beside an error is the evidence for it.
+		t, err := e.Run(quick)
+		if t.Title != "" {
 			t.Render(os.Stdout)
-		case "abortrate":
-			p := experiments.DefaultAbortRateParams()
-			if quick {
-				p.Txns = 500
-			}
-			t := experiments.AbortRate(p)
-			t.Render(os.Stdout)
-		case "overlap":
-			p := experiments.DefaultOverlapParams()
-			if quick {
-				p.Txns = 15
-			}
-			t, err := experiments.Overlap(p)
-			if err != nil {
-				return fmt.Errorf("overlap: %w", err)
-			}
-			t.Render(os.Stdout)
-		case "async":
-			p := experiments.DefaultVsAsyncParams()
-			if quick {
-				p.IncrementsPerSite = 25
-			}
-			t, err := experiments.VsAsync(p)
-			if err != nil {
-				return fmt.Errorf("async: %w", err)
-			}
-			t.Render(os.Stdout)
-		case "queries":
-			p := experiments.DefaultQueriesParams()
-			if quick {
-				p.TransfersPerSite = 50
-				p.Queries = 20
-			}
-			t, err := experiments.Queries(p)
-			if err != nil {
-				return fmt.Errorf("queries: %w", err)
-			}
-			t.Render(os.Stdout)
-		case "ordering":
-			p := experiments.DefaultOrderingParams()
-			if quick {
-				p.Messages = 25
-			}
-			t, err := experiments.Ordering(p)
-			if err != nil {
-				return fmt.Errorf("ordering: %w", err)
-			}
-			t.Render(os.Stdout)
-		case "pipeline":
-			p := experiments.DefaultPipelineParams()
-			if quick {
-				p.Txns = 300
-				p.Depths = []int{1, 8, 32}
-			}
-			t, err := experiments.Pipeline(p)
-			if err != nil {
-				return fmt.Errorf("pipeline: %w", err)
-			}
-			t.Render(os.Stdout)
-		case "commit":
-			p := experiments.DefaultCommitBenchParams()
-			if quick {
-				p = experiments.QuickCommitBenchParams()
-			}
-			rep, err := experiments.CommitBench(p, quick)
-			if err != nil {
-				return fmt.Errorf("commit: %w", err)
-			}
-			t := rep.Table()
-			t.Render(os.Stdout)
-			if jsonOut {
-				data, err := rep.JSON()
-				if err != nil {
-					return fmt.Errorf("commit: %w", err)
-				}
-				if err := os.WriteFile(outPath, data, 0o644); err != nil {
-					return fmt.Errorf("commit: %w", err)
-				}
-				fmt.Printf("wrote %s\n", outPath)
-			}
-		case "recovery":
-			p := experiments.DefaultRecoveryParams()
-			if quick {
-				p = experiments.QuickRecoveryParams()
-			}
-			rep, err := experiments.RecoveryBench(p)
-			if err != nil {
-				return fmt.Errorf("recovery: %w", err)
-			}
-			t := rep.Table()
-			t.Render(os.Stdout)
-		case "rejoin":
-			p := experiments.DefaultRejoinParams()
-			if quick {
-				p = experiments.QuickRejoinParams()
-			}
-			rep, err := experiments.RejoinBench(p)
-			if err != nil {
-				return fmt.Errorf("rejoin: %w", err)
-			}
-			t := rep.Table()
-			t.Render(os.Stdout)
-		case "reconfig":
-			p := experiments.DefaultReconfigParams()
-			if quick {
-				p = experiments.QuickReconfigParams()
-			}
-			rep, err := experiments.ReconfigBench(p)
-			if err != nil {
-				return fmt.Errorf("reconfig: %w", err)
-			}
-			t := rep.Table()
-			t.Render(os.Stdout)
-		case "shard":
-			p := experiments.DefaultShardBenchParams()
-			if quick {
-				p = experiments.QuickShardBenchParams()
-			}
-			rep, err := experiments.ShardBench(p)
-			if err != nil {
-				return fmt.Errorf("shard: %w", err)
-			}
-			t := rep.Table()
-			t.Render(os.Stdout)
-		case "calibrate":
-			// Hidden helper: print the raw Figure 1 model curve densely.
-			pts := netsim.Figure1Curve(4, 400, netsim.DefaultFigure1Intervals(), 42)
-			for _, pt := range pts {
-				fmt.Printf("%8v  %6.2f%%\n", pt.Interval, pt.Percent)
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", target)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 	}
 	return nil
 }
 
-// runChaos is the E13 matrix as a standalone target: pass/fail per
-// scenario, nonzero exit on any violation.
-func runChaos(args []string, quick bool) error {
+func find(target string) (experiments.Experiment, error) {
+	var names []string
+	for _, e := range experiments.Index {
+		if e.Name == target {
+			return e, nil
+		}
+		names = append(names, e.Name)
+	}
+	return experiments.Experiment{}, fmt.Errorf("unknown experiment %q (have: %s)", target, strings.Join(names, ", "))
+}
+
+// chaosRun is the chaos entry's Run with its own arguments parsed.
+func chaosRun(args []string) (func(quick bool) (experiments.Table, error), error) {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "fault-schedule seed (identical seeds replay identical schedules)")
 	verbose := fs.Bool("v", false, "stream scenario progress and print each fault schedule")
 	dumpDir := fs.String("dump", "", "directory receiving a flight-recorder dump per failed scenario")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
-	p := experiments.ChaosBenchParams{Seed: *seed, Quick: quick, DumpDir: *dumpDir}
-	if *verbose {
-		p.Out = os.Stdout
-	}
-	names := fs.Args()
-	if len(names) > 0 {
-		// A named subset: run exactly these, full-mode definitions.
-		var rep experiments.ChaosReport
-		rep.Seed = *seed
-		rep.ByClass = make(map[string]experiments.ChaosClassStat)
-		for _, name := range names {
-			sc, ok := chaos.Find(name)
-			if !ok {
-				return fmt.Errorf("chaos: unknown scenario %q", name)
-			}
-			res, err := chaos.Run(sc, *seed, chaos.Options{Out: p.Out, DumpDir: *dumpDir})
-			if err != nil {
-				return fmt.Errorf("chaos %s: %w", name, err)
-			}
-			if *verbose {
-				fmt.Printf("schedule for %s seed=%d:\n%s", name, *seed, res.ScheduleText)
-			}
-			rep.Scenarios = append(rep.Scenarios, *res)
+	return func(quick bool) (experiments.Table, error) {
+		p := experiments.ChaosBenchParams{Seed: *seed, Quick: quick, DumpDir: *dumpDir}
+		if *verbose {
+			p.Out = os.Stdout
 		}
-		t := rep.Table()
-		t.Render(os.Stdout)
-		if n := rep.Failures(); n > 0 {
-			return fmt.Errorf("chaos: %d scenario(s) failed their invariants", n)
-		}
-		return nil
-	}
-	rep, err := experiments.ChaosBench(p)
-	if err != nil {
-		return err
-	}
-	t := rep.Table()
-	t.Render(os.Stdout)
-	if n := rep.Failures(); n > 0 {
-		return fmt.Errorf("chaos: %d scenario(s) failed their invariants", n)
-	}
-	return nil
+		return experiments.Chaos(p, fs.Args())
+	}, nil
 }

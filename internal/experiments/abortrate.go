@@ -25,14 +25,18 @@ type AbortRateParams struct {
 	Seed int64
 }
 
-// DefaultAbortRateParams covers the interesting region.
-func DefaultAbortRateParams() AbortRateParams {
-	return AbortRateParams{
+// abortRateParams covers the interesting region.
+func abortRateParams(quick bool) AbortRateParams {
+	p := AbortRateParams{
 		Txns:          2000,
 		Classes:       []int{1, 2, 4, 8, 16, 64},
 		MismatchProbs: []float64{0.01, 0.05, 0.10, 0.25, 0.50},
 		Seed:          7,
 	}
+	if quick {
+		p.Txns = 500
+	}
+	return p
 }
 
 // abortExec is a minimal auto-completing executor for the sweep.
@@ -86,9 +90,6 @@ func runAbortCell(txns, classes int, p float64, rng *rand.Rand) otp.Stats {
 // aborts per committed transaction) as a function of the number of
 // conflict classes and the mismatch probability.
 func AbortRate(p AbortRateParams) Table {
-	if p.Txns == 0 {
-		p = DefaultAbortRateParams()
-	}
 	cols := []string{"classes \\ mismatch"}
 	for _, mp := range p.MismatchProbs {
 		cols = append(cols, fmt.Sprintf("p=%.2f", mp))

@@ -14,11 +14,8 @@ import (
 // invariants held (digest convergence, no lost acked commit, effect-
 // exactly-once, epoch monotonicity) together with the two operational
 // quantities the ROADMAP asks for: commit availability during the fault
-// phase and recovery time per fault class.
-//
-// The rows are serialized into BENCH_commit.json (schema v6) by
-// `otpbench -json commit`; `otpbench chaos [-seed S]` runs the matrix
-// standalone with pass/fail per scenario.
+// phase and recovery time per fault class. `otpbench chaos [-seed S]
+// [scenario ...]` runs it with pass/fail per scenario.
 
 // ChaosBenchParams sizes E13.
 type ChaosBenchParams struct {
@@ -34,42 +31,36 @@ type ChaosBenchParams struct {
 	DumpDir string
 }
 
-// DefaultChaosBenchParams is the tracked configuration.
-func DefaultChaosBenchParams() ChaosBenchParams { return ChaosBenchParams{Seed: 1} }
-
-// QuickChaosBenchParams shrinks the matrix for CI smoke runs.
-func QuickChaosBenchParams() ChaosBenchParams { return ChaosBenchParams{Seed: 1, Quick: true} }
-
 // ChaosClassStat aggregates recovery across every scenario that injected
 // one fault class.
 type ChaosClassStat struct {
 	// Events is how many faults of the class were injected; Recovered how
 	// many of the affected sites acknowledged a commit after repair.
-	Events    int `json:"events"`
-	Recovered int `json:"recovered"`
+	Events    int
+	Recovered int
 	// MeanMillis/MaxMillis are the recovery times: fault injection to the
 	// affected site's first acknowledged commit after repair began.
-	MeanMillis float64 `json:"mean_ms"`
-	MaxMillis  float64 `json:"max_ms"`
+	MeanMillis float64
+	MaxMillis  float64
 	// MinAvailability is the worst commit availability of any scenario
 	// injecting the class (fraction of 100 ms fault-phase buckets with at
 	// least one acknowledged commit somewhere).
-	MinAvailability float64 `json:"min_availability"`
+	MinAvailability float64
 }
 
-// ChaosReport is E13's section of BENCH_commit.json (schema v7).
+// ChaosReport is E13's result.
 type ChaosReport struct {
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Scenarios is the per-scenario outcome, in matrix order.
-	Scenarios []chaos.Result `json:"scenarios"`
+	Scenarios []chaos.Result
 	// ByClass is the aggregated recovery/availability view per fault
 	// class, keyed by chaos.FaultClass.
-	ByClass map[string]ChaosClassStat `json:"by_class"`
+	ByClass map[string]ChaosClassStat
 	// Replace aggregates the auto-replacement hysteresis across every
 	// scenario that won a replacement round: how long the survivors
 	// deliberately waited before acting (detect) versus how long the
 	// repair itself took (rebuild).
-	Replace ReplaceStat `json:"replace"`
+	Replace ReplaceStat
 }
 
 // ReplaceStat aggregates auto-replacement phase timings across the
@@ -77,13 +68,13 @@ type ChaosReport struct {
 type ReplaceStat struct {
 	// Rounds is how many replacement rounds were won; Rebuilt how many
 	// completed their state transfer.
-	Rounds  int `json:"rounds"`
-	Rebuilt int `json:"rebuilt"`
+	Rounds  int
+	Rebuilt int
 	// MeanDetectMillis is the mean sustained-suspicion window before a
 	// survivor acted; MeanRebuildMillis the mean membership-commit plus
 	// state-transfer time that followed.
-	MeanDetectMillis  float64 `json:"mean_detect_ms"`
-	MeanRebuildMillis float64 `json:"mean_rebuild_ms"`
+	MeanDetectMillis  float64
+	MeanRebuildMillis float64
 }
 
 // Failures counts scenarios whose invariants did not hold.
@@ -97,19 +88,55 @@ func (r ChaosReport) Failures() int {
 	return n
 }
 
-// ChaosBench runs E13: the shipped scenario matrix at one seed. An
-// invariant violation is a failed row, not an error; err is reserved for
-// harness failures.
-func ChaosBench(p ChaosBenchParams) (ChaosReport, error) {
-	rep := ChaosReport{Seed: p.Seed, ByClass: make(map[string]ChaosClassStat)}
-	for _, sc := range chaos.Scenarios(p.Quick) {
+// Chaos runs E13 and renders it; a scenario that failed its invariants
+// is an error beside the table, so the caller's exit code is the verdict.
+func Chaos(p ChaosBenchParams, names []string) (Table, error) {
+	rep, err := ChaosBench(p, names)
+	if err != nil {
+		return Table{}, err
+	}
+	if n := rep.Failures(); n > 0 {
+		err = fmt.Errorf("%d scenario(s) failed their invariants", n)
+	}
+	return rep.Table(), err
+}
+
+// ChaosBench runs E13 at one seed: the named scenarios, or the shipped
+// matrix when names is empty. An invariant violation is a failed row,
+// not an error; err is reserved for harness failures.
+func ChaosBench(p ChaosBenchParams, names []string) (ChaosReport, error) {
+	scenarios := chaos.Scenarios(p.Quick)
+	if len(names) > 0 {
+		scenarios = nil
+		for _, name := range names {
+			sc, ok := chaos.Find(name)
+			if !ok {
+				return ChaosReport{}, fmt.Errorf("unknown scenario %q", name)
+			}
+			scenarios = append(scenarios, sc)
+		}
+	}
+	var results []chaos.Result
+	for _, sc := range scenarios {
 		res, err := chaos.Run(sc, p.Seed, chaos.Options{Out: p.Out, DumpDir: p.DumpDir})
 		if err != nil {
-			return rep, fmt.Errorf("chaos %s: %w", sc.Name, err)
+			return ChaosReport{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
-		rep.Scenarios = append(rep.Scenarios, *res)
+		if p.Out != nil {
+			fmt.Fprintf(p.Out, "schedule for %s seed=%d:\n%s", sc.Name, p.Seed, res.ScheduleText)
+		}
+		results = append(results, *res)
+	}
+	return chaosReport(p.Seed, results), nil
+}
+
+// chaosReport aggregates scenario results per fault class and across
+// auto-replacement rounds.
+func chaosReport(seed int64, results []chaos.Result) ChaosReport {
+	rep := ChaosReport{Seed: seed, Scenarios: results, ByClass: make(map[string]ChaosClassStat)}
+	for _, res := range results {
 		for class, st := range res.Recovery {
-			agg := rep.ByClass[class]
+			agg, seen := rep.ByClass[class]
 			// st.MeanMs is a mean over st.Recovered sites; re-weight into
 			// the running aggregate before normalizing below.
 			agg.MeanMillis += st.MeanMs * float64(st.Recovered)
@@ -118,7 +145,8 @@ func ChaosBench(p ChaosBenchParams) (ChaosReport, error) {
 			if st.MaxMs > agg.MaxMillis {
 				agg.MaxMillis = st.MaxMs
 			}
-			if agg.MinAvailability == 0 || res.Availability < agg.MinAvailability {
+			// An availability of 0 is a measurement, not "unset".
+			if !seen || res.Availability < agg.MinAvailability {
 				agg.MinAvailability = res.Availability
 			}
 			rep.ByClass[class] = agg
@@ -144,13 +172,13 @@ func ChaosBench(p ChaosBenchParams) (ChaosReport, error) {
 	if rep.Replace.Rebuilt > 0 {
 		rep.Replace.MeanRebuildMillis /= float64(rep.Replace.Rebuilt)
 	}
-	return rep, nil
+	return rep
 }
 
 // Table renders E13 as the otpbench plain-text tables.
 func (r ChaosReport) Table() Table {
 	t := Table{
-		Title: "E13 — Chaos matrix: invariants under injected faults (tracked in BENCH_commit.json)",
+		Title: "E13 — Chaos matrix: invariants under injected faults",
 		Columns: []string{
 			"scenario", "sites", "shards", "events", "acked", "avail", "result",
 		},

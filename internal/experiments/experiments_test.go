@@ -177,7 +177,7 @@ func TestShardBenchShape(t *testing.T) {
 			len(rep.Scale), len(rep.ScaleDurable), len(rep.Cross))
 	}
 	for _, c := range append(append([]ShardScaleCell{}, rep.Scale...), rep.ScaleDurable...) {
-		if c.ThroughputPerSec <= 0 {
+		if c.PerSec <= 0 {
 			t.Fatalf("cell %+v has non-positive throughput", c)
 		}
 	}
@@ -185,7 +185,7 @@ func TestShardBenchShape(t *testing.T) {
 	if rep.Cross[0].CrossTxns != 10 {
 		t.Fatalf("cross txns = %d, want 10", rep.Cross[0].CrossTxns)
 	}
-	if rep.Cross[0].ThroughputPerSec <= 0 {
+	if rep.Cross[0].PerSec <= 0 {
 		t.Fatalf("cross cell %+v has non-positive throughput", rep.Cross[0])
 	}
 }

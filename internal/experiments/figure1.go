@@ -20,23 +20,28 @@ type Figure1Params struct {
 	Seed int64
 }
 
-// DefaultFigure1Params mirrors the paper's setup.
-func DefaultFigure1Params() Figure1Params {
-	return Figure1Params{
+// figure1Params mirrors the paper's setup; quick thins the sweep.
+func figure1Params(quick bool) Figure1Params {
+	p := Figure1Params{
 		Sites:     4,
 		PerSite:   400,
 		Intervals: netsim.DefaultFigure1Intervals(),
 		Seed:      1999,
 	}
+	if quick {
+		p.PerSite = 150
+		p.Intervals = []time.Duration{
+			100 * time.Microsecond, 500 * time.Microsecond,
+			1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
+		}
+	}
+	return p
 }
 
 // Figure1 reproduces Figure 1: the percentage of spontaneously totally
 // ordered messages as a function of the interval between consecutive
 // broadcasts at each site.
 func Figure1(p Figure1Params) Table {
-	if p.Sites == 0 {
-		p = DefaultFigure1Params()
-	}
 	points := netsim.Figure1Curve(p.Sites, p.PerSite, p.Intervals, p.Seed)
 	t := Table{
 		Title:   "Figure 1 — spontaneous total order vs inter-send interval",

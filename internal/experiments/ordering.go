@@ -25,14 +25,18 @@ type OrderingParams struct {
 	Jitter time.Duration
 }
 
-// DefaultOrderingParams uses a 3-site LAN-ish setup.
-func DefaultOrderingParams() OrderingParams {
-	return OrderingParams{
+// orderingParams uses a 3-site LAN-ish setup.
+func orderingParams(quick bool) OrderingParams {
+	p := OrderingParams{
 		Sites:    3,
 		Messages: 50,
 		NetDelay: time.Millisecond,
 		Jitter:   500 * time.Microsecond,
 	}
+	if quick {
+		p.Messages = 25
+	}
+	return p
 }
 
 // orderingRun measures, for one engine, the mean Opt latency (broadcast
@@ -145,9 +149,6 @@ func orderingRun(p OrderingParams, optimistic bool) (optLat, toLat metrics.Summa
 // trip. The gap between the Opt and TO columns is exactly the window OTP
 // hides behind transaction execution.
 func Ordering(p OrderingParams) (Table, error) {
-	if p.Sites == 0 {
-		p = DefaultOrderingParams()
-	}
 	t := Table{
 		Title: "E7b — ordering engines: OPT-ABcast vs fixed sequencer",
 		Columns: []string{

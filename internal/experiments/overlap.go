@@ -25,9 +25,9 @@ type OverlapParams struct {
 	Txns int
 }
 
-// DefaultOverlapParams sweeps D around E.
-func DefaultOverlapParams() OverlapParams {
-	return OverlapParams{
+// overlapParams sweeps D around E.
+func overlapParams(quick bool) OverlapParams {
+	p := OverlapParams{
 		ExecTime: 4 * time.Millisecond,
 		ConfirmDelays: []time.Duration{
 			0,
@@ -39,6 +39,10 @@ func DefaultOverlapParams() OverlapParams {
 		},
 		Txns: 40,
 	}
+	if quick {
+		p.Txns = 15
+	}
+	return p
 }
 
 // overlapCell measures mean commit latency with a scripted broadcast:
@@ -101,9 +105,6 @@ func overlapCell(execTime, confirm time.Duration, txns int, optimistic bool) (ti
 // commit latency approaches max(E, D) while conservative processing pays
 // E + D; the saving grows with the confirmation delay until D dominates.
 func Overlap(p OverlapParams) (Table, error) {
-	if p.Txns == 0 {
-		p = DefaultOverlapParams()
-	}
 	t := Table{
 		Title: "E3 — commit latency: OTP (overlapped) vs conservative (execute-after-order)",
 		Columns: []string{

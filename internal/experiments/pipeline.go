@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"otpdb"
-	"otpdb/internal/metrics"
 )
 
 // PipelineParams configures the client-pipelining experiment: the same
@@ -28,93 +27,36 @@ type PipelineParams struct {
 	Jitter time.Duration
 }
 
-// DefaultPipelineParams sweeps depth from synchronous to 128-deep.
-func DefaultPipelineParams() PipelineParams {
-	return PipelineParams{
+// pipelineParams sweeps depth from synchronous to 128-deep.
+func pipelineParams(quick bool) PipelineParams {
+	p := PipelineParams{
 		Sites:  3,
 		Txns:   1500,
 		Depths: []int{1, 8, 32, 128},
 		Jitter: 200 * time.Microsecond,
 	}
+	if quick {
+		p.Txns = 300
+		p.Depths = []int{1, 8, 32}
+	}
+	return p
 }
 
 // pipelineCell drives Txns increments through one session at the given
 // depth and reports throughput, latency and the outcome split.
-func pipelineCell(p PipelineParams, depth int) (perSec float64, lat metrics.Summary, fast, reordered, retried int, err error) {
-	opts := []otpdb.Option{otpdb.WithReplicas(p.Sites)}
-	if p.Jitter > 0 {
-		opts = append(opts, otpdb.WithNetworkJitter(p.Jitter))
-	}
-	cluster, err := otpdb.NewCluster(opts...)
+func pipelineCell(p PipelineParams, depth int) (Load, error) {
+	cluster, sess, err := counterSession(otpdb.WithReplicas(p.Sites), otpdb.WithNetworkJitter(p.Jitter))
 	if err != nil {
-		return 0, metrics.Summary{}, 0, 0, 0, err
+		return Load{}, err
 	}
 	defer cluster.Stop()
-	cluster.MustRegisterUpdate(otpdb.Update{
-		Name:  "incr",
-		Class: "counter",
-		Fn: func(ctx otpdb.UpdateCtx) (otpdb.Value, error) {
-			cur, _ := ctx.Read("n")
-			next := otpdb.Int64(otpdb.AsInt64(cur) + 1)
-			return next, ctx.Write("n", next)
-		},
-	})
-	if err := cluster.Start(); err != nil {
-		return 0, metrics.Summary{}, 0, 0, 0, err
-	}
-	sess, err := cluster.Session(0)
+	ld, err := drive(sess, p.Txns, depth, always("incr"))
 	if err != nil {
-		return 0, metrics.Summary{}, 0, 0, 0, err
+		return Load{}, err
 	}
-
-	ctx := context.Background()
-	hist := metrics.NewHistogram()
-	account := func(res otpdb.Result) {
-		hist.Observe(res.Latency)
-		switch res.Outcome {
-		case otpdb.Reordered:
-			reordered++
-		case otpdb.Retried:
-			retried++
-		default:
-			fast++
-		}
-	}
-
-	start := time.Now()
-	// Sliding window of in-flight handles: submit until `depth` are
-	// outstanding, then resolve the oldest before submitting the next.
-	window := make([]*otpdb.Handle, 0, depth)
-	for i := 0; i < p.Txns; i++ {
-		if len(window) == depth {
-			res, werr := window[0].Wait(ctx)
-			if werr != nil {
-				return 0, metrics.Summary{}, 0, 0, 0, werr
-			}
-			account(res)
-			window = window[1:]
-		}
-		h, serr := sess.SubmitAsync("incr")
-		if serr != nil {
-			return 0, metrics.Summary{}, 0, 0, 0, serr
-		}
-		window = append(window, h)
-	}
-	for _, h := range window {
-		res, werr := h.Wait(ctx)
-		if werr != nil {
-			return 0, metrics.Summary{}, 0, 0, 0, werr
-		}
-		account(res)
-	}
-	elapsed := time.Since(start)
-
-	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	wctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := cluster.WaitForCommits(wctx, p.Txns); err != nil {
-		return 0, metrics.Summary{}, 0, 0, 0, err
-	}
-	return float64(p.Txns) / elapsed.Seconds(), hist.Summarize(), fast, reordered, retried, nil
+	return ld, cluster.WaitForCommits(wctx, p.Txns)
 }
 
 // Pipeline measures Session API throughput as a function of pipeline
@@ -123,9 +65,6 @@ func pipelineCell(p PipelineParams, depth int) (perSec float64, lat metrics.Summ
 // protocol runs concurrently with submission and throughput approaches
 // what the scheduler can sustain.
 func Pipeline(p PipelineParams) (Table, error) {
-	if p.Sites == 0 {
-		p = DefaultPipelineParams()
-	}
 	t := Table{
 		Title: "E6 — Session pipelining: throughput vs in-flight depth (SubmitAsync)",
 		Columns: []string{
@@ -138,18 +77,18 @@ func Pipeline(p PipelineParams) (Table, error) {
 		},
 	}
 	for _, depth := range p.Depths {
-		perSec, lat, fast, reordered, retried, err := pipelineCell(p, depth)
+		ld, err := pipelineCell(p, depth)
 		if err != nil {
 			return Table{}, fmt.Errorf("depth %d: %w", depth, err)
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", depth),
-			fmt.Sprintf("%.0f", perSec),
-			lat.Mean.Round(time.Microsecond).String(),
-			lat.P95.Round(time.Microsecond).String(),
-			fmt.Sprintf("%d", fast),
-			fmt.Sprintf("%d", reordered),
-			fmt.Sprintf("%d", retried),
+			fmt.Sprintf("%.0f", ld.PerSec),
+			ld.Mean.Round(time.Microsecond).String(),
+			ld.P95.Round(time.Microsecond).String(),
+			fmt.Sprintf("%d", ld.FastPath),
+			fmt.Sprintf("%d", ld.Reordered),
+			fmt.Sprintf("%d", ld.Retried),
 		)
 	}
 	return t, nil

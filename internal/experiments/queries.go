@@ -26,10 +26,14 @@ type QueriesParams struct {
 	Queries int
 }
 
-// DefaultQueriesParams uses two sites and two classes, the minimal
+// queriesParams uses two sites and two classes, the minimal
 // configuration that exposes the Section 5 anomaly for dirty reads.
-func DefaultQueriesParams() QueriesParams {
-	return QueriesParams{Sites: 2, Classes: 2, TransfersPerSite: 150, Queries: 60}
+func queriesParams(quick bool) QueriesParams {
+	p := QueriesParams{Sites: 2, Classes: 2, TransfersPerSite: 150, Queries: 60}
+	if quick {
+		p.TransfersPerSite, p.Queries = 50, 20
+	}
+	return p
 }
 
 // registerQueries: per-class transfer (conserves the class total) plus a
@@ -163,9 +167,6 @@ func queriesCell(p QueriesParams, dirty bool) (qLat metrics.Summary, updPerSec f
 // amount; dirty reads can observe torn states and break
 // 1-copy-serializability.
 func Queries(p QueriesParams) (Table, error) {
-	if p.Sites == 0 {
-		p = DefaultQueriesParams()
-	}
 	t := Table{
 		Title: "E5 — snapshot queries (§5) vs dirty-read baseline",
 		Columns: []string{

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"otpdb"
 )
 
 // This file is E11 (DESIGN.md §4): the reconfiguration benchmark. The
@@ -17,9 +15,6 @@ import (
 // as in E10; the extra work the epoch machinery adds (quorum switch,
 // tracker fan-out) is what this experiment bounds. A grow cell times
 // AddSite the same way.
-//
-// The cells are serialized into BENCH_commit.json (schema v4) by
-// `otpbench -json commit`; `otpbench reconfig` runs them standalone.
 
 // ReconfigParams sizes E11.
 type ReconfigParams struct {
@@ -31,37 +26,37 @@ type ReconfigParams struct {
 	Keys int
 }
 
-// DefaultReconfigParams is the tracked configuration.
-func DefaultReconfigParams() ReconfigParams {
-	return ReconfigParams{Sites: 3, Backlogs: []int{500, 2000, 8000}, Keys: 64}
-}
-
-// QuickReconfigParams shrinks the sweep for CI smoke runs.
-func QuickReconfigParams() ReconfigParams {
-	return ReconfigParams{Sites: 3, Backlogs: []int{100, 400}, Keys: 32}
+// reconfigParams sizes E11; quick shrinks the sweep for CI smoke runs.
+func reconfigParams(quick bool) ReconfigParams {
+	p := ReconfigParams{Sites: 3, Backlogs: []int{500, 2000, 8000}, Keys: 64}
+	if quick {
+		p.Backlogs = []int{100, 400}
+		p.Keys = 32
+	}
+	return p
 }
 
 // ReconfigCell is one measured membership operation.
 type ReconfigCell struct {
 	// Op is "replace" or "add".
-	Op string `json:"op"`
+	Op string
 	// Missed is the number of commits the dead site missed ("replace")
 	// or the group had already committed ("add").
-	Missed int `json:"missed_commits"`
+	Missed int
 	// Epoch is the membership epoch after the change.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// OpMillis is the wall time from the operation being issued to the
 	// new/replacement site serving in agreement (all missed commits
 	// applied at every live site).
-	OpMillis float64 `json:"op_ms"`
+	OpMillis float64
 	// MissedPerSec is Missed / op time — catch-up bandwidth including
 	// the reconfiguration overhead.
-	MissedPerSec float64 `json:"missed_per_sec"`
+	MissedPerSec float64
 }
 
-// ReconfigReport is the E11 payload inside BENCH_commit.json.
+// ReconfigReport is E11's result.
 type ReconfigReport struct {
-	Cells []ReconfigCell `json:"cells"`
+	Cells []ReconfigCell
 }
 
 // ReconfigBench runs E11.
@@ -85,90 +80,37 @@ func ReconfigBench(p ReconfigParams) (ReconfigReport, error) {
 	return rep, nil
 }
 
-// reconfigCell measures one membership operation end to end.
+// reconfigCell measures one membership operation end to end, from the
+// same starting state as an E10 cell (the victim is down only for a
+// replace).
 func reconfigCell(p ReconfigParams, missed int, op string) (ReconfigCell, error) {
-	cluster, err := otpdb.NewCluster(otpdb.WithReplicas(p.Sites))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	cluster, committed, err := backlogCluster(ctx, p.Sites, p.Keys, missed, op == "replace")
 	if err != nil {
 		return ReconfigCell{}, err
 	}
 	defer cluster.Stop()
-	cluster.MustRegisterUpdate(otpdb.Update{
-		Name:  "bump",
-		Class: "c",
-		Fn: func(ctx otpdb.UpdateCtx) (otpdb.Value, error) {
-			key := otpdb.Key(otpdb.AsString(ctx.Args()[0]))
-			v, _ := ctx.Read(key)
-			next := otpdb.Int64(otpdb.AsInt64(v) + 1)
-			return next, ctx.Write(key, next)
-		},
-	})
-	if err := cluster.Start(); err != nil {
-		return ReconfigCell{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-
-	submit := func(n, from int) error {
-		for i := 0; i < n; i++ {
-			key := otpdb.String(fmt.Sprintf("k%d", (from+i)%p.Keys))
-			if _, err := cluster.Submit(0, "bump", key); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	const warm = 20
-	if err := submit(warm, 0); err != nil {
-		return ReconfigCell{}, err
-	}
-	if err := cluster.WaitForCommits(ctx, warm); err != nil {
-		return ReconfigCell{}, err
-	}
-	victim := p.Sites - 1
-	if op == "replace" {
-		if err := cluster.CrashSite(victim); err != nil {
-			return ReconfigCell{}, err
-		}
-	}
-	if err := submit(missed, warm); err != nil {
-		return ReconfigCell{}, err
-	}
-	if err := cluster.WaitForCommits(ctx, warm+missed); err != nil {
-		return ReconfigCell{}, err
-	}
 
 	start := time.Now()
-	target := victim
-	switch op {
-	case "replace":
-		if err := cluster.ReplaceSite(ctx, victim); err != nil {
-			return ReconfigCell{}, err
-		}
-	case "add":
-		site, err := cluster.AddSite(ctx)
-		if err != nil {
-			return ReconfigCell{}, err
-		}
-		target = site
+	target := p.Sites - 1
+	if op == "replace" {
+		err = cluster.ReplaceSite(ctx, target)
+	} else {
+		target, err = cluster.AddSite(ctx)
+	}
+	if err != nil {
+		return ReconfigCell{}, err
 	}
 	// The operation is complete once every live site — including the
 	// new/replacement one — has committed everything plus the change.
-	if err := cluster.WaitForCommits(ctx, warm+missed+1); err != nil {
+	if err := cluster.WaitForCommits(ctx, committed+1); err != nil {
 		return ReconfigCell{}, err
 	}
 	elapsed := time.Since(start)
 
-	d0, err := cluster.DigestAt(0)
-	if err != nil {
-		return ReconfigCell{}, err
-	}
-	dt, err := cluster.DigestAt(target)
-	if err != nil {
-		return ReconfigCell{}, err
-	}
-	if d0 != dt {
-		return ReconfigCell{}, fmt.Errorf("site %d digest diverged after %s", target, op)
+	if err := agree(cluster, target); err != nil {
+		return ReconfigCell{}, fmt.Errorf("after %s: %w", op, err)
 	}
 	epoch, err := cluster.Epoch(target)
 	if err != nil {
@@ -189,7 +131,7 @@ func reconfigCell(p ReconfigParams, missed int, op string) (ReconfigCell, error)
 // Table renders E11 as the otpbench plain-text tables.
 func (r ReconfigReport) Table() Table {
 	t := Table{
-		Title: "E11 — Reconfiguration: replace/grow a live group (tracked in BENCH_commit.json)",
+		Title: "E11 — Reconfiguration: replace/grow a live group",
 		Columns: []string{
 			"op", "missed", "epoch", "time", "catch-up rate",
 		},

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
 
 	"otpdb"
-	"otpdb/internal/metrics"
 	"otpdb/internal/recovery"
 	"otpdb/internal/storage"
 	"otpdb/internal/wal"
@@ -20,8 +18,6 @@ import (
 //     checkpoint bounding replay — the knob WithCheckpointEvery turns;
 //   - commit throughput under each WAL fsync policy against the
 //     non-durable baseline — the price of WithDurability.
-//
-// Both are serialized into BENCH_commit.json by `otpbench -json commit`.
 
 // RecoveryParams sizes E9.
 type RecoveryParams struct {
@@ -35,50 +31,45 @@ type RecoveryParams struct {
 	FsyncTxns int
 }
 
-// DefaultRecoveryParams is the tracked configuration.
-func DefaultRecoveryParams() RecoveryParams {
-	return RecoveryParams{
+// recoveryParams sizes E9; quick shrinks the sweep for CI smoke runs.
+func recoveryParams(quick bool) RecoveryParams {
+	p := RecoveryParams{
 		LogLengths:   []int{5_000, 20_000, 50_000},
 		WritesPerTxn: 2,
 		ValueBytes:   64,
 		FsyncTxns:    2000,
 	}
-}
-
-// QuickRecoveryParams shrinks the sweep for CI smoke runs.
-func QuickRecoveryParams() RecoveryParams {
-	return RecoveryParams{
-		LogLengths:   []int{2_000, 5_000},
-		WritesPerTxn: 2,
-		ValueBytes:   64,
-		FsyncTxns:    400,
+	if quick {
+		p.LogLengths = []int{2_000, 5_000}
+		p.FsyncTxns = 400
 	}
+	return p
 }
 
 // RecoveryCell is one recovery-time measurement.
 type RecoveryCell struct {
 	// Records is the number of committed transactions on disk.
-	Records int `json:"records"`
+	Records int
 	// Checkpointed reports whether a checkpoint at half the log bounded
 	// the replay (the WithCheckpointEvery effect).
-	Checkpointed bool `json:"checkpointed"`
+	Checkpointed bool
 	// RecoveryMillis is the wall time of Open + Recover.
-	RecoveryMillis float64 `json:"recovery_ms"`
+	RecoveryMillis float64
 	// RecordsPerSec is Records / recovery time.
-	RecordsPerSec float64 `json:"records_per_sec"`
+	RecordsPerSec float64
 }
 
 // FsyncCell is one fsync-policy throughput measurement.
 type FsyncCell struct {
 	// Policy is "none" (durability off), "off", "group" or "commit".
-	Policy string `json:"policy"`
-	LatencyStats
+	Policy string
+	Load
 }
 
-// RecoveryReport is the E9 payload inside BENCH_commit.json.
+// RecoveryReport is E9's result.
 type RecoveryReport struct {
-	RecoveryTime []RecoveryCell `json:"recovery_time"`
-	FsyncPolicy  []FsyncCell    `json:"fsync_policy"`
+	RecoveryTime []RecoveryCell
+	FsyncPolicy  []FsyncCell
 }
 
 // RecoveryBench runs E9.
@@ -185,48 +176,19 @@ func fsyncPolicyCell(p RecoveryParams, policy string) (FsyncCell, error) {
 		}
 		opts = append(opts, otpdb.WithDurability(dir), otpdb.WithSyncPolicy(sync))
 	}
-	cluster, err := otpdb.NewCluster(opts...)
+	cluster, sess, err := counterSession(opts...)
 	if err != nil {
 		return FsyncCell{}, err
 	}
 	defer cluster.Stop()
-	cluster.MustRegisterUpdate(otpdb.Update{
-		Name:  "bump",
-		Class: "c",
-		Fn: func(ctx otpdb.UpdateCtx) (otpdb.Value, error) {
-			v, _ := ctx.Read("k")
-			next := otpdb.Int64(otpdb.AsInt64(v) + 1)
-			return next, ctx.Write("k", next)
-		},
-	})
-	if err := cluster.Start(); err != nil {
-		return FsyncCell{}, err
-	}
-	sess, err := cluster.Session(0)
-	if err != nil {
-		return FsyncCell{}, err
-	}
-	ctx := context.Background()
-	hist := metrics.NewHistogram()
-	start := time.Now()
-	for i := 0; i < p.FsyncTxns; i++ {
-		res, err := sess.Exec(ctx, "bump")
-		if err != nil {
-			return FsyncCell{}, err
-		}
-		hist.Observe(res.Latency)
-	}
-	elapsed := time.Since(start)
-	return FsyncCell{
-		Policy:       policy,
-		LatencyStats: latencyStats(hist.Summarize(), float64(p.FsyncTxns)/elapsed.Seconds()),
-	}, nil
+	ld, err := drive(sess, p.FsyncTxns, 1, always("incr"))
+	return FsyncCell{Policy: policy, Load: ld}, err
 }
 
 // Table renders E9 as the otpbench plain-text tables.
 func (r RecoveryReport) Table() Table {
 	t := Table{
-		Title: "E9 — Durability & recovery (tracked in BENCH_commit.json)",
+		Title: "E9 — Durability & recovery",
 		Columns: []string{
 			"cell", "n", "txn/s or ms", "detail",
 		},
@@ -242,8 +204,8 @@ func (r RecoveryReport) Table() Table {
 	}
 	for _, c := range r.FsyncPolicy {
 		t.AddRow("fsync="+c.Policy, fmt.Sprintf("%d", c.Count),
-			fmt.Sprintf("%.0f txn/s", c.ThroughputPerSec),
-			fmt.Sprintf("mean %.1fµs p99 %.1fµs", c.MeanMicros, c.P99Micros))
+			fmt.Sprintf("%.0f txn/s", c.PerSec),
+			fmt.Sprintf("mean %s p99 %s", micros(c.Mean), micros(c.P99)))
 	}
 	return t
 }

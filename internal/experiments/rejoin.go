@@ -19,9 +19,6 @@ import (
 //   - checkpoint+tail: the retention ring has evicted the gap, so the
 //     donor streams a full checkpoint first (cost is dominated by state
 //     size, not backlog length).
-//
-// The cells are serialized into BENCH_commit.json (schema v3) by
-// `otpbench -json commit`; `otpbench rejoin` runs them standalone.
 
 // RejoinParams sizes E10.
 type RejoinParams struct {
@@ -36,43 +33,33 @@ type RejoinParams struct {
 	EvictCap int
 }
 
-// DefaultRejoinParams is the tracked configuration.
-func DefaultRejoinParams() RejoinParams {
-	return RejoinParams{
-		Sites:    3,
-		Backlogs: []int{500, 2000, 8000},
-		Keys:     64,
-		EvictCap: 64,
+// rejoinParams sizes E10; quick shrinks the sweep for CI smoke runs.
+func rejoinParams(quick bool) RejoinParams {
+	p := RejoinParams{Sites: 3, Backlogs: []int{500, 2000, 8000}, Keys: 64, EvictCap: 64}
+	if quick {
+		p.Backlogs = []int{100, 400}
+		p.Keys = 32
 	}
-}
-
-// QuickRejoinParams shrinks the sweep for CI smoke runs.
-func QuickRejoinParams() RejoinParams {
-	return RejoinParams{
-		Sites:    3,
-		Backlogs: []int{100, 400},
-		Keys:     32,
-		EvictCap: 64,
-	}
+	return p
 }
 
 // RejoinCell is one measured rejoin.
 type RejoinCell struct {
 	// Missed is the number of commits the victim was down for.
-	Missed int `json:"missed_commits"`
+	Missed int
 	// Mode is the negotiated transfer shape ("tail-only" or
 	// "checkpoint+tail").
-	Mode string `json:"mode"`
+	Mode string
 	// RejoinMillis is the wall time from RestartSite to the victim
 	// having committed every missed transaction.
-	RejoinMillis float64 `json:"rejoin_ms"`
+	RejoinMillis float64
 	// MissedPerSec is Missed / rejoin time — catch-up bandwidth.
-	MissedPerSec float64 `json:"missed_per_sec"`
+	MissedPerSec float64
 }
 
-// RejoinReport is the E10 payload inside BENCH_commit.json.
+// RejoinReport is E10's result.
 type RejoinReport struct {
-	Cells []RejoinCell `json:"cells"`
+	Cells []RejoinCell
 }
 
 // RejoinBench runs E10.
@@ -90,23 +77,16 @@ func RejoinBench(p RejoinParams) (RejoinReport, error) {
 	return rep, nil
 }
 
-// rejoinCell crashes the last site, commits `missed` transactions
-// through the survivors, and times the full rejoin. With evict set the
-// cluster's retained history is capped below `missed`, forcing the
-// checkpoint+tail fallback; the cell fails if the negotiated mode is
-// not the one the configuration was built to produce.
-func rejoinCell(p RejoinParams, missed int, evict bool) (RejoinCell, error) {
-	opts := []otpdb.Option{otpdb.WithReplicas(p.Sites)}
-	wantMode := "tail-only"
-	if evict {
-		opts = append(opts, otpdb.WithDefLogCap(p.EvictCap))
-		wantMode = "checkpoint+tail"
-	}
-	cluster, err := otpdb.NewCluster(opts...)
+// backlogCluster is where every E10/E11 cell starts measuring: a cluster
+// of `sites` replicas with a keyed "bump" procedure, a committed warm-up,
+// the last site crashed if crash is set, and `missed` further commits
+// through site 0. It returns the cluster (the caller stops it) and how
+// many transactions every live site has committed.
+func backlogCluster(ctx context.Context, sites, keys, missed int, crash bool, opts ...otpdb.Option) (*otpdb.Cluster, int, error) {
+	cluster, err := otpdb.NewCluster(append(opts, otpdb.WithReplicas(sites))...)
 	if err != nil {
-		return RejoinCell{}, err
+		return nil, 0, err
 	}
-	defer cluster.Stop()
 	cluster.MustRegisterUpdate(otpdb.Update{
 		Name:  "bump",
 		Class: "c",
@@ -117,39 +97,68 @@ func rejoinCell(p RejoinParams, missed int, evict bool) (RejoinCell, error) {
 			return next, ctx.Write(key, next)
 		},
 	})
-	if err := cluster.Start(); err != nil {
-		return RejoinCell{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-
-	victim := p.Sites - 1
-	submit := func(n, from int) error {
-		for i := 0; i < n; i++ {
-			key := otpdb.String(fmt.Sprintf("k%d", (from+i)%p.Keys))
-			if _, err := cluster.Submit(0, "bump", key); err != nil {
+	const warm = 20
+	commit := func(from, to int) error {
+		for i := from; i < to; i++ {
+			if _, err := cluster.Submit(0, "bump", otpdb.String(fmt.Sprintf("k%d", i%keys))); err != nil {
 				return err
 			}
 		}
-		return nil
+		return cluster.WaitForCommits(ctx, to)
 	}
+	err = cluster.Start()
+	if err == nil {
+		err = commit(0, warm)
+	}
+	if err == nil && crash {
+		err = cluster.CrashSite(sites - 1)
+	}
+	if err == nil {
+		err = commit(warm, warm+missed)
+	}
+	if err != nil {
+		cluster.Stop()
+		return nil, 0, err
+	}
+	return cluster, warm + missed, nil
+}
 
-	const warm = 20
-	if err := submit(warm, 0); err != nil {
+// agree fails unless site's state digest equals site 0's.
+func agree(cluster *otpdb.Cluster, site int) error {
+	d0, err := cluster.DigestAt(0)
+	if err != nil {
+		return err
+	}
+	d, err := cluster.DigestAt(site)
+	if err != nil {
+		return err
+	}
+	if d != d0 {
+		return fmt.Errorf("site %d digest diverged from site 0", site)
+	}
+	return nil
+}
+
+// rejoinCell crashes the last site, commits `missed` transactions
+// through the survivors, and times the full rejoin. With evict set the
+// cluster's retained history is capped below `missed`, forcing the
+// checkpoint+tail fallback; the cell fails if the negotiated mode is
+// not the one the configuration was built to produce.
+func rejoinCell(p RejoinParams, missed int, evict bool) (RejoinCell, error) {
+	var opts []otpdb.Option
+	wantMode := "tail-only"
+	if evict {
+		opts = append(opts, otpdb.WithDefLogCap(p.EvictCap))
+		wantMode = "checkpoint+tail"
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	cluster, committed, err := backlogCluster(ctx, p.Sites, p.Keys, missed, true, opts...)
+	if err != nil {
 		return RejoinCell{}, err
 	}
-	if err := cluster.WaitForCommits(ctx, warm); err != nil {
-		return RejoinCell{}, err
-	}
-	if err := cluster.CrashSite(victim); err != nil {
-		return RejoinCell{}, err
-	}
-	if err := submit(missed, warm); err != nil {
-		return RejoinCell{}, err
-	}
-	if err := cluster.WaitForCommits(ctx, warm+missed); err != nil {
-		return RejoinCell{}, err
-	}
+	defer cluster.Stop()
+	victim := p.Sites - 1
 
 	start := time.Now()
 	if err := cluster.RestartSite(ctx, victim); err != nil {
@@ -157,7 +166,7 @@ func rejoinCell(p RejoinParams, missed int, evict bool) (RejoinCell, error) {
 	}
 	// Rejoin is complete once the victim has committed everything it
 	// missed (WaitForCommits spans every live site again).
-	if err := cluster.WaitForCommits(ctx, warm+missed); err != nil {
+	if err := cluster.WaitForCommits(ctx, committed); err != nil {
 		return RejoinCell{}, err
 	}
 	elapsed := time.Since(start)
@@ -169,16 +178,8 @@ func rejoinCell(p RejoinParams, missed int, evict bool) (RejoinCell, error) {
 	if mode != wantMode {
 		return RejoinCell{}, fmt.Errorf("negotiated %s, cell is built for %s", mode, wantMode)
 	}
-	d0, err := cluster.DigestAt(0)
-	if err != nil {
+	if err := agree(cluster, victim); err != nil {
 		return RejoinCell{}, err
-	}
-	dv, err := cluster.DigestAt(victim)
-	if err != nil {
-		return RejoinCell{}, err
-	}
-	if d0 != dv {
-		return RejoinCell{}, fmt.Errorf("victim digest diverged after rejoin")
 	}
 	return RejoinCell{
 		Missed:       missed,
@@ -191,7 +192,7 @@ func rejoinCell(p RejoinParams, missed int, evict bool) (RejoinCell, error) {
 // Table renders E10 as the otpbench plain-text tables.
 func (r RejoinReport) Table() Table {
 	t := Table{
-		Title: "E10 — Live rejoin via state transfer (tracked in BENCH_commit.json)",
+		Title: "E10 — Live rejoin via state transfer",
 		Columns: []string{
 			"mode", "missed", "rejoin", "catch-up rate",
 		},

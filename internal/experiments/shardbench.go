@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
 	"time"
 
 	"otpdb"
-	"otpdb/internal/metrics"
 )
 
 // This file is E12 (DESIGN.md §10): horizontal scaling across shard
@@ -53,8 +51,21 @@ type ShardBenchParams struct {
 	CrossTxns int
 }
 
-// DefaultShardBenchParams is the tracked configuration.
-func DefaultShardBenchParams() ShardBenchParams {
+// shardParams sizes E12; quick shrinks every sweep for CI smoke runs.
+func shardParams(quick bool) ShardBenchParams {
+	if quick {
+		return ShardBenchParams{
+			Replicas:    1,
+			Shards:      []int{1, 2, 4},
+			Txns:        600,
+			Depth:       32,
+			FlushDelay:  200 * time.Microsecond,
+			DurableTxns: 300,
+			CrossShards: 2,
+			CrossRatios: []float64{0, 0.10, 0.50},
+			CrossTxns:   150,
+		}
+	}
 	return ShardBenchParams{
 		Replicas:    3,
 		Shards:      []int{1, 2, 4, 8},
@@ -68,58 +79,43 @@ func DefaultShardBenchParams() ShardBenchParams {
 	}
 }
 
-// QuickShardBenchParams shrinks the sweep for CI smoke runs.
-func QuickShardBenchParams() ShardBenchParams {
-	return ShardBenchParams{
-		Replicas:    1,
-		Shards:      []int{1, 2, 4},
-		Txns:        600,
-		Depth:       32,
-		FlushDelay:  200 * time.Microsecond,
-		DurableTxns: 300,
-		CrossShards: 2,
-		CrossRatios: []float64{0, 0.10, 0.50},
-		CrossTxns:   150,
-	}
-}
-
 // ShardScaleCell is one shard count's aggregate durable throughput.
 type ShardScaleCell struct {
-	Shards int `json:"shards"`
-	LatencyStats
+	Shards int
+	Load
 	// SpeedupVs1 is this cell's throughput over the 1-shard cell's.
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
+	SpeedupVs1 float64
 }
 
 // ShardCrossCell is one cross-shard ratio's throughput at a fixed shard
 // count.
 type ShardCrossCell struct {
-	Shards int `json:"shards"`
+	Shards int
 	// CrossPercent is the share of transactions spanning two shards.
-	CrossPercent float64 `json:"cross_percent"`
+	CrossPercent float64
 	// CrossTxns is how many of the cell's transactions were cross-shard.
-	CrossTxns int `json:"cross_txns"`
-	LatencyStats
+	CrossTxns int
+	Load
 }
 
-// ShardReport is E12's section of BENCH_commit.json (schema v5).
+// ShardReport is E12's result.
 type ShardReport struct {
-	Replicas int `json:"replicas_per_shard"`
+	Replicas int
 	// FlushMicros is the nominal modeled per-commit flush device of the
 	// primary scaling sweep (see the file comment for why it is modeled).
-	FlushMicros float64 `json:"flush_us"`
+	FlushMicros float64
 	// EffectiveFlushMicros is the calibrated duration one flush-device
 	// wait actually takes on this host.
-	EffectiveFlushMicros float64 `json:"effective_flush_us"`
+	EffectiveFlushMicros float64
 	// Scale is the primary sweep: aggregate throughput per shard count
 	// over the modeled flush device.
-	Scale []ShardScaleCell `json:"scale"`
+	Scale []ShardScaleCell
 	// ScaleDurable is the same sweep against the host filesystem with
 	// fsync=commit; its ceiling is the filesystem journal's concurrent-
 	// fsync capacity, reported for honesty about real-disk behavior.
-	ScaleDurable []ShardScaleCell `json:"scale_durable"`
+	ScaleDurable []ShardScaleCell
 	// Cross is the cross-shard ratio sweep (modeled flush device).
-	Cross []ShardCrossCell `json:"cross"`
+	Cross []ShardCrossCell
 }
 
 // shardCluster builds a durable sharded cluster with classes c<i> pinned
@@ -174,72 +170,35 @@ func shardCluster(replicas, shards int, withCross bool, opts ...otpdb.Option) (*
 	return cluster, nil
 }
 
-// runPipelined drives txns transactions through one session with a
-// bounded window of in-flight handles, procedure chosen per index.
-// Returns throughput and the latency summary.
-func runPipelined(sess *otpdb.Session, txns, depth int, proc func(i int) (string, []otpdb.Value)) (float64, metrics.Summary, error) {
-	hist := metrics.NewHistogram()
-	window := make([]*otpdb.Handle, 0, depth)
-	drain := func(keep int) error {
-		for len(window) > keep {
-			h := window[0]
-			window = window[1:]
-			res, err := h.Wait(context.Background())
-			if err != nil {
-				return err
-			}
-			hist.Observe(res.Latency)
-		}
-		return nil
+// shardCell drives txns transactions, depth in flight, through one
+// session of a fresh sharded cluster.
+func shardCell(p ShardBenchParams, shards int, withCross bool, txns int, opts []otpdb.Option, proc func(i int) (string, []otpdb.Value)) (Load, error) {
+	cluster, err := shardCluster(p.Replicas, shards, withCross, opts...)
+	if err != nil {
+		return Load{}, err
 	}
-	start := time.Now()
-	for i := 0; i < txns; i++ {
-		name, args := proc(i)
-		h, err := sess.SubmitAsync(name, args...)
-		if err != nil {
-			return 0, metrics.Summary{}, err
-		}
-		window = append(window, h)
-		if err := drain(depth - 1); err != nil {
-			return 0, metrics.Summary{}, err
-		}
+	defer cluster.Stop()
+	sess, err := cluster.Session(0)
+	if err != nil {
+		return Load{}, err
 	}
-	if err := drain(0); err != nil {
-		return 0, metrics.Summary{}, err
-	}
-	elapsed := time.Since(start)
-	return float64(txns) / elapsed.Seconds(), hist.Summarize(), nil
+	return drive(sess, txns, p.Depth, proc)
 }
 
 // scaleSweep runs one scaling sweep: aggregate pipelined throughput per
-// shard count, speedup relative to the sweep's own 1-shard cell.
-func scaleSweep(p ShardBenchParams, txns int, opts ...otpdb.Option) ([]ShardScaleCell, error) {
+// shard count, speedup relative to the sweep's own 1-shard cell. opts
+// yields each cell's cluster options.
+func scaleSweep(p ShardBenchParams, txns int, opts func(shards int) []otpdb.Option) ([]ShardScaleCell, error) {
 	var cells []ShardScaleCell
 	for _, s := range p.Shards {
-		perSec, lat, err := func() (float64, metrics.Summary, error) {
-			cluster, err := shardCluster(p.Replicas, s, false, opts...)
-			if err != nil {
-				return 0, metrics.Summary{}, err
-			}
-			defer cluster.Stop()
-			sess, err := cluster.Session(0)
-			if err != nil {
-				return 0, metrics.Summary{}, err
-			}
-			return runPipelined(sess, txns, p.Depth, func(i int) (string, []otpdb.Value) {
-				return fmt.Sprintf("bump-c%d", i%s), nil
-			})
-		}()
+		ld, err := shardCell(p, s, false, txns, opts(s), func(i int) (string, []otpdb.Value) {
+			return fmt.Sprintf("bump-c%d", i%s), nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("shards=%d: %w", s, err)
 		}
-		cell := ShardScaleCell{Shards: s, LatencyStats: latencyStats(lat, perSec)}
-		if len(cells) > 0 && cells[0].ThroughputPerSec > 0 {
-			cell.SpeedupVs1 = perSec / cells[0].ThroughputPerSec
-		} else {
-			cell.SpeedupVs1 = 1
-		}
-		cells = append(cells, cell)
+		cells = append(cells, ShardScaleCell{Shards: s, Load: ld})
+		cells[len(cells)-1].SpeedupVs1 = ld.PerSec / cells[0].PerSec
 	}
 	return cells, nil
 }
@@ -268,77 +227,48 @@ func ShardBench(p ShardBenchParams) (ShardReport, error) {
 	}
 
 	// Primary sweep: modeled per-group flush device.
-	scale, err := scaleSweep(p, p.Txns, otpdb.WithCommitFlushDelay(p.FlushDelay))
+	flush := []otpdb.Option{otpdb.WithCommitFlushDelay(p.FlushDelay)}
+	var err error
+	rep.Scale, err = scaleSweep(p, p.Txns, func(int) []otpdb.Option { return flush })
 	if err != nil {
 		return rep, fmt.Errorf("scale: %w", err)
 	}
-	rep.Scale = scale
 
 	// Honesty sweep: real per-commit fsync on the host filesystem. Each
 	// cell gets a fresh durable directory.
-	durable, err := func() ([]ShardScaleCell, error) {
-		dir, err := os.MkdirTemp("", "otpdb-shardbench")
-		if err != nil {
-			return nil, err
+	dir, err := os.MkdirTemp("", "otpdb-shardbench")
+	if err != nil {
+		return rep, err
+	}
+	defer os.RemoveAll(dir)
+	rep.ScaleDurable, err = scaleSweep(p, p.DurableTxns, func(s int) []otpdb.Option {
+		return []otpdb.Option{
+			otpdb.WithDurability(fmt.Sprintf("%s/s%d", dir, s)),
+			otpdb.WithSyncPolicy(otpdb.SyncEveryCommit),
 		}
-		defer os.RemoveAll(dir)
-		var cells []ShardScaleCell
-		for _, s := range p.Shards {
-			sub := fmt.Sprintf("%s/s%d", dir, s)
-			one, err := scaleSweep(ShardBenchParams{
-				Replicas: p.Replicas, Shards: []int{s}, Depth: p.Depth,
-			}, p.DurableTxns,
-				otpdb.WithDurability(sub), otpdb.WithSyncPolicy(otpdb.SyncEveryCommit))
-			if err != nil {
-				return nil, err
-			}
-			cell := one[0]
-			if len(cells) > 0 && cells[0].ThroughputPerSec > 0 {
-				cell.SpeedupVs1 = cell.ThroughputPerSec / cells[0].ThroughputPerSec
-			}
-			cells = append(cells, cell)
-		}
-		return cells, nil
-	}()
+	})
 	if err != nil {
 		return rep, fmt.Errorf("scale durable: %w", err)
 	}
-	rep.ScaleDurable = durable
 
 	for _, ratio := range p.CrossRatios {
-		cross := 0
-		perSec, lat, err := func() (float64, metrics.Summary, error) {
-			cluster, err := shardCluster(p.Replicas, p.CrossShards, true,
-				otpdb.WithCommitFlushDelay(p.FlushDelay))
-			if err != nil {
-				return 0, metrics.Summary{}, err
+		// Deterministic Bresenham-style interleaving of cross-shard
+		// transactions at the requested ratio.
+		cross, acc := 0, 0.0
+		ld, err := shardCell(p, p.CrossShards, true, p.CrossTxns, flush, func(i int) (string, []otpdb.Value) {
+			acc += ratio
+			if acc >= 1 {
+				acc--
+				cross++
+				return "xfer", []otpdb.Value{otpdb.String(fmt.Sprintf("x%d", i))}
 			}
-			defer cluster.Stop()
-			sess, err := cluster.Session(0)
-			if err != nil {
-				return 0, metrics.Summary{}, err
-			}
-			// Deterministic Bresenham-style interleaving of cross-shard
-			// transactions at the requested ratio.
-			acc := 0.0
-			return runPipelined(sess, p.CrossTxns, p.Depth, func(i int) (string, []otpdb.Value) {
-				acc += ratio
-				if acc >= 1 {
-					acc--
-					cross++
-					return "xfer", []otpdb.Value{otpdb.String(fmt.Sprintf("x%d", i))}
-				}
-				return fmt.Sprintf("bump-c%d", i%p.CrossShards), nil
-			})
-		}()
+			return fmt.Sprintf("bump-c%d", i%p.CrossShards), nil
+		})
 		if err != nil {
 			return rep, fmt.Errorf("cross ratio=%.2f: %w", ratio, err)
 		}
 		rep.Cross = append(rep.Cross, ShardCrossCell{
-			Shards:       p.CrossShards,
-			CrossPercent: ratio * 100,
-			CrossTxns:    cross,
-			LatencyStats: latencyStats(lat, perSec),
+			Shards: p.CrossShards, CrossPercent: ratio * 100, CrossTxns: cross, Load: ld,
 		})
 	}
 	return rep, nil
@@ -358,21 +288,20 @@ func (r ShardReport) Table() Table {
 			"(the host fs journal serializes concurrent fsyncs, capping the durable sweep)",
 		},
 	}
-	us := func(f float64) string { return fmt.Sprintf("%.1fµs", f) }
 	for _, c := range r.Scale {
 		t.AddRow(fmt.Sprintf("scale shards=%d", c.Shards), fmt.Sprintf("%d", c.Count),
-			fmt.Sprintf("%.0f", c.ThroughputPerSec), fmt.Sprintf("%.2fx", c.SpeedupVs1),
-			us(c.MeanMicros), us(c.P99Micros))
+			fmt.Sprintf("%.0f", c.PerSec), fmt.Sprintf("%.2fx", c.SpeedupVs1),
+			micros(c.Mean), micros(c.P99))
 	}
 	for _, c := range r.ScaleDurable {
 		t.AddRow(fmt.Sprintf("durable shards=%d", c.Shards), fmt.Sprintf("%d", c.Count),
-			fmt.Sprintf("%.0f", c.ThroughputPerSec), fmt.Sprintf("%.2fx", c.SpeedupVs1),
-			us(c.MeanMicros), us(c.P99Micros))
+			fmt.Sprintf("%.0f", c.PerSec), fmt.Sprintf("%.2fx", c.SpeedupVs1),
+			micros(c.Mean), micros(c.P99))
 	}
 	for _, c := range r.Cross {
 		t.AddRow(fmt.Sprintf("cross shards=%d ratio=%.0f%%", c.Shards, c.CrossPercent),
-			fmt.Sprintf("%d", c.Count), fmt.Sprintf("%.0f", c.ThroughputPerSec),
-			"-", us(c.MeanMicros), us(c.P99Micros))
+			fmt.Sprintf("%d", c.Count), fmt.Sprintf("%.0f", c.PerSec),
+			"-", micros(c.Mean), micros(c.P99))
 	}
 	return t
 }

@@ -1,9 +1,9 @@
 // Package experiments implements the reproduction harness: one runner per
 // paper artifact (Figure 1 and the quantitative claims of Sections 1, 3
-// and 5), each returning a formatted table with the same rows/series the
-// paper reports. cmd/otpbench prints them; bench_test.go wraps them in
-// testing.B benchmarks. The experiment index lives in DESIGN.md and the
-// measured results in EXPERIMENTS.md.
+// and 5) and per cluster-scope quantity the repo adds, each returning a
+// formatted table. Index (index.go) is the one list of them: cmd/otpbench
+// runs and prints its entries, DESIGN.md §4 documents them row for row,
+// and bench_test.go wraps some of the same cells in testing.B benchmarks.
 package experiments
 
 import (

@@ -26,12 +26,16 @@ type VsAsyncParams struct {
 	NetDelay time.Duration
 }
 
-// DefaultVsAsyncParams uses a 3-site cluster with a LAN-ish delay.
-func DefaultVsAsyncParams() VsAsyncParams {
-	return VsAsyncParams{Sites: 3, IncrementsPerSite: 60, NetDelay: 2 * time.Millisecond}
+// vsAsyncParams uses a 3-site cluster with a LAN-ish delay.
+func vsAsyncParams(quick bool) VsAsyncParams {
+	p := VsAsyncParams{Sites: 3, IncrementsPerSite: 60, NetDelay: 2 * time.Millisecond}
+	if quick {
+		p.IncrementsPerSite = 25
+	}
+	return p
 }
 
-// incr is the conflicting workload: every site increments one counter.
+// incr is the conflicting workload: every call increments one counter.
 var incr = sproc.Update{
 	Name:  "incr",
 	Class: "counter",
@@ -186,9 +190,6 @@ func runAsyncSide(p VsAsyncParams) (vsAsyncResult, error) {
 // but loses updates and diverges; OTP pays the broadcast and loses
 // nothing.
 func VsAsync(p VsAsyncParams) (Table, error) {
-	if p.Sites == 0 {
-		p = DefaultVsAsyncParams()
-	}
 	otpRes, err := runOTPSide(p)
 	if err != nil {
 		return Table{}, fmt.Errorf("otp side: %w", err)
