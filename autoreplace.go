@@ -161,7 +161,7 @@ func (c *Cluster) tryAutoReplace(self, victim int, suspectedAt time.Time) {
 	defer cancel()
 	for g := range captured {
 		snap := captured[g]
-		_, err := c.proposeChange(ctx, g, self, func(member.Config) (member.Config, error) {
+		_, err := c.proposeChange(ctx, g, self, func(int, member.Config) (member.Config, error) {
 			return snap.WithReplace(transport.NodeID(victim), "")
 		})
 		if err == nil {
@@ -170,7 +170,7 @@ func (c *Cluster) tryAutoReplace(self, victim int, suspectedAt time.Time) {
 		if g == 0 || !errors.Is(err, member.ErrEpochConflict) {
 			return
 		}
-		if _, rerr := c.proposeChange(ctx, g, self, func(cfg member.Config) (member.Config, error) {
+		if _, rerr := c.proposeChange(ctx, g, self, func(_ int, cfg member.Config) (member.Config, error) {
 			return cfg.WithReplace(transport.NodeID(victim), "")
 		}); rerr != nil {
 			return

@@ -58,12 +58,12 @@ func BenchmarkAbortRate(b *testing.B) {
 // core scheduler: one Opt+TO+execution cycle per iteration.
 func BenchmarkOTPManager(b *testing.B) {
 	exec := &autoExec{}
-	mgr := otp.NewManager(exec, otp.Hooks{})
+	mgr := otp.NewMultiManager(exec, otp.MultiHooks{})
 	exec.mgr = mgr
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := abcast.MsgID{Origin: 0, Seq: uint64(i + 1)}
-		if err := mgr.OnOptDeliver(id, "c", nil); err != nil {
+		if err := mgr.OnOptDeliver(id, oneClass, nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := mgr.OnTODeliver(id); err != nil {
@@ -75,19 +75,23 @@ func BenchmarkOTPManager(b *testing.B) {
 	}
 }
 
-// autoExec completes executions synchronously.
-type autoExec struct{ mgr *otp.Manager }
+// oneClass is the class set of every scheduler micro-benchmark
+// transaction: the paper's one-class-per-transaction model.
+var oneClass = []otp.ClassID{"c"}
 
-func (e *autoExec) Submit(tx *otp.Txn, epoch int) { e.mgr.OnExecuted(tx.ID, epoch) }
-func (e *autoExec) Abort(*otp.Txn)                {}
-func (e *autoExec) Commit(*otp.Txn)               {}
+// autoExec completes executions synchronously.
+type autoExec struct{ mgr *otp.MultiManager }
+
+func (e *autoExec) Submit(tx *otp.MultiTxn, epoch int) { e.mgr.OnExecuted(tx.ID, epoch) }
+func (e *autoExec) Abort(*otp.MultiTxn)                {}
+func (e *autoExec) Commit(*otp.MultiTxn)               {}
 
 // BenchmarkOTPManagerWithMismatch measures the scheduler including the
 // abort/reorder path: every other TO confirmation contradicts the
 // tentative order.
 func BenchmarkOTPManagerWithMismatch(b *testing.B) {
 	exec := &autoExec{}
-	mgr := otp.NewManager(exec, otp.Hooks{})
+	mgr := otp.NewMultiManager(exec, otp.MultiHooks{})
 	exec.mgr = mgr
 	b.ResetTimer()
 	seq := uint64(0)
@@ -95,10 +99,10 @@ func BenchmarkOTPManagerWithMismatch(b *testing.B) {
 		a := abcast.MsgID{Origin: 0, Seq: seq + 1}
 		c := abcast.MsgID{Origin: 0, Seq: seq + 2}
 		seq += 2
-		if err := mgr.OnOptDeliver(a, "c", nil); err != nil {
+		if err := mgr.OnOptDeliver(a, oneClass, nil); err != nil {
 			b.Fatal(err)
 		}
-		if err := mgr.OnOptDeliver(c, "c", nil); err != nil {
+		if err := mgr.OnOptDeliver(c, oneClass, nil); err != nil {
 			b.Fatal(err)
 		}
 		// Definitive order reverses the tentative one.

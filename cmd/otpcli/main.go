@@ -1,5 +1,7 @@
 // Command otpcli talks to an otpd replica and prints the replies. See
-// cmd/otpd for the protocol and an example cluster.
+// cmd/otpd for the protocol and an example cluster; run otpcli without
+// arguments for the grammar. Both are internal/lineproto's verb table,
+// which also tells otpcli how many lines a reply has.
 //
 // One-shot mode sends a single command:
 //
@@ -57,6 +59,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"otpdb/internal/lineproto"
 )
 
 func main() {
@@ -66,6 +70,8 @@ func main() {
 	if !*stdin && flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: otpcli [-addr host:port] COMMAND [args...]")
 		fmt.Fprintln(os.Stderr, "       otpcli [-addr host:port] -stdin < commands.txt")
+		fmt.Fprintln(os.Stderr, "commands and their replies:")
+		fmt.Fprintln(os.Stderr, "  "+strings.ReplaceAll(lineproto.Grammar(), "\n", "\n  "))
 		os.Exit(2)
 	}
 	var err error
@@ -86,57 +92,34 @@ func run(addr string, args []string) error {
 		return err
 	}
 	defer func() { _ = conn.Close() }()
-	if _, err := fmt.Fprintln(conn, strings.Join(args, " ")); err != nil {
+	line := strings.Join(args, " ")
+	if _, err := fmt.Fprintln(conn, line); err != nil {
 		return err
 	}
 	sc := bufio.NewScanner(conn)
 	if !sc.Scan() {
 		return fmt.Errorf("no reply: %v", sc.Err())
 	}
-	if len(args) > 0 && (strings.EqualFold(args[0], "STATUS") || strings.EqualFold(args[0], "STATS")) {
-		// A sharded replica replies with a summary line announcing
-		// shards=N followed by one SHARD line per group; collect them all.
-		lines := []string{sc.Text()}
-		for i := shardCount(sc.Text()); i > 0 && sc.Scan(); i-- {
+	// The verb table says how the reply is framed: how many lines the
+	// first one announces after it.
+	lines := []string{sc.Text()}
+	v, _, _ := lineproto.Lookup(strings.Fields(line))
+	if v != nil {
+		for i := lineproto.Continuation(v, lines[0]); i > 0 && sc.Scan(); i-- {
 			lines = append(lines, sc.Text())
 		}
-		if strings.EqualFold(args[0], "STATUS") {
-			printStatus(lines)
-		} else {
-			fmt.Println(strings.Join(lines, "\n"))
-		}
-		return nil
 	}
-	if len(args) > 0 && (strings.EqualFold(args[0], "METRICS") || strings.EqualFold(args[0], "TRACE")) {
-		// Multi-line replies: the first line announces n=<count>
-		// continuation lines (series or JSON spans); collect them all.
-		lines := []string{sc.Text()}
-		for i := lineCount(sc.Text()); i > 0 && sc.Scan(); i-- {
-			lines = append(lines, sc.Text())
-		}
-		if strings.EqualFold(args[0], "METRICS") {
-			printMetrics(lines)
-		} else {
-			printTrace(lines)
-		}
-		return nil
+	switch {
+	case strings.EqualFold(args[0], "STATUS"):
+		printStatus(lines)
+	case v != nil && v.Name == "METRICS":
+		printMetrics(lines)
+	case v != nil && v.Name == "TRACE":
+		printTrace(lines)
+	default:
+		fmt.Println(strings.Join(lines, "\n"))
 	}
-	fmt.Println(sc.Text())
 	return nil
-}
-
-// lineCount extracts n=N from a METRICS/TRACE header line (0 when the
-// reply is an ERR or an older server's).
-func lineCount(reply string) int {
-	for _, f := range strings.Fields(reply) {
-		if v, ok := strings.CutPrefix(f, "n="); ok {
-			var n int
-			if _, err := fmt.Sscanf(v, "%d", &n); err == nil {
-				return n
-			}
-		}
-	}
-	return 0
 }
 
 // printMetrics pretty-prints a METRICS reply: series grouped by family
@@ -264,57 +247,30 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d.Microseconds())/1000)
 }
 
-// shardCount extracts shards=N from a STATS summary line (0 when absent,
-// i.e. a single-shard replica's one-line reply).
-func shardCount(reply string) int {
-	for _, f := range strings.Fields(reply) {
-		if v, ok := strings.CutPrefix(f, "shards="); ok {
-			var n int
-			if _, err := fmt.Sscanf(v, "%d", &n); err == nil {
-				return n
-			}
-		}
-	}
-	return 0
-}
-
 // printStatus renders a STATS reply one field per line; in sharded mode
 // each shard's counters follow, indented under a "shard <id>:" header.
 // Anything unexpected (an ERR, an older server) is printed verbatim.
 func printStatus(lines []string) {
-	fields := strings.Fields(lines[0])
-	if len(fields) < 2 || fields[0] != "STATS" {
+	if !strings.HasPrefix(lines[0], "STATS ") {
 		fmt.Println(strings.Join(lines, "\n"))
 		return
 	}
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			fmt.Println(f)
-			continue
-		}
-		fmt.Printf("%-10s %s\n", k+":", v)
-	}
-	for _, line := range lines[1:] {
-		sf := strings.Fields(line)
-		if len(sf) < 2 || sf[0] != "SHARD" {
+	for i, line := range lines {
+		fields, indent := strings.Fields(line), ""
+		if len(fields) < 2 {
 			fmt.Println(line)
 			continue
 		}
-		if id, ok := strings.CutPrefix(sf[1], "id="); ok {
+		fields = fields[1:]
+		if i > 0 {
+			// SHARD id=<g> ...: the id heads the shard's block.
+			id, _ := strings.CutPrefix(fields[0], "id=")
 			fmt.Printf("shard %s:\n", id)
-			sf = sf[2:]
-		} else {
-			fmt.Println("shard:")
-			sf = sf[1:]
+			fields, indent = fields[1:], "  "
 		}
-		for _, f := range sf {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				fmt.Printf("  %s\n", f)
-				continue
-			}
-			fmt.Printf("  %-10s %s\n", k+":", v)
+		for _, f := range fields {
+			k, v, _ := strings.Cut(f, "=")
+			fmt.Printf("%s%-10s %s\n", indent, k+":", v)
 		}
 	}
 }

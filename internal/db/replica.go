@@ -695,12 +695,6 @@ func (r *Replica) failWaiter(id abcast.MsgID, err error) {
 	r.resolveWaiter(id, CommitResult{Err: err})
 }
 
-// Submit TO-broadcasts an update transaction without waiting for its
-// commit. The returned ID can be observed via the scheduler's commit log.
-func (r *Replica) Submit(proc string, args ...storage.Value) (abcast.MsgID, error) {
-	return r.SubmitNotify(proc, args, nil)
-}
-
 // SubmitNotify TO-broadcasts an update transaction and registers fn to be
 // called exactly once with the local commit outcome (or a terminal
 // error). fn may be nil for fire-and-forget submission. fn runs on a
@@ -829,9 +823,7 @@ func (r *Replica) Query(ctx context.Context, name string, args ...storage.Value)
 	if snap.err != nil {
 		return nil, snap.err
 	}
-	if r.hist != nil {
-		r.hist.RecordQuery(r.id, snap.qIndex, snap.reads)
-	}
+	snap.Record()
 	return res, nil
 }
 
@@ -887,11 +879,25 @@ func (s *QuerySnap) Close() {
 	s.r.mu.Unlock()
 }
 
-// QIndex reports the definitive index the snapshot reads at.
-func (s *QuerySnap) QIndex() int64 { return s.qIndex }
+// OpenSnaps reports how many query snapshots currently pin versions
+// against pruning.
+func (r *Replica) OpenSnaps() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, c := range r.activeSnaps {
+		n += c
+	}
+	return n
+}
 
-// Reads returns the versioned reads performed so far (history recording).
-func (s *QuerySnap) Reads() []QueryRead { return s.reads }
+// Record hands the reads of a query that completed on this snapshot to
+// the replica's history sink, if it has one. Call once, on success.
+func (s *QuerySnap) Record() {
+	if s.r.hist != nil {
+		s.r.hist.RecordQuery(s.r.id, s.qIndex, s.reads)
+	}
+}
 
 // Err reports the first read failure (cancellation, pruned snapshot).
 func (s *QuerySnap) Err() error { return s.err }

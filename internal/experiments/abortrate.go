@@ -40,13 +40,13 @@ func abortRateParams(quick bool) AbortRateParams {
 }
 
 // abortExec is a minimal auto-completing executor for the sweep.
-type abortExec struct{ mgr *otp.Manager }
+type abortExec struct{ mgr *otp.MultiManager }
 
-func (e *abortExec) Submit(tx *otp.Txn, epoch int) { e.mgr.OnExecuted(tx.ID, epoch) }
-func (e *abortExec) Abort(*otp.Txn)                {}
-func (e *abortExec) Commit(*otp.Txn)               {}
+func (e *abortExec) Submit(tx *otp.MultiTxn, epoch int) { e.mgr.OnExecuted(tx.ID, epoch) }
+func (e *abortExec) Abort(*otp.MultiTxn)                {}
+func (e *abortExec) Commit(*otp.MultiTxn)               {}
 
-// AbortRateCell drives one OTP manager through a mismatched schedule with
+// AbortRateCell drives one OTP manager (one class per transaction) through a mismatched schedule with
 // the given parameters and returns its stats — the unit the E2 table and
 // the BenchmarkAbortRate benchmark share.
 func AbortRateCell(txns, classes int, p float64, seed int64) otp.Stats {
@@ -58,12 +58,12 @@ func AbortRateCell(txns, classes int, p float64, seed int64) otp.Stats {
 // number of executed-but-pending heads — the worst case for aborts.
 func runAbortCell(txns, classes int, p float64, rng *rand.Rand) otp.Stats {
 	exec := &abortExec{}
-	mgr := otp.NewManager(exec, otp.Hooks{})
+	mgr := otp.NewMultiManager(exec, otp.MultiHooks{})
 	exec.mgr = mgr
 
-	classOf := make([]otp.ClassID, txns)
+	classOf := make([][]otp.ClassID, txns)
 	for i := range classOf {
-		classOf[i] = otp.ClassID(fmt.Sprintf("c%d", rng.Intn(classes)))
+		classOf[i] = []otp.ClassID{otp.ClassID(fmt.Sprintf("c%d", rng.Intn(classes)))}
 	}
 	tentative := workload.MismatchedOrder(txns, p, rng)
 	id := func(n int) abcast.MsgID { return abcast.MsgID{Origin: 0, Seq: uint64(n + 1)} }

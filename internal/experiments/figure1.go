@@ -49,7 +49,7 @@ func Figure1(p Figure1Params) Table {
 		Notes: []string{
 			fmt.Sprintf("%d sites on a shared 10 Mbit/s Ethernet model, %d msgs/site/point",
 				p.Sites, p.PerSite),
-			"paper anchors: ~82%% near saturation, ~99%% at 4 ms",
+			"paper anchors: ~82% near saturation, ~99% at 4 ms",
 		},
 	}
 	for _, pt := range points {

@@ -43,9 +43,15 @@ type MultiTxn struct {
 	toIndex   int64
 	reordered bool
 
-	// refs/committed gate pool recycling exactly as on Txn: the struct
-	// is reused only when committed and every deferred action has
-	// drained. Typed atomics, same contract as Txn.
+	// refs counts deferred perform() actions still referencing this
+	// struct; committed is set when the commit action is enqueued. The
+	// manager recycles the struct only when it is committed AND every
+	// action (including stale submits superseded by an abort) has
+	// drained — a stale action must keep observing the original ID so
+	// the executor's epoch fence rejects it. Typed atomics so every
+	// access — the pool reset included — goes through Load/Store/Add,
+	// and the embedded noCopy lets vet's copylocks reject struct
+	// copies (the atomiccow analyzer enforces the access side).
 	refs      atomic.Int32
 	committed atomic.Int32
 }
@@ -73,26 +79,49 @@ func (t *MultiTxn) Committed() bool { return t.committed.Load() == 1 }
 // definitive position contradicted the tentative one (CC10).
 func (t *MultiTxn) Reordered() bool { return t.reordered }
 
-// MultiExecutor mirrors Executor for multi-class transactions.
+// MultiExecutor performs the data work on behalf of the manager. Submit
+// must not block: it starts asynchronous execution and the executor later
+// calls MultiManager.OnExecuted with the same epoch. Synchronous
+// executors may call OnExecuted from within Submit; the manager tolerates
+// reentrancy.
+//
+// Abort undoes every effect of a partially or fully executed transaction
+// and cancels an in-flight execution (completions with stale epochs are
+// discarded by the manager as well). Commit makes the transaction's
+// effects permanent and visible, labelled with the definitive index
+// tx.TOIndex() for the multi-version snapshot reads of Section 5.
 type MultiExecutor interface {
 	Submit(tx *MultiTxn, epoch int)
 	Abort(tx *MultiTxn)
 	Commit(tx *MultiTxn)
 }
 
-// MultiHooks mirror Hooks.
+// MultiHooks are optional observation points. OnCommit and OnAbort are
+// invoked outside the manager lock; OnTODelivered is invoked under it (it
+// must be fast and must not call back into the manager).
 type MultiHooks struct {
-	OnCommit      func(tx *MultiTxn)
-	OnAbort       func(tx *MultiTxn)
+	// OnCommit fires after MultiExecutor.Commit for each transaction.
+	OnCommit func(tx *MultiTxn)
+	// OnAbort fires after MultiExecutor.Abort for each CC8 abort.
+	OnAbort func(tx *MultiTxn)
+	// OnTODelivered fires when a transaction's definitive index is
+	// assigned, before any rescheduling. The query layer uses it to track
+	// the largest definitive index per conflict class (Section 5).
 	OnTODelivered func(id abcast.MsgID, classes []ClassID, toIndex int64)
 }
 
 // ErrNoClasses is returned for transactions declaring no conflict class.
 var ErrNoClasses = errors.New("otp: transaction declares no conflict class")
 
-// MultiManager schedules multi-class transactions. The single-class
-// Manager remains the faithful implementation of the paper's pseudocode;
-// this type is the [13]-style generalization.
+// MultiManager is the OTP transaction manager: the Serialization,
+// Execution and Correctness Check modules of Section 3, generalized
+// [13]-style to class sets. It is the only scheduler the product runs; a
+// transaction with one class takes exactly the steps of the paper's
+// Figures 4–6, which the differential test holds it to against the
+// pseudocode-verbatim oracle in oracle_test.go. All methods are safe for
+// concurrent use; the executor callbacks triggered by a method run after
+// its internal lock is released, in protocol order (aborts, then commits,
+// then submissions of that step).
 //
 // MultiTxn structs are recycled after commit: executors and hooks must
 // not retain a *MultiTxn past the return of the callback that received
@@ -155,8 +184,9 @@ func (m *MultiManager) OnOptDeliver(id abcast.MsgID, classes []ClassID, payload 
 		return fmt.Errorf("%w: %v Opt-delivered twice", ErrDuplicate, id)
 	}
 	tx := multiTxnPool.Get().(*MultiTxn)
-	// Field-by-field reset, as in Manager.OnOptDeliver: a whole-struct
-	// write would store refs and committed non-atomically.
+	// Field-by-field reset: a whole-struct write would store refs and
+	// committed non-atomically, racing a late decref from the previous
+	// incarnation's perform() drain.
 	tx.ID = id
 	tx.Classes = sorted
 	tx.Payload = payload
@@ -357,8 +387,12 @@ func (m *MultiManager) perform(acts []multiAction) {
 		case actSubmit:
 			m.exec.Submit(a.tx, a.epoch)
 		}
-		// Flag load BEFORE the decrement — see Manager.perform for the
-		// ordering argument.
+		// Read the committed flag BEFORE the decrement: the decrement is
+		// the release point ordering this iteration before a recycle by
+		// whichever goroutine drains the last reference — a load after
+		// it would race with the pool reuse's reset. If this drainer
+		// observes a stale 0 here the struct is simply left to the GC
+		// (missed reuse, not a leak).
 		committed := a.tx.Committed()
 		if a.tx.refs.Add(-1) == 0 && committed {
 			multiTxnPool.Put(a.tx)

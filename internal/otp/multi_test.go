@@ -2,11 +2,8 @@ package otp
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"otpdb/internal/abcast"
 )
@@ -238,147 +235,5 @@ func TestMultiHooksFire(t *testing.T) {
 	}
 	if commits != 1 || toDelivs != 2 {
 		t.Fatalf("commits=%d toDelivs=%d", commits, toDelivs)
-	}
-}
-
-// multiSchedule drives a MultiManager through a random adversarial
-// schedule: random class sets, mismatched tentative order, interleaved
-// completions. Mirrors the single-class property harness.
-func runMultiSchedule(t *testing.T, numTxns, numClasses int, displacement int, seed int64) (*MultiManager, *recordingMultiExec) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	m, exec := newMulti(false)
-
-	classSets := make(map[uint64][]ClassID, numTxns)
-	for i := 1; i <= numTxns; i++ {
-		n := 1 + rng.Intn(3) // 1-3 classes per txn
-		set := make([]ClassID, 0, n)
-		for j := 0; j < n; j++ {
-			set = append(set, ClassID(fmt.Sprintf("c%d", rng.Intn(numClasses))))
-		}
-		classSets[uint64(i)] = set
-	}
-	tentative := boundedShuffle(numTxns, displacement, rng)
-	oi, ti := 0, 0
-	opted := make(map[uint64]bool)
-	for oi < len(tentative) || ti < numTxns || m.Pending() > 0 {
-		progressed := false
-		switch rng.Intn(3) {
-		case 0:
-			if oi < len(tentative) {
-				n := tentative[oi]
-				oi++
-				opted[n] = true
-				if err := m.OnOptDeliver(id(n), classSets[n], nil); err != nil {
-					t.Fatal(err)
-				}
-				progressed = true
-			}
-		case 1:
-			next := uint64(ti + 1)
-			if ti < numTxns && opted[next] {
-				ti++
-				if err := m.OnTODeliver(id(next)); err != nil {
-					t.Fatal(err)
-				}
-				progressed = true
-			}
-		case 2:
-			exec.mu.Lock()
-			var runnable []abcast.MsgID
-			for rid := range exec.running {
-				runnable = append(runnable, rid)
-			}
-			exec.mu.Unlock()
-			if len(runnable) > 0 {
-				exec.complete(runnable[rng.Intn(len(runnable))])
-				progressed = true
-			}
-		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatalf("invariant violated mid-schedule: %v", err)
-		}
-		if !progressed && oi == len(tentative) && ti == numTxns {
-			exec.mu.Lock()
-			var runnable []abcast.MsgID
-			for rid := range exec.running {
-				runnable = append(runnable, rid)
-			}
-			exec.mu.Unlock()
-			if len(runnable) == 0 && m.Pending() > 0 {
-				t.Fatalf("deadlock: %d pending, nothing running (seed %d)", m.Pending(), seed)
-			}
-			for _, rid := range runnable {
-				exec.complete(rid)
-			}
-		}
-	}
-	return m, exec
-}
-
-// Starvation freedom and deadlock freedom for multi-class transactions.
-func TestQuickMultiStarvationFreedom(t *testing.T) {
-	f := func(seed int64, txns, classes, disp uint8) bool {
-		n := int(txns%25) + 5
-		m, _ := runMultiSchedule(t, n, int(classes%5)+2, int(disp%6), seed)
-		return m.Pending() == 0 && len(m.Committed()) == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Commit order respects the definitive order for every pair of
-// transactions sharing a class (the generalized Lemma 4.1).
-func TestQuickMultiConflictingCommitsFollowTOOrder(t *testing.T) {
-	f := func(seed int64, txns, classes, disp uint8) bool {
-		n := int(txns%25) + 5
-		m, exec := runMultiSchedule(t, n, int(classes%5)+2, int(disp%6), seed)
-		_ = m
-		// Reconstruct commit positions and class sets.
-		pos := make(map[abcast.MsgID]int)
-		for i, cid := range exec.commits {
-			pos[cid] = i
-		}
-		toIdx := make(map[abcast.MsgID]int64)
-		for _, rec := range m.Committed() {
-			toIdx[rec.ID] = rec.TOIndex
-		}
-		// For every committed pair sharing a class, commit order must
-		// follow definitive order. We recover class sets from the
-		// schedule's deterministic RNG replay.
-		rng := rand.New(rand.NewSource(seed))
-		classSets := make(map[uint64]map[ClassID]bool, n)
-		for i := 1; i <= n; i++ {
-			cnt := 1 + rng.Intn(3)
-			set := make(map[ClassID]bool, cnt)
-			for j := 0; j < cnt; j++ {
-				set[ClassID(fmt.Sprintf("c%d", rng.Intn(int(classes%5)+2)))] = true
-			}
-			classSets[uint64(i)] = set
-		}
-		share := func(a, b uint64) bool {
-			for c := range classSets[a] {
-				if classSets[b][c] {
-					return true
-				}
-			}
-			return false
-		}
-		for a := uint64(1); a <= uint64(n); a++ {
-			for b := a + 1; b <= uint64(n); b++ {
-				if !share(a, b) {
-					continue
-				}
-				ia, ib := id(a), id(b)
-				if (toIdx[ia] < toIdx[ib]) != (pos[ia] < pos[ib]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,23 +1,64 @@
 package otp
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"otpdb/internal/abcast"
 )
 
-// Errors reported by the manager. They indicate protocol violations by the
-// layer above (the broadcast must Opt-deliver before TO-delivering and
-// never deliver twice), so callers usually treat them as fatal.
-var (
-	// ErrUnknownTxn is returned by OnTODeliver for a transaction that was
-	// never Opt-delivered (violates the broadcast's Local Order property).
-	ErrUnknownTxn = errors.New("otp: TO-delivery for unknown transaction")
-	// ErrDuplicate is returned when a transaction is delivered twice.
-	ErrDuplicate = errors.New("otp: duplicate delivery")
-)
+// This file is the paper's pseudocode verbatim — one conflict class per
+// transaction, Figures 4–6 line by line (S1–S4, E1–E5, CC1–CC12) — kept
+// as the test oracle of MultiManager, the scheduler the product runs:
+// differential_test.go drives both with the same delivery and completion
+// streams and requires identical executor calls, counters, commit logs
+// and class queues. Nothing outside the package's tests can reach it.
+
+// Txn is the manager's bookkeeping for one update transaction. ID, Class
+// and Payload are immutable after Opt-delivery; the state fields are owned
+// by the Manager and must be read through snapshots (State) by outsiders.
+type Txn struct {
+	// ID is the atomic broadcast message identifier of the transaction
+	// request.
+	ID abcast.MsgID
+	// Class is the transaction's conflict class.
+	Class ClassID
+	// Payload is the opaque transaction request (stored procedure name
+	// and arguments at the database layer).
+	Payload any
+
+	exec    ExecState
+	deliv   DeliveryState
+	running bool
+	epoch   int
+	toIndex int64 // definitive index, assigned at TO-delivery (1-based)
+}
+
+// TOIndex returns the definitive (TO-delivery) index of the transaction,
+// or 0 if it has not been TO-delivered yet. Transaction T_i of the paper's
+// Section 5 has TOIndex i.
+func (t *Txn) TOIndex() int64 { return t.toIndex }
+
+// Epoch returns the abort epoch passed to Executor.Submit; completions
+// from stale epochs are ignored by the manager.
+func (t *Txn) Epoch() int { return t.epoch }
+
+// Executor performs the data work on behalf of the manager. Submit must
+// not block: it starts asynchronous execution (a goroutine in the live
+// engine, a scheduled event in simulations) and the executor later calls
+// Manager.OnExecuted with the same epoch. Synchronous executors may call
+// OnExecuted from within Submit; the manager tolerates reentrancy.
+//
+// Abort undoes every effect of a partially or fully executed transaction
+// and cancels an in-flight execution (completions with stale epochs are
+// discarded by the manager as well). Commit makes the transaction's
+// effects permanent and visible, labelled with the definitive index
+// tx.TOIndex() for the multi-version snapshot reads of Section 5.
+type Executor interface {
+	Submit(tx *Txn, epoch int)
+	Abort(tx *Txn)
+	Commit(tx *Txn)
+}
 
 // Hooks are optional observation points. OnCommit and OnAbort are invoked
 // outside the manager lock; OnTODelivered is invoked under it (it must be
@@ -38,11 +79,6 @@ type Hooks struct {
 // queues. All methods are safe for concurrent use; the executor callbacks
 // triggered by a method run after its internal lock is released, in
 // protocol order (aborts, then commits, then submissions of that step).
-//
-// Txn structs are recycled after commit: executors and hooks must not
-// retain a *Txn past the return of the callback that received it (copy
-// the fields needed instead). Every implementation in this repository
-// already follows that discipline.
 type Manager struct {
 	mu     sync.Mutex
 	exec   Executor
@@ -54,49 +90,6 @@ type Manager struct {
 	committed   commitLog
 	stats       Stats
 }
-
-// txnPool recycles Txn bookkeeping structs: the scheduler allocates one
-// per transaction and the commit hot path is allocation-sensitive.
-var txnPool = sync.Pool{New: func() any { return new(Txn) }}
-
-// commitLogCap bounds the in-memory commit log. An unbounded log is a
-// slow memory leak on a long-running replica (and its reallocation
-// dominated the commit hot path); callers needing the full history
-// should consume the OnCommit hook instead.
-const commitLogCap = 1 << 16
-
-// commitLog is a bounded ring of the most recent commit records.
-type commitLog struct {
-	recs []CommitRecord
-	next int // write position once the ring is full
-}
-
-// add appends a record, evicting the oldest once the ring is full.
-func (l *commitLog) add(rec CommitRecord) {
-	if len(l.recs) < commitLogCap {
-		l.recs = append(l.recs, rec)
-		return
-	}
-	l.recs[l.next] = rec
-	l.next = (l.next + 1) % commitLogCap
-}
-
-// snapshot returns the retained records in commit order.
-func (l *commitLog) snapshot() []CommitRecord {
-	out := make([]CommitRecord, 0, len(l.recs))
-	out = append(out, l.recs[l.next:]...)
-	out = append(out, l.recs[:l.next]...)
-	return out
-}
-
-// actionKind orders deferred executor calls.
-type actionKind int
-
-const (
-	actAbort actionKind = iota + 1
-	actCommit
-	actSubmit
-)
 
 type action struct {
 	kind  actionKind
@@ -123,20 +116,7 @@ func (m *Manager) OnOptDeliver(id abcast.MsgID, class ClassID, payload any) erro
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %v Opt-delivered twice", ErrDuplicate, id)
 	}
-	tx := txnPool.Get().(*Txn)
-	// Field-by-field reset: a whole-struct write would store refs and
-	// committed non-atomically, racing a late decref from the previous
-	// incarnation's perform() drain.
-	tx.ID = id
-	tx.Class = class
-	tx.Payload = payload
-	tx.exec = Active   // S2
-	tx.deliv = Pending // S2
-	tx.running = false
-	tx.epoch = 0
-	tx.toIndex = 0
-	tx.refs.Store(0)
-	tx.committed.Store(0)
+	tx := &Txn{ID: id, Class: class, Payload: payload, exec: Active, deliv: Pending} // S2
 	m.index[id] = tx
 	q := append(m.queues[class], tx) // S1
 	m.queues[class] = q
@@ -222,7 +202,6 @@ func (m *Manager) OnTODeliver(id abcast.MsgID) error {
 func (m *Manager) submitLocked(tx *Txn, acts []action) []action {
 	tx.running = true
 	m.stats.Submits++
-	tx.refs.Add(1)
 	return append(acts, action{kind: actSubmit, tx: tx, epoch: tx.epoch})
 }
 
@@ -238,8 +217,6 @@ func (m *Manager) commitLocked(tx *Txn, acts []action) []action {
 	delete(m.index, tx.ID)
 	m.committed.add(CommitRecord{ID: tx.ID, Class: tx.Class, TOIndex: tx.toIndex})
 	m.stats.Commits++
-	tx.refs.Add(1)
-	tx.committed.Store(1)
 	acts = append(acts, action{kind: actCommit, tx: tx})
 	if next := m.queues[tx.Class]; len(next) > 0 { // E3/CC4
 		if next[0].exec == Executed {
@@ -258,7 +235,6 @@ func (m *Manager) abortLocked(tx *Txn, acts []action) []action {
 	tx.running = false
 	tx.exec = Active
 	m.stats.Aborts++
-	tx.refs.Add(1)
 	return append(acts, action{kind: actAbort, tx: tx})
 }
 
@@ -299,10 +275,7 @@ func (m *Manager) rescheduleLocked(tx *Txn, acts []action) []action {
 }
 
 // perform executes deferred executor calls outside the lock, in protocol
-// order. A committed transaction is recycled once its last deferred
-// action drains — never earlier, so a stale submit superseded by a
-// racing abort still reads the original struct and is rejected by the
-// executor's epoch fence (see the Manager retention contract).
+// order.
 func (m *Manager) perform(acts []action) {
 	for _, a := range acts {
 		switch a.kind {
@@ -318,16 +291,6 @@ func (m *Manager) perform(acts []action) {
 			}
 		case actSubmit:
 			m.exec.Submit(a.tx, a.epoch)
-		}
-		// Read the committed flag BEFORE the decrement: the decrement is
-		// the release point ordering this iteration before a recycle by
-		// whichever goroutine drains the last reference — a load after
-		// it would race with the pool reuse's reset. If this drainer
-		// observes a stale 0 here the struct is simply left to the GC
-		// (missed reuse, not a leak).
-		committed := a.tx.committed.Load() == 1
-		if a.tx.refs.Add(-1) == 0 && committed {
-			txnPool.Put(a.tx)
 		}
 	}
 }

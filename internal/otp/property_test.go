@@ -3,6 +3,7 @@ package otp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,35 +12,53 @@ import (
 
 // schedule is a randomly generated adversarial driver: it interleaves
 // Opt-deliveries (in a site-specific tentative order), TO-deliveries (in
-// the global definitive order) and execution completions, checking the
-// manager invariants after every step.
+// the global definitive order 1..numTxns) and execution completions,
+// checking the manager invariants after every step. Transactions declare
+// one to three of numClasses classes.
 type schedule struct {
 	numTxns    int
 	numClasses int
 	seed       int64
 }
 
-// run drives one manager through the schedule and returns it with its
-// executor. The tentative order is a bounded-displacement shuffle of the
-// definitive order, mimicking spontaneous-order mismatches.
-func (s schedule) run(t *testing.T, displacement int) (*Manager, *recordingExec) {
+// ran is what a schedule leaves behind.
+type ran struct {
+	m       *MultiManager
+	exec    *recordingMultiExec
+	classes map[uint64][]ClassID // class set per transaction
+}
+
+// run drives one manager through the schedule. The class sets depend on
+// the seed alone; the tentative order is a bounded-displacement shuffle of
+// the definitive order, mimicking spontaneous-order mismatches.
+func (s schedule) run(t *testing.T, displacement int) ran {
 	t.Helper()
 	rng := rand.New(rand.NewSource(s.seed))
-	m, exec := newManager(false)
+	m, exec := newMulti(false)
 
-	classOf := make(map[uint64]ClassID, s.numTxns)
+	classSets := make(map[uint64][]ClassID, s.numTxns)
 	for i := 1; i <= s.numTxns; i++ {
-		classOf[uint64(i)] = ClassID(fmt.Sprintf("c%d", rng.Intn(s.numClasses)))
+		n := 1 + rng.Intn(3)
+		set := make([]ClassID, 0, n)
+		for j := 0; j < n; j++ {
+			set = append(set, ClassID(fmt.Sprintf("c%d", rng.Intn(s.numClasses))))
+		}
+		classSets[uint64(i)] = set
 	}
 	tentative := boundedShuffle(s.numTxns, displacement, rng)
-	definitive := make([]uint64, s.numTxns)
-	for i := range definitive {
-		definitive[i] = uint64(i + 1)
-	}
 
+	running := func() []abcast.MsgID {
+		exec.mu.Lock()
+		defer exec.mu.Unlock()
+		var out []abcast.MsgID
+		for rid := range exec.running {
+			out = append(out, rid)
+		}
+		return out
+	}
 	oi, ti := 0, 0
 	opted := make(map[uint64]bool)
-	for oi < len(tentative) || ti < len(definitive) || m.Pending() > 0 {
+	for oi < len(tentative) || ti < s.numTxns || m.Pending() > 0 {
 		progressed := false
 		switch rng.Intn(3) {
 		case 0:
@@ -47,29 +66,22 @@ func (s schedule) run(t *testing.T, displacement int) (*Manager, *recordingExec)
 				n := tentative[oi]
 				oi++
 				opted[n] = true
-				if err := m.OnOptDeliver(id(n), classOf[n], nil); err != nil {
+				if err := m.OnOptDeliver(id(n), classSets[n], nil); err != nil {
 					t.Fatal(err)
 				}
 				progressed = true
 			}
 		case 1:
 			// Local Order: TO only after Opt at this site.
-			if ti < len(definitive) && opted[definitive[ti]] {
-				n := definitive[ti]
+			if next := uint64(ti + 1); ti < s.numTxns && opted[next] {
 				ti++
-				if err := m.OnTODeliver(id(n)); err != nil {
+				if err := m.OnTODeliver(id(next)); err != nil {
 					t.Fatal(err)
 				}
 				progressed = true
 			}
 		case 2:
-			exec.mu.Lock()
-			var runnable []abcast.MsgID
-			for rid := range exec.running {
-				runnable = append(runnable, rid)
-			}
-			exec.mu.Unlock()
-			if len(runnable) > 0 {
+			if runnable := running(); len(runnable) > 0 {
 				exec.complete(runnable[rng.Intn(len(runnable))])
 				progressed = true
 			}
@@ -77,23 +89,30 @@ func (s schedule) run(t *testing.T, displacement int) (*Manager, *recordingExec)
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("invariant violated mid-schedule: %v", err)
 		}
-		if !progressed && oi == len(tentative) && ti == len(definitive) {
+		if !progressed && oi == len(tentative) && ti == s.numTxns {
 			// Only completions remain; drain them deterministically.
-			exec.mu.Lock()
-			var runnable []abcast.MsgID
-			for rid := range exec.running {
-				runnable = append(runnable, rid)
-			}
-			exec.mu.Unlock()
+			runnable := running()
 			if len(runnable) == 0 && m.Pending() > 0 {
-				t.Fatalf("deadlock: %d pending, nothing running", m.Pending())
+				t.Fatalf("deadlock: %d pending, nothing running (seed %d)", m.Pending(), s.seed)
 			}
 			for _, rid := range runnable {
 				exec.complete(rid)
 			}
 		}
 	}
-	return m, exec
+	return ran{m: m, exec: exec, classes: classSets}
+}
+
+// perClassCommits lists, per class, the transactions that declared it in
+// the order they committed.
+func (r ran) perClassCommits() map[ClassID][]abcast.MsgID {
+	out := make(map[ClassID][]abcast.MsgID)
+	for _, cid := range r.exec.commits {
+		for _, class := range normalizeClasses(r.classes[cid.Seq]) {
+			out[class] = append(out[class], cid)
+		}
+	}
+	return out
 }
 
 // boundedShuffle returns 1..n with each element displaced at most d
@@ -115,38 +134,35 @@ func boundedShuffle(n, d int, rng *rand.Rand) []uint64 {
 	return out
 }
 
-// Theorem 4.1 (starvation freedom): every TO-delivered transaction
-// eventually commits, under arbitrary interleavings.
+// quickSchedule maps quick's random bytes to a schedule.
+func quickSchedule(seed int64, txns, classes uint8) schedule {
+	return schedule{numTxns: int(txns%40) + 5, numClasses: int(classes%6) + 1, seed: seed}
+}
+
+// Theorem 4.1 (starvation freedom) and deadlock freedom: every
+// TO-delivered transaction eventually commits, under arbitrary
+// interleavings.
 func TestQuickStarvationFreedom(t *testing.T) {
 	f := func(seed int64, txns, classes, disp uint8) bool {
-		s := schedule{
-			numTxns:    int(txns%40) + 5,
-			numClasses: int(classes%6) + 1,
-			seed:       seed,
-		}
-		m, _ := s.run(t, int(disp%8))
-		return m.Pending() == 0 && len(m.Committed()) == s.numTxns
+		s := quickSchedule(seed, txns, classes)
+		r := s.run(t, int(disp%8))
+		return r.m.Pending() == 0 && len(r.m.Committed()) == s.numTxns
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Lemma 4.1: conflicting transactions commit in the definitive order.
+// Lemma 4.1: conflicting transactions — any two sharing a class — commit
+// in the definitive order.
 func TestQuickConflictingCommitsFollowTOOrder(t *testing.T) {
 	f := func(seed int64, txns, classes, disp uint8) bool {
-		s := schedule{
-			numTxns:    int(txns%40) + 5,
-			numClasses: int(classes%6) + 1,
-			seed:       seed,
-		}
-		m, _ := s.run(t, int(disp%8))
-		lastPerClass := make(map[ClassID]int64)
-		for _, rec := range m.Committed() {
-			if rec.TOIndex <= lastPerClass[rec.Class] {
+		r := quickSchedule(seed, txns, classes).run(t, int(disp%8))
+		for _, seq := range r.perClassCommits() {
+			// The definitive order is 1..n, so TOIndex == Seq.
+			if !slices.IsSortedFunc(seq, func(a, b abcast.MsgID) int { return int(a.Seq) - int(b.Seq) }) {
 				return false
 			}
-			lastPerClass[rec.Class] = rec.TOIndex
 		}
 		return true
 	}
@@ -160,33 +176,16 @@ func TestQuickConflictingCommitsFollowTOOrder(t *testing.T) {
 // conflict class in exactly the same sequence.
 func TestQuickSitesAgreeOnPerClassCommitOrder(t *testing.T) {
 	f := func(seed int64, txns, classes uint8) bool {
-		n := int(txns%30) + 5
-		s1 := schedule{numTxns: n, numClasses: int(classes%6) + 1, seed: seed}
-		s2 := schedule{numTxns: n, numClasses: s1.numClasses, seed: seed}
 		// Same definitive order and classes (seed-determined), different
 		// interleaving/displacement per site.
-		m1, _ := s1.run(t, 3)
-		m2, _ := s2.run(t, 7)
-		byClass := func(m *Manager) map[ClassID][]abcast.MsgID {
-			out := make(map[ClassID][]abcast.MsgID)
-			for _, rec := range m.Committed() {
-				out[rec.Class] = append(out[rec.Class], rec.ID)
-			}
-			return out
-		}
-		c1, c2 := byClass(m1), byClass(m2)
+		s := schedule{numTxns: int(txns%30) + 5, numClasses: int(classes%6) + 1, seed: seed}
+		c1, c2 := s.run(t, 3).perClassCommits(), s.run(t, 7).perClassCommits()
 		if len(c1) != len(c2) {
 			return false
 		}
 		for class, seq1 := range c1 {
-			seq2 := c2[class]
-			if len(seq1) != len(seq2) {
+			if !slices.Equal(seq1, c2[class]) {
 				return false
-			}
-			for i := range seq1 {
-				if seq1[i] != seq2[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -200,13 +199,8 @@ func TestQuickSitesAgreeOnPerClassCommitOrder(t *testing.T) {
 // are no aborts regardless of completion timing.
 func TestQuickNoMismatchNoAborts(t *testing.T) {
 	f := func(seed int64, txns, classes uint8) bool {
-		s := schedule{
-			numTxns:    int(txns%40) + 5,
-			numClasses: int(classes%6) + 1,
-			seed:       seed,
-		}
-		m, _ := s.run(t, 0) // displacement 0: tentative == definitive
-		return m.Stats().Aborts == 0
+		r := quickSchedule(seed, txns, classes).run(t, 0) // displacement 0: tentative == definitive
+		return r.m.Stats().Aborts == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -217,17 +211,10 @@ func TestQuickNoMismatchNoAborts(t *testing.T) {
 // abort is followed by a successful re-execution (no lost work).
 func TestQuickSubmitsCoverAbortsAndCommits(t *testing.T) {
 	f := func(seed int64, txns, classes, disp uint8) bool {
-		s := schedule{
-			numTxns:    int(txns%40) + 5,
-			numClasses: int(classes%6) + 1,
-			seed:       seed,
-		}
-		m, _ := s.run(t, int(disp%8))
-		st := m.Stats()
+		st := quickSchedule(seed, txns, classes).run(t, int(disp%8)).m.Stats()
 		// Every commit needed at least one submit; every abort forces a
-		// resubmission. (Submits can exceed this when a txn is aborted
-		// while queued but running had not started — it cannot — so
-		// equality bounds hold.)
+		// resubmission. (Only a started transaction is ever aborted, so
+		// the upper bound holds.)
 		return st.Submits >= st.Commits && st.Submits <= st.Commits+st.Aborts
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -13,15 +13,15 @@
 // transaction before all unconfirmed ones (Correctness Check module,
 // Figure 6).
 //
-// The Manager is a synchronous state machine: its On* methods are driven
-// by the broadcast layer (live engine) or directly by tests and the
-// deterministic simulation. Actual data access is delegated to an
-// Executor.
+// The MultiManager is a synchronous state machine: its On* methods are
+// driven by the broadcast layer (live engine) or directly by tests and
+// the deterministic simulation. Actual data access is delegated to a
+// MultiExecutor.
 package otp
 
 import (
+	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"otpdb/internal/abcast"
 )
@@ -78,47 +78,6 @@ func (s DeliveryState) String() string {
 	}
 }
 
-// Txn is the manager's bookkeeping for one update transaction. ID, Class
-// and Payload are immutable after Opt-delivery; the state fields are owned
-// by the Manager and must be read through snapshots (State) by outsiders.
-type Txn struct {
-	// ID is the atomic broadcast message identifier of the transaction
-	// request.
-	ID abcast.MsgID
-	// Class is the transaction's conflict class.
-	Class ClassID
-	// Payload is the opaque transaction request (stored procedure name
-	// and arguments at the database layer).
-	Payload any
-
-	exec    ExecState
-	deliv   DeliveryState
-	running bool
-	epoch   int
-	toIndex int64 // definitive index, assigned at TO-delivery (1-based)
-
-	// refs counts deferred perform() actions still referencing this
-	// struct; committed is set when the commit action is enqueued. The
-	// manager recycles the struct only when it is committed AND every
-	// action (including stale submits superseded by an abort) has
-	// drained — a stale action must keep observing the original ID so
-	// the executor's epoch fence rejects it. Typed atomics so every
-	// access — the pool reset included — goes through Load/Store/Add,
-	// and the embedded noCopy lets vet's copylocks reject struct
-	// copies (the atomiccow analyzer enforces the access side).
-	refs      atomic.Int32
-	committed atomic.Int32
-}
-
-// TOIndex returns the definitive (TO-delivery) index of the transaction,
-// or 0 if it has not been TO-delivered yet. Transaction T_i of the paper's
-// Section 5 has TOIndex i.
-func (t *Txn) TOIndex() int64 { return t.toIndex }
-
-// Epoch returns the abort epoch passed to Executor.Submit; completions
-// from stale epochs are ignored by the manager.
-func (t *Txn) Epoch() int { return t.epoch }
-
 // State is an externally visible snapshot of a transaction's state.
 type State struct {
 	ID      abcast.MsgID
@@ -140,23 +99,6 @@ type CommitRecord struct {
 	TOIndex int64
 }
 
-// Executor performs the data work on behalf of the manager. Submit must
-// not block: it starts asynchronous execution (a goroutine in the live
-// engine, a scheduled event in simulations) and the executor later calls
-// Manager.OnExecuted with the same epoch. Synchronous executors may call
-// OnExecuted from within Submit; the manager tolerates reentrancy.
-//
-// Abort undoes every effect of a partially or fully executed transaction
-// and cancels an in-flight execution (completions with stale epochs are
-// discarded by the manager as well). Commit makes the transaction's
-// effects permanent and visible, labelled with the definitive index
-// tx.TOIndex() for the multi-version snapshot reads of Section 5.
-type Executor interface {
-	Submit(tx *Txn, epoch int)
-	Abort(tx *Txn)
-	Commit(tx *Txn)
-}
-
 // Stats counts manager events; the experiment harness reads them.
 type Stats struct {
 	// OptDelivered counts Opt-delivered transactions (queue appends).
@@ -174,3 +116,53 @@ type Stats struct {
 	// Submits counts executor submissions (first runs and re-runs).
 	Submits uint64
 }
+
+// Errors reported by the manager. They indicate protocol violations by the
+// layer above (the broadcast must Opt-deliver before TO-delivering and
+// never deliver twice), so callers usually treat them as fatal.
+var (
+	// ErrUnknownTxn is returned by OnTODeliver for a transaction that was
+	// never Opt-delivered (violates the broadcast's Local Order property).
+	ErrUnknownTxn = errors.New("otp: TO-delivery for unknown transaction")
+	// ErrDuplicate is returned when a transaction is delivered twice.
+	ErrDuplicate = errors.New("otp: duplicate delivery")
+)
+
+// commitLogCap bounds the in-memory commit log. An unbounded log is a
+// slow memory leak on a long-running replica (and its reallocation
+// dominated the commit hot path); callers needing the full history
+// should consume the OnCommit hook instead.
+const commitLogCap = 1 << 16
+
+// commitLog is a bounded ring of the most recent commit records.
+type commitLog struct {
+	recs []CommitRecord
+	next int // write position once the ring is full
+}
+
+// add appends a record, evicting the oldest once the ring is full.
+func (l *commitLog) add(rec CommitRecord) {
+	if len(l.recs) < commitLogCap {
+		l.recs = append(l.recs, rec)
+		return
+	}
+	l.recs[l.next] = rec
+	l.next = (l.next + 1) % commitLogCap
+}
+
+// snapshot returns the retained records in commit order.
+func (l *commitLog) snapshot() []CommitRecord {
+	out := make([]CommitRecord, 0, len(l.recs))
+	out = append(out, l.recs[l.next:]...)
+	out = append(out, l.recs[:l.next]...)
+	return out
+}
+
+// actionKind orders deferred executor calls.
+type actionKind int
+
+const (
+	actAbort actionKind = iota + 1
+	actCommit
+	actSubmit
+)

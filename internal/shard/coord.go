@@ -53,23 +53,6 @@ type ShardTO struct {
 	TOIndex int64
 }
 
-// CrossResult is the outcome of a committed cross-shard transaction.
-type CrossResult struct {
-	// Value is the procedure's phase-0 return value.
-	Value storage.Value
-	// Home is the shard holding the durable decision record.
-	Home int
-	// ShardTO lists the prepare's definitive position in every touched
-	// shard, ascending by shard.
-	ShardTO []ShardTO
-	// Retries counts abandoned attempts before the committing one.
-	Retries int
-	// Trace is the cluster-wide trace ID of this transaction (empty
-	// when the coordinator runs untraced); TRACE <id> stitches the
-	// spans every touched site recorded under it.
-	Trace string
-}
-
 // Coordinator drives cross-shard transactions from this process: execute
 // the procedure against local committed state (phase 0), prepare the
 // captured read/write sets in every touched shard, collect votes, and
@@ -117,16 +100,20 @@ func NewCoordinator(h *Hub, m *Map, reg *sproc.Registry, cfg CoordConfig) *Coord
 }
 
 // Exec runs a multi-class procedure whose classes span several shards,
-// retrying aborted attempts with fresh phase-0 executions. The returned
-// error is ErrAborted when the retry budget is exhausted.
-func (c *Coordinator) Exec(ctx context.Context, proc string, args ...storage.Value) (CrossResult, error) {
+// retrying aborted attempts with fresh phase-0 executions. The result's
+// Shard is the home shard (the durable decision record's), its TOIndex
+// the prepare's position there, its Outcome Retried when an earlier
+// attempt was abandoned. The returned error is ErrAborted when the retry
+// budget is exhausted.
+func (c *Coordinator) Exec(ctx context.Context, proc string, args ...storage.Value) (Result, error) {
+	start := time.Now()
 	mu, err := c.reg.Multi(proc)
 	if err != nil {
-		return CrossResult{}, err
+		return Result{}, err
 	}
 	split := c.m.Split(mu.Classes)
 	if len(split) < 2 {
-		return CrossResult{}, fmt.Errorf("shard: %s is single-shard; submit it to its home group", proc)
+		return Result{}, fmt.Errorf("shard: %s is single-shard; submit it to its home group", proc)
 	}
 	// One trace ID per logical transaction, stable across retries; the
 	// XID counter guarantees uniqueness per coordinating process.
@@ -139,21 +126,22 @@ func (c *Coordinator) Exec(ctx context.Context, proc string, args ...storage.Val
 	for attempt := 0; attempt < c.cfg.MaxRetries; attempt++ {
 		res, err := c.tryOnce(ctx, mu, split, args, trace)
 		if err == nil {
-			res.Retries = attempt
+			res.Outcome = classify(attempt > 0, false)
+			res.Latency = time.Since(start)
 			res.Trace = trace
 			c.crossCommits.Inc()
 			c.cspan(trace, metrics.SpanXCommit, "")
 			return res, nil
 		}
 		if errors.Is(err, errCrashed) || ctx.Err() != nil {
-			return CrossResult{}, err
+			return Result{}, err
 		}
 		c.crossRetries.Inc()
 		lastErr = err
 	}
 	c.crossAborts.Inc()
 	c.cspan(trace, metrics.SpanXAbort, lastErr.Error())
-	return CrossResult{}, lastErr
+	return Result{}, lastErr
 }
 
 // cspan records one coordinator-side span under the transaction's
@@ -170,7 +158,7 @@ func (c *Coordinator) cspan(trace, span, note string) {
 }
 
 // tryOnce runs one attempt: phase 0, prepares, votes, decide, collect.
-func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split map[int][]sproc.ClassID, args []storage.Value, trace string) (CrossResult, error) {
+func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split map[int][]sproc.ClassID, args []storage.Value, trace string) (Result, error) {
 	xid := c.hub.NewXID()
 	c.hub.markActive(xid)
 	defer c.hub.unmarkActive(xid)
@@ -180,10 +168,10 @@ func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split m
 	pc := &phase0Ctx{c: c, classes: classSet(mu.Classes), args: args}
 	val, err := mu.Fn(pc)
 	if err != nil {
-		return CrossResult{}, err
+		return Result{}, err
 	}
 	if pc.err != nil {
-		return CrossResult{}, pc.err
+		return Result{}, pc.err
 	}
 
 	shards := make([]int, 0, len(split))
@@ -207,23 +195,23 @@ func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split m
 			Shard:  s,
 			Home:   home,
 			Shards: shards,
-			Reads:  pc.readsFor(c.m, s),
-			Writes: pc.writesFor(c.m, s),
+			Reads:  ownedBy(c.m, s, pc.reads),
+			Writes: ownedBy(c.m, s, pc.writes),
 		}
 		enc, err := encode(payload)
 		if err != nil {
-			return CrossResult{}, err
+			return Result{}, err
 		}
 		req := sproc.Request{Proc: PrepareProc, Args: []storage.Value{enc}, Classes: split[s], Trace: trace}
 		r := c.hub.localReplica(s)
 		if r == nil {
-			return CrossResult{}, fmt.Errorf("shard: no live local replica of shard %d", s)
+			return Result{}, fmt.Errorf("shard: no live local replica of shard %d", s)
 		}
 		shard := s
 		if _, err := r.SubmitRequest(req, func(res db.CommitResult) {
 			doneCh <- prepDone{shard: shard, res: res}
 		}); err != nil {
-			return CrossResult{}, err
+			return Result{}, err
 		}
 		c.cspan(trace, metrics.SpanPrepare, fmt.Sprintf("shard=%d xid=%v", s, xid))
 	}
@@ -240,7 +228,7 @@ func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split m
 	c.cspan(trace, metrics.SpanVote, verdict.String())
 
 	if hook := c.CrashBeforeDecide; hook != nil && hook(xid) {
-		return CrossResult{}, errCrashed
+		return Result{}, errCrashed
 	}
 
 	// Decide at the home shard. First-wins ordering there arbitrates
@@ -248,12 +236,12 @@ func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split m
 	// verdict everywhere.
 	winner, err := c.decide(ctx, xid, home, verdict, trace)
 	if err != nil {
-		return CrossResult{}, err
+		return Result{}, err
 	}
 	c.cspan(trace, metrics.SpanDecide, winner.String())
 
 	if hook := c.CrashAfterHomeDecide; hook != nil && hook(xid) {
-		return CrossResult{}, errCrashed
+		return Result{}, errCrashed
 	}
 
 	// Collect the prepares' commits for the per-shard TO positions.
@@ -266,21 +254,22 @@ func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split m
 		select {
 		case d := <-doneCh:
 			if d.res.Err != nil {
-				return CrossResult{}, d.res.Err
+				return Result{}, d.res.Err
 			}
 			tos = append(tos, ShardTO{Shard: d.shard, TOIndex: d.res.Info.TOIndex})
 		case <-timer.C:
-			return CrossResult{}, fmt.Errorf("shard: %v: prepare commit wait timed out", xid)
+			return Result{}, fmt.Errorf("shard: %v: prepare commit wait timed out", xid)
 		case <-ctx.Done():
-			return CrossResult{}, ctx.Err()
+			return Result{}, ctx.Err()
 		}
 	}
 	sort.Slice(tos, func(i, j int) bool { return tos[i].Shard < tos[j].Shard })
 
 	if winner != VerdictCommit {
-		return CrossResult{}, fmt.Errorf("%w: %v", ErrAborted, xid)
+		return Result{}, fmt.Errorf("%w: %v", ErrAborted, xid)
 	}
-	return CrossResult{Value: val, Home: home, ShardTO: tos}, nil
+	// tos ascends by shard and home is the smallest: tos[0] is home's.
+	return Result{Value: val, TOIndex: tos[0].TOIndex, Shard: home, ShardTO: tos}, nil
 }
 
 // decide submits the verdict proposal to the home shard and returns the
@@ -380,40 +369,26 @@ func (p *phase0Ctx) Write(class sproc.ClassID, key storage.Key, v storage.Value)
 		return p.err
 	}
 	rw := RW{Class: class, Key: key, Value: copyVal(v), Present: true}
-	// Last write per key wins in the shipped write set.
-	for i := range p.writes {
-		if p.writes[i].Class == class && p.writes[i].Key == key {
-			p.writes[i] = rw
-			if p.cache == nil {
-				p.cache = make(map[string]RW)
-			}
-			p.cache[cacheKey(class, key)] = rw
-			return nil
-		}
-	}
-	p.writes = append(p.writes, rw)
 	if p.cache == nil {
 		p.cache = make(map[string]RW)
 	}
 	p.cache[cacheKey(class, key)] = rw
+	// Last write per key wins in the shipped write set.
+	for i := range p.writes {
+		if p.writes[i].Class == class && p.writes[i].Key == key {
+			p.writes[i] = rw
+			return nil
+		}
+	}
+	p.writes = append(p.writes, rw)
 	return nil
 }
 
-// readsFor filters the captured reads down to one shard's classes.
-func (p *phase0Ctx) readsFor(m *Map, shard int) []RW {
+// ownedBy filters captured reads or buffered writes down to one shard's
+// classes.
+func ownedBy(m *Map, shard int, rws []RW) []RW {
 	var out []RW
-	for _, rw := range p.reads {
-		if m.Locate(rw.Class) == shard {
-			out = append(out, rw)
-		}
-	}
-	return out
-}
-
-// writesFor filters the buffered writes down to one shard's classes.
-func (p *phase0Ctx) writesFor(m *Map, shard int) []RW {
-	var out []RW
-	for _, rw := range p.writes {
+	for _, rw := range rws {
 		if m.Locate(rw.Class) == shard {
 			out = append(out, rw)
 		}

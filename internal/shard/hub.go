@@ -36,13 +36,6 @@ type Config struct {
 	Metrics *metrics.Scope
 }
 
-// attachment is one local replica of one shard, by getter so the hub
-// survives replica replacement (crash, rejoin, membership change).
-type attachment struct {
-	site int
-	get  func() *db.Replica
-}
-
 // blockedPrepare is a prepare transaction parked at the head of its
 // class queues, waiting for the cross-shard verdict.
 type blockedPrepare struct {
@@ -78,7 +71,7 @@ type Hub struct {
 
 	mu        sync.Mutex
 	seq       uint64
-	attached  map[int][]attachment
+	attached  map[int][]func() *db.Replica // local replicas by shard, resolved at use
 	votes     map[XID]map[int]bool
 	decisions map[XID]Verdict
 	decOrder  []XID
@@ -110,7 +103,7 @@ func NewHub(cfg Config) *Hub {
 		resolveAfter:   cfg.ResolveAfter,
 		resolveTick:    cfg.ResolveTick,
 		presumedAborts: cfg.Metrics.Counter("shard_presumed_abort_total"),
-		attached:       make(map[int][]attachment),
+		attached:       make(map[int][]func() *db.Replica),
 		votes:          make(map[XID]map[int]bool),
 		decisions:      make(map[XID]Verdict),
 		blocked:        make(map[*blockedPrepare]bool),
@@ -144,12 +137,13 @@ func (h *Hub) Register(reg *sproc.Registry) error {
 }
 
 // Attach wires a local replica of a shard into the hub. The getter is
-// consulted on use so replica replacement needs no re-attachment; it may
-// return nil while the site is down.
-func (h *Hub) Attach(shard, site int, get func() *db.Replica) {
+// consulted on use, so the hub survives replica replacement (crash,
+// rejoin, membership change) with no re-attachment; it may return nil
+// while the site is down.
+func (h *Hub) Attach(shard int, get func() *db.Replica) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.attached[shard] = append(h.attached[shard], attachment{site: site, get: get})
+	h.attached[shard] = append(h.attached[shard], get)
 }
 
 // Start launches the resolver. Safe to call once.
@@ -182,10 +176,10 @@ func (h *Hub) NewXID() XID {
 // localReplica returns a live local replica of a shard, or nil.
 func (h *Hub) localReplica(shard int) *db.Replica {
 	h.mu.Lock()
-	atts := h.attached[shard]
+	getters := h.attached[shard]
 	h.mu.Unlock()
-	for _, a := range atts {
-		if r := a.get(); r != nil {
+	for _, get := range getters {
+		if r := get(); r != nil {
 			return r
 		}
 	}
@@ -195,11 +189,11 @@ func (h *Hub) localReplica(shard int) *db.Replica {
 // localReplicas returns all live local replicas of a shard.
 func (h *Hub) localReplicas(shard int) []*db.Replica {
 	h.mu.Lock()
-	atts := h.attached[shard]
+	getters := h.attached[shard]
 	h.mu.Unlock()
 	var out []*db.Replica
-	for _, a := range atts {
-		if r := a.get(); r != nil {
+	for _, get := range getters {
+		if r := get(); r != nil {
 			out = append(out, r)
 		}
 	}

@@ -125,20 +125,16 @@ func (m *Map) Split(classes []sproc.ClassID) map[int][]sproc.ClassID {
 	return out
 }
 
-// Home returns the designated home shard of a class set: the smallest
-// touched shard id. The home shard's decide record is the durable commit
-// point of a cross-shard transaction, so every participant must derive
-// the same home from the same class set.
-func (m *Map) Home(classes []sproc.ClassID) int {
-	home := -1
-	for _, c := range classes {
+// single reports the one shard owning every class of a set, or false when
+// the set spans shards — Split's verdict without building the groups.
+func (m *Map) single(classes []sproc.ClassID) (int, bool) {
+	g := 0
+	for i, c := range classes {
 		s := m.Locate(c)
-		if home < 0 || s < home {
-			home = s
+		if i > 0 && s != g {
+			return 0, false
 		}
+		g = s
 	}
-	if home < 0 {
-		home = 0
-	}
-	return home
+	return g, true
 }

@@ -62,7 +62,7 @@ func TestMapReservedClassesOnShardZero(t *testing.T) {
 	}
 }
 
-func TestMapSplitAndHome(t *testing.T) {
+func TestMapSplitAndSingle(t *testing.T) {
 	m, _ := NewMap(4)
 	if err := m.Pin("a", 2); err != nil {
 		t.Fatal(err)
@@ -80,8 +80,11 @@ func TestMapSplitAndHome(t *testing.T) {
 	if len(split[2]) != 2 || split[2][0] != "a" || split[2][1] != "c" {
 		t.Fatalf("shard 2 classes %v, want [a c]", split[2])
 	}
-	if h := m.Home([]sproc.ClassID{"a", "b", "c"}); h != 1 {
-		t.Fatalf("home %d, want 1", h)
+	if _, ok := m.single([]sproc.ClassID{"a", "b", "c"}); ok {
+		t.Fatal("a class set on shards 1 and 2 reported single-shard")
+	}
+	if g, ok := m.single([]sproc.ClassID{"a", "c"}); !ok || g != 2 {
+		t.Fatalf("single([a c]) = %d, %v; want 2, true", g, ok)
 	}
 }
 

@@ -719,8 +719,7 @@ func (c *Cluster) Start() error {
 		return err
 	}
 	for i := 0; i < c.cfg.replicas; i++ {
-		c.sessions = append(c.sessions, &Session{c: c, site: i})
-		c.attachSite(i)
+		c.sessions = append(c.sessions, c.newSession(i))
 	}
 	c.shub.Start()
 	return nil
@@ -786,24 +785,36 @@ func stopGroups(groups []*group) {
 	}
 }
 
-// attachSite wires one site's replicas (one per shard) into the
-// cross-shard hub. The getters re-resolve through the cluster on every
-// use, so crash, restart and replacement need no re-attachment.
-func (c *Cluster) attachSite(site int) {
-	for g := 0; g < c.cfg.shards; g++ {
-		g := g
-		c.shub.Attach(g, site, func() *db.Replica {
+// newSession creates a site's session: its router over the site's
+// replica of every shard, and the same replicas attached to the
+// cross-shard hub. Both re-resolve through the cluster on every use, so
+// crash, restart and replacement need no re-attachment; the hub
+// additionally sees no replica while the site is down.
+func (c *Cluster) newSession(site int) *Session {
+	locals := make([]shard.Local, c.cfg.shards)
+	for g := range locals {
+		local := func() (*db.Replica, *member.Tracker) {
 			c.mu.RLock()
 			defer c.mu.RUnlock()
-			if !c.started || c.stopped || c.crashed[site] || c.removed[site] {
-				return nil
-			}
 			if g >= len(c.groups) || site >= len(c.groups[g].sites) {
+				return nil, nil
+			}
+			s := c.groups[g].sites[site]
+			return s.Replica, s.Tracker
+		}
+		locals[g] = local
+		c.shub.Attach(g, func() *db.Replica {
+			c.mu.RLock()
+			down := !c.started || c.stopped || c.crashed[site] || c.removed[site]
+			c.mu.RUnlock()
+			if down {
 				return nil
 			}
-			return c.groups[g].sites[site].Replica
+			rep, _ := local()
+			return rep
 		})
 	}
+	return &Session{site: site, router: shard.NewRouter(c.registry, c.smap, c.coord, locals)}
 }
 
 // Stop shuts the cluster down, flushing durable state. It is idempotent.
@@ -1233,39 +1244,43 @@ func (c *Cluster) liveSiteLocked(avoid int) (int, error) {
 	return 0, errors.New("otpdb: no live site")
 }
 
-// proposeChange commits a membership change through one shard group's
-// definitive order: it reads the submitting site's current configuration
-// in that group, derives the successor via mutate, and executes the
-// reserved change procedure at that site's group replica. The commit of
-// that transaction is the epoch switch — every site applies the new
-// quorum, and the in-process transport follows automatically (the hub
-// routes by identifier). A concurrent change loses the definitive-order
-// race and surfaces member.ErrEpochConflict; retry against the new
-// configuration. Site-level membership operations apply the change to
-// every group in turn.
-func (c *Cluster) proposeChange(ctx context.Context, g, submitter int,
-	mutate func(member.Config) (member.Config, error)) (member.Config, error) {
+// memberRouter returns the router of the site a membership change is
+// submitted at (see shard.Router.ProposeMember): the change is an
+// ordinary transaction of each group's definitive order, its commit is
+// the epoch switch at every site, and the in-process transport follows
+// automatically (the hub routes by identifier).
+func (c *Cluster) memberRouter(submitter int) (*shard.Router, error) {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if !c.started || c.stopped {
-		c.mu.RUnlock()
-		return member.Config{}, ErrNotStarted
+		return nil, ErrNotStarted
 	}
 	if c.cfg.ordering != OptimisticOrdering {
-		c.mu.RUnlock()
-		return member.Config{}, errors.New("otpdb: membership changes require OptimisticOrdering")
+		return nil, errors.New("otpdb: membership changes require OptimisticOrdering")
 	}
-	grp := c.groups[g]
-	cfg := grp.sites[submitter].Tracker.Config()
-	rep := grp.sites[submitter].Replica
-	c.mu.RUnlock()
-	proposed, err := mutate(cfg)
+	return c.sessions[submitter].router, nil
+}
+
+// proposeChange commits a membership change through one shard group.
+func (c *Cluster) proposeChange(ctx context.Context, g, submitter int,
+	mutate func(int, member.Config) (member.Config, error)) (member.Config, error) {
+	rt, err := c.memberRouter(submitter)
 	if err != nil {
 		return member.Config{}, err
 	}
-	if _, err := rep.Exec(ctx, member.Proc, member.Encode(proposed)); err != nil {
-		return member.Config{}, err
+	proposed, _, err := rt.ProposeMemberIn(ctx, g, mutate)
+	return proposed, err
+}
+
+// proposeEverywhere commits a site-level membership change: through every
+// shard group in turn.
+func (c *Cluster) proposeEverywhere(ctx context.Context, submitter int,
+	mutate func(int, member.Config) (member.Config, error)) error {
+	rt, err := c.memberRouter(submitter)
+	if err == nil {
+		_, _, err = rt.ProposeMember(ctx, mutate)
 	}
-	return proposed, nil
+	return err
 }
 
 // errAddRaced reports a concurrent AddSite; no rollback is attempted
@@ -1303,7 +1318,7 @@ func (c *Cluster) AddSite(ctx context.Context) (int, error) {
 		resuming := c.groups[g].sites[submitter].Tracker.Config().Has(transport.NodeID(newID))
 		c.mu.RUnlock()
 		if !resuming {
-			if _, err = c.proposeChange(ctx, g, submitter, func(cfg member.Config) (member.Config, error) {
+			if _, err = c.proposeChange(ctx, g, submitter, func(_ int, cfg member.Config) (member.Config, error) {
 				return cfg.WithAdd(member.Site{ID: transport.NodeID(newID)})
 			}); err != nil {
 				break
@@ -1344,7 +1359,7 @@ func (c *Cluster) AddSite(ctx context.Context) (int, error) {
 				}
 				c.mu.Unlock()
 			}
-			if _, rerr := c.proposeChange(rbCtx, g, submitter, func(cfg member.Config) (member.Config, error) {
+			if _, rerr := c.proposeChange(rbCtx, g, submitter, func(_ int, cfg member.Config) (member.Config, error) {
 				return cfg.WithRemove(transport.NodeID(newID))
 			}); rerr != nil {
 				rbErrs = append(rbErrs, fmt.Errorf("shard %d: %w", g, rerr))
@@ -1355,10 +1370,10 @@ func (c *Cluster) AddSite(ctx context.Context) (int, error) {
 		}
 		return 0, err
 	}
+	sess := c.newSession(newID)
 	c.mu.Lock()
-	c.sessions = append(c.sessions, &Session{c: c, site: newID})
+	c.sessions = append(c.sessions, sess)
 	c.mu.Unlock()
-	c.attachSite(newID)
 	return newID, nil
 }
 
@@ -1395,12 +1410,10 @@ func (c *Cluster) RemoveSite(ctx context.Context, site int) error {
 	if err != nil {
 		return err
 	}
-	for g := 0; g < c.cfg.shards; g++ {
-		if _, err := c.proposeChange(ctx, g, submitter, func(cfg member.Config) (member.Config, error) {
-			return cfg.WithRemove(transport.NodeID(site))
-		}); err != nil {
-			return fmt.Errorf("otpdb: shard %d removal: %w", g, err)
-		}
+	if err := c.proposeEverywhere(ctx, submitter, func(_ int, cfg member.Config) (member.Config, error) {
+		return cfg.WithRemove(transport.NodeID(site))
+	}); err != nil {
+		return fmt.Errorf("otpdb: removal: %w", err)
 	}
 
 	c.mu.Lock()
@@ -1450,12 +1463,10 @@ func (c *Cluster) ReplaceSite(ctx context.Context, site int) error {
 	if err != nil {
 		return err
 	}
-	for g := 0; g < c.cfg.shards; g++ {
-		if _, err := c.proposeChange(ctx, g, submitter, func(cfg member.Config) (member.Config, error) {
-			return cfg.WithReplace(transport.NodeID(site), "")
-		}); err != nil {
-			return fmt.Errorf("otpdb: shard %d replacement: %w", g, err)
-		}
+	if err := c.proposeEverywhere(ctx, submitter, func(_ int, cfg member.Config) (member.Config, error) {
+		return cfg.WithReplace(transport.NodeID(site), "")
+	}); err != nil {
+		return fmt.Errorf("otpdb: replacement: %w", err)
 	}
 
 	c.mu.Lock()

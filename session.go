@@ -3,13 +3,9 @@ package otpdb
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"otpdb/internal/abcast"
-	"otpdb/internal/db"
 	"otpdb/internal/shard"
-	"otpdb/internal/transport"
 )
 
 // TxnID identifies a submitted update transaction network-wide within its
@@ -22,62 +18,33 @@ type TxnID = abcast.MsgID
 type ShardTO = shard.ShardTO
 
 // Outcome classifies how the optimistic protocol handled a committed
-// transaction at the submitting site.
-type Outcome int
+// transaction at the submitting site: FastPath, Reordered or Retried
+// (re-exported from internal/shard).
+type Outcome = shard.Outcome
 
 // Outcomes.
 const (
 	// FastPath means the tentative order was confirmed as-is: the
 	// transaction executed once, in the position it was Opt-delivered,
-	// and committed the moment the definitive order arrived. This is the
-	// common case the paper's throughput argument rests on. A cross-shard
-	// transaction is FastPath when its first attempt committed.
-	FastPath Outcome = iota + 1
+	// and committed the moment the definitive order arrived.
+	FastPath = shard.FastPath
 	// Reordered means TO-delivery moved the transaction ahead of pending
-	// transactions in one of its class queues — its definitive position
-	// contradicted the tentative one (Correctness Check, CC10).
-	Reordered
-	// Retried means the transaction's optimistic execution was undone by
-	// the Correctness Check and redone in the definitive order (CC8), or
-	// — for a cross-shard transaction — earlier attempts aborted on
+	// transactions in one of its class queues (Correctness Check, CC10).
+	Reordered = shard.Reordered
+	// Retried means the optimistic execution was undone by the
+	// Correctness Check and redone in the definitive order (CC8), or —
+	// for a cross-shard transaction — earlier attempts aborted on
 	// validation before one committed.
-	Retried
+	Retried = shard.Retried
 )
 
-func (o Outcome) String() string {
-	switch o {
-	case FastPath:
-		return "fastpath"
-	case Reordered:
-		return "reordered"
-	case Retried:
-		return "retried"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
-
-// Result is the typed outcome of a committed update transaction.
-type Result struct {
-	// Value is the stored procedure's return value (may be nil).
-	Value Value
-	// TOIndex is the transaction's definitive total-order index; every
-	// site commits conflicting transactions in ascending TOIndex order
-	// within a shard group. For a cross-shard transaction it is the
-	// prepare's index at the home shard; ShardTO lists every shard's.
-	TOIndex int64
-	// Outcome reports which protocol path the transaction took.
-	Outcome Outcome
-	// Latency is the submit-to-local-commit time observed by the session.
-	Latency time.Duration
-	// Shard is the shard group that ordered the transaction (the home
-	// shard for a cross-shard transaction). Always 0 without WithShards.
-	Shard int
-	// ShardTO lists a cross-shard transaction's definitive position in
-	// every shard it touched, ascending by shard; nil for single-shard
-	// transactions.
-	ShardTO []ShardTO
-}
+// Result is the typed outcome of a committed update transaction: the
+// procedure's Value, the definitive TOIndex, the Outcome, the
+// submit-to-local-commit Latency, the ordering Shard, and for a
+// cross-shard transaction its per-shard positions (ShardTO) and
+// cluster-wide Trace id (re-exported from internal/shard; it is the value
+// cmd/otpd renders as an "OK ..." line).
+type Result = shard.Result
 
 // Handle is the future of an in-flight update transaction submitted with
 // Session.SubmitAsync. It resolves when the transaction commits at the
@@ -88,10 +55,9 @@ type Handle struct {
 	site  int
 	shard int // owning shard group, or -1 for cross-shard
 
-	done     chan struct{}
-	res      Result
-	err      error
-	resolved atomic.Bool
+	done chan struct{}
+	res  Result
+	err  error
 }
 
 // ID returns the transaction's broadcast identifier within its shard
@@ -112,7 +78,14 @@ func (h *Handle) Shard() int { return h.shard }
 func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // Resolved reports whether the handle has already resolved (non-blocking).
-func (h *Handle) Resolved() bool { return h.resolved.Load() }
+func (h *Handle) Resolved() bool {
+	select {
+	case <-h.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Result blocks until the transaction commits locally (or terminally
 // fails) and returns its typed outcome. Use Wait to bound the block with
@@ -134,53 +107,9 @@ func (h *Handle) Wait(ctx context.Context) (Result, error) {
 	}
 }
 
-// resolve is the commit callback; the replica invokes it exactly once.
-func (h *Handle) resolve(start time.Time, cr db.CommitResult) {
-	h.err = cr.Err
-	if cr.Err == nil {
-		outcome := FastPath
-		switch {
-		case cr.Info.Retried:
-			outcome = Retried
-		case cr.Info.Reordered:
-			outcome = Reordered
-		}
-		h.res = Result{
-			Value:   cr.Info.Value,
-			TOIndex: cr.Info.TOIndex,
-			Outcome: outcome,
-			Latency: time.Since(start),
-			Shard:   h.shard,
-		}
-	}
-	h.resolved.Store(true)
-	close(h.done)
-}
-
-// resolveCross is the cross-shard coordinator callback; invoked exactly
-// once per handle.
-func (h *Handle) resolveCross(start time.Time, res shard.CrossResult, err error) {
-	h.err = err
-	if err == nil {
-		outcome := FastPath
-		if res.Retries > 0 {
-			outcome = Retried
-		}
-		r := Result{
-			Value:   res.Value,
-			Outcome: outcome,
-			Latency: time.Since(start),
-			Shard:   res.Home,
-			ShardTO: res.ShardTO,
-		}
-		for _, st := range res.ShardTO {
-			if st.Shard == res.Home {
-				r.TOIndex = st.TOIndex
-			}
-		}
-		h.res = r
-	}
-	h.resolved.Store(true)
+// resolve is the router's completion callback, invoked exactly once.
+func (h *Handle) resolve(res Result, err error) {
+	h.res, h.err = res, err
 	close(h.done)
 }
 
@@ -203,8 +132,8 @@ type Call struct {
 // transaction to the shard group owning its classes; a transaction
 // spanning shards runs the two-phase cross-shard protocol.
 type Session struct {
-	c    *Cluster
-	site int
+	site   int
+	router *shard.Router // this site's client path into every shard group
 }
 
 // Session returns the client session bound to the given site. The cluster
@@ -218,11 +147,6 @@ func (c *Cluster) Session(site int) (*Session, error) {
 	return c.sessions[site], nil
 }
 
-// rep resolves the site's current replica in one shard group.
-func (s *Session) rep(g int) (*db.Replica, error) {
-	return s.c.replica(g, s.site)
-}
-
 // Site returns the session's site index.
 func (s *Session) Site() int { return s.site }
 
@@ -234,39 +158,12 @@ func (s *Session) Site() int { return s.site }
 // cross-shard coordinator instead; its handle resolves when the decision
 // is committed in every shard it touched.
 func (s *Session) SubmitAsync(proc string, args ...Value) (*Handle, error) {
-	c := s.c
-	classes, err := c.registry.UpdateClasses(proc)
+	h := &Handle{site: s.site, done: make(chan struct{})}
+	id, g, err := s.router.Submit(proc, args, h.resolve)
 	if err != nil {
 		return nil, err
 	}
-	split := c.smap.Split(classes)
-	if len(split) > 1 {
-		h := &Handle{site: s.site, shard: -1, done: make(chan struct{})}
-		start := time.Now()
-		// The coordinator runs in the background so cross-shard
-		// transactions pipeline like single-shard ones; its own vote and
-		// resolve timeouts bound the run.
-		go func() {
-			res, cerr := c.coord.Exec(context.Background(), proc, args...)
-			h.resolveCross(start, res, cerr)
-		}()
-		return h, nil
-	}
-	g := 0
-	for owner := range split {
-		g = owner
-	}
-	rep, err := s.rep(g)
-	if err != nil {
-		return nil, err
-	}
-	h := &Handle{site: s.site, shard: g, done: make(chan struct{})}
-	start := time.Now()
-	id, err := rep.SubmitNotify(proc, args, func(cr db.CommitResult) { h.resolve(start, cr) })
-	if err != nil {
-		return nil, err
-	}
-	h.id = id
+	h.id, h.shard = id, g
 	return h, nil
 }
 
@@ -316,78 +213,5 @@ func (s *Session) ExecBatch(ctx context.Context, calls []Call) ([]Result, error)
 // are pinned independently (per-shard snapshot isolation — there is no
 // global cross-shard snapshot index).
 func (s *Session) Query(ctx context.Context, proc string, args ...Value) (Value, error) {
-	c := s.c
-	if c.cfg.shards == 1 {
-		rep, err := s.rep(0)
-		if err != nil {
-			return nil, err
-		}
-		return rep.Query(ctx, proc, args...)
-	}
-	q, err := c.registry.Query(proc)
-	if err != nil {
-		return nil, err
-	}
-	mq := &multiQueryCtx{s: s, ctx: ctx, args: args, snaps: make(map[int]*db.QuerySnap)}
-	defer mq.close()
-	res, err := q.Fn(mq)
-	if err != nil {
-		return nil, err
-	}
-	if mq.err != nil {
-		return nil, mq.err
-	}
-	c.mu.RLock()
-	for g, snap := range mq.snaps {
-		if rec := c.groups[g].recorder; rec != nil {
-			rec.RecordQuery(transport.NodeID(s.site), snap.QIndex(), snap.Reads())
-		}
-	}
-	c.mu.RUnlock()
-	return res, nil
-}
-
-// multiQueryCtx adapts per-shard QuerySnaps to sproc.QueryCtx, routing
-// each read to the snapshot of the shard group owning its class.
-type multiQueryCtx struct {
-	s     *Session
-	ctx   context.Context
-	args  []Value
-	snaps map[int]*db.QuerySnap
-	err   error
-}
-
-func (m *multiQueryCtx) Args() []Value { return m.args }
-
-func (m *multiQueryCtx) Read(class Class, key Key) (Value, bool) {
-	if m.err != nil {
-		return nil, false
-	}
-	g := m.s.c.smap.Locate(class)
-	snap := m.snaps[g]
-	if snap == nil {
-		rep, err := m.s.rep(g)
-		if err != nil {
-			m.err = err
-			return nil, false
-		}
-		snap, err = rep.BeginSnap(m.ctx)
-		if err != nil {
-			m.err = err
-			return nil, false
-		}
-		m.snaps[g] = snap
-	}
-	v, ok := snap.Read(class, key)
-	if e := snap.Err(); e != nil {
-		m.err = e
-		return nil, false
-	}
-	return v, ok
-}
-
-func (m *multiQueryCtx) close() {
-	for _, snap := range m.snaps {
-		snap.Close()
-	}
+	return s.router.Query(ctx, proc, args...)
 }
