@@ -26,12 +26,11 @@ import (
 // longer than the survivors' retained history it is handed a checkpoint
 // it must resume numbering above.
 //
-// The in-memory row commits nothing while the victim is down. What the
-// survivors broadcast meanwhile sits in their TCP links and reaches the
-// restarted process, and a joiner whose transfer was a bare checkpoint
-// cannot tell those messages are already ordered below it (ROADMAP,
-// "checkpoint joins over TCP") — a tail names them, so the durable row
-// does commit.
+// Both rows commit while the victim is down. What the survivors broadcast
+// meanwhile sits in their TCP links and reaches the restarted process
+// again; a tail names those messages, and for the joiner whose transfer
+// was a bare checkpoint the donor's delivered sets do (DESIGN.md §8): it
+// used to deliver them a second time.
 func TestKill9Rejoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
@@ -51,7 +50,7 @@ func TestKill9Rejoin(t *testing.T) {
 	}{
 		{name: "durable", durable: true, phase1: 25, phase2: 25},
 		// Past the 64Ki-entry retained history, so index 1 is gone.
-		{name: "in-memory -join", phase1: 66000},
+		{name: "in-memory -join", phase1: 66000, phase2: 25},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			kill9Rejoin(t, bin, row.durable, row.phase1, row.phase2)

@@ -47,11 +47,20 @@ type Optimistic struct {
 	defCh  chan defLogQuery
 
 	// Engine-goroutine state (no locking needed).
-	payloads    map[MsgID]any
-	optDone     map[MsgID]bool
-	decided     map[MsgID]bool
-	undecided   []MsgID
-	pendingTO   []MsgID
+	//
+	// A message is known here in exactly one of three places. From first
+	// sight — its body or a decision naming it, whichever comes first — to
+	// TO-release it has a slot in live; from TO-release on it is a number
+	// in its origin's delivered set and, for the last ring.cap definitive
+	// positions, an entry in ring. Nothing else is kept per message.
+	live      map[MsgID]*slot
+	free      []*slot // released slots, reused before allocating
+	delivered deliveredSets
+	undecided []*slot // Opt-delivered, not yet decided: the next proposal
+	// pendingTO[toHead:] is decided and not yet TO-released, in definitive
+	// order.
+	pendingTO   []*slot
+	toHead      int
 	stage       uint64 // next stage to propose
 	inFlight    bool
 	nextProcess uint64 // next stage decision to process
@@ -70,28 +79,41 @@ type Optimistic struct {
 	// decided message is assigned the next global definitive position and
 	// retained — ID, position, and body once available — so this site can
 	// serve a rejoining replica the deliveries it missed since a peer
-	// checkpoint, and retransmit bodies on request. Bounded to defLogCap
-	// entries (rejoin fails loudly when asked for pruned history).
-	defSeq    uint64 // last assigned definitive position
-	defLog    []*DefEntry
-	defByID   map[MsgID]*DefEntry
-	defLogCap int
-	join      *JoinState
+	// checkpoint, and retransmit bodies on request. Bounded to the ring's
+	// cap (WithDefLogCap; rejoin fails loudly when asked for history the
+	// ring has overwritten).
+	defSeq uint64 // last assigned definitive position
+	ring   defRing
+	join   *JoinState
 
 	// Optimism telemetry (engine goroutine). Each Opt delivery is
-	// assigned a local optimistic index and timestamped; at TO release
-	// the index order is compared against the definitive order (an
-	// inversion is a reorder — the optimistic prediction was wrong) and
-	// the opt→def window is observed. Instruments are inert without
-	// WithMetrics.
+	// assigned a local optimistic index, and timestamped when there is a
+	// metrics scope to report to; at TO release the index order is
+	// compared against the definitive order (an inversion is a reorder —
+	// the optimistic prediction was wrong) and the opt→def window is
+	// observed.
 	scope     *metrics.Scope
 	optSeq    uint64 // next optimistic delivery index
-	optIdxOf  map[MsgID]uint64
-	optAtOf   map[MsgID]time.Time
 	maxTOOpt  uint64 // highest optimistic index already TO-released
 	anyTO     bool
 	reorders  *metrics.Counter
 	optDefLat *metrics.Histogram
+}
+
+// maxFreeSlots bounds the slots kept for reuse: what a site that fell
+// behind needed while it caught up is not held on to afterwards.
+const maxFreeSlots = 1 << 12
+
+// slot is everything the engine holds for one message between first sight
+// and TO-release.
+type slot struct {
+	id      MsgID
+	payload any
+	hasBody bool      // body received and Opt-delivered
+	decided bool      // a stage decision named it
+	defSeq  uint64    // its definitive position, once decided
+	optIdx  uint64    // local optimistic delivery index
+	optAt   time.Time // Opt-delivery time; zero without a metrics scope
 }
 
 // JoinState primes a fresh engine to rejoin a running group (see
@@ -110,6 +132,11 @@ type JoinState struct {
 	// ascending Seq order (the gap between the state-transfer checkpoint
 	// and StartStage). Entries without bodies are requested from peers.
 	Backlog []DefEntry
+	// Delivered is what the donor had TO-released, or decided below the
+	// backlog, when it captured Backlog: the messages this engine must
+	// never deliver, whatever the network replays to it. A body in these
+	// sets is dropped on arrival unless a Backlog entry is waiting for it.
+	Delivered []SeqRange
 }
 
 // Option configures an Optimistic engine.
@@ -123,7 +150,7 @@ func WithJoin(js JoinState) Option {
 // WithDefLogCap bounds the retained definitive history (default 64Ki
 // entries). Rejoin requests below the retained window fail.
 func WithDefLogCap(n int) Option {
-	return func(o *Optimistic) { o.defLogCap = n }
+	return func(o *Optimistic) { o.ring.cap = uint64(max(n, 0)) }
 }
 
 // WithDefBase presets the definitive position counter: after a cold
@@ -163,16 +190,12 @@ func NewOptimistic(ep transport.Endpoint, cons *consensus.Engine, opts ...Option
 		done:        make(chan struct{}),
 		dumpCh:      make(chan chan string),
 		defCh:       make(chan defLogQuery),
-		payloads:    make(map[MsgID]any),
-		optDone:     make(map[MsgID]bool),
-		decided:     make(map[MsgID]bool),
+		live:        make(map[MsgID]*slot),
+		delivered:   make(deliveredSets),
 		stage:       1,
 		nextProcess: 1,
 		decisionBuf: make(map[uint64][]MsgID),
-		defByID:     make(map[MsgID]*DefEntry),
-		defLogCap:   defaultDefLogCap,
-		optIdxOf:    make(map[MsgID]uint64),
-		optAtOf:     make(map[MsgID]time.Time),
+		ring:        defRing{cap: defaultDefLogCap},
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -308,7 +331,9 @@ func (o *Optimistic) onEnvelope(env transport.Envelope) {
 // applyJoin replays the peer-served backlog: every entry is already
 // definitively ordered, so it is marked decided, Opt-delivered (when its
 // body is known) and queued for TO release in seq order; missing bodies
-// are requested from the group. Runs in the engine goroutine before any
+// are requested from the group. The donor's delivered sets come first:
+// they are what keeps a message the network replays from being delivered
+// here a second time (onData). Runs in the engine goroutine before any
 // live traffic is processed, so the replica sees the backlog exactly as
 // if it had been delivered normally.
 func (o *Optimistic) applyJoin() {
@@ -322,23 +347,59 @@ func (o *Optimistic) applyJoin() {
 		o.nextSeq = j.ResumeSeq
 	}
 	o.mu.Unlock()
-	for _, src := range j.Backlog {
-		ent := &DefEntry{Seq: src.Seq, ID: src.ID, Payload: src.Payload, HasBody: src.HasBody}
-		o.decided[ent.ID] = true
+	for _, r := range j.Delivered {
+		o.delivered.of(r.Origin).addRun(r.Lo, r.Hi)
+	}
+	for _, ent := range j.Backlog {
+		sl := o.newSlot(ent.ID)
 		if ent.Seq > o.defSeq {
 			o.defSeq = ent.Seq
 		}
-		o.retain(ent)
+		o.decide(sl, ent.Seq)
 		if ent.HasBody {
-			o.optDone[ent.ID] = true
-			o.noteOpt(ent.ID)
-			o.payloads[ent.ID] = ent.Payload
-			o.emit(Event{Kind: Opt, ID: ent.ID, Payload: ent.Payload})
+			o.optDeliver(sl, ent.Payload)
 		}
-		o.pendingTO = append(o.pendingTO, ent.ID)
 	}
 	o.flushPendingTO()
 	o.requestMissingBodies()
+}
+
+// newSlot puts a message into the live table.
+func (o *Optimistic) newSlot(id MsgID) *slot {
+	var sl *slot
+	if n := len(o.free); n > 0 {
+		sl, o.free = o.free[n-1], o.free[:n-1]
+	} else {
+		sl = new(slot)
+	}
+	sl.id = id
+	o.live[id] = sl
+	return sl
+}
+
+// optDeliver records the body of sl's message, completes its retained
+// entry if a decision came first, and emits the Opt event.
+func (o *Optimistic) optDeliver(sl *slot, payload any) {
+	sl.payload, sl.hasBody = payload, true
+	o.optSeq++
+	sl.optIdx = o.optSeq
+	if o.scope != nil {
+		sl.optAt = time.Now()
+	}
+	if sl.decided {
+		if ent := o.ring.at(sl.defSeq); ent != nil {
+			ent.Payload, ent.HasBody = payload, true
+		}
+	}
+	o.emit(Event{Kind: Opt, ID: sl.id, Payload: payload})
+}
+
+// decide gives sl's message definitive position seq: it is retained in the
+// ring and queued for TO release.
+func (o *Optimistic) decide(sl *slot, seq uint64) {
+	sl.decided, sl.defSeq = true, seq
+	o.ring.put(DefEntry{Seq: seq, ID: sl.id, Payload: sl.payload, HasBody: sl.hasBody})
+	o.pendingTO = append(o.pendingTO, sl)
 }
 
 // requestMissingBodies asks the group to retransmit bodies the pending
@@ -356,9 +417,9 @@ func (o *Optimistic) applyJoin() {
 // again that itself lacked the body the first time.
 func (o *Optimistic) requestMissingBodies() {
 	var missing []MsgID
-	for _, id := range o.pendingTO {
-		if !o.optDone[id] {
-			missing = append(missing, id)
+	for _, sl := range o.pendingTO[o.toHead:] {
+		if !sl.hasBody {
+			missing = append(missing, sl.id)
 		}
 	}
 	if len(missing) == 0 {
@@ -375,60 +436,63 @@ func (o *Optimistic) requestMissingBodies() {
 	}
 }
 
-// onBodyReq retransmits retained bodies to a catching-up peer.
+// onBodyReq retransmits bodies to a catching-up peer: from the live table
+// while the message is still on its way to TO release here, from the ring
+// afterwards. The ring is ordered by definitive position, not by id, so
+// the released ones are found in one walk from the newest entry back —
+// which ends as soon as all are found, and a request is for what was
+// decided last. An id this site never released, or released more than
+// ring.cap positions ago, is not looked for at all.
 func (o *Optimistic) onBodyReq(from transport.NodeID, m BodyReq) {
+	var want map[MsgID]struct{}
 	for _, id := range m.IDs {
-		if ent, ok := o.defByID[id]; ok && ent.HasBody {
-			_ = o.ep.Send(from, StreamData, DataMsg{ID: id, Payload: ent.Payload})
-			continue
-		}
-		if pl, ok := o.payloads[id]; ok && o.optDone[id] {
-			_ = o.ep.Send(from, StreamData, DataMsg{ID: id, Payload: pl})
+		if sl := o.live[id]; sl != nil {
+			if sl.hasBody {
+				_ = o.ep.Send(from, StreamData, DataMsg{ID: id, Payload: sl.payload})
+			}
+		} else if o.delivered.has(id) {
+			if want == nil {
+				want = make(map[MsgID]struct{})
+			}
+			want[id] = struct{}{}
 		}
 	}
-}
-
-// retain appends one definitive entry to the bounded history.
-func (o *Optimistic) retain(ent *DefEntry) {
-	o.defLog = append(o.defLog, ent)
-	o.defByID[ent.ID] = ent
-	if len(o.defLog) > o.defLogCap {
-		drop := len(o.defLog) - o.defLogCap/2 // halve, amortizing the copy
-		if drop > len(o.defLog) {
-			drop = len(o.defLog)
+	for seq := o.ring.hi; len(want) > 0 && seq >= o.ring.lo && seq > 0; seq-- {
+		ent := o.ring.at(seq)
+		if _, ok := want[ent.ID]; ok {
+			delete(want, ent.ID)
+			if ent.HasBody {
+				_ = o.ep.Send(from, StreamData, DataMsg{ID: ent.ID, Payload: ent.Payload})
+			}
 		}
-		for _, old := range o.defLog[:drop] {
-			delete(o.defByID, old.ID)
-		}
-		o.defLog = append([]*DefEntry(nil), o.defLog[drop:]...)
 	}
 }
 
 // onData Opt-delivers a newly received message and lists it for
-// definitive ordering; run opens the stage.
+// definitive ordering; run opens the stage. A copy of a message this site
+// has already TO-released — a transport retransmission, the second
+// peer's answer to a BodyReq, or everything the survivors' links queued
+// for a site that was down and has since joined from a checkpoint — finds
+// no slot but its number in the delivered set, and is dropped.
 func (o *Optimistic) onData(m DataMsg) {
-	if o.optDone[m.ID] {
+	sl := o.live[m.ID]
+	if sl == nil {
+		if o.delivered.has(m.ID) {
+			return
+		}
+		sl = o.newSlot(m.ID)
+	} else if sl.hasBody {
 		return // duplicate (transport retransmission)
 	}
-	o.optDone[m.ID] = true
-	o.noteOpt(m.ID)
-	o.payloads[m.ID] = m.Payload
-	if ent, ok := o.defByID[m.ID]; ok && !ent.HasBody {
-		// A retransmitted body for an already-decided entry: complete the
-		// retained history so this site can serve it onward.
-		ent.Payload = m.Payload
-		ent.HasBody = true
-	}
-	o.emit(Event{Kind: Opt, ID: m.ID, Payload: m.Payload})
-
-	if o.decided[m.ID] {
+	o.optDeliver(sl, m.Payload)
+	if sl.decided {
 		// Already definitively ordered (another site's proposal won the
 		// stage before our copy arrived): the TO event may now be
 		// releasable.
 		o.flushPendingTO()
 		return
 	}
-	o.undecided = append(o.undecided, m.ID)
+	o.undecided = append(o.undecided, sl)
 }
 
 // decideReqInterval rate-limits gap-triggered catch-up requests, for
@@ -479,31 +543,31 @@ func (o *Optimistic) processStage(stage uint64, ids []MsgID) {
 
 	fresh := false
 	for _, id := range ids {
-		if o.decided[id] {
-			continue // defensive: never TO-deliver twice
+		sl := o.live[id]
+		if sl == nil {
+			if o.delivered.has(id) {
+				continue // defensive: never TO-deliver twice
+			}
+			sl = o.newSlot(id) // decided before its body arrived
+		} else if sl.decided {
+			continue // defensive, as above
 		}
-		o.decided[id] = true
 		fresh = true
 		// Assign the message its global definitive position and retain it
 		// (every site processes the same stage decisions in the same
 		// order, so positions agree everywhere).
 		o.defSeq++
-		ent := &DefEntry{Seq: o.defSeq, ID: id}
-		if o.optDone[id] {
-			ent.Payload = o.payloads[id]
-			ent.HasBody = true
-		}
-		o.retain(ent)
-		o.pendingTO = append(o.pendingTO, id)
+		o.decide(sl, o.defSeq)
 	}
 	// Drop decided messages from our own tentative list.
 	if fresh {
 		kept := o.undecided[:0]
-		for _, id := range o.undecided {
-			if !o.decided[id] {
-				kept = append(kept, id)
+		for _, sl := range o.undecided {
+			if !sl.decided {
+				kept = append(kept, sl)
 			}
 		}
+		clear(o.undecided[len(kept):])
 		o.undecided = kept
 	}
 	o.flushPendingTO()
@@ -517,17 +581,11 @@ func (o *Optimistic) processStage(stage uint64, ids []MsgID) {
 	o.maybePropose()
 }
 
-// noteOpt stamps an Opt delivery with its local optimistic index and
-// arrival time, the raw material of the reorder and opt→def metrics.
-func (o *Optimistic) noteOpt(id MsgID) {
-	o.optSeq++
-	o.optIdxOf[id] = o.optSeq
-	o.optAtOf[id] = time.Now()
-}
-
 // flushPendingTO emits TO events for the decided prefix whose bodies have
 // arrived. Definitive order is never violated: a missing body blocks the
 // tail (Global Order), and bodies are Opt-delivered first (Local Order).
+// A released message leaves the live table for its origin's delivered
+// set, and its slot is reused.
 //
 // This is also where the optimistic prediction is graded: a message
 // TO-released with an optimistic index below one already released means
@@ -535,28 +593,38 @@ func (o *Optimistic) noteOpt(id MsgID) {
 // event the paper's OPT layer bets against. The opt→def window (Opt
 // delivery to TO release) is observed alongside.
 func (o *Optimistic) flushPendingTO() {
-	for len(o.pendingTO) > 0 && o.optDone[o.pendingTO[0]] {
-		id := o.pendingTO[0]
-		o.pendingTO = o.pendingTO[1:]
-		delete(o.payloads, id)
-		if idx, ok := o.optIdxOf[id]; ok {
-			if o.anyTO && idx < o.maxTOOpt {
-				o.reorders.Inc()
-				o.mu.Lock()
-				o.stats.Reorders++
-				o.mu.Unlock()
-			}
-			if idx > o.maxTOOpt {
-				o.maxTOOpt = idx
-			}
-			o.anyTO = true
-			delete(o.optIdxOf, id)
+	for o.toHead < len(o.pendingTO) && o.pendingTO[o.toHead].hasBody {
+		sl := o.pendingTO[o.toHead]
+		o.pendingTO[o.toHead] = nil
+		o.toHead++
+		if o.anyTO && sl.optIdx < o.maxTOOpt {
+			o.reorders.Inc()
+			o.mu.Lock()
+			o.stats.Reorders++
+			o.mu.Unlock()
 		}
-		if at, ok := o.optAtOf[id]; ok {
-			o.optDefLat.Observe(time.Since(at))
-			delete(o.optAtOf, id)
+		o.maxTOOpt = max(o.maxTOOpt, sl.optIdx)
+		o.anyTO = true
+		if !sl.optAt.IsZero() {
+			o.optDefLat.Observe(time.Since(sl.optAt))
+		}
+		id := sl.id
+		delete(o.live, id)
+		o.delivered.add(id)
+		*sl = slot{}
+		if len(o.free) < maxFreeSlots {
+			o.free = append(o.free, sl)
 		}
 		o.emit(Event{Kind: TO, ID: id})
+	}
+	// Reuse the queue's array: from the start once it is empty, and by
+	// moving the rest down once the released prefix is the larger half —
+	// under load some message is always waiting, and the array must not
+	// grow for that.
+	if rest := len(o.pendingTO) - o.toHead; rest <= o.toHead {
+		copy(o.pendingTO, o.pendingTO[o.toHead:])
+		clear(o.pendingTO[rest:])
+		o.pendingTO, o.toHead = o.pendingTO[:rest], 0
 	}
 }
 
@@ -567,7 +635,9 @@ func (o *Optimistic) maybePropose() {
 		return
 	}
 	proposal := make([]MsgID, len(o.undecided))
-	copy(proposal, o.undecided)
+	for i, sl := range o.undecided {
+		proposal[i] = sl.id
+	}
 	o.inFlight = true
 	o.lastProp = proposal
 	_ = o.cons.Propose(o.stage, proposal)
@@ -593,76 +663,97 @@ type defLogQuery struct {
 }
 
 type defLogReply struct {
-	entries   []DefEntry
-	nextStage uint64
-	resumeSeq uint64
-	err       error
+	log DefLog
+	err error
+}
+
+// DefLog is one consistent cut of a site's ordering state, what a
+// rejoining engine is primed with (JoinState): the definitive history
+// from a position on, the stage whose decision comes next, and which
+// messages the site will never deliver again.
+type DefLog struct {
+	// Entries is the definitive history from the requested position
+	// through the last processed stage: exactly the decisions of every
+	// stage below NextStage.
+	Entries []DefEntry
+	// NextStage is the stage a rejoining engine resumes at.
+	NextStage uint64
+	// ResumeSeq is the largest broadcast sequence number this site has
+	// seen from the requested origin, so the rejoiner can renumber past
+	// its own pre-crash messages.
+	ResumeSeq uint64
+	// Delivered holds every message TO-released here, and every message
+	// decided below the requested position whose release still waits for
+	// its body: together with Entries, everything decided so far.
+	Delivered []SeqRange
 }
 
 // ErrHistoryPruned is returned by DefinitiveLog when the requested range
 // reaches below the retained definitive history.
 var ErrHistoryPruned = fmt.Errorf("abcast: definitive history pruned past request")
 
-// DefinitiveLog returns this site's definitive history from position
-// `from` (inclusive) through the last processed stage, together with the
-// next stage number a rejoining engine should resume at and the largest
-// broadcast sequence number this site has seen from `origin` (so the
-// rejoiner can renumber past its own pre-crash messages). The triple is
-// captured atomically in the engine goroutine: the entries cover exactly
-// the decisions of every stage below the returned stage number.
-func (o *Optimistic) DefinitiveLog(from uint64, origin transport.NodeID) ([]DefEntry, uint64, uint64, error) {
+// DefinitiveLog returns this site's ordering state from definitive
+// position `from` (inclusive) on, for a rejoiner whose broadcasts carry
+// `origin`. The cut is captured atomically in the engine goroutine.
+func (o *Optimistic) DefinitiveLog(from uint64, origin transport.NodeID) (DefLog, error) {
 	reply := make(chan defLogReply, 1)
 	select {
 	case o.defCh <- defLogQuery{from: from, origin: origin, reply: reply}:
 		r := <-reply
-		return r.entries, r.nextStage, r.resumeSeq, r.err
+		return r.log, r.err
 	case <-o.stop:
-		return nil, 0, 0, transport.ErrClosed
+		return DefLog{}, transport.ErrClosed
 	}
 }
 
 // serveDefLog runs in the engine goroutine.
 func (o *Optimistic) serveDefLog(q defLogQuery) defLogReply {
-	r := defLogReply{nextStage: o.nextProcess}
 	if q.from > o.defSeq+1 {
 		// The requester is ahead of this site: serving a backlog from
 		// here would make it re-enter consensus with misaligned
 		// definitive positions. Refuse, so a state-transfer client fails
 		// over to a more advanced donor.
-		r.err = fmt.Errorf("abcast: definitive log requested from %d but this site is at %d (donor behind joiner)",
-			q.from, o.defSeq)
-		return r
+		return defLogReply{err: fmt.Errorf("abcast: definitive log requested from %d but this site is at %d (donor behind joiner)",
+			q.from, o.defSeq)}
 	}
 	// Oldest position this site can vouch for: the head of the retained
 	// history, or the position right after the counter when nothing is
 	// retained (fresh or fully pruned).
 	oldest := o.defSeq + 1
-	if len(o.defLog) > 0 {
-		oldest = o.defLog[0].Seq
+	if o.ring.len() > 0 {
+		oldest = o.ring.lo
 	}
 	if q.from < oldest {
-		r.err = fmt.Errorf("%w: want from %d, oldest retained %d", ErrHistoryPruned, q.from, oldest)
-		return r
+		return defLogReply{err: fmt.Errorf("%w: want from %d, oldest retained %d", ErrHistoryPruned, q.from, oldest)}
 	}
-	for _, ent := range o.defLog {
-		if ent.Seq >= q.from {
-			r.entries = append(r.entries, *ent)
+	log := DefLog{NextStage: o.nextProcess}
+	if o.ring.len() > 0 && q.from <= o.ring.hi {
+		log.Entries = make([]DefEntry, 0, o.ring.hi-q.from+1)
+		for seq := q.from; seq <= o.ring.hi; seq++ {
+			log.Entries = append(log.Entries, *o.ring.at(seq))
 		}
 	}
-	// Largest sequence number seen from origin, across everything this
-	// site ever received (optDone spans delivered bodies; decided spans
-	// ordered messages whose bodies may still be pending).
-	for id := range o.optDone {
-		if id.Origin == q.origin && id.Seq > r.resumeSeq {
-			r.resumeSeq = id.Seq
+	// Largest sequence number seen from origin: released messages are in
+	// its delivered set, everything else this site knows of is live.
+	if s := o.delivered[q.origin]; s != nil {
+		log.ResumeSeq = s.max()
+	}
+	for id := range o.live {
+		if id.Origin == q.origin && id.Seq > log.ResumeSeq {
+			log.ResumeSeq = id.Seq
 		}
 	}
-	for id := range o.decided {
-		if id.Origin == q.origin && id.Seq > r.resumeSeq {
-			r.resumeSeq = id.Seq
+	// What the joiner must treat as delivered: what is, plus what is
+	// decided below its first entry and only waits for a body here — the
+	// joiner holds that message in its own state, and it is in nobody's
+	// backlog.
+	log.Delivered = o.delivered.ranges()
+	for _, sl := range o.pendingTO[o.toHead:] {
+		if sl.defSeq < q.from {
+			log.Delivered = append(log.Delivered, SeqRange{Origin: sl.id.Origin, Lo: sl.id.Seq, Hi: sl.id.Seq})
 		}
 	}
-	return r
+	return defLogReply{log: log}
 }
 
 // Dump returns a snapshot of the engine's ordering state, for debugging.
@@ -678,8 +769,15 @@ func (o *Optimistic) Dump() string {
 }
 
 func (o *Optimistic) dumpLocked() string {
+	ids := func(sls []*slot) []MsgID {
+		out := make([]MsgID, len(sls))
+		for i, sl := range sls {
+			out[i] = sl.id
+		}
+		return out
+	}
 	return fmt.Sprintf("abcast(%v): stage=%d nextProcess=%d inFlight=%v undecided=%v pendingTO=%v bufDecisions=%d",
-		o.ep.ID(), o.stage, o.nextProcess, o.inFlight, o.undecided, o.pendingTO, len(o.decisionBuf))
+		o.ep.ID(), o.stage, o.nextProcess, o.inFlight, ids(o.undecided), ids(o.pendingTO[o.toHead:]), len(o.decisionBuf))
 }
 
 func sameIDs(a, b []MsgID) bool {

@@ -34,6 +34,12 @@
 // that decided — reaching a process that has decided is answered with
 // MsgDecide; MsgDecideReq closes gaps the ordering layer detects.
 //
+// A decision is kept for the decisionHorizon instances that follow it and
+// then forgotten, with everything else about its instance: what reaches a
+// process about an instance below its horizon is counted and dropped. The
+// sender is further behind than the ordering layer can bring back from
+// retained history either, and rejoins by state transfer.
+//
 // Safety (agreement, validity) holds under arbitrary failure-detector
 // mistakes; termination needs a majority of correct processes and ◇S.
 // DESIGN.md §6 ("Two-delay ordering stages") carries the argument.
@@ -101,8 +107,8 @@ type (
 	// MsgDecideReq asks peers to retransmit the decisions of every
 	// instance >= From they know of — the catch-up primitive a restarted
 	// site uses to close the gap between the instance it rejoined at and
-	// the instances decided while it was down. Decisions are tombstoned
-	// forever (decide), so any correct peer can serve the request.
+	// the instances decided while it was down. Any correct peer can serve
+	// the request as long as From is within its horizon (decisionHorizon).
 	MsgDecideReq struct {
 		From uint64
 	}
@@ -211,14 +217,18 @@ type Engine struct {
 	decisions *queue.Q[Decision]
 
 	// Engine-goroutine state (no locking needed).
+	//
+	// instances holds an instance from the first message about it until
+	// horizon instances above it have decided: the undecided ones and a
+	// window of decision tombstones, [floor, top]. Nothing is held for an
+	// instance below floor.
 	instances map[uint64]*instance
+	horizon   uint64 // decisionHorizon; tests lower it
+	top       uint64 // highest decided instance
+	floor     uint64 // lowest instance that may still be in instances
 	// active holds the instances proposed here and still undecided: the
 	// only ones a tick has to look at.
 	active map[uint64]*instance
-	// decidedIDs lists the decided instances in ascending order, so a
-	// MsgDecideReq is served from its first instance on without walking
-	// every tombstone.
-	decidedIDs []uint64
 	// loopback queues the messages this process addressed to itself. They
 	// are handled when the current handler returns and never reach the
 	// transport.
@@ -243,6 +253,9 @@ type Engine struct {
 	reReqs     *metrics.Counter
 	decCount   *metrics.Counter
 	fastCount  *metrics.Counter
+	// belowCount counts the messages dropped because they concern an
+	// instance below the horizon.
+	belowCount *metrics.Counter
 
 	stop chan struct{}
 	done chan struct{}
@@ -256,6 +269,14 @@ type proposeReq struct {
 	inst uint64
 	val  any
 }
+
+// decisionHorizon is how many instances a decision is kept for, counted
+// from the highest decided instance down. An instance orders at least one
+// message, so the window reaches at least as far back as the ordering
+// layer's retained definitive history (abcast's 64Ki messages by default):
+// a peer that history can still bring up to date finds every decision it
+// needs, and one that is further behind needs a state transfer anyway.
+const decisionHorizon = 64 << 10
 
 // instance is the per-consensus-instance state machine. Once decided it
 // is a tombstone: id, decision and quorumRound only.
@@ -369,12 +390,14 @@ func New(cfg Config) *Engine {
 		dumpCh:     make(chan chan string),
 		decisions:  queue.New[Decision](),
 		instances:  make(map[uint64]*instance),
+		horizon:    decisionHorizon,
 		active:     make(map[uint64]*instance),
 		decLatency: cfg.Metrics.Histogram("consensus_decision_seconds"),
 		rounds:     cfg.Metrics.SizeHistogram("consensus_rounds_per_instance"),
 		reReqs:     cfg.Metrics.Counter("consensus_decide_rerequest_total"),
 		decCount:   cfg.Metrics.Counter("consensus_decided_total"),
 		fastCount:  cfg.Metrics.Counter("consensus_fast_decide_total"),
+		belowCount: cfg.Metrics.Counter("consensus_below_horizon_total"),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -464,13 +487,44 @@ func (e *Engine) run() {
 	}
 }
 
+// get returns the state of inst, creating it on first use, or nil when
+// inst is below the horizon: the caller drops what it was handling.
 func (e *Engine) get(inst uint64) *instance {
 	st, ok := e.instances[inst]
 	if !ok {
+		if inst < e.floor {
+			e.belowCount.Inc()
+			return nil
+		}
 		st = &instance{id: inst, round: -1, quorumRound: -1}
 		e.instances[inst] = st
 	}
 	return st
+}
+
+// retire forgets every instance that the decision of top has pushed below
+// the horizon, decided or not.
+func (e *Engine) retire() {
+	if e.top < e.horizon || e.top-e.horizon < e.floor {
+		return
+	}
+	floor := e.top - e.horizon + 1
+	if floor-e.floor > uint64(len(e.instances)) {
+		// A jump (the first decision after joining at a late instance):
+		// walk what is held, not the numbers in between.
+		for inst := range e.instances {
+			if inst < floor {
+				delete(e.instances, inst)
+				delete(e.active, inst)
+			}
+		}
+	} else {
+		for inst := e.floor; inst < floor; inst++ {
+			delete(e.instances, inst)
+			delete(e.active, inst)
+		}
+	}
+	e.floor = floor
 }
 
 // snapshot is the engine goroutine's view.Snapshot: it also keeps
@@ -517,7 +571,7 @@ func (e *Engine) drainLoopback() {
 
 func (e *Engine) handlePropose(inst uint64, val any) {
 	st := e.get(inst)
-	if st.decided || st.started {
+	if st == nil || st.decided || st.started {
 		return
 	}
 	st.started = true
@@ -587,11 +641,18 @@ func (e *Engine) RequestDecisions(from uint64) {
 }
 
 // onDecideReq retransmits known decisions to a catching-up peer, in
-// instance order.
+// instance order. A request that starts below the horizon is dropped whole:
+// the peer processes decisions in order, and the first ones it needs are
+// gone.
 func (e *Engine) onDecideReq(from transport.NodeID, m MsgDecideReq) {
-	i, _ := slices.BinarySearch(e.decidedIDs, m.From)
-	for _, inst := range e.decidedIDs[i:] {
-		e.sendDecision(from, e.instances[inst])
+	if m.From < e.floor {
+		e.belowCount.Inc()
+		return
+	}
+	for inst := m.From; inst <= e.top; inst++ {
+		if st := e.instances[inst]; st != nil && st.decided {
+			e.sendDecision(from, st)
+		}
 	}
 }
 
@@ -620,6 +681,9 @@ func (e *Engine) sendDecision(to transport.NodeID, st *instance) {
 // cannot mix the two epochs.
 func (e *Engine) onEstimate(from transport.NodeID, m MsgEstimate) {
 	st := e.get(m.Inst)
+	if st == nil {
+		return
+	}
 	if st.decided {
 		e.sendDecision(from, st)
 		return
@@ -662,6 +726,9 @@ func (e *Engine) onEstimate(from transport.NodeID, m MsgEstimate) {
 // process's current round.
 func (e *Engine) onPropose(from transport.NodeID, m MsgPropose) {
 	st := e.get(m.Inst)
+	if st == nil {
+		return
+	}
 	if st.decided {
 		e.sendDecision(from, st)
 		return
@@ -705,6 +772,9 @@ func (e *Engine) ack(st *instance, rd *round, epoch uint64, members []transport.
 // the quorum count and the membership all come from one snapshot.
 func (e *Engine) onAck(from transport.NodeID, m MsgAck) {
 	st := e.get(m.Inst)
+	if st == nil {
+		return
+	}
 	if st.decided {
 		// An ack of the round that decided here trails its own quorum: the
 		// sender is being sent the same acks. Any other round's ack comes
@@ -745,7 +815,7 @@ func (e *Engine) tryDecide(st *instance, r int, rd *round, members []transport.N
 }
 
 func (e *Engine) onDecide(m MsgDecide) {
-	if st := e.get(m.Inst); !st.decided {
+	if st := e.get(m.Inst); st != nil && !st.decided {
 		e.decide(st, m.Val)
 	}
 }
@@ -759,11 +829,14 @@ func (e *Engine) decide(st *instance, val any) {
 		e.rounds.ObserveInt(int64(st.round) + 1)
 		delete(e.active, st.id)
 	}
-	i, _ := slices.BinarySearch(e.decidedIDs, st.id)
-	e.decidedIDs = slices.Insert(e.decidedIDs, i, st.id)
 	e.decisions.Push(Decision{Instance: st.id, Value: val})
-	// Release the round state; only the decision tombstone remains.
+	// Release the round state; only the decision tombstone remains, and
+	// that until the horizon passes it.
 	st.estimate, st.rounds = nil, nil
+	if st.id > e.top {
+		e.top = st.id
+		e.retire()
+	}
 }
 
 // checkDeadlines moves every instance that is still undecided past its

@@ -51,36 +51,59 @@ type executor struct {
 
 var _ otp.MultiExecutor = (*executor)(nil)
 
-// attempt is one execution attempt of a transaction. Attempts are
-// pooled: the executor map and the worker running it each hold one
-// reference, and the last release returns the struct to the pool.
+// attempt is one execution attempt of a transaction and everything the
+// execution needs: the storage transaction, the context handed to the
+// procedure, the abort signal. Attempts are pooled: the executor map and
+// the worker running it each hold one reference, and the last release
+// returns the struct — with the buffers of all of the above — to the pool,
+// so an attempt in the steady state allocates nothing.
 type attempt struct {
-	id      abcast.MsgID
-	parts   []storage.Partition
-	req     sproc.Request
-	epoch   int
+	exec  *executor
+	id    abcast.MsgID
+	parts []storage.Partition
+	req   sproc.Request
+	epoch int
+	// abortCh is closed (under mu) when the scheduler aborts the attempt.
+	// Aborts are rare, so the channel usually outlives the attempt unclosed
+	// and serves the struct's next one.
 	abortCh chan struct{}
 	// toCh is closed (under executor.mu) once the transaction's own
 	// TO-delivery reaches a running attempt: the definitive position is
 	// fixed and, because the attempt heads all its class queues, no later
-	// delivery can displace it. Exposed as sproc.TxnControl.Definitive.
+	// delivery can displace it. Exposed as sproc.TxnControl.Definitive, and
+	// made only for a procedure that asks (definitive); toClosed is the
+	// fact itself.
 	toCh     chan struct{}
 	toClosed bool // guarded by executor.mu
 	refs     atomic.Int32
 
 	mu      sync.Mutex
-	stx     *storage.MultiTxn
-	result  storage.Value // procedure return value, set when the body completes
+	txn     storage.MultiTxn
+	stx     *storage.MultiTxn // &txn while the attempt holds its partitions
+	result  storage.Value     // procedure return value, set when the body completes
 	aborted bool
+
+	// The context of the procedure body, whichever kind it is.
+	uctx updateCtx
+	mctx multiUpdateCtx
 }
 
 // attemptPool recycles attempt structs across transactions and retries.
 var attemptPool = sync.Pool{New: func() any { return new(attempt) }}
 
+// closedCh is what Definitive returns for an attempt that is definitive
+// already.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
 // newAttempt prepares a pooled attempt for one execution, with two
 // references (executor map + worker).
-func newAttempt(id abcast.MsgID, classes []otp.ClassID, req sproc.Request, epoch int) *attempt {
+func (e *executor) newAttempt(id abcast.MsgID, classes []otp.ClassID, req sproc.Request, epoch int) *attempt {
 	att := attemptPool.Get().(*attempt)
+	att.exec = e
 	att.id = id
 	att.parts = att.parts[:0]
 	for _, c := range classes {
@@ -88,25 +111,54 @@ func newAttempt(id abcast.MsgID, classes []otp.ClassID, req sproc.Request, epoch
 	}
 	att.req = req
 	att.epoch = epoch
-	att.abortCh = make(chan struct{})
-	att.toCh = make(chan struct{})
-	att.toClosed = false
+	if att.abortCh == nil {
+		att.abortCh = make(chan struct{})
+	}
 	att.refs.Store(2)
-	att.stx = nil
-	att.result = nil
-	att.aborted = false
 	return att
 }
 
 // release drops one reference and recycles the attempt when both the
-// executor map and the worker are done with it. parts keeps its backing
-// array for the next attempt (storage copies what it is handed).
+// executor map and the worker are done with it. What the next transaction
+// must not see goes: the request, the result, a closed abort channel, and
+// the definitive channel, which a procedure may have handed on. parts and
+// the storage transaction keep their arrays.
 func (a *attempt) release() {
 	if a.refs.Add(-1) == 0 {
 		a.req = sproc.Request{}
 		a.result = nil
 		a.stx = nil
+		if a.aborted {
+			a.abortCh, a.aborted = nil, false
+		}
+		a.toCh = nil // toClosed is set by Submit
+		a.uctx, a.mctx = updateCtx{}, multiUpdateCtx{}
 		attemptPool.Put(a)
+	}
+}
+
+// definitive implements sproc.TxnControl.Definitive for the attempt's
+// contexts.
+func (a *attempt) definitive() <-chan struct{} {
+	a.exec.mu.Lock()
+	defer a.exec.mu.Unlock()
+	if a.toClosed {
+		return closedCh
+	}
+	if a.toCh == nil {
+		a.toCh = make(chan struct{})
+	}
+	return a.toCh
+}
+
+// markDefinitive records that the attempt's position is fixed. Callers
+// hold executor.mu.
+func (a *attempt) markDefinitive() {
+	if !a.toClosed {
+		a.toClosed = true
+		if a.toCh != nil {
+			close(a.toCh)
+		}
 	}
 }
 
@@ -142,13 +194,10 @@ func (e *executor) Submit(tx *otp.MultiTxn, epoch int) {
 		e.mu.Unlock()
 		return
 	}
-	att := newAttempt(tx.ID, tx.Classes, req, epoch)
-	if e.toDelivered[tx.ID] {
-		// The transaction was TO-delivered before reaching the head of
-		// its queues; this attempt starts out definitive.
-		att.toClosed = true
-		close(att.toCh)
-	}
+	att := e.newAttempt(tx.ID, tx.Classes, req, epoch)
+	// A transaction TO-delivered before reaching the head of its queues
+	// starts out definitive.
+	att.toClosed = e.toDelivered[tx.ID]
 	e.running[tx.ID] = att
 	e.mu.Unlock()
 	select {
@@ -212,7 +261,10 @@ func (e *executor) Commit(tx *otp.MultiTxn) {
 		// Protocol invariant: commit follows a completed execution.
 		panic(fmt.Sprintf("db: commit of %v without a completed attempt", tx.ID))
 	}
-	readSet, writeSet := att.stx.ReadSet(), att.stx.WriteSet()
+	var readSet, writeSet []storage.ClassKey
+	if e.r.hist != nil {
+		readSet, writeSet = att.stx.ReadSet(), att.stx.WriteSet()
+	}
 	if d := e.r.dur; d != nil {
 		// Write-ahead: the commit record reaches the log (and, under the
 		// per-commit sync policy, stable storage) before the writes are
@@ -274,9 +326,8 @@ func (e *executor) Commit(tx *otp.MultiTxn) {
 func (e *executor) markTO(id abcast.MsgID) {
 	e.mu.Lock()
 	e.toDelivered[id] = true
-	if att := e.running[id]; att != nil && !att.toClosed {
-		att.toClosed = true
-		close(att.toCh)
+	if att := e.running[id]; att != nil {
+		att.markDefinitive()
 	}
 	e.mu.Unlock()
 }
@@ -287,51 +338,22 @@ func (e *executor) markTO(id abcast.MsgID) {
 func (e *executor) runTxn(att *attempt) {
 	defer att.release()
 
-	// Resolve the procedure body and its simulated cost.
+	// Resolve the procedure and its simulated cost.
 	var cost time.Duration
-	var runBody func(att *attempt, args []storage.Value) (storage.Value, error)
-	if up, err := e.r.reg.Update(att.req.Proc); err == nil {
+	up, err := e.r.reg.Update(att.req.Proc)
+	var mu sproc.MultiUpdate
+	if err == nil {
 		cost = up.Cost
-		class := storage.Partition(up.Class)
-		runBody = func(att *attempt, args []storage.Value) (storage.Value, error) {
-			uc := &updateCtx{att: att, class: class, args: args}
-			v, perr := up.Fn(uc)
-			if perr != nil {
-				return nil, perr
-			}
-			return v, uc.err
-		}
-	} else if mu, merr := e.r.reg.Multi(att.req.Proc); merr == nil {
+	} else if mu, err = e.r.reg.Multi(att.req.Proc); err == nil {
 		cost = mu.Cost
-		runBody = func(att *attempt, args []storage.Value) (storage.Value, error) {
-			mc := &multiUpdateCtx{att: att, args: args}
-			v, perr := mu.Fn(mc)
-			if perr != nil {
-				return nil, perr
-			}
-			return v, mc.err
-		}
 	} else {
 		e.r.failWaiter(att.id, err)
 		return
 	}
 
-	// Acquire the partitions. A superseded attempt of an overlapping
-	// class may hold one for a moment while its abort races; park on the
-	// partition's release channel until it frees (or this attempt is
-	// itself aborted) — no polling.
-	stx, berr := e.r.store.BeginMultiWait(att.parts, e.r.mode, att.abortCh)
-	if berr != nil {
-		return // canceled: the scheduler aborted this attempt
+	if !e.begin(att) {
+		return // the scheduler aborted this attempt
 	}
-	att.mu.Lock()
-	if att.aborted {
-		att.mu.Unlock()
-		_ = stx.Abort()
-		return
-	}
-	att.stx = stx
-	att.mu.Unlock()
 
 	// Simulated service time, interruptible by abort.
 	if cost > 0 {
@@ -342,7 +364,19 @@ func (e *executor) runTxn(att *attempt) {
 		}
 	}
 
-	val, perr := runBody(att, att.req.Args)
+	var val storage.Value
+	var perr error
+	if up.Fn != nil {
+		att.uctx = updateCtx{att: att, class: storage.Partition(up.Class), args: att.req.Args}
+		if val, perr = up.Fn(&att.uctx); perr == nil {
+			perr = att.uctx.err
+		}
+	} else {
+		att.mctx = multiUpdateCtx{att: att, args: att.req.Args}
+		if val, perr = mu.Fn(&att.mctx); perr == nil {
+			perr = att.mctx.err
+		}
+	}
 	if perr != nil {
 		if perr == errAborted {
 			// Aborted mid-procedure; the scheduler already knows.
@@ -350,9 +384,7 @@ func (e *executor) runTxn(att *attempt) {
 		}
 		// A failing procedure is a programming error (procedures must be
 		// deterministic and total). Keep the protocol live: commit an
-		// empty transaction and report the error to the submitter. The
-		// wait for fresh partitions runs outside att.mu — a racing Abort
-		// must be able to close abortCh while we park.
+		// empty transaction and report the error to the submitter.
 		att.mu.Lock()
 		failed := !att.aborted
 		if failed {
@@ -360,21 +392,11 @@ func (e *executor) runTxn(att *attempt) {
 			att.stx = nil
 		}
 		att.mu.Unlock()
-		if failed {
-			fresh, berr := e.r.store.BeginMultiWait(att.parts, e.r.mode, att.abortCh)
-			if berr != nil {
-				return // aborted while waiting
-			}
-			att.mu.Lock()
-			if att.aborted {
-				att.mu.Unlock()
-				_ = fresh.Abort()
-				return
-			}
-			att.stx = fresh
-			att.mu.Unlock()
+		if failed && !e.begin(att) {
+			return // aborted while waiting
 		}
 		e.r.failWaiter(att.id, perr)
+		val = nil
 	}
 
 	att.mu.Lock()
@@ -384,6 +406,26 @@ func (e *executor) runTxn(att *attempt) {
 	if !aborted {
 		e.r.mgr.OnExecuted(att.id, att.epoch)
 	}
+}
+
+// begin acquires the attempt's partitions and reports whether the attempt
+// holds them. A superseded attempt of an overlapping class may hold one
+// for a moment while its abort races; begin parks on the partition's
+// release channel until it frees (or this attempt is itself aborted) — no
+// polling, and outside att.mu: a racing Abort must be able to close
+// abortCh while it parks.
+func (e *executor) begin(att *attempt) bool {
+	if e.r.store.BeginMultiWait(&att.txn, att.parts, e.r.mode, att.abortCh) != nil {
+		return false
+	}
+	att.mu.Lock()
+	defer att.mu.Unlock()
+	if att.aborted {
+		_ = att.txn.Abort()
+		return false
+	}
+	att.stx = &att.txn
+	return true
 }
 
 // errAborted is the sentinel recorded when an access hits an aborted
@@ -405,7 +447,7 @@ var _ sproc.TxnControl = (*updateCtx)(nil)
 func (c *updateCtx) Args() []storage.Value { return c.args }
 
 // Definitive implements sproc.TxnControl.
-func (c *updateCtx) Definitive() <-chan struct{} { return c.att.toCh }
+func (c *updateCtx) Definitive() <-chan struct{} { return c.att.definitive() }
 
 // AbortSignal implements sproc.TxnControl.
 func (c *updateCtx) AbortSignal() <-chan struct{} { return c.att.abortCh }
@@ -444,7 +486,7 @@ var _ sproc.TxnControl = (*multiUpdateCtx)(nil)
 func (c *multiUpdateCtx) Args() []storage.Value { return c.args }
 
 // Definitive implements sproc.TxnControl.
-func (c *multiUpdateCtx) Definitive() <-chan struct{} { return c.att.toCh }
+func (c *multiUpdateCtx) Definitive() <-chan struct{} { return c.att.definitive() }
 
 // AbortSignal implements sproc.TxnControl.
 func (c *multiUpdateCtx) AbortSignal() <-chan struct{} { return c.att.abortCh }

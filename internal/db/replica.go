@@ -505,11 +505,14 @@ func (r *Replica) onDelivery(ev abcast.Event) {
 			r.failWaiter(ev.ID, err)
 			return
 		}
-		otpClasses := make([]otp.ClassID, len(classes))
-		for i, c := range classes {
-			otpClasses[i] = otp.ClassID(c)
+		// The scheduler keeps its own normalized copy of the classes and
+		// the payload as it came, boxed once by the broadcast layer.
+		var buf [4]otp.ClassID
+		otpClasses := buf[:0]
+		for _, c := range classes {
+			otpClasses = append(otpClasses, otp.ClassID(c))
 		}
-		if err := r.mgr.OnOptDeliver(ev.ID, otpClasses, req); err != nil {
+		if err := r.mgr.OnOptDeliver(ev.ID, otpClasses, ev.Payload); err != nil {
 			r.failWaiter(ev.ID, err)
 			return
 		}
@@ -911,7 +914,7 @@ func (s *QuerySnap) Read(class sproc.ClassID, key storage.Key) (storage.Value, b
 	part := storage.Partition(class)
 	if s.r.qmode == DirtyQueries {
 		v, ver, ok := s.r.store.GetVersioned(part, key)
-		s.reads = append(s.reads, QueryRead{Class: class, Key: key, Version: ver})
+		s.note(class, key, ver)
 		return v, ok
 	}
 	// Section 5: wait until the last TO-delivered transaction of this
@@ -932,8 +935,15 @@ func (s *QuerySnap) Read(class sproc.ClassID, key storage.Key) (storage.Value, b
 		s.err = err
 		return nil, false
 	}
-	s.reads = append(s.reads, QueryRead{Class: class, Key: key, Version: ver})
+	s.note(class, key, ver)
 	return v, ok
+}
+
+// note keeps one read for Record, when there is a sink to record to.
+func (s *QuerySnap) note(class sproc.ClassID, key storage.Key, ver int64) {
+	if s.r.hist != nil {
+		s.reads = append(s.reads, QueryRead{Class: class, Key: key, Version: ver})
+	}
 }
 
 // queryCtx adapts a QuerySnap to sproc.QueryCtx.

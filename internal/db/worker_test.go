@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,5 +253,129 @@ func TestAbortMidProcedureThenCommitOnSameWorker(t *testing.T) {
 	}
 	if v, _ := s.rep.Store().Get("c", "n"); storage.ValueInt64(v) != 3 {
 		t.Fatalf("counter is %d after three commits", storage.ValueInt64(v))
+	}
+}
+
+// An attempt struct serves one transaction after another, and two of the
+// things it carries are signals: the abort channel, closed when the
+// correctness check undoes the attempt, and the definitive channel. A
+// transaction that gets the struct of one aborted mid-procedure, or of one
+// that started out definitive, must find neither signal given.
+func TestRecycledAttemptStartsClean(t *testing.T) {
+	var stale atomic.Int32 // bodies that found a signal nobody gave them
+	signals := func(ctx sproc.UpdateCtx) (aborted, definitive bool) {
+		tc := ctx.(sproc.TxnControl)
+		select {
+		case <-tc.AbortSignal():
+			aborted = true
+		default:
+		}
+		select {
+		case <-tc.Definitive():
+			definitive = true
+		default:
+		}
+		return aborted, definitive
+	}
+	for round := 0; round < 25; round++ {
+		reg := sproc.NewRegistry()
+		var xRuns atomic.Int32
+		xRunning, release := make(chan struct{}), make(chan struct{})
+		holding, freshRunning := make(chan struct{}), make(chan struct{})
+		startedDefinitive := make(chan bool, 1)
+		registerBump(t, reg, "x", "c", func(ctx sproc.UpdateCtx) {
+			// The second attempt may be confirmed before its body runs.
+			first := xRuns.Add(1) == 1
+			if a, d := signals(ctx); a || d && first {
+				stale.Add(1)
+			}
+			if first {
+				close(xRunning)
+				<-ctx.(sproc.TxnControl).AbortSignal()
+			}
+		})
+		registerBump(t, reg, "plain", "c", func(ctx sproc.UpdateCtx) {
+			if a, _ := signals(ctx); a {
+				stale.Add(1)
+			}
+		})
+		registerBump(t, reg, "hold", "c", func(ctx sproc.UpdateCtx) {
+			if a, d := signals(ctx); a || d {
+				stale.Add(1)
+			}
+			close(holding)
+			<-release
+		})
+		registerBump(t, reg, "late", "c", func(ctx sproc.UpdateCtx) {
+			a, d := signals(ctx)
+			if a {
+				stale.Add(1)
+			}
+			startedDefinitive <- d
+		})
+		registerBump(t, reg, "fresh", "c", func(ctx sproc.UpdateCtx) {
+			if a, d := signals(ctx); a || d {
+				stale.Add(1)
+			}
+			close(freshRunning)
+			<-ctx.(sproc.TxnControl).Definitive()
+		})
+		s := newScriptedReplica(t, reg)
+		stop := sync.OnceFunc(func() {
+			s.rep.Stop()
+			_ = s.bc.Stop()
+		})
+		t.Cleanup(stop)
+
+		// x is aborted mid-procedure by the confirmation of the one behind
+		// it, runs again and commits.
+		idX, reqX, doneX := s.submit(t, "x")
+		idY, reqY, doneY := s.submit(t, "plain")
+		s.bc.InjectOpt(idX, reqX)
+		waitFor(t, xRunning, "x to run")
+		s.bc.InjectOpt(idY, reqY)
+		s.bc.InjectTO(idY)
+		waitFor(t, doneY, "the confirmed transaction to commit")
+		s.bc.InjectTO(idX)
+		waitFor(t, doneX, "x to commit")
+
+		// late is confirmed while hold still runs ahead of it: its attempt
+		// starts out definitive.
+		idH, reqH, doneH := s.submit(t, "hold")
+		idL, reqL, doneL := s.submit(t, "late")
+		s.bc.InjectOpt(idH, reqH)
+		waitFor(t, holding, "hold to run")
+		s.bc.InjectTO(idH)
+		s.bc.InjectOpt(idL, reqL)
+		s.bc.InjectTO(idL)
+		testutil.Eventually(t, 5*time.Second, "late's confirmation to reach the replica", func() bool {
+			return s.rep.LastTO() == 4
+		})
+		close(release)
+		waitFor(t, doneH, "hold to commit")
+		waitFor(t, doneL, "late to commit")
+		if !<-startedDefinitive {
+			t.Fatal("a transaction confirmed before it ran did not start out definitive")
+		}
+
+		// fresh gets one of the structs those left behind.
+		idF, reqF, doneF := s.submit(t, "fresh")
+		s.bc.InjectOpt(idF, reqF)
+		waitFor(t, freshRunning, "fresh to run")
+		select {
+		case <-doneF:
+			t.Fatal("fresh committed without its confirmation")
+		case <-time.After(time.Millisecond):
+		}
+		s.bc.InjectTO(idF)
+		waitFor(t, doneF, "fresh to commit")
+
+		if v, _ := s.rep.Store().Get("c", "n"); storage.ValueInt64(v) != 5 {
+			t.Fatalf("round %d: counter is %d after five commits", round, storage.ValueInt64(v))
+		}
+		stop()
+		if n := stale.Load(); n != 0 {
+			t.Fatalf("round %d: %d procedure bodies started with a signal left over from another transaction", round, n)
+		}
 	}
 }

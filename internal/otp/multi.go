@@ -3,7 +3,7 @@ package otp
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -177,7 +177,6 @@ func (m *MultiManager) OnOptDeliver(id abcast.MsgID, classes []ClassID, payload 
 	if len(classes) == 0 {
 		return ErrNoClasses
 	}
-	sorted := normalizeClasses(classes)
 	m.mu.Lock()
 	if _, dup := m.index[id]; dup {
 		m.mu.Unlock()
@@ -188,7 +187,8 @@ func (m *MultiManager) OnOptDeliver(id abcast.MsgID, classes []ClassID, payload 
 	// committed non-atomically, racing a late decref from the previous
 	// incarnation's perform() drain.
 	tx.ID = id
-	tx.Classes = sorted
+	tx.Classes = normalizeClasses(tx.Classes[:0], classes)
+	sorted := tx.Classes
 	tx.Payload = payload
 	tx.exec = Active
 	tx.deliv = Pending
@@ -262,16 +262,16 @@ func (m *MultiManager) OnTODeliver(id abcast.MsgID) error {
 	}
 
 	tx.deliv = Committable
-	aborted := make(map[*MultiTxn]bool)
 	for _, class := range tx.Classes {
 		q := m.queues[class]
 		head := q[0]
 		// Generalized CC7/CC8: a pending head that has optimistically
 		// started (or finished) must be undone before the confirmed
 		// transaction overtakes it. A pending head that never started
-		// needs no undo — its queue entry simply shifts.
-		if head != tx && head.deliv == Pending && (head.running || head.exec == Executed) && !aborted[head] {
-			aborted[head] = true
+		// needs no undo — its queue entry simply shifts. (The abort leaves
+		// the head neither running nor executed, so one that heads several
+		// of these queues is undone once.)
+		if head != tx && head.deliv == Pending && (head.running || head.exec == Executed) {
 			acts = m.abortLocked(head, acts)
 		}
 		m.rescheduleInClassLocked(tx, class)
@@ -315,15 +315,13 @@ func (m *MultiManager) commitLocked(tx *MultiTxn, acts []multiAction) []multiAct
 	tx.refs.Add(1)
 	tx.committed.Store(1)
 	acts = append(acts, multiAction{kind: actCommit, tx: tx})
-	// New heads of the vacated queues may now be runnable.
-	tried := make(map[*MultiTxn]bool)
+	// New heads of the vacated queues may now be runnable. (A head that
+	// heads several of them is submitted once: trySubmitLocked marks it
+	// running.)
 	for _, class := range tx.Classes {
-		q := m.queues[class]
-		if len(q) == 0 || tried[q[0]] {
-			continue
+		if q := m.queues[class]; len(q) > 0 {
+			acts = m.trySubmitLocked(q[0], acts)
 		}
-		tried[q[0]] = true
-		acts = m.trySubmitLocked(q[0], acts)
 	}
 	return acts
 }
@@ -409,7 +407,7 @@ func (m *MultiManager) Stats() Stats {
 
 // Committed returns a copy of the commit log in commit order. The Class
 // field holds the transaction's first declared class. The log retains
-// the most recent commitLogCap records; callers needing the full history
+// about the most recent commitLogCap records (commitLog); callers needing the full history
 // of a long run should consume the OnCommit hook.
 func (m *MultiManager) Committed() []CommitRecord {
 	m.mu.Lock()
@@ -493,26 +491,17 @@ func (m *MultiManager) CheckInvariants() error {
 	return nil
 }
 
-// normalizeClasses sorts and dedupes a class set. Class sets are tiny
-// (usually one or two entries), so linear dedup beats a map and the
-// single-class case allocates just the one-element slice.
-func normalizeClasses(classes []ClassID) []ClassID {
-	if len(classes) == 1 {
-		return []ClassID{classes[0]}
-	}
-	out := make([]ClassID, 0, len(classes))
+// normalizeClasses appends the sorted, deduped class set to out (a
+// recycled transaction's own slice: the caller's is not kept). Class sets
+// are tiny — usually one entry — so linear dedup beats a map.
+func normalizeClasses(out, classes []ClassID) []ClassID {
 	for _, c := range classes {
-		dup := false
-		for _, u := range out {
-			if u == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if len(out) > 1 {
+		slices.Sort(out)
+	}
 	return out
 }

@@ -108,7 +108,7 @@ func (s schedule) run(t *testing.T, displacement int) ran {
 func (r ran) perClassCommits() map[ClassID][]abcast.MsgID {
 	out := make(map[ClassID][]abcast.MsgID)
 	for _, cid := range r.exec.commits {
-		for _, class := range normalizeClasses(r.classes[cid.Seq]) {
+		for _, class := range normalizeClasses(nil, r.classes[cid.Seq]) {
 			out[class] = append(out[class], cid)
 		}
 	}

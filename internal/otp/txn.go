@@ -134,28 +134,41 @@ var (
 // should consume the OnCommit hook instead.
 const commitLogCap = 1 << 16
 
-// commitLog is a bounded ring of the most recent commit records.
+// commitLogChunk is the number of records the commit log grows by.
+const commitLogChunk = 1 << 10
+
+// commitLog holds the most recent commit records — commitLogCap of them,
+// to within a chunk — in chunks: it grows a chunk at a time, never copying
+// what it holds, and at the cap the oldest chunk's array becomes the
+// newest.
 type commitLog struct {
-	recs []CommitRecord
-	next int // write position once the ring is full
+	full [][]CommitRecord // filled chunks, oldest first
+	recs []CommitRecord   // the chunk being filled
 }
 
-// add appends a record, evicting the oldest once the ring is full.
+// add appends a record, evicting the oldest chunk once the log is full.
 func (l *commitLog) add(rec CommitRecord) {
-	if len(l.recs) < commitLogCap {
-		l.recs = append(l.recs, rec)
-		return
+	if len(l.recs) == commitLogChunk {
+		l.full = append(l.full, l.recs)
+		l.recs = nil
+		if len(l.full) == commitLogCap/commitLogChunk {
+			l.recs = l.full[0][:0]
+			l.full = append(l.full[:0], l.full[1:]...)
+		}
 	}
-	l.recs[l.next] = rec
-	l.next = (l.next + 1) % commitLogCap
+	if l.recs == nil {
+		l.recs = make([]CommitRecord, 0, commitLogChunk)
+	}
+	l.recs = append(l.recs, rec)
 }
 
 // snapshot returns the retained records in commit order.
 func (l *commitLog) snapshot() []CommitRecord {
-	out := make([]CommitRecord, 0, len(l.recs))
-	out = append(out, l.recs[l.next:]...)
-	out = append(out, l.recs[:l.next]...)
-	return out
+	out := make([]CommitRecord, 0, len(l.full)*commitLogChunk+len(l.recs))
+	for _, chunk := range l.full {
+		out = append(out, chunk...)
+	}
+	return append(out, l.recs...)
 }
 
 // actionKind orders deferred executor calls.

@@ -9,6 +9,7 @@ package sproc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,6 +68,8 @@ type Update struct {
 	// workloads to model transactions of a given length. The executor
 	// waits Cost before running Fn (abort interrupts the wait).
 	Cost time.Duration
+
+	classes []ClassID // {Class}, built at registration for UpdateClasses
 }
 
 // Query is a registered read-only procedure.
@@ -184,6 +187,7 @@ func (r *Registry) RegisterUpdate(u Update) error {
 	if r.taken(u.Name) {
 		return fmt.Errorf("%w: %s", ErrDuplicateProc, u.Name)
 	}
+	u.classes = []ClassID{u.Class}
 	r.updates[u.Name] = u
 	return nil
 }
@@ -198,6 +202,7 @@ func (r *Registry) RegisterMulti(u MultiUpdate) error {
 	if r.taken(u.Name) {
 		return fmt.Errorf("%w: %s", ErrDuplicateProc, u.Name)
 	}
+	u.Classes = slices.Clone(u.Classes)
 	r.multis[u.Name] = u
 	return nil
 }
@@ -227,18 +232,17 @@ func (r *Registry) Multi(name string) (MultiUpdate, error) {
 	return u, nil
 }
 
-// Classes returns the class set of any update procedure (single- or
-// multi-class) by name.
+// UpdateClasses returns the class set of any update procedure (single- or
+// multi-class) by name. The slice is the registry's own — every submission
+// and every delivery asks — and must not be modified.
 func (r *Registry) UpdateClasses(name string) ([]ClassID, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if u, ok := r.updates[name]; ok {
-		return []ClassID{u.Class}, nil
+		return u.classes, nil
 	}
 	if u, ok := r.multis[name]; ok {
-		out := make([]ClassID, len(u.Classes))
-		copy(out, u.Classes)
-		return out, nil
+		return u.Classes, nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrUnknownProc, name)
 }

@@ -3,6 +3,7 @@ package statex
 import (
 	"context"
 	"hash/crc32"
+	"slices"
 	"testing"
 	"time"
 
@@ -199,6 +200,9 @@ func TestFetchResumeConsistencyWithJoinState(t *testing.T) {
 	hub := transport.NewHub(3)
 	defer hub.Close()
 	all := mkEntries(5, 20)
+	// The delivered sets are the final donor's, the one whose Done closes
+	// the transfer: captured with the last entry, they cover the others'.
+	delivered := []abcast.SeqRange{{Origin: 0, Lo: 1, Hi: 11}, {Origin: 2, Lo: 1, Hi: 7}}
 	scriptDonor(hub.Endpoint(1), func(joiner transport.NodeID, req JoinReq) {
 		ep := hub.Endpoint(1)
 		_ = ep.Send(joiner, StreamXfer, JoinResp{Xfer: req.Xfer, Mode: TailOnly})
@@ -208,7 +212,7 @@ func TestFetchResumeConsistencyWithJoinState(t *testing.T) {
 		ep := hub.Endpoint(2)
 		_ = ep.Send(joiner, StreamXfer, JoinResp{Xfer: req.Xfer, Mode: TailOnly})
 		_ = ep.Send(joiner, StreamXfer, TailChunk{Xfer: req.Xfer, Seq: 0, Entries: all[req.From-4:]})
-		_ = ep.Send(joiner, StreamXfer, Done{Xfer: req.Xfer, StartStage: 21, ResumeSeq: 11, Chunks: 1, Frontier: 20})
+		_ = ep.Send(joiner, StreamXfer, Done{Xfer: req.Xfer, StartStage: 21, ResumeSeq: 11, Delivered: delivered, Chunks: 1, Frontier: 20})
 	}, make(chan uint64, 1))
 
 	xfer, err := Fetch(context.Background(), hub.Endpoint(0), 4, []transport.NodeID{1, 2}, resumeOpts)
@@ -231,5 +235,7 @@ func TestFetchResumeConsistencyWithJoinState(t *testing.T) {
 	if xfer.Join.ResumeSeq != 11+ResumeSeqSlack {
 		t.Fatalf("ResumeSeq = %d", xfer.Join.ResumeSeq)
 	}
-	var _ abcast.JoinState = xfer.Join
+	if !slices.Equal(xfer.Join.Delivered, delivered) {
+		t.Fatalf("Delivered = %v, want the final donor's %v", xfer.Join.Delivered, delivered)
+	}
 }

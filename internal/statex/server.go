@@ -28,10 +28,11 @@ type Source interface {
 	Checkpoint(ctx context.Context) (*storage.Checkpoint, error)
 	// DefinitiveLog returns the retained definitive history from
 	// position `from`, the next consensus stage a joiner should resume
-	// at, and the largest broadcast sequence number seen from `origin`,
-	// captured atomically. It returns abcast.ErrHistoryPruned when the
-	// retention ring no longer covers `from`.
-	DefinitiveLog(from uint64, origin transport.NodeID) ([]abcast.DefEntry, uint64, uint64, error)
+	// at, the largest broadcast sequence number seen from `origin` and
+	// the delivered sets, captured atomically. It returns
+	// abcast.ErrHistoryPruned when the retention ring no longer covers
+	// `from`.
+	DefinitiveLog(from uint64, origin transport.NodeID) (abcast.DefLog, error)
 }
 
 // ReplicaSource adapts a replica and its broadcast engine to Source.
@@ -43,7 +44,7 @@ type ReplicaSource struct {
 		LastTO() int64
 	}
 	Engine interface {
-		DefinitiveLog(from uint64, origin transport.NodeID) ([]abcast.DefEntry, uint64, uint64, error)
+		DefinitiveLog(from uint64, origin transport.NodeID) (abcast.DefLog, error)
 	}
 }
 
@@ -62,7 +63,7 @@ func (s ReplicaSource) Frontier() int64 {
 }
 
 // DefinitiveLog implements Source.
-func (s ReplicaSource) DefinitiveLog(from uint64, origin transport.NodeID) ([]abcast.DefEntry, uint64, uint64, error) {
+func (s ReplicaSource) DefinitiveLog(from uint64, origin transport.NodeID) (abcast.DefLog, error) {
 	return s.Engine.DefinitiveLog(from, origin)
 }
 
@@ -250,11 +251,11 @@ func (s *Server) serve(ctx context.Context, joiner transport.NodeID, req JoinReq
 	}
 
 	// Negotiate: can the retained backlog alone close the joiner's gap?
-	entries, stage, resumeSeq, err := s.src.DefinitiveLog(uint64(req.From)+1, joiner)
+	log, err := s.src.DefinitiveLog(uint64(req.From)+1, joiner)
 	base := req.From
 	switch {
 	case err == nil:
-		frontier := req.From + int64(len(entries))
+		frontier := req.From + int64(len(log.Entries))
 		if err := send(JoinResp{Xfer: req.Xfer, Mode: TailOnly, Frontier: frontier}); err != nil {
 			return
 		}
@@ -278,7 +279,7 @@ func (s *Server) serve(ctx context.Context, joiner transport.NodeID, req JoinReq
 		if err := send(JoinResp{Xfer: req.Xfer, Mode: CheckpointTail, Frontier: frontier}); err != nil {
 			return
 		}
-		entries, stage, resumeSeq, base, err = s.serveCheckpoint(ctx, joiner, req)
+		log, base, err = s.serveCheckpoint(ctx, joiner, req)
 		if err != nil {
 			_ = send(Done{Xfer: req.Xfer, Err: err.Error()})
 			return
@@ -287,13 +288,14 @@ func (s *Server) serve(ctx context.Context, joiner transport.NodeID, req JoinReq
 			// Checkpoint-only transfer: the joiner tails from another
 			// donor. Done still carries the stage/sequence pair, though a
 			// parallel joiner takes those from its final tail donor.
-			entries = nil
+			log.Entries = nil
 		}
 	default:
 		_ = send(JoinResp{Xfer: req.Xfer, Err: err.Error()})
 		return
 	}
 
+	entries := log.Entries
 	chunks := (len(entries) + s.tailBatch - 1) / s.tailBatch
 	frontier := base + int64(len(entries))
 	for seq := 0; len(entries) > 0; seq++ {
@@ -306,7 +308,8 @@ func (s *Server) serve(ctx context.Context, joiner transport.NodeID, req JoinReq
 		}
 		entries = entries[n:]
 	}
-	_ = send(Done{Xfer: req.Xfer, StartStage: stage, ResumeSeq: resumeSeq, Chunks: chunks, Frontier: frontier})
+	_ = send(Done{Xfer: req.Xfer, StartStage: log.NextStage, ResumeSeq: log.ResumeSeq, Delivered: log.Delivered,
+		Chunks: chunks, Frontier: frontier})
 }
 
 // serveCheckpoint captures and streams a checkpoint, then returns the
@@ -315,16 +318,16 @@ func (s *Server) serve(ctx context.Context, joiner transport.NodeID, req JoinReq
 // versions pinned.
 //
 //otp:fenced donor side: only reads Last off chunks it built itself; Xfer fencing is the joiner's job (attempt.onMessage)
-func (s *Server) serveCheckpoint(ctx context.Context, joiner transport.NodeID, req JoinReq) ([]abcast.DefEntry, uint64, uint64, int64, error) {
+func (s *Server) serveCheckpoint(ctx context.Context, joiner transport.NodeID, req JoinReq) (abcast.DefLog, int64, error) {
 	ckctx, cancel := context.WithTimeout(ctx, s.ckptTimeout)
 	ck, err := s.src.Checkpoint(ckctx)
 	cancel()
 	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("checkpoint: %w", err)
+		return abcast.DefLog{}, 0, fmt.Errorf("checkpoint: %w", err)
 	}
 	data, err := recovery.EncodeCheckpoint(ck)
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return abcast.DefLog{}, 0, err
 	}
 	for seq, off := 0, 0; ; seq++ {
 		end := off + s.chunkBytes
@@ -339,10 +342,10 @@ func (s *Server) serveCheckpoint(ctx context.Context, joiner transport.NodeID, r
 			Last: end == len(data),
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, 0, err
+			return abcast.DefLog{}, 0, err
 		}
 		if err := s.ep.Send(joiner, StreamXfer, chunk); err != nil {
-			return nil, 0, 0, 0, err
+			return abcast.DefLog{}, 0, err
 		}
 		if chunk.Last {
 			break
@@ -353,9 +356,9 @@ func (s *Server) serveCheckpoint(ctx context.Context, joiner transport.NodeID, r
 	// capture and this query under extreme decision rates; one retry
 	// against a fresh checkpoint would hit the same race, so fail the
 	// transfer and let the joiner retry from negotiation.
-	entries, stage, resumeSeq, err := s.src.DefinitiveLog(uint64(ck.Index)+1, joiner)
+	log, err := s.src.DefinitiveLog(uint64(ck.Index)+1, joiner)
 	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("backlog above checkpoint %d: %w", ck.Index, err)
+		return abcast.DefLog{}, 0, fmt.Errorf("backlog above checkpoint %d: %w", ck.Index, err)
 	}
-	return entries, stage, resumeSeq, ck.Index, nil
+	return log, ck.Index, nil
 }

@@ -169,10 +169,12 @@ type (
 		Entries []abcast.DefEntry
 	}
 	// Done terminates a transfer: the consensus stage the joiner must
-	// resume at and the largest broadcast sequence number the donor has
-	// seen from the joiner's origin, captured atomically with the last
-	// backlog entry. A non-empty Err aborts the transfer instead (e.g.
-	// the donor's checkpoint failed mid-stream).
+	// resume at, the largest broadcast sequence number the donor has
+	// seen from the joiner's origin, and the donor's delivered sets —
+	// per origin, the messages it has TO-released, which the joiner must
+	// drop when the network replays them — all captured atomically with
+	// the last backlog entry. A non-empty Err aborts the transfer
+	// instead (e.g. the donor's checkpoint failed mid-stream).
 	//
 	// The transport between joiner and donor may reorder messages (the
 	// chaos network models per-packet jitter), so Done can overtake the
@@ -186,6 +188,7 @@ type (
 		Xfer       uint64
 		StartStage uint64
 		ResumeSeq  uint64
+		Delivered  []abcast.SeqRange
 		// Chunks is the number of TailChunks the donor sent before this
 		// Done.
 		Chunks int
@@ -849,6 +852,7 @@ func (st *attempt) assemble(d Done) (*Transfer, error) {
 		StartStage: d.StartStage,
 		ResumeSeq:  d.ResumeSeq + ResumeSeqSlack,
 		Backlog:    entries,
+		Delivered:  d.Delivered,
 	}
 	return t, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,8 @@ type fakeSource struct {
 	oldest  uint64 // DefinitiveLog below this reports ErrHistoryPruned
 	stage   uint64
 	resume  uint64
+	// delivered is handed to the joiner as is.
+	delivered []abcast.SeqRange
 
 	// blockCkpt, when non-nil, makes Checkpoint park until its context
 	// is cancelled; the observed error is sent on the channel.
@@ -40,9 +43,9 @@ func (f *fakeSource) Checkpoint(ctx context.Context) (*storage.Checkpoint, error
 	return f.ck, nil
 }
 
-func (f *fakeSource) DefinitiveLog(from uint64, _ transport.NodeID) ([]abcast.DefEntry, uint64, uint64, error) {
+func (f *fakeSource) DefinitiveLog(from uint64, _ transport.NodeID) (abcast.DefLog, error) {
 	if from < f.oldest {
-		return nil, 0, 0, fmt.Errorf("%w: want from %d, oldest retained %d", abcast.ErrHistoryPruned, from, f.oldest)
+		return abcast.DefLog{}, fmt.Errorf("%w: want from %d, oldest retained %d", abcast.ErrHistoryPruned, from, f.oldest)
 	}
 	var out []abcast.DefEntry
 	for _, e := range f.entries {
@@ -50,7 +53,7 @@ func (f *fakeSource) DefinitiveLog(from uint64, _ transport.NodeID) ([]abcast.De
 			out = append(out, e)
 		}
 	}
-	return out, f.stage, f.resume, nil
+	return abcast.DefLog{Entries: out, NextStage: f.stage, ResumeSeq: f.resume, Delivered: f.delivered}, nil
 }
 
 // mkEntries builds a contiguous definitive history [from, to].
@@ -114,7 +117,8 @@ func TestFetchCheckpointFallback(t *testing.T) {
 	hub := transport.NewHub(2)
 	defer hub.Close()
 	ck := mkCheckpoint(7)
-	src := &fakeSource{ck: ck, entries: mkEntries(8, 12), oldest: 8, stage: 9, resume: 0}
+	src := &fakeSource{ck: ck, entries: mkEntries(8, 12), oldest: 8, stage: 9, resume: 0,
+		delivered: []abcast.SeqRange{{Origin: 1, Lo: 1, Hi: 12}}}
 	// Tiny chunks so the stream genuinely exercises multi-chunk framing.
 	donor := NewServer(hub.Endpoint(1), src, WithChunkBytes(64), WithTailBatch(2))
 	donor.Start()
@@ -132,6 +136,11 @@ func TestFetchCheckpointFallback(t *testing.T) {
 	}
 	if len(xfer.Join.Backlog) != 5 || xfer.Join.Backlog[0].Seq != 8 {
 		t.Fatalf("backlog = %+v", xfer.Join.Backlog)
+	}
+	// What the donor had delivered, below the checkpoint too, comes with
+	// the backlog: all the joiner will know of those messages.
+	if !slices.Equal(xfer.Join.Delivered, src.delivered) {
+		t.Fatalf("Delivered = %v, want %v", xfer.Join.Delivered, src.delivered)
 	}
 	// The received checkpoint installs to exactly the donor state.
 	want, got := storage.NewStore(), storage.NewStore()

@@ -334,7 +334,8 @@ func TestBeginMultiWaitAcquiresWhenAllFree(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		mt, err := s.BeginMultiWait([]Partition{"a", "b", "c"}, Buffered, nil)
+		var mt MultiTxn
+		err := s.BeginMultiWait(&mt, []Partition{"a", "b", "c"}, Buffered, nil)
 		if err == nil {
 			err = mt.Abort()
 		}
@@ -376,8 +377,7 @@ func TestBeginMultiWaitCancel(t *testing.T) {
 	cancel := make(chan struct{})
 	got := make(chan error, 1)
 	go func() {
-		_, err := s.BeginMultiWait([]Partition{"a", "b"}, Buffered, cancel)
-		got <- err
+		got <- s.BeginMultiWait(new(MultiTxn), []Partition{"a", "b"}, Buffered, cancel)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(cancel)

@@ -15,9 +15,15 @@ import (
 // Partitions are kept in a small sorted slice with linear lookup:
 // transactions declare at most a handful of classes, and the slice saves
 // a map allocation per attempt on the commit hot path.
+//
+// The zero value is ready for BeginMultiWait, and so is a MultiTxn that
+// has committed or aborted: it keeps its Txns and their buffers, so an
+// owner that begins one transaction after another on the same MultiTxn
+// (the db executor's pooled attempt) allocates for none of them.
 type MultiTxn struct {
 	order []Partition
-	txs   []*Txn // parallel to order
+	txs   []*Txn // parallel to order: the partitions held, own[:len(txs)]
+	own   []*Txn // every Txn this MultiTxn ever began, for the next time
 	done  bool
 }
 
@@ -28,82 +34,77 @@ type ClassKey struct {
 	Key       Key
 }
 
-// dedupSortParts returns the sorted, deduplicated partition set.
-func dedupSortParts(parts []Partition) ([]Partition, error) {
-	uniq := make([]Partition, 0, len(parts))
+// setParts makes order the sorted, deduplicated partition set.
+func (t *MultiTxn) setParts(parts []Partition) error {
+	t.order = t.order[:0]
 	for _, p := range parts {
-		dup := false
-		for _, u := range uniq {
-			if u == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			uniq = append(uniq, p)
+		if !slices.Contains(t.order, p) {
+			t.order = append(t.order, p)
 		}
 	}
-	if len(uniq) == 0 {
-		return nil, fmt.Errorf("storage: BeginMulti needs at least one partition")
+	switch len(t.order) {
+	case 0:
+		return fmt.Errorf("storage: BeginMulti needs at least one partition")
+	case 1: // nearly every transaction: nothing to sort
+	default:
+		// Not sort.Slice: it builds a reflection swapper and a closure.
+		slices.Sort(t.order)
 	}
-	// Not sort.Slice: it builds a reflection swapper and a closure even
-	// for the single partition nearly every transaction has.
-	slices.Sort(uniq)
-	return uniq, nil
+	return nil
+}
+
+// acquire begins a Txn on every partition of order, all or nothing: on a
+// busy partition it releases what it holds and returns that partition.
+func (t *MultiTxn) acquire(s *Store, mode Mode) (busy Partition, err error) {
+	for len(t.own) < len(t.order) {
+		t.own = append(t.own, new(Txn))
+	}
+	t.done = false
+	for i, p := range t.order {
+		if err := s.begin(t.own[i], p, mode); err != nil {
+			t.txs = t.own[:i]
+			_ = t.Abort()
+			return p, err
+		}
+	}
+	t.txs = t.own[:len(t.order)]
+	return "", nil
 }
 
 // BeginMulti starts a transaction over the given set of partitions
 // (deduplicated; acquisition in sorted order). On any failure the already
 // acquired partitions are released.
 func (s *Store) BeginMulti(parts []Partition, mode Mode) (*MultiTxn, error) {
-	uniq, err := dedupSortParts(parts)
-	if err != nil {
+	mt := new(MultiTxn)
+	if err := mt.setParts(parts); err != nil {
 		return nil, err
 	}
-	mt := &MultiTxn{order: uniq, txs: make([]*Txn, 0, len(uniq))}
-	for _, p := range uniq {
-		tx, err := s.Begin(p, mode)
-		if err != nil {
-			_ = mt.Abort()
-			return nil, err
-		}
-		mt.txs = append(mt.txs, tx)
+	if _, err := mt.acquire(s, mode); err != nil {
+		return nil, err
 	}
 	return mt, nil
 }
 
-// BeginMultiWait is BeginMulti that blocks until every partition is free
+// BeginMultiWait begins mt — new or finished — over the given set of
+// partitions like BeginMulti, but blocks until every partition is free
 // instead of returning ErrPartitionBusy. Acquisition is all-or-nothing:
 // on a busy partition the already acquired ones are released and the
 // caller parks on the busy partition's release channel — no polling.
 // cancel, when non-nil, aborts the wait with ErrCanceled.
-func (s *Store) BeginMultiWait(parts []Partition, mode Mode, cancel <-chan struct{}) (*MultiTxn, error) {
+func (s *Store) BeginMultiWait(mt *MultiTxn, parts []Partition, mode Mode, cancel <-chan struct{}) error {
 	if mode != Buffered && mode != InPlaceUndo {
-		return nil, fmt.Errorf("storage: invalid mode %d", mode)
+		return fmt.Errorf("storage: invalid mode %d", mode)
 	}
-	uniq, err := dedupSortParts(parts)
-	if err != nil {
-		return nil, err
+	if err := mt.setParts(parts); err != nil {
+		return err
 	}
 	for {
-		mt := &MultiTxn{order: uniq, txs: make([]*Txn, 0, len(uniq))}
-		var busy Partition
-		for _, p := range uniq {
-			tx, err := s.Begin(p, mode)
-			if err != nil {
-				busy = p
-				break
-			}
-			mt.txs = append(mt.txs, tx)
+		// Holding nothing while waiting avoids a deadlock against a racing
+		// abort that still owns a later partition.
+		busy, err := mt.acquire(s, mode)
+		if err == nil {
+			return nil
 		}
-		if len(mt.txs) == len(uniq) {
-			return mt, nil
-		}
-		// Release what we hold (all-or-nothing avoids deadlock against a
-		// racing abort that still owns a later partition), then wait for
-		// the busy partition to free up.
-		mt.order = mt.order[:len(mt.txs)]
-		_ = mt.Abort()
 		pt := s.part(busy)
 		pt.mu.Lock()
 		if pt.active == nil {
@@ -119,7 +120,7 @@ func (s *Store) BeginMultiWait(parts []Partition, mode Mode, cancel <-chan struc
 			pt.mu.Lock()
 			pt.waiters--
 			pt.mu.Unlock()
-			return nil, ErrCanceled
+			return ErrCanceled
 		}
 		pt.mu.Lock()
 		pt.waiters--

@@ -143,10 +143,11 @@ type versionState struct {
 	vals    []Value // parallel committed values
 }
 
-// appendVersion derives the successor state with one more version.
-func (st *versionState) appendVersion(current Value, toIndex int64, v Value) *versionState {
+// appendVersion derives the successor state with one more version, which
+// is also the current value.
+func (st *versionState) appendVersion(toIndex int64, v Value) *versionState {
 	return &versionState{
-		current: current,
+		current: v,
 		idx:     append(st.idx, toIndex),
 		vals:    append(st.vals, v),
 	}
@@ -155,6 +156,9 @@ func (st *versionState) appendVersion(current Value, toIndex int64, v Value) *ve
 // entry is one key's slot: an atomic pointer to its published state.
 type entry struct {
 	state atomic.Pointer[versionState]
+	// listed says the entry is on its partition's prunable list (guarded
+	// by the partition mutex).
+	listed bool
 }
 
 // load returns the entry's current state (never nil for a published
@@ -184,6 +188,13 @@ type partition struct {
 	pruned        atomic.Int64 // snapshot watermark: reads below fail
 	active        *Txn         // at most one writer (OTP head) at a time
 
+	// prunable lists the entries whose chain holds more than one version:
+	// the only ones a Prune can shorten. An entry joins when a commit
+	// appends to its chain and leaves when a Prune cuts it back to one
+	// version, so a pass costs what was written since the last one, not
+	// the size of the partition.
+	prunable []*entry
+
 	// freeCh signals Begin waiters when the active transaction releases
 	// the partition. It is allocated lazily by the first waiter and
 	// closed (then cleared) by the releasing transaction, so uncontended
@@ -211,6 +222,16 @@ func (pt *partition) waitChLocked() chan struct{} {
 		pt.freeCh = make(chan struct{})
 	}
 	return pt.freeCh
+}
+
+// addVersion publishes e's successor state with one more committed
+// version and lists e for the next Prune. Callers hold pt.mu.
+func (pt *partition) addVersion(e *entry, toIndex int64, v Value) {
+	e.state.Store(e.load().appendVersion(toIndex, v))
+	if !e.listed {
+		e.listed = true
+		pt.prunable = append(pt.prunable, e)
+	}
 }
 
 // getEntry returns the key's entry, or nil. Lock-free.
@@ -575,7 +596,8 @@ func (s *Store) Digest() uint64 {
 // Prune advances the snapshot watermark to minSnapshot and drops, for
 // every key, all versions strictly older than the newest version with
 // TOIndex <= minSnapshot (which must be retained to serve snapshot reads
-// at the watermark). The replica calls it with the oldest active query
+// at the watermark). Only keys with more than one version are visited
+// (partition.prunable). The replica calls it with the oldest active query
 // snapshot, so every read that can still be issued remains answerable
 // exactly; reads below the watermark fail loudly (ErrSnapshotPruned).
 // It returns the number of versions removed.
@@ -590,20 +612,32 @@ func (s *Store) Prune(minSnapshot int64) int {
 		if minSnapshot > pt.pruned.Load() {
 			pt.pruned.Store(minSnapshot)
 		}
-		pt.forEachEntry(func(_ Key, e *entry) {
+		kept := pt.prunable[:0]
+		for _, e := range pt.prunable {
 			st := e.load()
 			i := searchVersions(st.idx, minSnapshot)
 			// Keep suffix [i-1:] — the last version at or before the
 			// horizon plus everything newer.
 			if i > 1 {
 				removed += i - 1
-				e.state.Store(&versionState{
+				// Room for one more: a key written once between passes —
+				// most are — appends its next version in place.
+				n := len(st.idx) - (i - 1)
+				st = &versionState{
 					current: st.current,
-					idx:     append([]int64(nil), st.idx[i-1:]...),
-					vals:    append([]Value(nil), st.vals[i-1:]...),
-				})
+					idx:     append(make([]int64, 0, n+1), st.idx[i-1:]...),
+					vals:    append(make([]Value, 0, n+1), st.vals[i-1:]...),
+				}
+				e.state.Store(st)
 			}
-		})
+			if len(st.idx) > 1 {
+				kept = append(kept, e) // newer versions: a later pass's work
+			} else {
+				e.listed = false
+			}
+		}
+		clear(pt.prunable[len(kept):])
+		pt.prunable = kept
 		pt.mu.Unlock()
 	}
 	return removed
@@ -632,45 +666,63 @@ type undoRecord struct {
 }
 
 // Txn is a single-partition update transaction. It is not safe for
-// concurrent use (one stored procedure runs in one goroutine).
+// concurrent use (one stored procedure runs in one goroutine). A finished
+// Txn may be begun again (MultiTxn does): its buffers keep their arrays.
 type Txn struct {
-	store *Store
-	pt    *partition
-	p     Partition
-	mode  Mode
-	done  bool
+	pt   *partition
+	p    Partition
+	mode Mode
+	done bool
 
-	buffer   map[Key]Value // Buffered mode
-	undo     []undoRecord  // InPlaceUndo mode
+	// buffer holds the Buffered mode's pending writes, one per key in
+	// first-write order. A stored procedure writes a handful of keys, so
+	// finding one is a short scan and the buffer costs no allocation once
+	// the slice has grown.
+	buffer   []bufferedWrite
+	undo     []undoRecord // InPlaceUndo mode
 	readSet  []Key
 	writeSet []Key
 }
 
-// newTxnLocked constructs a transaction for a free partition. Callers
-// hold pt.mu and have checked pt.active == nil.
-func (s *Store) newTxnLocked(pt *partition, p Partition, mode Mode) *Txn {
-	tx := &Txn{store: s, pt: pt, p: p, mode: mode}
-	if mode == Buffered {
-		tx.buffer = make(map[Key]Value)
-	}
+type bufferedWrite struct {
+	key   Key
+	value Value
+}
+
+// beginLocked makes tx the active transaction of a free partition.
+// Callers hold pt.mu and have checked pt.active == nil.
+func (tx *Txn) beginLocked(pt *partition, p Partition, mode Mode) {
+	clear(tx.buffer) // drop the values; the keys' strings go with them
+	clear(tx.undo)
+	*tx = Txn{pt: pt, p: p, mode: mode,
+		buffer: tx.buffer[:0], undo: tx.undo[:0], readSet: tx.readSet[:0], writeSet: tx.writeSet[:0]}
 	pt.active = tx
-	return tx
 }
 
 // Begin starts an update transaction on partition p. At most one
 // transaction may be active per partition; the OTP scheduler guarantees
 // this, and the store enforces it.
 func (s *Store) Begin(p Partition, mode Mode) (*Txn, error) {
+	tx := new(Txn)
+	if err := s.begin(tx, p, mode); err != nil {
+		return nil, err
+	}
+	return tx, nil
+}
+
+// begin is Begin on a caller-supplied (new or finished) Txn.
+func (s *Store) begin(tx *Txn, p Partition, mode Mode) error {
 	if mode != Buffered && mode != InPlaceUndo {
-		return nil, fmt.Errorf("storage: invalid mode %d", mode)
+		return fmt.Errorf("storage: invalid mode %d", mode)
 	}
 	pt := s.part(p)
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if pt.active != nil {
-		return nil, fmt.Errorf("%w: %s", ErrPartitionBusy, p)
+		return fmt.Errorf("%w: %s", ErrPartitionBusy, p)
 	}
-	return s.newTxnLocked(pt, p, mode), nil
+	tx.beginLocked(pt, p, mode)
+	return nil
 }
 
 // BeginWait is Begin that blocks until the partition is free instead of
@@ -685,7 +737,8 @@ func (s *Store) BeginWait(p Partition, mode Mode, cancel <-chan struct{}) (*Txn,
 	for {
 		pt.mu.Lock()
 		if pt.active == nil {
-			tx := s.newTxnLocked(pt, p, mode)
+			tx := new(Txn)
+			tx.beginLocked(pt, p, mode)
 			pt.mu.Unlock()
 			return tx, nil
 		}
@@ -715,8 +768,8 @@ func (t *Txn) Read(k Key) (Value, bool) {
 	t.readSet = append(t.readSet, k)
 	if t.mode == Buffered {
 		// The buffer is private to the transaction's goroutine.
-		if v, ok := t.buffer[k]; ok {
-			return v, v != nil
+		if w := t.buffered(k); w != nil {
+			return w.value, w.value != nil
 		}
 	}
 	e := t.pt.getEntry(k)
@@ -738,8 +791,12 @@ func (t *Txn) Write(k Key, v Value) error {
 	}
 	t.writeSet = append(t.writeSet, k)
 	if t.mode == Buffered {
-		// Private buffer: no lock needed.
-		t.buffer[k] = v.clone()
+		// Private buffer: no lock needed. The last write of a key wins.
+		if w := t.buffered(k); w != nil {
+			w.value = v.clone()
+		} else {
+			t.buffer = append(t.buffer, bufferedWrite{k, v.clone()})
+		}
 		return nil
 	}
 	// InPlaceUndo: apply now (dirty values become visible, which is the
@@ -750,6 +807,16 @@ func (t *Txn) Write(k Key, v Value) error {
 	st := e.load()
 	t.undo = append(t.undo, undoRecord{key: k, value: st.current, wasSet: st.current != nil})
 	e.state.Store(&versionState{current: v.clone(), idx: st.idx, vals: st.vals})
+	return nil
+}
+
+// buffered returns the pending write of k, nil when there is none.
+func (t *Txn) buffered(k Key) *bufferedWrite {
+	for i := range t.buffer {
+		if t.buffer[i].key == k {
+			return &t.buffer[i]
+		}
+	}
 	return nil
 }
 
@@ -773,7 +840,6 @@ func (t *Txn) Abort() error {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if t.mode == Buffered {
-		t.buffer = nil
 		pt.release()
 		return nil
 	}
@@ -819,12 +885,11 @@ func (t *Txn) Commit(toIndex int64) error {
 	}
 	switch t.mode {
 	case Buffered:
-		for k, v := range t.buffer {
-			e := pt.ensureEntry(k)
+		for _, w := range t.buffer {
 			// The buffered value was cloned on the way in and becomes the
 			// immutable committed version: current and the version chain
 			// share it.
-			e.state.Store(e.load().appendVersion(v, toIndex, v))
+			pt.addVersion(pt.ensureEntry(w.key), toIndex, w.value)
 		}
 	case InPlaceUndo:
 		// Current values are already in place; record versions for the
@@ -837,8 +902,7 @@ func (t *Txn) Commit(toIndex int64) error {
 			}
 			seen[k] = true
 			e := pt.getEntry(k)
-			st := e.load()
-			e.state.Store(st.appendVersion(st.current, toIndex, st.current))
+			pt.addVersion(e, toIndex, e.load().current)
 		}
 	}
 	// Publish the commit index last: a reader that observes it sees every
@@ -985,7 +1049,7 @@ func (s *Store) InstallCommit(toIndex int64, writes []ClassKeyValue) bool {
 			for _, w := range writes[i:j] {
 				e := pt.ensureEntry(w.Key)
 				v := w.Value.clone()
-				e.state.Store(e.load().appendVersion(v, toIndex, v))
+				e.state.Store(e.load().appendVersion(toIndex, v))
 			}
 			pt.lastCommitted.Store(toIndex)
 		}
@@ -1001,8 +1065,8 @@ func (s *Store) InstallCommit(toIndex int64, writes []ClassKeyValue) bool {
 func (t *Txn) pendingWrites(out []ClassKeyValue) []ClassKeyValue {
 	switch t.mode {
 	case Buffered:
-		for k, v := range t.buffer {
-			out = append(out, ClassKeyValue{Partition: t.p, Key: k, Value: v})
+		for _, w := range t.buffer {
+			out = append(out, ClassKeyValue{Partition: t.p, Key: w.key, Value: w.value})
 		}
 	case InPlaceUndo:
 		// Writes are already in place; the committed value is the entry's

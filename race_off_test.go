@@ -1,0 +1,5 @@
+//go:build !race
+
+package otpdb_test
+
+const raceEnabled = false

@@ -334,7 +334,7 @@ func TestRestartSiteCheckpointFallback(t *testing.T) {
 	cluster := counterCluster(t,
 		otpdb.WithReplicas(3),
 		otpdb.WithConsensusRoundTimeout(50*time.Millisecond),
-		otpdb.WithDefLogCap(32), // retains ~16 entries after eviction
+		otpdb.WithDefLogCap(32), // the survivors retain the last 32 deliveries
 	)
 	if err := cluster.Seed("counter", "seeded", otpdb.Int64(77)); err != nil {
 		t.Fatal(err)
