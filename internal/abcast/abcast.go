@@ -153,8 +153,10 @@ type Stats struct {
 	TODelivered uint64
 	// Stages counts decided consensus stages (Optimistic engine only).
 	Stages uint64
-	// FastStages counts stages whose decision equalled this site's own
-	// proposal — the spontaneous-order fast path.
+	// FastStages counts stages whose decision and this site's own
+	// proposal for the stage named the same messages in the same order,
+	// ids that earlier stages had decided aside (proposals are cumulative
+	// and overlap) — the spontaneous-order fast path.
 	FastStages uint64
 	// Reorders counts TO deliveries whose definitive position inverted
 	// the local optimistic delivery order (Optimistic engine only).

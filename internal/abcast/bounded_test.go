@@ -25,29 +25,12 @@ func TestBoundedState(t *testing.T) {
 	const capEntries = 1024
 	h := transport.NewHub(3, transport.WithJitter(100*time.Microsecond), transport.WithSeed(1))
 	defer h.Close()
-	var engines []*Optimistic
-	var stops []func()
-	for _, ep := range h.Endpoints() {
-		cons := consensus.New(consensus.Config{Endpoint: ep, RoundTimeout: time.Second})
-		cons.Start()
-		o := NewOptimistic(ep, cons, WithDefLogCap(capEntries))
-		if err := o.Start(); err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, o)
-		stops = append(stops, func() { _ = o.Stop(); cons.Stop() })
-	}
-	stopAll := sync.OnceFunc(func() {
-		for _, stop := range stops {
-			stop()
-		}
-	})
-	defer stopAll()
+	engines, stopAll := startWindowGroup(t, h, WithDefLogCap(capEntries))
 
-	// Each site counts its TO deliveries; an origin keeps at most window
-	// of its own messages in flight.
-	const window = 256
-	tokens := [2]chan struct{}{make(chan struct{}, window), make(chan struct{}, window)}
+	// Each site counts its TO deliveries; an origin keeps at most depth of
+	// its own messages in flight.
+	const depth = 256
+	tokens := [2]chan struct{}{make(chan struct{}, depth), make(chan struct{}, depth)}
 	var consumers sync.WaitGroup
 	for i, o := range engines {
 		consumers.Add(1)
@@ -130,9 +113,8 @@ func scriptedEngine(t *testing.T, opts ...Option) (o *Optimistic, h *transport.H
 	return o, h
 }
 
-// expectEvents receives exactly the given events, in order, and then
-// nothing for a moment.
-func expectEvents(t *testing.T, o *Optimistic, want ...Event) {
+// expectNext receives exactly the given events, in order.
+func expectNext(t *testing.T, o *Optimistic, want ...Event) {
 	t.Helper()
 	for i, w := range want {
 		select {
@@ -144,6 +126,13 @@ func expectEvents(t *testing.T, o *Optimistic, want ...Event) {
 			t.Fatalf("event %d (%v %v) never came: %s", i, w.Kind, w.ID, o.Dump())
 		}
 	}
+}
+
+// expectEvents receives exactly the given events, in order, and then
+// nothing for a moment.
+func expectEvents(t *testing.T, o *Optimistic, want ...Event) {
+	t.Helper()
+	expectNext(t, o, want...)
 	select {
 	case ev := <-o.Deliveries():
 		t.Fatalf("unexpected %v %v", ev.Kind, ev.ID)
@@ -216,7 +205,7 @@ func TestJoinedEngineDropsReplayedBodies(t *testing.T) {
 	if sz.Live != 1 || sz.Undecided != 1 {
 		t.Fatalf("only the fresh message may be held and proposed: %+v", sz)
 	}
-	if got := o.lastProp; len(got) != 1 || got[0] != fresh {
-		t.Fatalf("proposed %v, want only %v", got, fresh)
+	if got := o.props[50%window]; o.stage != 51 || len(got) != 1 || got[0] != fresh {
+		t.Fatalf("next stage %d, stage 50 proposed %v: want stage 50 opened for %v alone", o.stage, got, fresh)
 	}
 }

@@ -2,7 +2,9 @@ package abcast
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"otpdb/internal/consensus"
@@ -16,6 +18,17 @@ import (
 // one consensus instance per stage, where each site proposes its own
 // tentative order of not-yet-decided messages. Spontaneous total order
 // makes all proposals equal and the stage decides in one round-trip.
+//
+// Up to window stages are open at a site at once, so a message that
+// arrives while a stage is deciding is proposed in the next stage and does
+// not wait that stage out — as long as the open proposals name fewer than
+// window messages; a site whose open stages already carry a batch opens the
+// next one when a decision comes in, with everything that has arrived by
+// then. Decisions are processed strictly in
+// stage order, and every proposal is cumulative — the whole undecided
+// list, not what the open stages left out — so a message two stages
+// decide takes its position from the earlier one and is skipped by the
+// later, the same at every site (DESIGN.md §6 "Overlapping stages").
 //
 // Properties (under a majority of correct sites and ◇S):
 //
@@ -59,11 +72,19 @@ type Optimistic struct {
 	undecided []*slot // Opt-delivered, not yet decided: the next proposal
 	// pendingTO[toHead:] is decided and not yet TO-released, in definitive
 	// order.
-	pendingTO   []*slot
-	toHead      int
+	pendingTO []*slot
+	toHead    int
+	// The open stages are [nextProcess, stage): proposed here, decision not
+	// yet processed. props holds this site's proposal for each, at stage
+	// mod window. undecided[:proposed] is what the newest of them named —
+	// every proposal names the whole list, so that is every message in any
+	// open proposal — and undecided[proposed:] is what the next stage is
+	// opened for.
 	stage       uint64 // next stage to propose
-	inFlight    bool
 	nextProcess uint64 // next stage decision to process
+	props       [window][]MsgID
+	proposed    int
+	open        atomic.Int32 // stage - nextProcess, for the gauge
 	decisionBuf map[uint64][]MsgID
 	// lastDecideReq rate-limits gap-triggered decision catch-up
 	// broadcasts (see onDecision).
@@ -73,7 +94,6 @@ type Optimistic struct {
 	// missing). See requestMissingBodies.
 	lastBodyReq time.Time
 	bodyRetry   <-chan time.Time
-	lastProp    []MsgID // this site's proposal for the in-flight stage
 
 	// Definitive-history retention (recovery/rejoin support): every
 	// decided message is assigned the next global definitive position and
@@ -99,6 +119,16 @@ type Optimistic struct {
 	reorders  *metrics.Counter
 	optDefLat *metrics.Histogram
 }
+
+// window is how many stages a site keeps open at once, and how many
+// messages its open proposals may name before it stops opening stages
+// beside them (maybePropose). It is a constant and not a setting: 4 is
+// where wan_jitter's commit latency stops falling, and a site with four
+// messages waiting on the stages in flight is batching (DESIGN.md §6
+// "Overlapping stages" has the tables). The consensus engine's Propose
+// hand-off is sized by the same number, so opening a stage never parks
+// this goroutine behind that one.
+const window = consensus.ProposeSlots
 
 // maxFreeSlots bounds the slots kept for reuse: what a site that fell
 // behind needed while it caught up is not held on to afterwards.
@@ -218,6 +248,9 @@ func NewOptimistic(ep transport.Endpoint, cons *consensus.Engine, opts ...Option
 			return 1
 		}
 		return float64(st.FastStages) / float64(st.Stages)
+	})
+	o.scope.Func("abcast_stages_in_flight", func() float64 {
+		return float64(o.open.Load())
 	})
 	return o
 }
@@ -501,10 +534,13 @@ func (o *Optimistic) onData(m DataMsg) {
 const decideReqInterval = 200 * time.Millisecond
 
 // onDecision buffers out-of-order stage decisions and processes them in
-// stage order. A buffered decision above a hole means this site missed
-// an earlier stage's proposal or acks (a partition swallowed them); the
-// hole never fills on its own, so the missing range is re-requested
-// from the group.
+// stage order. With stages overlapping a decision may overtake the one
+// before it by a moment; a buffered decision above a hole that stays
+// means this site missed an earlier stage's proposal or acks (a partition
+// swallowed them). That hole never fills on its own, and the two cannot
+// be told apart here, so the missing range is re-requested from the group
+// either way — at most once per decideReqInterval, and answered with the
+// few decisions above the hole.
 func (o *Optimistic) onDecision(d consensus.Decision) {
 	ids, ok := d.Value.([]MsgID)
 	if !ok {
@@ -517,15 +553,17 @@ func (o *Optimistic) onDecision(d consensus.Decision) {
 	if d.Instance < o.nextProcess {
 		return // retransmission of an already-processed stage
 	}
-	o.decisionBuf[d.Instance] = ids
-	for {
-		ids, ok := o.decisionBuf[o.nextProcess]
-		if !ok {
-			break
+	if d.Instance == o.nextProcess {
+		// This stage and every buffered one it unblocks, in stage order; the
+		// next stage is opened once, for what all of them left undecided.
+		for ok := true; ok; ids, ok = o.decisionBuf[o.nextProcess] {
+			delete(o.decisionBuf, o.nextProcess)
+			o.processStage(ids)
 		}
-		delete(o.decisionBuf, o.nextProcess)
-		o.processStage(o.nextProcess, ids)
-		o.nextProcess++
+		o.requestMissingBodies()
+		o.maybePropose()
+	} else {
+		o.decisionBuf[d.Instance] = ids
 	}
 	if len(o.decisionBuf) > 0 && time.Since(o.lastDecideReq) >= decideReqInterval {
 		o.lastDecideReq = time.Now()
@@ -533,52 +571,92 @@ func (o *Optimistic) onDecision(d consensus.Decision) {
 	}
 }
 
-func (o *Optimistic) processStage(stage uint64, ids []MsgID) {
-	o.mu.Lock()
-	o.stats.Stages++
-	if stage == o.stage && sameIDs(ids, o.lastProp) {
-		o.stats.FastStages++
-	}
-	o.mu.Unlock()
+// processStage applies the decision of stage nextProcess. An id an earlier
+// stage decided — proposals are cumulative, so with stages overlapping
+// most decisions begin with some — keeps its position and is skipped; that
+// is decided by what has been processed so far, which is the same at
+// every site. An id the decision left out of this site's proposal stays
+// undecided and is in the next proposal.
+func (o *Optimistic) processStage(ids []MsgID) {
+	// The stage is graded as it is applied: prop walks this site's
+	// proposal (none when it never opened the stage) in step with the ids
+	// the decision newly orders, passing over what earlier stages decided,
+	// and the stage was fast when both name the same messages in the same
+	// order.
+	prop := o.props[o.nextProcess%window]
+	o.props[o.nextProcess%window] = nil
+	fast := o.nextProcess < o.stage
 
 	fresh := false
 	for _, id := range ids {
 		sl := o.live[id]
 		if sl == nil {
 			if o.delivered.has(id) {
-				continue // defensive: never TO-deliver twice
+				continue // decided by an earlier stage, and TO-released
 			}
 			sl = o.newSlot(id) // decided before its body arrived
 		} else if sl.decided {
-			continue // defensive, as above
+			continue // decided by an earlier stage
 		}
 		fresh = true
+		if fast {
+			for len(prop) > 0 && prop[0] != id && o.decidedEarlier(prop[0]) {
+				prop = prop[1:]
+			}
+			if fast = len(prop) > 0 && prop[0] == id; fast {
+				prop = prop[1:]
+			}
+		}
 		// Assign the message its global definitive position and retain it
 		// (every site processes the same stage decisions in the same
 		// order, so positions agree everywhere).
 		o.defSeq++
 		o.decide(sl, o.defSeq)
 	}
-	// Drop decided messages from our own tentative list.
+	for ; fast && len(prop) > 0; prop = prop[1:] {
+		fast = o.decidedEarlier(prop[0])
+	}
+
+	o.nextProcess++
+	o.stage = max(o.stage, o.nextProcess)
+	o.open.Store(int32(o.stage - o.nextProcess))
+	o.mu.Lock()
+	o.stats.Stages++
+	if fast {
+		o.stats.FastStages++
+	}
+	o.mu.Unlock()
+
+	// Drop decided messages from our own tentative list. What is left of
+	// undecided[:proposed] is still in the newest open proposal; with no
+	// stage open it is in none, and is proposed again.
 	if fresh {
 		kept := o.undecided[:0]
-		for _, sl := range o.undecided {
+		named := 0
+		for i, sl := range o.undecided {
 			if !sl.decided {
 				kept = append(kept, sl)
+				if i < o.proposed {
+					named++
+				}
 			}
 		}
 		clear(o.undecided[len(kept):])
-		o.undecided = kept
+		o.undecided, o.proposed = kept, named
+	}
+	if o.stage == o.nextProcess {
+		o.proposed = 0
 	}
 	o.flushPendingTO()
+}
 
-	if stage >= o.stage {
-		o.stage = stage + 1
-	}
-	o.inFlight = false
-	o.lastProp = nil
-	o.requestMissingBodies()
-	o.maybePropose()
+// decidedEarlier reports whether id, which this site proposed, was decided
+// before the stage being applied: its slot says so, or it has none left
+// because it was TO-released. Only ids of the current stage that the walk
+// in processStage has already passed are decided otherwise.
+func (o *Optimistic) decidedEarlier(id MsgID) bool {
+	sl := o.live[id]
+	return sl == nil || sl.decided
 }
 
 // flushPendingTO emits TO events for the decided prefix whose bodies have
@@ -628,19 +706,40 @@ func (o *Optimistic) flushPendingTO() {
 	}
 }
 
-// maybePropose opens the next stage when there are unordered messages and
-// no stage in flight.
+// maybePropose opens the next stage, at once, when some Opt-delivered
+// message is in none of the open proposals, fewer than window stages are
+// open and those name fewer than window messages.
+//
+// The second bound tells sparse traffic from a saturated site without
+// reading a clock: what waits on the open stages is arrival rate × ordering
+// latency. Few messages, and the latency is message delays: a stage beside
+// the open ones saves the newcomer a stage's wait. A batch, and it is
+// processor time: the stage that opens at the next decision carries all
+// that arrives until then, where a stage per arrival spends a stage's ten
+// messages on fewer ids, how many fewer depending on how the goroutines
+// happen to interleave. (With no stage open, proposed is 0.)
+//
+// The proposal is the whole undecided list in tentative order, not only what
+// is new: the consensus layer's round-0 coordinator proposes the first
+// value it holds, which may be any site's, so two overlapping stages can
+// decide lists of different sites. Were this site to put [a b] into one
+// stage and [c] into the next, and the coordinator's own first stage were
+// [a], the decisions [a] and [c] would order c before b against every
+// site's reception order. With [a b c] in the second stage whichever lists
+// win, b is never overtaken by c.
 func (o *Optimistic) maybePropose() {
-	if o.inFlight || len(o.undecided) == 0 {
+	if len(o.undecided) == o.proposed || o.stage-o.nextProcess >= window || o.proposed >= window {
 		return
 	}
 	proposal := make([]MsgID, len(o.undecided))
 	for i, sl := range o.undecided {
 		proposal[i] = sl.id
 	}
-	o.inFlight = true
-	o.lastProp = proposal
+	o.props[o.stage%window] = proposal
+	o.proposed = len(proposal)
 	_ = o.cons.Propose(o.stage, proposal)
+	o.stage++
+	o.open.Store(int32(o.stage - o.nextProcess))
 }
 
 func (o *Optimistic) emit(ev Event) {
@@ -776,18 +875,10 @@ func (o *Optimistic) dumpLocked() string {
 		}
 		return out
 	}
-	return fmt.Sprintf("abcast(%v): stage=%d nextProcess=%d inFlight=%v undecided=%v pendingTO=%v bufDecisions=%d",
-		o.ep.ID(), o.stage, o.nextProcess, o.inFlight, ids(o.undecided), ids(o.pendingTO[o.toHead:]), len(o.decisionBuf))
-}
-
-func sameIDs(a, b []MsgID) bool {
-	if len(a) != len(b) {
-		return false
+	open := ""
+	for st := o.nextProcess; st < o.stage; st++ {
+		open += fmt.Sprintf(" %d:%v", st, o.props[st%window])
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return fmt.Sprintf("abcast(%v): stage=%d nextProcess=%d open=[%s] undecided=%v (%d proposed) pendingTO=%v bufDecisions=%d",
+		o.ep.ID(), o.stage, o.nextProcess, strings.TrimSpace(open), ids(o.undecided), o.proposed, ids(o.pendingTO[o.toHead:]), len(o.decisionBuf))
 }

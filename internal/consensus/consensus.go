@@ -270,12 +270,20 @@ type proposeReq struct {
 	val  any
 }
 
+// ProposeSlots is how many Propose requests the engine holds that its
+// goroutine has not taken up yet. The ordering layer keeps at most this
+// many instances open at once (abcast's stage window is this constant), so
+// its Propose returns at once however busy the engine goroutine is.
+const ProposeSlots = 4
+
 // decisionHorizon is how many instances a decision is kept for, counted
 // from the highest decided instance down. An instance orders at least one
-// message, so the window reaches at least as far back as the ordering
-// layer's retained definitive history (abcast's 64Ki messages by default):
-// a peer that history can still bring up to date finds every decision it
-// needs, and one that is further behind needs a state transfer anyway.
+// message — but for the few whose whole decision the overlapping instances
+// below them had already ordered — so the window reaches about as far back
+// as the ordering layer's retained definitive history (abcast's 64Ki
+// messages by default): a peer that history can still bring up to date
+// finds every decision it needs, and one that is further behind needs a
+// state transfer anyway.
 const decisionHorizon = 64 << 10
 
 // instance is the per-consensus-instance state machine. Once decided it
@@ -383,10 +391,7 @@ func New(cfg Config) *Engine {
 		catchUp:    cfg.CatchUpFrom,
 		epoch:      epoch,
 		ownsRound0: cfg.CatchUpFrom == 0 && members[0] == cfg.Endpoint.ID(),
-		// One slot: the ordering layer has one stage in flight, so its
-		// Propose returns at once and the engine goroutine picks the
-		// request up on its next turn.
-		proposeCh:  make(chan proposeReq, 1),
+		proposeCh:  make(chan proposeReq, ProposeSlots),
 		dumpCh:     make(chan chan string),
 		decisions:  queue.New[Decision](),
 		instances:  make(map[uint64]*instance),
@@ -439,7 +444,7 @@ var ErrStopped = errors.New("consensus: engine stopped")
 // twice for the same instance is a no-op; different nodes may propose
 // different values (validity guarantees the decision is one of them).
 // Propose does not wait for the engine goroutine to take the value up,
-// unless the previous request is still waiting for it.
+// unless ProposeSlots earlier requests are still waiting for it.
 func (e *Engine) Propose(inst uint64, val any) error {
 	select {
 	case <-e.stop:

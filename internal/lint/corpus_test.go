@@ -105,8 +105,8 @@ func testCorpus(t *testing.T, a *Analyzer, dir string) {
 	}
 }
 
-// parseWants scans every corpus .go file for `// want `regex`...``
-// trailing comments.
+// parseWants scans every corpus .go file for trailing "// want" comments,
+// each followed by one or more backquoted regexes.
 func parseWants(t *testing.T, dir string) []want {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
