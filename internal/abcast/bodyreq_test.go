@@ -1,23 +1,44 @@
 package abcast
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"otpdb/internal/queue"
 	"otpdb/internal/testutil"
 	"otpdb/internal/transport"
 )
 
-// laggingEndpoint holds back everything on the data stream until
-// released, while the consensus stream runs at full speed, and counts
-// the BodyReq broadcasts of the site behind it.
+// laggingEndpoint holds back everything the network brings on the data
+// stream until released, while the consensus stream and what the site
+// posts to itself run at full speed, and counts the BodyReq broadcasts of
+// the site behind it.
 type laggingEndpoint struct {
 	transport.Endpoint
 	release  chan struct{} // closed to let the data stream through
 	done     chan struct{} // closed when the test ends
 	data     chan transport.Envelope
 	bodyReqs atomic.Int64
+
+	once  sync.Once
+	posts *queue.Q[transport.Envelope] // Post on the data stream; see local
+}
+
+// local returns the queue of what the site has posted to its own data
+// stream.
+func (e *laggingEndpoint) local() *queue.Q[transport.Envelope] {
+	e.once.Do(func() { e.posts = queue.New[transport.Envelope]() })
+	return e.posts
+}
+
+func (e *laggingEndpoint) Post(stream string, msg any) {
+	if stream != StreamData {
+		e.Endpoint.Post(stream, msg)
+		return
+	}
+	e.local().Push(transport.Envelope{From: e.ID(), Stream: stream, Msg: msg})
 }
 
 func (e *laggingEndpoint) Subscribe(stream string) <-chan transport.Envelope {
@@ -28,23 +49,28 @@ func (e *laggingEndpoint) Subscribe(stream string) <-chan transport.Envelope {
 }
 
 func (e *laggingEndpoint) forward() {
-	in := e.Endpoint.Subscribe(StreamData)
-	select {
-	case <-e.release:
-	case <-e.done:
-		return
-	}
+	defer e.local().Close()
+	posts := e.local().Chan()
+	release := e.release
+	var in <-chan transport.Envelope // the network's data: nil until released
 	for {
+		var env transport.Envelope
+		ok := true
 		select {
-		case env, ok := <-in:
-			if !ok {
-				return
-			}
-			select {
-			case e.data <- env:
-			case <-e.done:
-				return
-			}
+		case <-release:
+			in, release = e.Endpoint.Subscribe(StreamData), nil
+			continue
+		case env = <-posts:
+		case env, ok = <-in:
+		case <-e.done:
+			return
+		}
+		if !ok {
+			in = nil // the hub is closed; the site still hears itself
+			continue
+		}
+		select {
+		case e.data <- env:
 		case <-e.done:
 			return
 		}

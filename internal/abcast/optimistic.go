@@ -51,13 +51,12 @@ type Optimistic struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	started bool
-	closed  bool
 	stats   Stats
 
-	stop   chan struct{}
+	// closed is set by Stop and read by the engine goroutine after every
+	// batch of events, so a stop overtakes most of what is queued.
+	closed atomic.Bool
 	done   chan struct{}
-	dumpCh chan chan string
-	defCh  chan defLogQuery
 
 	// Engine-goroutine state (no locking needed).
 	//
@@ -90,10 +89,10 @@ type Optimistic struct {
 	// broadcasts (see onDecision).
 	lastDecideReq time.Time
 	// lastBodyReq rate-limits body retransmission requests the same way;
-	// bodyRetry fires when the next one is due (nil while nothing is
-	// missing). See requestMissingBodies.
+	// retryDue says a timer is set to post a retryEvent when the next one
+	// is due. See requestMissingBodies.
 	lastBodyReq time.Time
-	bodyRetry   <-chan time.Time
+	retryDue    bool
 
 	// Definitive-history retention (recovery/rejoin support): every
 	// decided message is assigned the next global definitive position and
@@ -125,10 +124,23 @@ type Optimistic struct {
 // beside them (maybePropose). It is a constant and not a setting: 4 is
 // where wan_jitter's commit latency stops falling, and a site with four
 // messages waiting on the stages in flight is batching (DESIGN.md §6
-// "Overlapping stages" has the tables). The consensus engine's Propose
-// hand-off is sized by the same number, so opening a stage never parks
-// this goroutine behind that one.
-const window = consensus.ProposeSlots
+// "Overlapping stages" has the tables).
+const window = 4
+
+// The engine goroutine waits on one thing, the reception queue of
+// StreamData, and whatever else it must react to is posted there
+// (transport.Endpoint.Post): a *consensus.Decision by the consensus
+// engine, a defLogQuery by DefinitiveLog, and these. Their types are
+// unexported, so none can arrive from the network.
+type (
+	// retryEvent is the body-retry timer firing.
+	retryEvent struct{}
+	// dumpReq is Dump: where to send the reply.
+	dumpReq chan string
+	// wakeEvent carries nothing: Stop posts it so that an idle engine
+	// looks at the closed flag.
+	wakeEvent struct{}
+)
 
 // maxFreeSlots bounds the slots kept for reuse: what a site that fell
 // behind needed while it caught up is not held on to afterwards.
@@ -210,16 +222,16 @@ const defaultDefLogCap = 64 << 10
 // NewOptimistic creates an OPT-ABcast engine bound to ep and using cons
 // for definitive ordering. The consensus engine must be dedicated to this
 // broadcaster (instance numbers are the stage numbers) and must be started
-// and stopped by the caller.
+// and stopped by the caller; its decisions are taken over here, not in
+// Start: cons may be running already, and can decide a stage from its
+// peers' proposal and acks before this engine's goroutine has run once.
 func NewOptimistic(ep transport.Endpoint, cons *consensus.Engine, opts ...Option) *Optimistic {
+	cons.SetSink(func(d *consensus.Decision) { ep.Post(StreamData, d) })
 	o := &Optimistic{
 		ep:          ep,
 		cons:        cons,
 		out:         queue.New[Event](),
-		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
-		dumpCh:      make(chan chan string),
-		defCh:       make(chan defLogQuery),
 		live:        make(map[MsgID]*slot),
 		delivered:   make(deliveredSets),
 		stage:       1,
@@ -269,14 +281,10 @@ func (o *Optimistic) Start() error {
 
 // Stop implements Broadcaster.
 func (o *Optimistic) Stop() error {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
+	if o.closed.Swap(true) {
 		return nil
 	}
-	o.closed = true
-	o.mu.Unlock()
-	close(o.stop)
+	o.ep.Post(StreamData, wakeEvent{})
 	<-o.done
 	o.out.Close()
 	return nil
@@ -284,11 +292,10 @@ func (o *Optimistic) Stop() error {
 
 // Broadcast implements Broadcaster.
 func (o *Optimistic) Broadcast(payload any) (MsgID, error) {
-	o.mu.Lock()
-	if o.closed {
-		o.mu.Unlock()
+	if o.closed.Load() {
 		return MsgID{}, transport.ErrClosed
 	}
+	o.mu.Lock()
 	o.nextSeq++
 	id := MsgID{Origin: o.ep.ID(), Seq: o.nextSeq}
 	o.stats.Broadcasts++
@@ -309,46 +316,31 @@ func (o *Optimistic) Stats() Stats {
 	return o.stats
 }
 
+// run is the engine goroutine: one queue, taken in arrival order. What
+// has already arrived is handled before a stage is opened, so the stage
+// proposes all of it — bounded by what was queued when we looked: a sender
+// that outruns this loop must not keep it from proposing at all.
 func (o *Optimistic) run() {
 	defer close(o.done)
-	data := o.ep.Subscribe(StreamData)
-	decisions := o.cons.Decisions()
+	in := o.ep.Subscribe(StreamData)
 	if o.join != nil {
 		o.applyJoin()
 	}
-	for {
-		select {
-		case env, ok := <-data:
-			if !ok {
+	for env := range in {
+		o.onEnvelope(env)
+		for n := len(in); n > 0; n-- {
+			var ok bool
+			if env, ok = <-in; !ok {
 				return
 			}
 			o.onEnvelope(env)
-			// Take what else has already arrived before opening a stage,
-			// so the stage proposes all of it. Bounded by what was buffered
-			// when we looked: a sender that outruns this loop must not keep
-			// it from the decisions.
-			for n := len(data); n > 0; n-- {
-				if env, ok = <-data; !ok {
-					return
-				}
-				o.onEnvelope(env)
-			}
-			o.maybePropose()
-		case d, ok := <-decisions:
-			if !ok {
-				return
-			}
-			o.onDecision(d)
-		case <-o.bodyRetry:
-			o.bodyRetry = nil
-			o.requestMissingBodies()
-		case q := <-o.defCh:
-			q.reply <- o.serveDefLog(q)
-		case reply := <-o.dumpCh:
-			reply <- o.dumpLocked()
-		case <-o.stop:
+		}
+		// After the batch, not before it: Stop's wake-up may have been
+		// anywhere in it.
+		if o.closed.Load() {
 			return
 		}
+		o.maybePropose()
 	}
 }
 
@@ -356,8 +348,17 @@ func (o *Optimistic) onEnvelope(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case DataMsg:
 		o.onData(m)
+	case *consensus.Decision:
+		o.onDecision(m)
 	case BodyReq:
 		o.onBodyReq(env.From, m)
+	case retryEvent:
+		o.retryDue = false
+		o.requestMissingBodies()
+	case defLogQuery:
+		m.reply <- o.serveDefLog(m)
+	case dumpReq:
+		m <- o.dumpLocked()
 	}
 }
 
@@ -446,8 +447,8 @@ func (o *Optimistic) decide(sl *slot, seq uint64) {
 // worse: every peer answers every request with every body, on the very
 // stream that is behind. So at most one request goes out per
 // decideReqInterval, naming only the ids still missing, and while any is
-// missing a timer brings the engine back here — which also asks a peer
-// again that itself lacked the body the first time.
+// missing a timer posts the engine an event that brings it back here —
+// which also asks a peer again that itself lacked the body the first time.
 func (o *Optimistic) requestMissingBodies() {
 	var missing []MsgID
 	for _, sl := range o.pendingTO[o.toHead:] {
@@ -464,8 +465,9 @@ func (o *Optimistic) requestMissingBodies() {
 		_ = o.ep.Broadcast(StreamData, BodyReq{IDs: missing})
 		wait = decideReqInterval
 	}
-	if o.bodyRetry == nil {
-		o.bodyRetry = time.After(wait)
+	if !o.retryDue {
+		o.retryDue = true
+		time.AfterFunc(wait, func() { o.ep.Post(StreamData, retryEvent{}) })
 	}
 }
 
@@ -541,7 +543,7 @@ const decideReqInterval = 200 * time.Millisecond
 // be told apart here, so the missing range is re-requested from the group
 // either way — at most once per decideReqInterval, and answered with the
 // few decisions above the hole.
-func (o *Optimistic) onDecision(d consensus.Decision) {
+func (o *Optimistic) onDecision(d *consensus.Decision) {
 	ids, ok := d.Value.([]MsgID)
 	if !ok {
 		// Consensus validity guarantees the decision is some site's
@@ -554,14 +556,14 @@ func (o *Optimistic) onDecision(d consensus.Decision) {
 		return // retransmission of an already-processed stage
 	}
 	if d.Instance == o.nextProcess {
-		// This stage and every buffered one it unblocks, in stage order; the
-		// next stage is opened once, for what all of them left undecided.
+		// This stage and every buffered one it unblocks, in stage order; run
+		// opens the next stage once, for what all of them left undecided and
+		// whatever arrived behind them.
 		for ok := true; ok; ids, ok = o.decisionBuf[o.nextProcess] {
 			delete(o.decisionBuf, o.nextProcess)
 			o.processStage(ids)
 		}
 		o.requestMissingBodies()
-		o.maybePropose()
 	} else {
 		o.decisionBuf[d.Instance] = ids
 	}
@@ -796,11 +798,11 @@ var ErrHistoryPruned = fmt.Errorf("abcast: definitive history pruned past reques
 // `origin`. The cut is captured atomically in the engine goroutine.
 func (o *Optimistic) DefinitiveLog(from uint64, origin transport.NodeID) (DefLog, error) {
 	reply := make(chan defLogReply, 1)
+	o.ep.Post(StreamData, defLogQuery{from: from, origin: origin, reply: reply})
 	select {
-	case o.defCh <- defLogQuery{from: from, origin: origin, reply: reply}:
-		r := <-reply
+	case r := <-reply:
 		return r.log, r.err
-	case <-o.stop:
+	case <-o.done:
 		return DefLog{}, transport.ErrClosed
 	}
 }
@@ -858,11 +860,12 @@ func (o *Optimistic) serveDefLog(q defLogQuery) defLogReply {
 // Dump returns a snapshot of the engine's ordering state, for debugging.
 // It is served by the engine goroutine.
 func (o *Optimistic) Dump() string {
-	reply := make(chan string, 1)
+	reply := make(dumpReq, 1)
+	o.ep.Post(StreamData, reply)
 	select {
-	case o.dumpCh <- reply:
-		return <-reply
-	case <-o.stop:
+	case s := <-reply:
+		return s
+	case <-o.done:
 		return "engine stopped"
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"otpdb/internal/fd"
@@ -119,6 +120,27 @@ type Decision struct {
 	Instance uint64
 	Value    any
 }
+
+// The engine goroutine waits on one thing, the reception queue of Stream,
+// and everything else it must react to is posted there
+// (transport.Endpoint.Post) as one of these. Their types are unexported,
+// so none can arrive from the network.
+type (
+	// proposeReq is Propose: this process's initial value for an instance.
+	proposeReq struct {
+		inst uint64
+		val  any
+	}
+	// tickEvent is the deadline timer firing.
+	tickEvent struct{}
+	// sinkReq is SetSink.
+	sinkReq func(*Decision)
+	// dumpReq is Dump: where to send the reply.
+	dumpReq chan string
+	// wakeEvent carries nothing: Stop posts it so that an idle engine
+	// looks at the stopped flag.
+	wakeEvent struct{}
+)
 
 // View exposes the group membership the engine runs under. Majority
 // sizes and coordinator rotation derive from the member list; the epoch
@@ -212,12 +234,15 @@ type Engine struct {
 	tickEvery time.Duration
 	catchUp   uint64
 
-	proposeCh chan proposeReq
-	dumpCh    chan chan string
+	// decisions is where a decision goes while no sink is installed.
 	decisions *queue.Q[Decision]
 
 	// Engine-goroutine state (no locking needed).
 	//
+	// sink is where decisions go once SetSink has taken effect, and queued
+	// how many went to the decisions queue before: what it had to move.
+	sink   func(*Decision)
+	queued int
 	// instances holds an instance from the first message about it until
 	// horizon instances above it have decided: the undecided ones and a
 	// window of decision tombstones, [floor, top]. Nothing is held for an
@@ -242,12 +267,19 @@ type Engine struct {
 	epoch      uint64
 	ownsRound0 bool
 
-	// Telemetry (inert unregistered instruments without cfg.Metrics).
+	// tick counts the deadline timer's firings. It is the engine's only
+	// notion of time: round deadlines are tick numbers, and nothing on the
+	// way from a proposal to its decision reads a clock.
+	tick uint64
+
+	// Telemetry (inert unregistered instruments without cfg.Metrics; timed
+	// says there is a scope, and only then is decLatency's clock read).
 	// decLatency covers locally proposed instances only: Propose to
 	// decision. rounds counts rounds entered before the decision landed —
 	// 1 means round 0 was enough. fastCount counts the decisions this
 	// process formed itself from a round-0 ack quorum, the two-delay path;
 	// decCount less fastCount took a later round or came by MsgDecide.
+	timed      bool
 	decLatency *metrics.Histogram
 	rounds     *metrics.Histogram
 	reReqs     *metrics.Counter
@@ -257,24 +289,11 @@ type Engine struct {
 	// instance below the horizon.
 	belowCount *metrics.Counter
 
-	stop chan struct{}
-	done chan struct{}
-
-	mu      sync.Mutex
-	started bool
-	closed  bool
+	// stopped is set by Stop and read by the engine goroutine before every
+	// event, so a stop overtakes whatever is queued.
+	started, stopped atomic.Bool
+	done             chan struct{}
 }
-
-type proposeReq struct {
-	inst uint64
-	val  any
-}
-
-// ProposeSlots is how many Propose requests the engine holds that its
-// goroutine has not taken up yet. The ordering layer keeps at most this
-// many instances open at once (abcast's stage window is this constant), so
-// its Propose returns at once however busy the engine goroutine is.
-const ProposeSlots = 4
 
 // decisionHorizon is how many instances a decision is kept for, counted
 // from the highest decided instance down. An instance orders at least one
@@ -287,17 +306,16 @@ const ProposeSlots = 4
 const decisionHorizon = 64 << 10
 
 // instance is the per-consensus-instance state machine. Once decided it
-// is a tombstone: id, decision and quorumRound only.
+// is a tombstone: dec and quorumRound only.
 type instance struct {
-	id        uint64
-	round     int // round this process is in; -1 until proposed here
+	dec       Decision // Instance from the start, Value once decided
+	round     int      // round this process is in; -1 until proposed here
 	estimate  any
 	ts        stamp
-	startedAt time.Time // local Propose time (zero when never proposed here)
+	startedAt time.Time // local Propose time, read only with a metrics scope
 	started   bool      // local Propose seen
-	deadline  time.Time // when a started instance leaves its round
+	deadline  uint64    // the tick at which a started instance leaves its round
 	decided   bool
-	decision  any
 	// quorumRound is the round whose ack quorum decided here, -1 while
 	// undecided or when the decision came by MsgDecide.
 	quorumRound int
@@ -391,48 +409,50 @@ func New(cfg Config) *Engine {
 		catchUp:    cfg.CatchUpFrom,
 		epoch:      epoch,
 		ownsRound0: cfg.CatchUpFrom == 0 && members[0] == cfg.Endpoint.ID(),
-		proposeCh:  make(chan proposeReq, ProposeSlots),
-		dumpCh:     make(chan chan string),
 		decisions:  queue.New[Decision](),
 		instances:  make(map[uint64]*instance),
 		horizon:    decisionHorizon,
 		active:     make(map[uint64]*instance),
+		timed:      cfg.Metrics != nil,
 		decLatency: cfg.Metrics.Histogram("consensus_decision_seconds"),
 		rounds:     cfg.Metrics.SizeHistogram("consensus_rounds_per_instance"),
 		reReqs:     cfg.Metrics.Counter("consensus_decide_rerequest_total"),
 		decCount:   cfg.Metrics.Counter("consensus_decided_total"),
 		fastCount:  cfg.Metrics.Counter("consensus_fast_decide_total"),
 		belowCount: cfg.Metrics.Counter("consensus_below_horizon_total"),
-		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 }
 
 // Decisions returns the channel of decided instances. Each instance is
-// announced exactly once, in decision order at this node.
+// announced exactly once, in decision order at this node — unless SetSink
+// has sent the decisions elsewhere.
 func (e *Engine) Decisions() <-chan Decision { return e.decisions.Chan() }
+
+// SetSink makes the engine hand every decision to sink, on the engine
+// goroutine, instead of queueing it for Decisions: the ordering layer's
+// way of getting decisions into the queue it already waits on. Decisions
+// reached before the call — the engine may be running — go to sink first,
+// in order, so nobody may be reading Decisions. sink must not block, and
+// must not modify the decision; the pointer stays valid.
+func (e *Engine) SetSink(sink func(*Decision)) {
+	e.ep.Post(Stream, sinkReq(sink))
+}
 
 // Start launches the engine goroutine.
 func (e *Engine) Start() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.started {
-		return
+	if !e.started.Swap(true) {
+		go e.run()
 	}
-	e.started = true
-	go e.run()
 }
 
-// Stop terminates the engine and waits for its goroutine.
+// Stop terminates the engine and waits for its goroutine. What the engine
+// has been sent and not yet handled is left unhandled.
 func (e *Engine) Stop() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.stopped.Swap(true) {
 		return
 	}
-	e.closed = true
-	e.mu.Unlock()
-	close(e.stop)
+	e.ep.Post(Stream, wakeEvent{})
 	<-e.done
 	e.decisions.Close()
 }
@@ -443,23 +463,19 @@ var ErrStopped = errors.New("consensus: engine stopped")
 // Propose submits this node's initial value for an instance. Proposing
 // twice for the same instance is a no-op; different nodes may propose
 // different values (validity guarantees the decision is one of them).
-// Propose does not wait for the engine goroutine to take the value up,
-// unless ProposeSlots earlier requests are still waiting for it.
+// Propose never waits for the engine goroutine.
 func (e *Engine) Propose(inst uint64, val any) error {
-	select {
-	case <-e.stop:
-		// Checked first: the hand-off below has room after Stop too.
-		return ErrStopped
-	default:
-	}
-	select {
-	case e.proposeCh <- proposeReq{inst: inst, val: val}:
-		return nil
-	case <-e.stop:
+	if e.stopped.Load() {
 		return ErrStopped
 	}
+	e.ep.Post(Stream, proposeReq{inst: inst, val: val})
+	return nil
 }
 
+// run is the engine goroutine: one queue, one event at a time. The
+// deadline timer is re-armed when its tick has been handled, so ticks
+// never pile up behind a backlog, and stopped when the loop ends, so
+// nothing posts for a stopped engine.
 func (e *Engine) run() {
 	defer close(e.done)
 	in := e.ep.Subscribe(Stream)
@@ -471,23 +487,33 @@ func (e *Engine) run() {
 		// with no gap.
 		e.RequestDecisions(e.catchUp)
 	}
-	ticker := time.NewTicker(e.tickEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case req := <-e.proposeCh:
-			e.handlePropose(req.inst, req.val)
-		case env, ok := <-in:
-			if !ok {
-				return
-			}
-			e.handleEnvelope(env)
-		case <-ticker.C:
-			e.checkDeadlines()
-		case reply := <-e.dumpCh:
-			reply <- e.dumpLocked()
-		case <-e.stop:
+	timer := time.AfterFunc(e.tickEvery, func() { e.ep.Post(Stream, tickEvent{}) })
+	defer timer.Stop()
+	for env := range in {
+		if e.stopped.Load() {
 			return
+		}
+		switch m := env.Msg.(type) {
+		case proposeReq:
+			e.handlePropose(m.inst, m.val)
+		case tickEvent:
+			e.tick++
+			e.checkDeadlines()
+			timer.Reset(e.tickEvery)
+		case sinkReq:
+			// Only this goroutine pushes to the queue and nobody else is
+			// reading it: exactly queued decisions are on their way out of
+			// it.
+			for ; e.queued > 0; e.queued-- {
+				d := <-e.decisions.Chan()
+				m(&d)
+			}
+			e.sink = m
+		case dumpReq:
+			m <- e.dumpLocked()
+		case wakeEvent:
+		default:
+			e.handleEnvelope(env)
 		}
 	}
 }
@@ -501,7 +527,7 @@ func (e *Engine) get(inst uint64) *instance {
 			e.belowCount.Inc()
 			return nil
 		}
-		st = &instance{id: inst, round: -1, quorumRound: -1}
+		st = &instance{dec: Decision{Instance: inst}, round: -1, quorumRound: -1}
 		e.instances[inst] = st
 	}
 	return st
@@ -580,7 +606,9 @@ func (e *Engine) handlePropose(inst uint64, val any) {
 		return
 	}
 	st.started = true
-	st.startedAt = time.Now()
+	if e.timed {
+		st.startedAt = time.Now()
+	}
 	st.estimate = val
 	e.active[inst] = st
 	e.startRound(st, 0)
@@ -592,13 +620,16 @@ func (e *Engine) handlePropose(inst uint64, val any) {
 // number so that, even when the configured timeout undershoots the actual
 // message delay, some round is eventually long enough for a proposal and
 // its acks to get through — the practical realization of the ◇S
-// eventual-timeliness assumption that CT's termination proof needs.
+// eventual-timeliness assumption that CT's termination proof needs. It is
+// counted in ticks, rounded so that the round never ends early: the tick
+// in progress is of unknown age, the ones after it are whole.
 func (e *Engine) startRound(st *instance, r int) {
 	epoch, members := e.snapshot()
 	st.round = r
-	st.deadline = time.Now().Add(e.timeout << uint(min(r, 6)))
+	timeout := e.timeout << uint(min(r, 6))
+	st.deadline = e.tick + 1 + uint64((timeout+e.tickEvery-1)/e.tickEvery)
 	e.send(coordOf(members, r), MsgEstimate{
-		Inst:    st.id,
+		Inst:    st.dec.Instance,
 		Round:   r,
 		Epoch:   epoch,
 		Est:     st.estimate,
@@ -669,7 +700,7 @@ func (e *Engine) onDecideReq(from transport.NodeID, m MsgDecideReq) {
 // before they look at the message's epoch: a decision holds in any
 // epoch, and a process left behind in an old one needs it most.
 func (e *Engine) sendDecision(to transport.NodeID, st *instance) {
-	e.send(to, MsgDecide{Inst: st.id, Val: st.decision})
+	e.send(to, MsgDecide{Inst: st.dec.Instance, Val: st.dec.Value})
 }
 
 // onEstimate is the coordinator's step. In round 0 the process that owns
@@ -770,7 +801,7 @@ func (e *Engine) ack(st *instance, rd *round, epoch uint64, members []transport.
 	// coordinator could propose a value different from one already locked
 	// by a round-0 majority — the classic CT locking argument.
 	st.ts = stamp{st.round + 1, epoch}
-	e.broadcast(members, MsgAck{Inst: st.id, Round: st.round, Epoch: epoch})
+	e.broadcast(members, MsgAck{Inst: st.dec.Instance, Round: st.round, Epoch: epoch})
 }
 
 // onAck counts one ack per sender and round. Like onEstimate, the filter,
@@ -827,19 +858,26 @@ func (e *Engine) onDecide(m MsgDecide) {
 
 func (e *Engine) decide(st *instance, val any) {
 	st.decided = true
-	st.decision = val
+	st.dec.Value = val
 	e.decCount.Inc()
 	if st.started {
-		e.decLatency.Observe(time.Since(st.startedAt))
+		if e.timed {
+			e.decLatency.Observe(time.Since(st.startedAt))
+		}
 		e.rounds.ObserveInt(int64(st.round) + 1)
-		delete(e.active, st.id)
+		delete(e.active, st.dec.Instance)
 	}
-	e.decisions.Push(Decision{Instance: st.id, Value: val})
+	if e.sink != nil {
+		e.sink(&st.dec)
+	} else {
+		e.queued++
+		e.decisions.Push(st.dec)
+	}
 	// Release the round state; only the decision tombstone remains, and
 	// that until the horizon passes it.
 	st.estimate, st.rounds = nil, nil
-	if st.id > e.top {
-		e.top = st.id
+	if st.dec.Instance > e.top {
+		e.top = st.dec.Instance
 		e.retire()
 	}
 }
@@ -848,10 +886,9 @@ func (e *Engine) decide(st *instance, val any) {
 // round's deadline, or whose coordinator the failure detector suspects,
 // into the next round.
 func (e *Engine) checkDeadlines() {
-	now := time.Now()
 	_, members := e.snapshot()
 	for _, st := range e.active {
-		if now.Before(st.deadline) && !e.susp.Suspected(coordOf(members, st.round)) {
+		if e.tick < st.deadline && !e.susp.Suspected(coordOf(members, st.round)) {
 			continue
 		}
 		e.startRound(st, st.round+1)
@@ -867,11 +904,12 @@ func (e *Engine) String() string {
 // Dump returns a human-readable snapshot of all undecided instances, for
 // debugging stuck protocols. It is served by the engine goroutine.
 func (e *Engine) Dump() string {
-	reply := make(chan string, 1)
+	reply := make(dumpReq, 1)
+	e.ep.Post(Stream, reply)
 	select {
-	case e.dumpCh <- reply:
-		return <-reply
-	case <-e.stop:
+	case s := <-reply:
+		return s
+	case <-e.done:
 		return "engine stopped"
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"otpdb/internal/transport"
 )
@@ -74,6 +73,7 @@ func (s *sender) N() int               { return exploreSites }
 func (s *sender) Close() error         { return nil }
 
 func (s *sender) Subscribe(string) <-chan transport.Envelope { return nil }
+func (s *sender) Post(string, any)                           {}
 
 func (s *sender) Broadcast(stream string, msg any) error {
 	for to := 0; to < exploreSites; to++ {
@@ -181,7 +181,7 @@ func (w *world) step(i int) {
 		*w.views[p.to] = stubView{epoch: m.epoch, members: m.members}
 	case timeoutEvent:
 		for _, st := range e.active {
-			st.deadline = time.Time{}
+			st.deadline = 0
 		}
 		e.checkDeadlines()
 	default:
@@ -189,7 +189,7 @@ func (w *world) step(i int) {
 	}
 	if st := e.instances[exploreInst]; before == nil && st != nil && st.decided {
 		if st.quorumRound == 0 {
-			w.round0[st.decision.(string)] = true
+			w.round0[st.dec.Value.(string)] = true
 		}
 		if _, ok := p.msg.(MsgPropose); ok && p.from != p.to {
 			w.overtaken = true
@@ -199,7 +199,7 @@ func (w *world) step(i int) {
 
 func (e *Engine) decidedValue() any {
 	if st := e.instances[exploreInst]; st != nil && st.decided {
-		return st.decision
+		return st.dec.Value
 	}
 	return nil
 }
@@ -264,7 +264,7 @@ func (w *world) fingerprint() string {
 		fmt.Fprintf(&b, "n%d down=%v view=%d/%d own0=%v ", id, w.down[id], w.views[id].epoch, e.epoch, e.ownsRound0)
 		if st := e.instances[exploreInst]; st != nil {
 			fmt.Fprintf(&b, "r=%d est=%v ts=%v started=%v decided=%v/%v q=%d",
-				st.round, st.estimate, st.ts, st.started, st.decided, st.decision, st.quorumRound)
+				st.round, st.estimate, st.ts, st.started, st.decided, st.dec.Value, st.quorumRound)
 			rounds := slices.Clone(st.rounds)
 			slices.SortFunc(rounds, func(a, b *round) int { return a.r - b.r })
 			for _, rd := range rounds {

@@ -772,22 +772,7 @@ func (r *Replica) Exec(ctx context.Context, proc string, args ...storage.Value) 
 // commit notifications (no polling): every local commit broadcasts the
 // replica's condition variable and the predicate is re-checked.
 func (r *Replica) WaitCommits(ctx context.Context, n int) error {
-	done := make(chan struct{})
-	defer close(done)
-	if d := ctx.Done(); d != nil {
-		go func() {
-			select {
-			case <-d:
-				// Broadcast under r.mu: a lockless broadcast can land
-				// between a waiter's predicate check and its re-entry
-				// into Wait, and be lost forever.
-				r.mu.Lock()
-				r.commitCond.Broadcast()
-				r.mu.Unlock()
-			case <-done:
-			}
-		}()
-	}
+	defer context.AfterFunc(ctx, r.wakeWaiters)()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for !(r.commits >= uint64(n) && r.optCount == r.commits) && !r.stopped {
@@ -800,6 +785,15 @@ func (r *Replica) WaitCommits(ctx context.Context, n int) error {
 		return ErrStopped
 	}
 	return nil
+}
+
+// wakeWaiters makes everyone waiting on commitCond look at their context
+// again. It broadcasts under r.mu: a lockless broadcast can land between a
+// waiter's predicate check and its re-entry into Wait, and be lost forever.
+func (r *Replica) wakeWaiters() {
+	r.mu.Lock()
+	r.commitCond.Broadcast()
+	r.mu.Unlock()
 }
 
 // Query runs a read-only stored procedure locally (Section 5). The query
@@ -966,21 +960,7 @@ func (r *Replica) waitCommitted(ctx context.Context, part storage.Partition, tar
 	if target == 0 || r.store.LastCommitted(part) >= target {
 		return nil
 	}
-	done := make(chan struct{})
-	defer close(done)
-	if d := ctx.Done(); d != nil {
-		go func() {
-			select {
-			case <-d:
-				// Broadcast under r.mu (see WaitCommits): a lockless
-				// broadcast can be lost against a waiter about to Wait.
-				r.mu.Lock()
-				r.commitCond.Broadcast()
-				r.mu.Unlock()
-			case <-done:
-			}
-		}()
-	}
+	defer context.AfterFunc(ctx, r.wakeWaiters)()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.store.LastCommitted(part) < target && !r.stopped {

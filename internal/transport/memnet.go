@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -329,7 +330,7 @@ func (h *Hub) route(from, to NodeID, env Envelope, ghost bool) {
 	dst := h.nodes[to]
 	if delay == 0 {
 		h.mu.Unlock()
-		dst.enqueue(env)
+		dst.box.enqueue(env)
 		return
 	}
 	due := time.Now().Add(delay)
@@ -376,7 +377,7 @@ func (h *Hub) deliver() {
 		if len(due) > 0 {
 			h.mu.Unlock()
 			for i := range due {
-				due[i].dst.enqueue(due[i].env)
+				due[i].dst.box.enqueue(due[i].env)
 				due[i] = delivery{}
 			}
 			due = due[:0]
@@ -406,9 +407,9 @@ type memEndpoint struct {
 	hub *Hub
 	id  NodeID
 	box *mailbox
-
-	mu     sync.Mutex
-	closed bool
+	// closed makes Send and Broadcast fail; what arrives after Close is
+	// refused by the mailbox.
+	closed atomic.Bool
 }
 
 var _ Endpoint = (*memEndpoint)(nil)
@@ -422,10 +423,7 @@ func (e *memEndpoint) N() int {
 }
 
 func (e *memEndpoint) Send(to NodeID, stream string, msg any) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		return ErrClosed
 	}
 	e.hub.route(e.id, to, Envelope{From: e.id, Stream: stream, Msg: msg}, false)
@@ -433,10 +431,7 @@ func (e *memEndpoint) Send(to NodeID, stream string, msg any) error {
 }
 
 func (e *memEndpoint) Broadcast(stream string, msg any) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		return ErrClosed
 	}
 	env := Envelope{From: e.id, Stream: stream, Msg: msg}
@@ -453,24 +448,15 @@ func (e *memEndpoint) Subscribe(stream string) <-chan Envelope {
 	return e.box.subscribe(stream)
 }
 
-func (e *memEndpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	e.mu.Unlock()
-	e.box.close()
-	return nil
+// Post implements Endpoint. It does not go through the hub: a node the
+// hub has crashed or cut off still hears itself.
+func (e *memEndpoint) Post(stream string, msg any) {
+	e.box.enqueue(Envelope{From: e.id, Stream: stream, Msg: msg})
 }
 
-func (e *memEndpoint) enqueue(env Envelope) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return
+func (e *memEndpoint) Close() error {
+	if !e.closed.Swap(true) {
+		e.box.close()
 	}
-	e.box.enqueue(env)
+	return nil
 }

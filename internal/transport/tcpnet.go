@@ -272,6 +272,11 @@ func (n *TCPNode) Subscribe(stream string) <-chan Envelope {
 	return n.box.subscribe(stream)
 }
 
+// Post implements Endpoint.
+func (n *TCPNode) Post(stream string, msg any) {
+	n.box.enqueue(Envelope{From: n.cfg.ID, Stream: stream, Msg: msg})
+}
+
 // Close implements Endpoint.
 func (n *TCPNode) Close() error {
 	n.mu.Lock()

@@ -49,6 +49,15 @@ type Endpoint interface {
 	// buffered. Subscribe is idempotent: repeated calls return the same
 	// channel.
 	Subscribe(stream string) <-chan Envelope
+	// Post puts msg on this node's own reception queue for the stream, as
+	// if it had just arrived from this node: behind what the stream has
+	// received so far, ahead of what it receives later. It is how a
+	// protocol goroutine that waits on nothing but its stream is told of
+	// local events — a request from the application, a timer, a stop. A
+	// posted message is not traffic: it is never routed, delayed, lost to
+	// a partition or a modelled crash, or counted, and no codec need know
+	// its type. Post never blocks; after Close the message is dropped.
+	Post(stream string, msg any)
 	// Close detaches the endpoint and releases its goroutines.
 	Close() error
 }
