@@ -11,16 +11,28 @@ import (
 	"otpdb/internal/transport"
 )
 
+// bodyReqCounter counts the BodyReq broadcasts of the site behind it.
+type bodyReqCounter struct {
+	transport.Endpoint
+	bodyReqs atomic.Int64
+}
+
+func (e *bodyReqCounter) Broadcast(stream string, msg any) error {
+	if _, ok := msg.(BodyReq); ok {
+		e.bodyReqs.Add(1)
+	}
+	return e.Endpoint.Broadcast(stream, msg)
+}
+
 // laggingEndpoint holds back everything the network brings on the data
 // stream until released, while the consensus stream and what the site
 // posts to itself run at full speed, and counts the BodyReq broadcasts of
 // the site behind it.
 type laggingEndpoint struct {
-	transport.Endpoint
-	release  chan struct{} // closed to let the data stream through
-	done     chan struct{} // closed when the test ends
-	data     chan transport.Envelope
-	bodyReqs atomic.Int64
+	bodyReqCounter
+	release chan struct{} // closed to let the data stream through
+	done    chan struct{} // closed when the test ends
+	data    chan transport.Envelope
 
 	once  sync.Once
 	posts *queue.Q[transport.Envelope] // Post on the data stream; see local
@@ -77,13 +89,6 @@ func (e *laggingEndpoint) forward() {
 	}
 }
 
-func (e *laggingEndpoint) Broadcast(stream string, msg any) error {
-	if _, ok := msg.(BodyReq); ok {
-		e.bodyReqs.Add(1)
-	}
-	return e.Endpoint.Broadcast(stream, msg)
-}
-
 // A site whose data stream runs behind its decision stream must not ask
 // for the missing bodies once per stage: every peer answers every request
 // with every body, on the stream that is already behind. The number of
@@ -92,10 +97,10 @@ func TestBodyReqBoundedByTimeNotStages(t *testing.T) {
 	h := transport.NewHub(3)
 	defer h.Close()
 	lag := &laggingEndpoint{
-		Endpoint: h.Endpoint(2),
-		release:  make(chan struct{}),
-		done:     make(chan struct{}),
-		data:     make(chan transport.Envelope),
+		bodyReqCounter: bodyReqCounter{Endpoint: h.Endpoint(2)},
+		release:        make(chan struct{}),
+		done:           make(chan struct{}),
+		data:           make(chan transport.Envelope),
 	}
 	forwarded := make(chan struct{})
 	go func() {
@@ -179,4 +184,41 @@ func TestBodyReqRetriedWithoutFurtherStages(t *testing.T) {
 	}
 	events := siteEvents(t, group[2], msgs, 5*time.Second)
 	checkLocalOrder(t, events)
+}
+
+// The coordinator hears its own broadcast when it sends it and proposes it
+// at once, so body, proposal and the coordinator's ack leave together and
+// race to every follower. Over a link whose jitter exceeds what the rest of
+// the group needs for a round trip, the body is last about every third
+// time: the follower holds a decision — proposal, the coordinator's ack and
+// the other follower's — naming a message it has not seen. TO-release waits
+// for the body (Local Order), and the follower asks for what is on its way
+// at most once per decideReqInterval, however many stages it happens in.
+func TestDecisionOvertakesCoordinatorsBody(t *testing.T) {
+	h := transport.NewHub(3, transport.WithDelay(100*time.Microsecond), transport.WithSeed(5))
+	defer h.Close()
+	h.SetLink(0, 1, transport.LinkProfile{Delay: 100 * time.Microsecond, Jitter: 2 * time.Millisecond})
+	follower := &bodyReqCounter{Endpoint: h.Endpoint(1)}
+	group := startOptimisticGroupOn(t, []transport.Endpoint{h.Endpoint(0), follower, h.Endpoint(2)})
+
+	const msgs = 40
+	start := time.Now()
+	for i := 0; i < msgs; i++ {
+		if _, err := group[0].Broadcast(i); err != nil {
+			t.Fatal(err)
+		}
+		siteEvents(t, group[0], 1, 5*time.Second)
+	}
+	events := siteEvents(t, group[1], msgs, 5*time.Second)
+	checkLocalOrder(t, events)
+	for i, id := range toOrder(events) {
+		if want := (MsgID{Origin: 0, Seq: uint64(i + 1)}); id != want {
+			t.Fatalf("site 1 TO position %d: %v, want %v", i, id, want)
+		}
+	}
+	elapsed := time.Since(start)
+	reqs := follower.bodyReqs.Load()
+	if limit := int64(elapsed/decideReqInterval) + 1; reqs < 1 || reqs > limit {
+		t.Fatalf("%d BodyReq broadcasts for %d stages in %v, want 1..%d (0: no decision ever overtook its body)", reqs, msgs, elapsed, limit)
+	}
 }

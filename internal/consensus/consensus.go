@@ -288,6 +288,9 @@ type Engine struct {
 	// belowCount counts the messages dropped because they concern an
 	// instance below the horizon.
 	belowCount *metrics.Counter
+	// owns0 shows ownsRound0, 1 or 0: after the first change of head it is
+	// 0 at every site and every instance pays the estimate round again.
+	owns0 *metrics.Gauge
 
 	// stopped is set by Stop and read by the engine goroutine before every
 	// event, so a stop overtakes whatever is queued.
@@ -399,7 +402,7 @@ func New(cfg Config) *Engine {
 		cfg.TickEvery = cfg.RoundTimeout / 4
 	}
 	epoch, members := cfg.View.Snapshot()
-	return &Engine{
+	e := &Engine{
 		ep:         cfg.Endpoint,
 		id:         cfg.Endpoint.ID(),
 		susp:       cfg.Suspector,
@@ -408,7 +411,6 @@ func New(cfg Config) *Engine {
 		tickEvery:  cfg.TickEvery,
 		catchUp:    cfg.CatchUpFrom,
 		epoch:      epoch,
-		ownsRound0: cfg.CatchUpFrom == 0 && members[0] == cfg.Endpoint.ID(),
 		decisions:  queue.New[Decision](),
 		instances:  make(map[uint64]*instance),
 		horizon:    decisionHorizon,
@@ -420,7 +422,20 @@ func New(cfg Config) *Engine {
 		decCount:   cfg.Metrics.Counter("consensus_decided_total"),
 		fastCount:  cfg.Metrics.Counter("consensus_fast_decide_total"),
 		belowCount: cfg.Metrics.Counter("consensus_below_horizon_total"),
+		owns0:      cfg.Metrics.Gauge("consensus_owns_round0"),
 		done:       make(chan struct{}),
+	}
+	e.setOwnsRound0(cfg.CatchUpFrom == 0 && members[0] == e.id)
+	return e
+}
+
+// setOwnsRound0 records the promise and shows it as consensus_owns_round0.
+func (e *Engine) setOwnsRound0(owns bool) {
+	e.ownsRound0 = owns
+	if owns {
+		e.owns0.Set(1)
+	} else {
+		e.owns0.Set(0)
 	}
 }
 
@@ -565,7 +580,7 @@ func (e *Engine) retire() {
 func (e *Engine) snapshot() (uint64, []transport.NodeID) {
 	epoch, members := e.view.Snapshot()
 	if epoch != e.epoch {
-		e.ownsRound0 = e.ownsRound0 && epoch == e.epoch+1 && members[0] == e.id
+		e.setOwnsRound0(e.ownsRound0 && epoch == e.epoch+1 && members[0] == e.id)
 		e.epoch = epoch
 	}
 	return epoch, members

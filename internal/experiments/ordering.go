@@ -17,7 +17,7 @@ import (
 type OrderingParams struct {
 	// Sites is the cluster size.
 	Sites int
-	// Messages is the number of broadcasts per site.
+	// Messages is the number of broadcasts per site, one after the other.
 	Messages int
 	// NetDelay is the one-way delay between sites.
 	NetDelay time.Duration
@@ -39,10 +39,21 @@ func orderingParams(quick bool) OrderingParams {
 	return p
 }
 
-// orderingRun measures, for one engine, the mean Opt latency (broadcast
-// to tentative delivery at the origin) and TO latency (broadcast to
-// definitive delivery at the origin).
-func orderingRun(p OrderingParams, optimistic bool) (optLat, toLat metrics.Summary, fastShare float64, err error) {
+// orderingResult is what one engine measured at the origins of its
+// messages: latency from Broadcast to the origin's own Opt and TO events.
+type orderingResult struct {
+	opt, to metrics.Summary // every origin
+	// TO latency by origin class: messages of the site that coordinates
+	// round 0 (and is the fixed sequencer), node 0, and of everybody else.
+	coordTO, followerTO metrics.Summary
+	// reorderShare is the share of TO deliveries, over all sites, whose
+	// definitive position inverted the site's tentative order.
+	reorderShare float64
+	fastShare    float64 // site 0's fast stages, percent; optimistic only
+}
+
+// orderingRun measures one engine.
+func orderingRun(p OrderingParams, optimistic bool) (orderingResult, error) {
 	hub := transport.NewHub(p.Sites,
 		transport.WithDelay(p.NetDelay),
 		transport.WithJitter(p.Jitter),
@@ -50,8 +61,9 @@ func orderingRun(p OrderingParams, optimistic bool) (optLat, toLat metrics.Summa
 	defer hub.Close()
 
 	type engine struct {
-		bc   abcast.Broadcaster
-		stop func()
+		bc    abcast.Broadcaster
+		stats func() abcast.Stats
+		stop  func()
 	}
 	engines := make([]engine, p.Sites)
 	for i := 0; i < p.Sites; i++ {
@@ -61,15 +73,15 @@ func orderingRun(p OrderingParams, optimistic bool) (optLat, toLat metrics.Summa
 			cons.Start()
 			bc := abcast.NewOptimistic(ep, cons)
 			if err := bc.Start(); err != nil {
-				return metrics.Summary{}, metrics.Summary{}, 0, err
+				return orderingResult{}, err
 			}
-			engines[i] = engine{bc: bc, stop: func() { _ = bc.Stop(); cons.Stop() }}
+			engines[i] = engine{bc: bc, stats: bc.Stats, stop: func() { _ = bc.Stop(); cons.Stop() }}
 		} else {
 			bc := abcast.NewSequencer(ep)
 			if err := bc.Start(); err != nil {
-				return metrics.Summary{}, metrics.Summary{}, 0, err
+				return orderingResult{}, err
 			}
-			engines[i] = engine{bc: bc, stop: func() { _ = bc.Stop() }}
+			engines[i] = engine{bc: bc, stats: bc.Stats, stop: func() { _ = bc.Stop() }}
 		}
 	}
 	defer func() {
@@ -80,67 +92,66 @@ func orderingRun(p OrderingParams, optimistic bool) (optLat, toLat metrics.Summa
 
 	optHist := metrics.NewHistogram()
 	toHist := metrics.NewHistogram()
-
-	// Track per-origin send times and consume origin-site deliveries.
-	var mu sync.Mutex
-	sendTimes := make(map[abcast.MsgID]time.Time)
-
+	coordHist := metrics.NewHistogram()
+	followerHist := metrics.NewHistogram()
+	// One synchronous client per site: broadcast, wait for the message's own
+	// TO event, broadcast the next. At most Sites messages are undecided at
+	// a time, so a stage opens for each at once and a latency is message
+	// delays, not a wait for the batch ahead.
 	var wg sync.WaitGroup
 	for i := 0; i < p.Sites; i++ {
 		e := engines[i]
-		origin := transport.NodeID(i)
+		classHist := followerHist
+		if transport.NodeID(i) == abcast.SequencerNode {
+			classHist = coordHist
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			seenTO := 0
-			for ev := range e.bc.Deliveries() {
-				if ev.ID.Origin != origin {
-					continue
-				}
-				mu.Lock()
-				t0, ok := sendTimes[ev.ID]
-				mu.Unlock()
-				if !ok {
-					continue
-				}
-				switch ev.Kind {
-				case abcast.Opt:
-					optHist.Observe(time.Since(t0))
-				case abcast.TO:
-					toHist.Observe(time.Since(t0))
-					seenTO++
-					if seenTO == p.Messages {
-						return
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < p.Sites; i++ {
-		e := engines[i]
-		go func() {
+			events := e.bc.Deliveries()
 			for j := 0; j < p.Messages; j++ {
-				mu.Lock()
+				t0 := time.Now()
 				id, err := e.bc.Broadcast(j)
-				if err == nil {
-					sendTimes[id] = time.Now()
+				if err != nil {
+					return
 				}
-				mu.Unlock()
-				time.Sleep(p.NetDelay / 2)
+				for ev := range events {
+					if ev.ID != id {
+						continue
+					}
+					if ev.Kind == abcast.Opt {
+						optHist.Observe(time.Since(t0))
+						continue
+					}
+					lat := time.Since(t0)
+					toHist.Observe(lat)
+					classHist.Observe(lat)
+					break
+				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	if optimistic {
-		if o, ok := engines[0].bc.(*abcast.Optimistic); ok {
-			st := o.Stats()
-			if st.Stages > 0 {
-				fastShare = 100 * float64(st.FastStages) / float64(st.Stages)
-			}
-		}
+	res := orderingResult{
+		opt:        optHist.Summarize(),
+		to:         toHist.Summarize(),
+		coordTO:    coordHist.Summarize(),
+		followerTO: followerHist.Summarize(),
 	}
-	return optHist.Summarize(), toHist.Summarize(), fastShare, nil
+	var reorders, delivered uint64
+	for _, e := range engines {
+		st := e.stats()
+		reorders += st.Reorders
+		delivered += st.TODelivered
+	}
+	if delivered > 0 {
+		res.reorderShare = 100 * float64(reorders) / float64(delivered)
+	}
+	if st := engines[0].stats(); st.Stages > 0 {
+		res.fastShare = 100 * float64(st.FastStages) / float64(st.Stages)
+	}
+	return res, nil
 }
 
 // Ordering is the ablation table: the optimistic engine Opt-delivers in
@@ -152,33 +163,32 @@ func Ordering(p OrderingParams) (Table, error) {
 	t := Table{
 		Title: "E7b — ordering engines: OPT-ABcast vs fixed sequencer",
 		Columns: []string{
-			"engine", "Opt mean", "TO mean", "TO p95", "overlap window", "fast stages",
+			"engine", "Opt mean", "TO mean", "TO p95", "overlap window",
+			"TO p50 coord-origin", "TO p50 follower-origin", "reorder share", "fast stages",
 		},
 		Notes: []string{
-			fmt.Sprintf("%d sites, %d msgs/site, %v delay, %v jitter",
+			fmt.Sprintf("%d sites, one synchronous client each, %d msgs/site, %v delay, %v jitter",
 				p.Sites, p.Messages, p.NetDelay, p.Jitter),
 			"overlap window = TO mean - Opt mean: the coordination OTP hides behind execution",
+			"coord-origin = messages of site 0 (round-0 coordinator, fixed sequencer), follower-origin = everybody else's; both measured at the origin",
+			"reorder share = Stats().Reorders / TO deliveries over all sites: definitive order inverted the site's tentative order",
 		},
 	}
-	optOpt, optTO, fastShare, err := orderingRun(p, true)
-	if err != nil {
-		return Table{}, err
+	us := func(d time.Duration) string { return d.Round(time.Microsecond).String() }
+	for _, engine := range []struct {
+		name       string
+		optimistic bool
+	}{{"OPT-ABcast", true}, {"sequencer (conservative)", false}} {
+		r, err := orderingRun(p, engine.optimistic)
+		if err != nil {
+			return Table{}, err
+		}
+		fast := "n/a"
+		if engine.optimistic {
+			fast = fmt.Sprintf("%.0f%%", r.fastShare)
+		}
+		t.AddRow(engine.name, us(r.opt.Mean), us(r.to.Mean), us(r.to.P95), us(r.to.Mean-r.opt.Mean),
+			us(r.coordTO.P50), us(r.followerTO.P50), fmt.Sprintf("%.1f%%", r.reorderShare), fast)
 	}
-	seqOpt, seqTO, _, err := orderingRun(p, false)
-	if err != nil {
-		return Table{}, err
-	}
-	t.AddRow("OPT-ABcast",
-		optOpt.Mean.Round(time.Microsecond).String(),
-		optTO.Mean.Round(time.Microsecond).String(),
-		optTO.P95.Round(time.Microsecond).String(),
-		(optTO.Mean - optOpt.Mean).Round(time.Microsecond).String(),
-		fmt.Sprintf("%.0f%%", fastShare))
-	t.AddRow("sequencer (conservative)",
-		seqOpt.Mean.Round(time.Microsecond).String(),
-		seqTO.Mean.Round(time.Microsecond).String(),
-		seqTO.P95.Round(time.Microsecond).String(),
-		(seqTO.Mean - seqOpt.Mean).Round(time.Microsecond).String(),
-		"n/a")
 	return t, nil
 }

@@ -316,9 +316,15 @@ func (h *Hub) route(from, to NodeID, env Envelope, ghost bool) {
 		h.mu.Unlock()
 		return
 	}
-	delay := h.baseDelay
-	jitter := h.jitter
-	if p, ok := h.links[link{from, to}]; ok {
+	delay, jitter := h.baseDelay, h.jitter
+	if from == to {
+		// A node's message to itself crosses no network and is never
+		// delayed, whatever the hub or a LinkProfile says — the one rule of
+		// both transports (tcpnet hands a sender its copy before it
+		// transmits): a site hears its own broadcast when it sends it, and
+		// everybody else one delay later.
+		delay, jitter = 0, 0
+	} else if p, ok := h.links[link{from, to}]; ok {
 		delay, jitter = p.Delay, p.Jitter
 		for p.Loss > 0 && h.rng.Float64() < p.Loss {
 			delay += p.RetransmitDelay

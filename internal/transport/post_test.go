@@ -45,14 +45,7 @@ func TestPostSharesTheStreamInOrder(t *testing.T) {
 		}
 		for want := 0; want < 100; want++ {
 			env := recvOne(t, in)
-			got := -1
-			switch m := env.Msg.(type) {
-			case unregistered:
-				got = m.k
-			case tcpTestMsg:
-				got = m.K
-			}
-			if got != want || env.From != self.ID() || env.Stream != "s" {
+			if msgKey(env) != want || env.From != self.ID() || env.Stream != "s" {
 				t.Fatalf("position %d: %+v", want, env)
 			}
 		}
@@ -154,10 +147,7 @@ func TestPostIgnoresTheNetworkModel(t *testing.T) {
 	h.Crash(0)
 	post(3)
 
-	h.mu.Lock()
-	routed, started := h.seq, h.sleeper != nil
-	h.mu.Unlock()
-	if routed != 0 || started {
+	if routed, started := hubState(h); routed != 0 || started {
 		t.Fatalf("hub routed %d delayed messages (delivery goroutine started: %v), want none", routed, started)
 	}
 	for i, ch := range others {

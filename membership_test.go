@@ -3,11 +3,13 @@ package otpdb_test
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
 	"otpdb"
 	"otpdb/internal/events"
+	"otpdb/internal/metrics"
 	"otpdb/internal/testutil"
 )
 
@@ -216,6 +218,42 @@ func TestReplaceSiteReadmitsDeadIdentity(t *testing.T) {
 	}
 	assertEpoch(t, c, 3, 2, 0, 1)
 	creditN(t, c, 0, 1, 24) // 22 credits + 2 changes
+}
+
+// TestReplaceHeadLosesRound0: the round-0 promise — site 0 proposes
+// without an estimate quorum, which is what makes an ordering stage two
+// message delays — belongs to the process that has headed the group since
+// the first epoch, and nobody inherits it. After the head is replaced
+// consensus_owns_round0 reads 0 at every site, the replacement included,
+// and every stage costs three delays until the whole cluster restarts
+// (ROADMAP 4c). A per-epoch promise flips the last assertion.
+func TestReplaceHeadLosesRound0(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := accountsCluster(t, otpdb.WithReplicas(3), otpdb.WithMetrics(reg))
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	owns := func(site int) int64 {
+		return reg.Scope("shard", "0", "site", strconv.Itoa(site)).Gauge("consensus_owns_round0").Value()
+	}
+	creditN(t, c, 1, 5, 5)
+	if got := [3]int64{owns(0), owns(1), owns(2)}; got != [3]int64{1, 0, 0} {
+		t.Fatalf("consensus_owns_round0 by site = %v before any change, want [1 0 0]", got)
+	}
+
+	ctx := memCtx(t)
+	if err := c.CrashSite(0); err != nil {
+		t.Fatal(err)
+	}
+	creditN(t, c, 1, 5, 10)
+	if err := c.ReplaceSite(ctx, 0); err != nil {
+		t.Fatalf("ReplaceSite: %v", err)
+	}
+	assertEpoch(t, c, 2, 3, 0, 1, 2)
+	creditN(t, c, 0, 5, 16) // 15 credits + 1 change, through the new head
+	if got := [3]int64{owns(0), owns(1), owns(2)}; got != [3]int64{0, 0, 0} {
+		t.Fatalf("consensus_owns_round0 by site = %v after the head was replaced, want [0 0 0]", got)
+	}
 }
 
 // TestReplaceSiteRequiresCrash: replacing a live site is rejected.

@@ -177,11 +177,9 @@ type config struct {
 	netJitter    time.Duration
 	seed         int64
 	ordering     Ordering
-	writeMode    storage.Mode
 	queryMode    db.QueryMode
 	roundTimeout time.Duration
 	recordHist   bool
-	pruneEvery   int
 	durDir       string
 	syncPolicy   SyncPolicy
 	ckptEvery    int
@@ -209,7 +207,8 @@ func WithReplicas(n int) Option { return func(c *config) { c.replicas = n } }
 // the package comment).
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
-// WithNetworkDelay adds a fixed delivery delay between replicas.
+// WithNetworkDelay adds a fixed delivery delay between replicas; a site's
+// messages to itself are never delayed.
 func WithNetworkDelay(d time.Duration) Option { return func(c *config) { c.netDelay = d } }
 
 // WithNetworkJitter adds a random delivery delay in [0, d), which causes
@@ -222,13 +221,6 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
 // WithOrdering selects the broadcast engine (default OptimisticOrdering).
 func WithOrdering(o Ordering) Option { return func(c *config) { c.ordering = o } }
-
-// WithInPlaceWrites switches the storage engine to in-place writes with
-// undo logs (the paper's "traditional recovery techniques") instead of
-// buffered writes.
-func WithInPlaceWrites() Option {
-	return func(c *config) { c.writeMode = storage.InPlaceUndo }
-}
 
 // WithDirtyQueries disables the Section 5 snapshot rule — queries read
 // the latest committed values with no index discipline. Provided only to
@@ -246,16 +238,6 @@ func WithHistoryRecording() Option { return func(c *config) { c.recordHist = tru
 // at the cost of spurious rounds).
 func WithConsensusRoundTimeout(d time.Duration) Option {
 	return func(c *config) { c.roundTimeout = d }
-}
-
-// WithPruneInterval sets how many local commits pass between version
-// prune passes (default 1024). Each pass advances the storage watermark
-// to the oldest active query snapshot and discards versions below it,
-// bounding version-chain growth under sustained update load. Negative
-// disables pruning (version chains grow without bound, as in the
-// paper's model).
-func WithPruneInterval(n int) Option {
-	return func(c *config) { c.pruneEvery = n }
 }
 
 // WithDurability makes every replica durable under dir (one
@@ -490,7 +472,6 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		shards:       1,
 		seed:         1,
 		ordering:     OptimisticOrdering,
-		writeMode:    storage.Buffered,
 		queryMode:    db.SnapshotQueries,
 		roundTimeout: 100 * time.Millisecond,
 	}
@@ -641,13 +622,11 @@ func (c *Cluster) startSite(ctx context.Context, grp *group, g, i int, ep transp
 		RoundTimeout:    c.cfg.roundTimeout,
 		DefLogCap:       c.cfg.defLogCap,
 		Replica: db.Config{
-			Registry:      c.registry,
-			WriteMode:     c.cfg.writeMode,
-			Queries:       c.cfg.queryMode,
-			PruneInterval: c.cfg.pruneEvery,
-			CommitDelay:   c.cfg.commitDelay,
-			Trace:         c.cfg.trace,
-			Shard:         g,
+			Registry:    c.registry,
+			Queries:     c.cfg.queryMode,
+			CommitDelay: c.cfg.commitDelay,
+			Trace:       c.cfg.trace,
+			Shard:       g,
 		},
 		Metrics: scope,
 		Events:  c.cfg.events,
