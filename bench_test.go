@@ -322,17 +322,17 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 func BenchmarkOverlapLatency(b *testing.B) {
 	experimentsOverlap := func(optimistic bool) time.Duration {
 		p := experiments.OverlapParams{
-			ExecTime:      2 * time.Millisecond,
-			ConfirmDelays: []time.Duration{2 * time.Millisecond},
-			Txns:          10,
+			ExecTime:  2 * time.Millisecond,
+			NetDelays: []time.Duration{time.Millisecond}, // D = two delays
+			Txns:      10,
 		}
 		t, err := experiments.Overlap(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		col := 1 // OTP mean column
+		col := 2 // OTP mean column
 		if !optimistic {
-			col = 2
+			col = 3
 		}
 		d, err := time.ParseDuration(t.Rows[0][col])
 		if err != nil {

@@ -24,10 +24,6 @@ func (c *Cluster) CrashedSites() []int {
 	return out
 }
 
-// AutoReplaceEnabled reports whether WithAutoReplace armed the
-// self-healing loop.
-func (c *Cluster) AutoReplaceEnabled() bool { return c.cfg.autoReplace }
-
 // FaultInjector manipulates the cluster's in-process network and site
 // behaviour for fault-injection testing — the control surface the chaos
 // harness (internal/chaos) drives. Every method applies to all shard

@@ -8,7 +8,7 @@
 // and the properties Termination, Global Agreement, Local Agreement,
 // Global Order and Local Order.
 //
-// Three engines are provided:
+// Two implementations are provided:
 //
 //   - Optimistic: the OPT-ABcast realization. Messages are multicast to
 //     all sites and Opt-delivered the instant they are received; the
@@ -16,11 +16,10 @@
 //     stage, each site proposing its tentative order. With spontaneous
 //     total order all proposals match and consensus terminates in one
 //     round-trip; mismatches cost extra rounds but deliveries are never
-//     wrong (commitment waits for TO).
-//   - Sequencer: a conservative baseline. A fixed sequencer assigns the
-//     definitive order and Opt/TO are emitted together at definitive
-//     time — i.e. classic atomic broadcast with no optimism and no
-//     execution overlap.
+//     wrong (commitment waits for TO). WithConservativeDelivery turns it
+//     into the classic atomic broadcast the paper compares against: Opt
+//     and TO are emitted together at definitive time, so nothing executes
+//     while the order is being agreed.
 //   - Scripted: a test double whose delivery schedule is fully under the
 //     caller's control.
 package abcast
@@ -31,13 +30,9 @@ import (
 	"otpdb/internal/transport"
 )
 
-// Streams used on the transport.
-const (
-	// StreamData carries the message bodies (TO-broadcast payloads).
-	StreamData = "ab.data"
-	// StreamOrder carries the sequencer's ordering decisions.
-	StreamOrder = "ab.order"
-)
+// StreamData is the transport stream of the message bodies (TO-broadcast
+// payloads) and their retransmission requests.
+const StreamData = "ab.data"
 
 // MsgID identifies a TO-broadcast message network-wide: the originating
 // site plus a per-origin sequence number.
@@ -114,13 +109,6 @@ type DataMsg struct {
 // in their headers.
 func (d DataMsg) TraceID() string { return transport.TraceOf(d.Payload) }
 
-// OrderMsg is the sequencer's ordering announcement: global sequence
-// number Seq is assigned to message ID.
-type OrderMsg struct {
-	Seq uint64
-	ID  MsgID
-}
-
 // BodyReq asks peers to retransmit the bodies (DataMsg) of the given
 // messages. A rejoining site needs it for messages that were decided in
 // the stages it resumes at but whose bodies were broadcast while it was
@@ -151,7 +139,7 @@ type Stats struct {
 	OptDelivered uint64
 	// TODelivered counts TO events emitted.
 	TODelivered uint64
-	// Stages counts decided consensus stages (Optimistic engine only).
+	// Stages counts decided consensus stages.
 	Stages uint64
 	// FastStages counts stages whose decision and this site's own
 	// proposal for the stage named the same messages in the same order,
@@ -159,6 +147,7 @@ type Stats struct {
 	// and overlap) — the spontaneous-order fast path.
 	FastStages uint64
 	// Reorders counts TO deliveries whose definitive position inverted
-	// the local optimistic delivery order (Optimistic engine only).
+	// the local optimistic delivery order (always 0 under conservative
+	// delivery: there the Opt events are emitted in definitive order).
 	Reorders uint64
 }

@@ -94,8 +94,8 @@ func startOptimisticGroup(t *testing.T, h *transport.Hub, n int) []*Optimistic {
 }
 
 // startOptimisticGroupOn is startOptimisticGroup over endpoints the test
-// may have wrapped.
-func startOptimisticGroupOn(t *testing.T, eps []transport.Endpoint) []*Optimistic {
+// may have wrapped, with the engine options it wants.
+func startOptimisticGroupOn(t *testing.T, eps []transport.Endpoint, opts ...Option) []*Optimistic {
 	t.Helper()
 	group := make([]*Optimistic, len(eps))
 	for i, ep := range eps {
@@ -104,7 +104,7 @@ func startOptimisticGroupOn(t *testing.T, eps []transport.Endpoint) []*Optimisti
 			RoundTimeout: 50 * time.Millisecond,
 		})
 		cons.Start()
-		o := NewOptimistic(ep, cons)
+		o := NewOptimistic(ep, cons, opts...)
 		if err := o.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -229,61 +229,6 @@ func TestOptimisticStopIsClean(t *testing.T) {
 	}
 	if _, err := group[0].Broadcast("y"); err == nil {
 		t.Fatal("broadcast on stopped engine succeeded")
-	}
-}
-
-func TestSequencerDeliversEverywhereInSameOrder(t *testing.T) {
-	h := transport.NewHub(3)
-	defer h.Close()
-	group := make([]*Sequencer, 3)
-	for i := range group {
-		group[i] = NewSequencer(h.Endpoint(transport.NodeID(i)))
-		if err := group[i].Start(); err != nil {
-			t.Fatal(err)
-		}
-		s := group[i]
-		t.Cleanup(func() { _ = s.Stop() })
-	}
-	const perSite = 10
-	for i := 0; i < perSite; i++ {
-		for _, b := range group {
-			if _, err := b.Broadcast(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	total := perSite * len(group)
-	orders := make([][]MsgID, len(group))
-	for s, b := range group {
-		events := siteEvents(t, b, total, 10*time.Second)
-		checkLocalOrder(t, events)
-		orders[s] = toOrder(events)
-	}
-	checkSameOrder(t, orders)
-}
-
-func TestSequencerOptAndTOAreAdjacent(t *testing.T) {
-	h := transport.NewHub(2)
-	defer h.Close()
-	group := make([]*Sequencer, 2)
-	for i := range group {
-		group[i] = NewSequencer(h.Endpoint(transport.NodeID(i)))
-		_ = group[i].Start()
-		s := group[i]
-		t.Cleanup(func() { _ = s.Stop() })
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := group[1].Broadcast(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	events := siteEvents(t, group[0], 5, 10*time.Second)
-	// Conservative engine: Opt(m) immediately followed by TO(m).
-	for i := 0; i < len(events); i += 2 {
-		if events[i].Kind != Opt || events[i+1].Kind != TO || events[i].ID != events[i+1].ID {
-			t.Fatalf("events %d,%d = %+v %+v; want adjacent Opt/TO pair",
-				i, i+1, events[i], events[i+1])
-		}
 	}
 }
 

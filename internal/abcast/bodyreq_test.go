@@ -89,15 +89,11 @@ func (e *laggingEndpoint) forward() {
 	}
 }
 
-// A site whose data stream runs behind its decision stream must not ask
-// for the missing bodies once per stage: every peer answers every request
-// with every body, on the stream that is already behind. The number of
-// requests is bounded by the time the bodies were missing.
-func TestBodyReqBoundedByTimeNotStages(t *testing.T) {
-	h := transport.NewHub(3)
-	defer h.Close()
+// startLaggingEndpoint wraps ep and forwards for it until the test ends.
+// Call it before starting the engines: the forwarder must outlive them.
+func startLaggingEndpoint(t *testing.T, ep transport.Endpoint) *laggingEndpoint {
 	lag := &laggingEndpoint{
-		bodyReqCounter: bodyReqCounter{Endpoint: h.Endpoint(2)},
+		bodyReqCounter: bodyReqCounter{Endpoint: ep},
 		release:        make(chan struct{}),
 		done:           make(chan struct{}),
 		data:           make(chan transport.Envelope),
@@ -111,6 +107,17 @@ func TestBodyReqBoundedByTimeNotStages(t *testing.T) {
 		close(lag.done)
 		<-forwarded
 	})
+	return lag
+}
+
+// A site whose data stream runs behind its decision stream must not ask
+// for the missing bodies once per stage: every peer answers every request
+// with every body, on the stream that is already behind. The number of
+// requests is bounded by the time the bodies were missing.
+func TestBodyReqBoundedByTimeNotStages(t *testing.T) {
+	h := transport.NewHub(3)
+	defer h.Close()
+	lag := startLaggingEndpoint(t, h.Endpoint(2))
 	group := startOptimisticGroupOn(t, []transport.Endpoint{h.Endpoint(0), h.Endpoint(1), lag})
 
 	// One message per stage: the next goes out when site 0 has

@@ -28,7 +28,7 @@ import (
 // stage order, and every proposal is cumulative — the whole undecided
 // list, not what the open stages left out — so a message two stages
 // decide takes its position from the earlier one and is skipped by the
-// later, the same at every site (DESIGN.md §6 "Overlapping stages").
+// later, the same at every site (DESIGN.md §6 "Ordering stages").
 //
 // Properties (under a majority of correct sites and ◇S):
 //
@@ -104,13 +104,16 @@ type Optimistic struct {
 	defSeq uint64 // last assigned definitive position
 	ring   defRing
 	join   *JoinState
+	// conservative: Opt is withheld until TO (WithConservativeDelivery).
+	conservative bool
 
 	// Optimism telemetry (engine goroutine). Each Opt delivery is
-	// assigned a local optimistic index, and timestamped when there is a
-	// metrics scope to report to; at TO release the index order is
-	// compared against the definitive order (an inversion is a reorder —
-	// the optimistic prediction was wrong) and the opt→def window is
-	// observed.
+	// assigned a local optimistic index, and each body is timestamped on
+	// arrival when there is a metrics scope to report to; at TO release
+	// the index order is compared against the definitive order (an
+	// inversion is a reorder — the optimistic prediction was wrong) and
+	// the opt→def window, body in hand to TO release, is observed: the
+	// ordering latency D under either delivery policy.
 	scope     *metrics.Scope
 	optSeq    uint64 // next optimistic delivery index
 	maxTOOpt  uint64 // highest optimistic index already TO-released
@@ -124,7 +127,7 @@ type Optimistic struct {
 // beside them (maybePropose). It is a constant and not a setting: 4 is
 // where wan_jitter's commit latency stops falling, and a site with four
 // messages waiting on the stages in flight is batching (DESIGN.md §6
-// "Overlapping stages" has the tables).
+// "Ordering stages" has the tried-and-dropped table).
 const window = 4
 
 // The engine goroutine waits on one thing, the reception queue of
@@ -212,6 +215,15 @@ func WithDefBase(base uint64) Option {
 // the spontaneous-order agreement ratio.
 func WithMetrics(s *metrics.Scope) Option {
 	return func(o *Optimistic) { o.scope = s }
+}
+
+// WithConservativeDelivery makes the engine the classic atomic broadcast
+// the paper compares against (§4): same dissemination, stages and order,
+// but a message's Opt event is withheld until its TO-release and emitted
+// immediately before its TO event, so the layer above starts executing
+// only once the order is known and never sees a tentative order.
+func WithConservativeDelivery() Option {
+	return func(o *Optimistic) { o.conservative = true }
 }
 
 var _ Broadcaster = (*Optimistic)(nil)
@@ -412,11 +424,10 @@ func (o *Optimistic) newSlot(id MsgID) *slot {
 }
 
 // optDeliver records the body of sl's message, completes its retained
-// entry if a decision came first, and emits the Opt event.
+// entry if a decision came first, and emits the Opt event — unless
+// delivery is conservative: then flushPendingTO emits it.
 func (o *Optimistic) optDeliver(sl *slot, payload any) {
 	sl.payload, sl.hasBody = payload, true
-	o.optSeq++
-	sl.optIdx = o.optSeq
 	if o.scope != nil {
 		sl.optAt = time.Now()
 	}
@@ -425,7 +436,16 @@ func (o *Optimistic) optDeliver(sl *slot, payload any) {
 			ent.Payload, ent.HasBody = payload, true
 		}
 	}
-	o.emit(Event{Kind: Opt, ID: sl.id, Payload: payload})
+	if !o.conservative {
+		o.emitOpt(sl)
+	}
+}
+
+// emitOpt gives sl's message the next optimistic index and Opt-delivers it.
+func (o *Optimistic) emitOpt(sl *slot) {
+	o.optSeq++
+	sl.optIdx = o.optSeq
+	o.emit(Event{Kind: Opt, ID: sl.id, Payload: sl.payload})
 }
 
 // decide gives sl's message definitive position seq: it is retained in the
@@ -677,6 +697,9 @@ func (o *Optimistic) flushPendingTO() {
 		sl := o.pendingTO[o.toHead]
 		o.pendingTO[o.toHead] = nil
 		o.toHead++
+		if o.conservative {
+			o.emitOpt(sl)
+		}
 		if o.anyTO && sl.optIdx < o.maxTOOpt {
 			o.reorders.Inc()
 			o.mu.Lock()

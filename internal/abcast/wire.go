@@ -16,15 +16,15 @@ const (
 )
 
 // RegisterWire makes the broadcast message types known to the TCP
-// transport: codecs for what every commit sends, gob for the sequencer's
-// OrderMsg and the retained-history entries state transfer streams.
+// transport: codecs for what every commit sends, gob for the
+// retained-history entries state transfer streams.
 // Payload types must be registered separately.
 func RegisterWire() {
 	transport.RegisterCodec(tagDataMsg, DataMsg.AppendWire, decodeDataMsg)
 	transport.RegisterCodec(tagMsgID, MsgID.AppendWire, decodeMsgID)
 	transport.RegisterCodec(tagMsgIDs, appendMsgIDs, decodeMsgIDs)
 	transport.RegisterCodec(tagBodyReq, BodyReq.AppendWire, decodeBodyReq)
-	transport.Register(OrderMsg{}, DefEntry{}, []DefEntry(nil))
+	transport.Register(DefEntry{}, []DefEntry(nil))
 }
 
 func (m MsgID) append(b []byte) []byte {

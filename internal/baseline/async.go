@@ -2,9 +2,10 @@
 // compares against:
 //
 //   - Conservative atomic-broadcast processing (execute only after the
-//     definitive order is known) is obtained by running the regular
-//     replica (internal/db) over the abcast.Sequencer engine, which emits
-//     Opt and TO together. No extra code is needed here.
+//     definitive order is known) is the broadcast engine's delivery policy
+//     abcast.WithConservativeDelivery — otpdb.ConservativeOrdering — under
+//     the regular replica. No extra code is needed here, for fault
+//     tolerance either: it is the same stack.
 //   - AsyncReplica is the commercial-style asynchronous replication of
 //     Section 1 ([20]): update transactions commit locally first and the
 //     write sets propagate to other sites afterwards, with no total

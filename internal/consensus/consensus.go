@@ -42,7 +42,7 @@
 //
 // Safety (agreement, validity) holds under arbitrary failure-detector
 // mistakes; termination needs a majority of correct processes and ◇S.
-// DESIGN.md §6 ("Two-delay ordering stages") carries the argument.
+// DESIGN.md §6 ("Ordering stages", "Why it is safe") carries the argument.
 package consensus
 
 import (

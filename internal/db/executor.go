@@ -281,15 +281,18 @@ func (e *executor) Commit(tx *otp.MultiTxn) {
 			// proceeds so the scheduler's invariants hold.
 		}
 	}
-	if err := att.stx.Commit(tx.TOIndex()); err != nil {
-		panic(fmt.Sprintf("db: commit of %v: %v", tx.ID, err))
-	}
 	if e.r.hist != nil {
+		// Before the commit lets go of the partitions: the next transaction
+		// of the class may begin, execute and commit on another goroutine
+		// the moment it does, and the history is read in recording order.
 		classes := make([]sproc.ClassID, len(tx.Classes))
 		for i, c := range tx.Classes {
 			classes[i] = sproc.ClassID(c)
 		}
 		e.r.hist.RecordUpdate(e.r.id, tx.ID, classes, tx.TOIndex(), readSet, writeSet)
+	}
+	if err := att.stx.Commit(tx.TOIndex()); err != nil {
+		panic(fmt.Sprintf("db: commit of %v: %v", tx.ID, err))
 	}
 	result := att.result
 	if hook := e.r.cfgHook; hook != nil && result != nil {

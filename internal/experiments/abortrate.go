@@ -6,7 +6,6 @@ import (
 
 	"otpdb/internal/abcast"
 	"otpdb/internal/otp"
-	"otpdb/internal/workload"
 )
 
 // AbortRateParams configures the Section 3.2 claim reproduction: order
@@ -65,7 +64,7 @@ func runAbortCell(txns, classes int, p float64, rng *rand.Rand) otp.Stats {
 	for i := range classOf {
 		classOf[i] = []otp.ClassID{otp.ClassID(fmt.Sprintf("c%d", rng.Intn(classes)))}
 	}
-	tentative := workload.MismatchedOrder(txns, p, rng)
+	tentative := mismatchedOrder(txns, p, rng)
 	id := func(n int) abcast.MsgID { return abcast.MsgID{Origin: 0, Seq: uint64(n + 1)} }
 
 	// All Opt-deliveries in tentative order, then all TO-deliveries in
@@ -84,6 +83,22 @@ func runAbortCell(txns, classes int, p float64, rng *rand.Rand) otp.Stats {
 		panic("abort-rate cell did not quiesce")
 	}
 	return mgr.Stats()
+}
+
+// mismatchedOrder produces a permutation of 0..n-1 where each adjacent
+// pair is swapped with probability p — the standard model for tentative
+// orders diverging from the definitive order by spontaneous-order misses.
+func mismatchedOrder(n int, p float64, rng *rand.Rand) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	for i := 0; i+1 < n; i++ {
+		if rng.Float64() < p {
+			out[i], out[i+1] = out[i+1], out[i]
+		}
+	}
+	return out
 }
 
 // AbortRate reproduces the Section 3.2 claim as a table: abort rate (CC8

@@ -90,3 +90,6 @@ func counterSession(opts ...otpdb.Option) (*otpdb.Cluster, *otpdb.Session, error
 func micros(d time.Duration) string {
 	return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/1e3)
 }
+
+// us renders a duration rounded to the microsecond, unit chosen by its size.
+func us(d time.Duration) string { return d.Round(time.Microsecond).String() }

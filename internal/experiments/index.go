@@ -32,7 +32,7 @@ var Index = []Experiment{
 		sized(queriesParams, Queries)},
 	{"E6", "pipeline", "Session pipelining: throughput vs in-flight depth",
 		sized(pipelineParams, Pipeline)},
-	{"E7b", "ordering", "optimistic vs sequencer engines",
+	{"E7b", "ordering", "optimistic vs conservative delivery, one engine",
 		sized(orderingParams, Ordering)},
 	{"E9", "recovery", "recovery time vs log length; fsync-policy cost (§7)",
 		sized(recoveryParams, tabled(RecoveryBench))},

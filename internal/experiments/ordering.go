@@ -11,9 +11,9 @@ import (
 	"otpdb/internal/transport"
 )
 
-// OrderingParams configures the ablation comparing the two definitive-
-// order engines: OPT-ABcast (consensus stages with optimistic delivery)
-// versus the fixed sequencer (conservative, no optimistic delivery).
+// OrderingParams configures the ablation comparing the engine's two
+// delivery policies: optimistic (Opt on reception, TO after the stage)
+// versus conservative (Opt withheld until TO).
 type OrderingParams struct {
 	// Sites is the cluster size.
 	Sites int
@@ -39,56 +39,39 @@ func orderingParams(quick bool) OrderingParams {
 	return p
 }
 
-// orderingResult is what one engine measured at the origins of its
+// orderingResult is what one policy measured at the origins of its
 // messages: latency from Broadcast to the origin's own Opt and TO events.
 type orderingResult struct {
 	opt, to metrics.Summary // every origin
 	// TO latency by origin class: messages of the site that coordinates
-	// round 0 (and is the fixed sequencer), node 0, and of everybody else.
+	// round 0, node 0, and of everybody else.
 	coordTO, followerTO metrics.Summary
 	// reorderShare is the share of TO deliveries, over all sites, whose
 	// definitive position inverted the site's tentative order.
 	reorderShare float64
-	fastShare    float64 // site 0's fast stages, percent; optimistic only
+	fastShare    float64 // site 0's fast stages, percent
 }
 
-// orderingRun measures one engine.
-func orderingRun(p OrderingParams, optimistic bool) (orderingResult, error) {
+// orderingRun measures the engine under one delivery policy.
+func orderingRun(p OrderingParams, opts ...abcast.Option) (orderingResult, error) {
 	hub := transport.NewHub(p.Sites,
 		transport.WithDelay(p.NetDelay),
 		transport.WithJitter(p.Jitter),
 		transport.WithSeed(11))
 	defer hub.Close()
 
-	type engine struct {
-		bc    abcast.Broadcaster
-		stats func() abcast.Stats
-		stop  func()
-	}
-	engines := make([]engine, p.Sites)
-	for i := 0; i < p.Sites; i++ {
+	engines := make([]*abcast.Optimistic, p.Sites)
+	for i := range engines {
 		ep := hub.Endpoint(transport.NodeID(i))
-		if optimistic {
-			cons := consensus.New(consensus.Config{Endpoint: ep, RoundTimeout: 100 * time.Millisecond})
-			cons.Start()
-			bc := abcast.NewOptimistic(ep, cons)
-			if err := bc.Start(); err != nil {
-				return orderingResult{}, err
-			}
-			engines[i] = engine{bc: bc, stats: bc.Stats, stop: func() { _ = bc.Stop(); cons.Stop() }}
-		} else {
-			bc := abcast.NewSequencer(ep)
-			if err := bc.Start(); err != nil {
-				return orderingResult{}, err
-			}
-			engines[i] = engine{bc: bc, stats: bc.Stats, stop: func() { _ = bc.Stop() }}
+		cons := consensus.New(consensus.Config{Endpoint: ep, RoundTimeout: 100 * time.Millisecond})
+		cons.Start()
+		defer cons.Stop()
+		engines[i] = abcast.NewOptimistic(ep, cons, opts...)
+		if err := engines[i].Start(); err != nil {
+			return orderingResult{}, err
 		}
+		defer func() { _ = engines[i].Stop() }()
 	}
-	defer func() {
-		for _, e := range engines {
-			e.stop()
-		}
-	}()
 
 	optHist := metrics.NewHistogram()
 	toHist := metrics.NewHistogram()
@@ -102,16 +85,16 @@ func orderingRun(p OrderingParams, optimistic bool) (orderingResult, error) {
 	for i := 0; i < p.Sites; i++ {
 		e := engines[i]
 		classHist := followerHist
-		if transport.NodeID(i) == abcast.SequencerNode {
+		if i == 0 {
 			classHist = coordHist
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			events := e.bc.Deliveries()
+			events := e.Deliveries()
 			for j := 0; j < p.Messages; j++ {
 				t0 := time.Now()
-				id, err := e.bc.Broadcast(j)
+				id, err := e.Broadcast(j)
 				if err != nil {
 					return
 				}
@@ -141,54 +124,53 @@ func orderingRun(p OrderingParams, optimistic bool) (orderingResult, error) {
 	}
 	var reorders, delivered uint64
 	for _, e := range engines {
-		st := e.stats()
+		st := e.Stats()
 		reorders += st.Reorders
 		delivered += st.TODelivered
 	}
 	if delivered > 0 {
 		res.reorderShare = 100 * float64(reorders) / float64(delivered)
 	}
-	if st := engines[0].stats(); st.Stages > 0 {
+	if st := engines[0].Stats(); st.Stages > 0 {
 		res.fastShare = 100 * float64(st.FastStages) / float64(st.Stages)
 	}
 	return res, nil
 }
 
-// Ordering is the ablation table: the optimistic engine Opt-delivers in
-// one network hop (enabling the OTP overlap) while its TO confirmation
-// costs consensus; the sequencer delivers both after the sequencer round
-// trip. The gap between the Opt and TO columns is exactly the window OTP
-// hides behind transaction execution.
+// Ordering is the ablation table: under optimistic delivery the engine
+// Opt-delivers in one network hop (enabling the OTP overlap) while its TO
+// confirmation costs the consensus stage; under conservative delivery the
+// same engine emits both at TO time. The gap between the Opt and TO
+// columns is exactly the window OTP hides behind transaction execution.
 func Ordering(p OrderingParams) (Table, error) {
 	t := Table{
-		Title: "E7b — ordering engines: OPT-ABcast vs fixed sequencer",
+		Title: "E7b — one ordering engine, two delivery policies: optimistic vs conservative",
 		Columns: []string{
-			"engine", "Opt mean", "TO mean", "TO p95", "overlap window",
+			"delivery", "Opt mean", "TO mean", "TO p95", "overlap window",
 			"TO p50 coord-origin", "TO p50 follower-origin", "reorder share", "fast stages",
 		},
 		Notes: []string{
 			fmt.Sprintf("%d sites, one synchronous client each, %d msgs/site, %v delay, %v jitter",
 				p.Sites, p.Messages, p.NetDelay, p.Jitter),
 			"overlap window = TO mean - Opt mean: the coordination OTP hides behind execution",
-			"coord-origin = messages of site 0 (round-0 coordinator, fixed sequencer), follower-origin = everybody else's; both measured at the origin",
+			"coord-origin = messages of site 0 (round-0 coordinator), follower-origin = everybody else's; both measured at the origin",
 			"reorder share = Stats().Reorders / TO deliveries over all sites: definitive order inverted the site's tentative order",
 		},
 	}
-	us := func(d time.Duration) string { return d.Round(time.Microsecond).String() }
-	for _, engine := range []struct {
-		name       string
-		optimistic bool
-	}{{"OPT-ABcast", true}, {"sequencer (conservative)", false}} {
-		r, err := orderingRun(p, engine.optimistic)
+	for _, policy := range []struct {
+		name string
+		opts []abcast.Option
+	}{
+		{"optimistic (OPT-ABcast)", nil},
+		{"conservative", []abcast.Option{abcast.WithConservativeDelivery()}},
+	} {
+		r, err := orderingRun(p, policy.opts...)
 		if err != nil {
 			return Table{}, err
 		}
-		fast := "n/a"
-		if engine.optimistic {
-			fast = fmt.Sprintf("%.0f%%", r.fastShare)
-		}
-		t.AddRow(engine.name, us(r.opt.Mean), us(r.to.Mean), us(r.to.P95), us(r.to.Mean-r.opt.Mean),
-			us(r.coordTO.P50), us(r.followerTO.P50), fmt.Sprintf("%.1f%%", r.reorderShare), fast)
+		t.AddRow(policy.name, us(r.opt.Mean), us(r.to.Mean), us(r.to.P95), us(r.to.Mean-r.opt.Mean),
+			us(r.coordTO.P50), us(r.followerTO.P50), fmt.Sprintf("%.1f%%", r.reorderShare),
+			fmt.Sprintf("%.0f%%", r.fastShare))
 	}
 	return t, nil
 }

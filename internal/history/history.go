@@ -7,7 +7,9 @@
 //  1. Replica agreement: every site commits the same update transactions
 //     with the same definitive indexes, classes and write sets, and
 //     per-class commit orders are prefix-compatible across sites
-//     (Lemma 4.1).
+//     (Lemma 4.1). A site that crashed and was rebuilt (Rebuilt) is a new
+//     incarnation: it may commit a prefix its earlier life committed, in
+//     order and with the same reads and writes.
 //  2. Serializability of the union history: a conflict graph is built
 //     with one node per logical update transaction (the "1-copy" view)
 //     and one node per query execution. Within a class the definitive
@@ -35,6 +37,7 @@ import (
 // UpdateObs is one committed update transaction observed at one site.
 type UpdateObs struct {
 	Site    transport.NodeID
+	Life    int // the site's incarnation: how often it had been rebuilt
 	ID      abcast.MsgID
 	Classes []sproc.ClassID
 	TOIndex int64
@@ -54,12 +57,22 @@ type Recorder struct {
 	mu      sync.Mutex
 	updates []UpdateObs
 	queries []QueryObs
+	lives   map[transport.NodeID]int
 }
 
 var _ db.HistorySink = (*Recorder)(nil)
 
 // NewRecorder creates an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder { return &Recorder{lives: make(map[transport.NodeID]int)} }
+
+// Rebuilt starts a new incarnation of site: its previous stack has stopped
+// and the one about to start joins from a peer's state, so it commits
+// again whatever that state does not cover.
+func (r *Recorder) Rebuilt(site transport.NodeID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lives[site]++
+}
 
 // RecordUpdate implements db.HistorySink.
 func (r *Recorder) RecordUpdate(site transport.NodeID, id abcast.MsgID, classes []sproc.ClassID,
@@ -68,6 +81,7 @@ func (r *Recorder) RecordUpdate(site transport.NodeID, id abcast.MsgID, classes 
 	defer r.mu.Unlock()
 	r.updates = append(r.updates, UpdateObs{
 		Site:    site,
+		Life:    r.lives[site],
 		ID:      id,
 		Classes: classes,
 		TOIndex: toIndex,
@@ -115,12 +129,48 @@ func (r *Recorder) Check() error {
 	return checkGraph(logical, queries)
 }
 
+// sameKeys reports whether a and b hold the same keys.
+func sameKeys(a, b []storage.ClassKey) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := make(map[storage.ClassKey]bool, len(a))
+	for _, k := range a {
+		in[k] = true
+	}
+	for _, k := range b {
+		if !in[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // mergeUpdates folds per-site observations into logical transactions,
 // verifying agreement on id, class and write set per definitive index.
 func mergeUpdates(updates []UpdateObs) (map[int64]*logicalUpdate, error) {
+	type siteLife struct {
+		site transport.NodeID
+		life int
+	}
+	type siteIndex struct {
+		site transport.NodeID
+		idx  int64
+	}
 	logical := make(map[int64]*logicalUpdate)
-	perSiteClass := make(map[transport.NodeID]map[sproc.ClassID][]int64)
-	for _, u := range updates {
+	perSiteClass := make(map[siteLife]map[sproc.ClassID][]int64)
+	// A site's first commit of an index. A second one in the same
+	// incarnation fails the Lemma 4.1 check below.
+	earlier := make(map[siteIndex]*UpdateObs)
+	for i := range updates {
+		u := &updates[i]
+		if prev := earlier[siteIndex{u.Site, u.TOIndex}]; prev == nil {
+			earlier[siteIndex{u.Site, u.TOIndex}] = u
+		} else if !sameKeys(prev.Reads, u.Reads) || !sameKeys(prev.Writes, u.Writes) {
+			return nil, fmt.Errorf(
+				"history: site %v committed index %d with reads %v writes %v, and after a rebuild with reads %v writes %v",
+				u.Site, u.TOIndex, prev.Reads, prev.Writes, u.Reads, u.Writes)
+		}
 		lu, ok := logical[u.TOIndex]
 		if !ok {
 			writes := make(map[storage.ClassKey]bool, len(u.Writes))
@@ -153,24 +203,24 @@ func mergeUpdates(updates []UpdateObs) (map[int64]*logicalUpdate, error) {
 				}
 			}
 		}
-		bySite, ok := perSiteClass[u.Site]
+		bySite, ok := perSiteClass[siteLife{u.Site, u.Life}]
 		if !ok {
 			bySite = make(map[sproc.ClassID][]int64)
-			perSiteClass[u.Site] = bySite
+			perSiteClass[siteLife{u.Site, u.Life}] = bySite
 		}
 		for _, c := range u.Classes {
 			bySite[c] = append(bySite[c], u.TOIndex)
 		}
 	}
-	// Lemma 4.1: per class, each site's commit order is ascending in the
-	// definitive index (observations arrive in commit order).
-	for site, bySite := range perSiteClass {
+	// Lemma 4.1: per class, each incarnation's commit order is ascending in
+	// the definitive index (observations arrive in commit order).
+	for sl, bySite := range perSiteClass {
 		for class, seq := range bySite {
 			for i := 1; i < len(seq); i++ {
 				if seq[i] <= seq[i-1] {
 					return nil, fmt.Errorf(
 						"history: site %v committed class %s out of definitive order (%d after %d)",
-						site, class, seq[i], seq[i-1])
+						sl.site, class, seq[i], seq[i-1])
 				}
 			}
 		}

@@ -154,3 +154,47 @@ func TestQueryReadOfNonWrittenKeyDetected(t *testing.T) {
 		t.Fatal("version/key mismatch not detected")
 	}
 }
+
+// A rebuilt site commits again the prefix its peer's state did not cover:
+// that is one more replica agreeing, not a commit out of order — as long as
+// each life is in order and both lives read and wrote the same.
+func TestRebuiltSiteMayRecommitItsPrefix(t *testing.T) {
+	record := func(r *history.Recorder, site transport.NodeID, idxs ...int64) {
+		for _, i := range idxs {
+			r.RecordUpdate(site, mid(uint64(i)), cls("x"), i, keys("x", "k"), keys("x", "k"))
+		}
+	}
+	r := history.NewRecorder()
+	record(r, 0, 1, 2, 3)
+	record(r, 1, 1, 2)
+	r.Rebuilt(1)
+	record(r, 1, 1, 2, 3)
+	if err := r.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Without the rebuild the same observations are a site going backwards.
+	r = history.NewRecorder()
+	record(r, 1, 1, 2, 1, 2, 3)
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "out of definitive order") {
+		t.Fatalf("one life committing 1 after 2: %v", err)
+	}
+
+	// A new life is held to the order too.
+	r = history.NewRecorder()
+	record(r, 1, 1, 2)
+	r.Rebuilt(1)
+	record(r, 1, 2, 1)
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "out of definitive order") {
+		t.Fatalf("second life committing 1 after 2: %v", err)
+	}
+
+	// And to what the first life read and wrote at the same index.
+	r = history.NewRecorder()
+	record(r, 1, 1)
+	r.Rebuilt(1)
+	r.RecordUpdate(1, mid(1), cls("x"), 1, keys("x", "other"), keys("x", "k"))
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "after a rebuild") {
+		t.Fatalf("second life reading another key at index 1: %v", err)
+	}
+}

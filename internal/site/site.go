@@ -63,10 +63,10 @@ type Config struct {
 	// recovery.Options).
 	Sync            wal.SyncPolicy
 	CheckpointEvery int
-	// Sequencer selects the fixed-sequencer baseline instead of
-	// OPT-ABcast. A sequencer site has no consensus engine and serves no
-	// state transfers, so nothing can join a sequencer group.
-	Sequencer bool
+	// Conservative withholds Opt-delivery until TO-delivery
+	// (abcast.WithConservativeDelivery): the classic processing the paper
+	// compares against, on the same stack.
+	Conservative bool
 	// RoundTimeout and Suspector configure consensus (see
 	// consensus.Config).
 	RoundTimeout time.Duration
@@ -114,7 +114,7 @@ type Site struct {
 	Join Join
 	// Replica is the running database replica.
 	Replica *db.Replica
-	// Engine is the OPT-ABcast engine; nil under Config.Sequencer.
+	// Engine is the OPT-ABcast engine.
 	Engine *abcast.Optimistic
 
 	cfg   Config
@@ -184,39 +184,36 @@ func (s *Site) Start(ctx context.Context, donors []transport.NodeID, required bo
 		return fmt.Errorf("site %v: no donor to join from", id)
 	}
 
-	var bc abcast.Broadcaster
-	if s.cfg.Sequencer {
-		bc = abcast.NewSequencer(ep)
-	} else {
-		ccfg := consensus.Config{
-			Endpoint:     ep,
-			Suspector:    s.cfg.Suspector,
-			RoundTimeout: s.cfg.RoundTimeout,
-			View:         s.Tracker,
-			Metrics:      scope,
-		}
-		aopts := []abcast.Option{abcast.WithDefBase(uint64(s.Base)), abcast.WithMetrics(scope)}
-		if s.cfg.DefLogCap > 0 {
-			aopts = append(aopts, abcast.WithDefLogCap(s.cfg.DefLogCap))
-		}
-		if join != nil {
-			ccfg.CatchUpFrom = join.StartStage
-			aopts = append(aopts, abcast.WithJoin(*join))
-		}
-		cons := consensus.New(ccfg)
-		cons.Start()
-		s.stops = append(s.stops, cons.Stop)
-		s.Engine = abcast.NewOptimistic(ep, cons, aopts...)
-		bc = s.Engine
+	ccfg := consensus.Config{
+		Endpoint:     ep,
+		Suspector:    s.cfg.Suspector,
+		RoundTimeout: s.cfg.RoundTimeout,
+		View:         s.Tracker,
+		Metrics:      scope,
 	}
-	if err := bc.Start(); err != nil {
+	aopts := []abcast.Option{abcast.WithDefBase(uint64(s.Base)), abcast.WithMetrics(scope)}
+	if s.cfg.DefLogCap > 0 {
+		aopts = append(aopts, abcast.WithDefLogCap(s.cfg.DefLogCap))
+	}
+	if s.cfg.Conservative {
+		aopts = append(aopts, abcast.WithConservativeDelivery())
+	}
+	if join != nil {
+		ccfg.CatchUpFrom = join.StartStage
+		aopts = append(aopts, abcast.WithJoin(*join))
+	}
+	cons := consensus.New(ccfg)
+	cons.Start()
+	s.stops = append(s.stops, cons.Stop)
+	s.Engine = abcast.NewOptimistic(ep, cons, aopts...)
+	if err := s.Engine.Start(); err != nil {
 		return fmt.Errorf("site %v: start broadcast: %w", id, err)
 	}
-	s.stops = append(s.stops, func() { _ = bc.Stop() })
+	s.stops = append(s.stops, func() { _ = s.Engine.Stop() })
 
 	rcfg := s.cfg.Replica
 	rcfg.ID = id
-	rcfg.Broadcast = bc
+	rcfg.Broadcast = s.Engine
 	rcfg.Store = s.store
 	rcfg.Durability = s.dur
 	rcfg.InitialTOIndex = s.Base
@@ -237,13 +234,11 @@ func (s *Site) Start(ctx context.Context, donors []transport.NodeID, required bo
 	s.stops = append(s.stops, rep.Stop)
 	s.Replica = rep
 
-	// Every optimistic site doubles as a state-transfer donor.
-	if s.Engine != nil {
-		s.donor = statex.NewServer(ep, statex.ReplicaSource{Replica: rep, Engine: s.Engine},
-			statex.WithEvents(s.cfg.Events))
-		s.donor.Start()
-		s.stops = append(s.stops, s.donor.Stop)
-	}
+	// Every site doubles as a state-transfer donor.
+	s.donor = statex.NewServer(ep, statex.ReplicaSource{Replica: rep, Engine: s.Engine},
+		statex.WithEvents(s.cfg.Events))
+	s.donor.Start()
+	s.stops = append(s.stops, s.donor.Stop)
 	return nil
 }
 

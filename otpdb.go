@@ -139,16 +139,20 @@ func String(s string) Value { return storage.StringValue(s) }
 // AsString decodes a Value as a string.
 func AsString(v Value) string { return storage.ValueString(v) }
 
-// Ordering selects the atomic broadcast engine.
+// Ordering selects when the atomic broadcast hands a transaction to the
+// database. Both values run the same engine — same messages, same
+// consensus stages, same definitive order, same fault tolerance.
 type Ordering int
 
-// Ordering engines.
+// Orderings.
 const (
 	// OptimisticOrdering is the paper's OPT-ABcast: tentative delivery on
-	// reception, definitive order via consensus stages. The default.
+	// reception, so execution overlaps the ordering (commit ≈ max(E, D)).
+	// The default.
 	OptimisticOrdering Ordering = iota + 1
-	// ConservativeOrdering is the classic fixed-sequencer baseline:
-	// execution starts only when the definitive order is known.
+	// ConservativeOrdering is classic atomic broadcast processing, the
+	// paper's baseline: a transaction is delivered, and starts executing,
+	// only when its definitive position is known (commit ≈ E + D).
 	ConservativeOrdering
 )
 
@@ -219,7 +223,7 @@ func WithNetworkJitter(d time.Duration) Option { return func(c *config) { c.netJ
 // WithSeed seeds the network randomness (default 1).
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
-// WithOrdering selects the broadcast engine (default OptimisticOrdering).
+// WithOrdering selects the delivery policy (default OptimisticOrdering).
 func WithOrdering(o Ordering) Option { return func(c *config) { c.ordering = o } }
 
 // WithDirtyQueries disables the Section 5 snapshot rule — queries read
@@ -303,7 +307,7 @@ func WithCommitFlushDelay(d time.Duration) Option {
 // the transport level (CrashSite); a partitioned-but-alive site is
 // suspected but never replaced — heal the partition instead.
 //
-// window <= 0 selects the 500 ms default. Requires OptimisticOrdering.
+// window <= 0 selects the 500 ms default.
 func WithAutoReplace(window time.Duration) Option {
 	return func(c *config) {
 		c.autoReplace = true
@@ -359,7 +363,7 @@ func WithCrossShardTimeouts(vote, resolve time.Duration) Option {
 type group struct {
 	hub      *transport.Hub
 	recorder *history.Recorder
-	sites    []*site.Site // replica, engine (nil under ConservativeOrdering), tracker, base, join outcome
+	sites    []*site.Site // replica, engine, tracker, base, join outcome
 	stops    []func()     // per site: what the cluster runs beside the stack, then the stack
 }
 
@@ -484,13 +488,8 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	if cfg.shards <= 0 {
 		return nil, fmt.Errorf("otpdb: shards must be positive, got %d", cfg.shards)
 	}
-	if cfg.autoReplace {
-		if cfg.ordering != OptimisticOrdering {
-			return nil, errors.New("otpdb: WithAutoReplace requires OptimisticOrdering")
-		}
-		if cfg.suspectWin <= 0 {
-			cfg.suspectWin = 500 * time.Millisecond
-		}
+	if cfg.autoReplace && cfg.suspectWin <= 0 {
+		cfg.suspectWin = 500 * time.Millisecond
 	}
 	m, err := shard.NewMap(cfg.shards)
 	if err != nil {
@@ -618,7 +617,7 @@ func (c *Cluster) startSite(ctx context.Context, grp *group, g, i int, ep transp
 		Seed:            func(s *storage.Store) { c.seedStore(g, s) },
 		Sync:            c.cfg.syncPolicy,
 		CheckpointEvery: c.cfg.ckptEvery,
-		Sequencer:       c.cfg.ordering == ConservativeOrdering,
+		Conservative:    c.cfg.ordering == ConservativeOrdering,
 		RoundTimeout:    c.cfg.roundTimeout,
 		DefLogCap:       c.cfg.defLogCap,
 		Replica: db.Config{
@@ -952,22 +951,6 @@ func (c *Cluster) SiteStats(site int) (Stats, error) {
 	return out, nil
 }
 
-// ShardStats returns the counters of one shard replica at one site.
-func (c *Cluster) ShardStats(site, shardID int) (Stats, error) {
-	rep, err := c.replica(shardID, site)
-	if err != nil {
-		return Stats{}, err
-	}
-	st := rep.Manager().Stats()
-	return Stats{
-		Site:     site,
-		Commits:  st.Commits,
-		Aborts:   st.Aborts,
-		Reorders: st.Reorders,
-		Pending:  rep.Manager().Pending(),
-	}, nil
-}
-
 // WaitForCommits blocks until every live replica has committed at least n
 // update transactions and has none pending, or the context is cancelled.
 // Crashed sites are skipped. With WithShards the threshold applies to
@@ -1058,8 +1041,8 @@ func (c *Cluster) Converged() (bool, error) {
 
 // CrashSite silences a site at the network level — every shard replica
 // it hosts — modelling a crash-stop failure (Section 2: sites fail by
-// crashing). With the optimistic ordering the cluster keeps committing
-// as long as a majority of sites remains alive.
+// crashing). The cluster keeps committing as long as a majority of sites
+// remains alive.
 func (c *Cluster) CrashSite(site int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1094,7 +1077,7 @@ func (c *Cluster) CrashSite(site int) error {
 // recovers from local state again; a tail-only rejoin keeps the local
 // log and continues appending above it.
 //
-// RestartSite requires OptimisticOrdering and at least one live site.
+// RestartSite requires at least one live site.
 // Sessions bound to the site transparently observe the new replicas;
 // waiters pending from before the crash fail with ErrStopped.
 func (c *Cluster) RestartSite(ctx context.Context, site int) error {
@@ -1108,9 +1091,6 @@ func (c *Cluster) RestartSite(ctx context.Context, site int) error {
 	}
 	if !c.crashed[site] {
 		return fmt.Errorf("otpdb: site %d is not crashed", site)
-	}
-	if c.cfg.ordering != OptimisticOrdering {
-		return errors.New("otpdb: RestartSite requires OptimisticOrdering")
 	}
 	return c.rejoinLocked(ctx, site, false)
 }
@@ -1157,6 +1137,9 @@ func (c *Cluster) joinGroupLocked(ctx context.Context, g, site int, wipe bool) e
 	case rebuild:
 		grp.stops[site]()
 		grp.stops[site] = func() {} // stopped: a failed join leaves nothing to stop twice
+		if grp.recorder != nil {
+			grp.recorder.Rebuilt(id)
+		}
 		ep = grp.hub.Restart(id)
 	case grp.hub.Len() > site:
 		// A resumed AddSite already grew the hub; revive that node
@@ -1233,9 +1216,6 @@ func (c *Cluster) memberRouter(submitter int) (*shard.Router, error) {
 	defer c.mu.RUnlock()
 	if !c.started || c.stopped {
 		return nil, ErrNotStarted
-	}
-	if c.cfg.ordering != OptimisticOrdering {
-		return nil, errors.New("otpdb: membership changes require OptimisticOrdering")
 	}
 	return c.sessions[submitter].router, nil
 }
@@ -1529,10 +1509,6 @@ func (c *Cluster) DumpEngine(site int) (string, error) {
 	for g, eng := range engines {
 		if g > 0 {
 			b.WriteByte('\n')
-		}
-		if eng == nil {
-			fmt.Fprintf(&b, "shard %d: no optimistic engine", g)
-			continue
 		}
 		fmt.Fprintf(&b, "shard %d: %s", g, eng.Dump())
 	}

@@ -125,26 +125,66 @@ func TestAllReplicasConverge(t *testing.T) {
 	}
 }
 
+// TestConservativeOrderingWorksToo: ConservativeOrdering is the same stack
+// with a different delivery policy, so everything a cluster can live
+// through it lives through under it — a crashed site rejoins, the head is
+// replaced, the self-healing loop is accepted and heals — and nothing ever
+// aborts on the way.
 func TestConservativeOrderingWorksToo(t *testing.T) {
-	c := accountsCluster(t, otpdb.WithReplicas(2), otpdb.WithOrdering(otpdb.ConservativeOrdering))
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if err := c.Exec(ctx, i%2, "credit", otpdb.String("x"), otpdb.Int64(1)); err != nil {
+	conservative := otpdb.WithOrdering(otpdb.ConservativeOrdering)
+	t.Run("restart and replace", func(t *testing.T) {
+		c := accountsCluster(t, otpdb.WithReplicas(3), conservative, otpdb.WithHistoryRecording())
+		if err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := c.WaitForCommits(wctx, 5); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := c.Converged()
-	if err != nil || !ok {
-		t.Fatalf("converged = %v, %v", ok, err)
-	}
+		ctx := memCtx(t)
+		creditN(t, c, 0, 10, 10)
+		if err := c.CrashSite(2); err != nil {
+			t.Fatal(err)
+		}
+		creditN(t, c, 1, 10, 20)
+		if err := c.RestartSite(ctx, 2); err != nil {
+			t.Fatal(err)
+		}
+		creditN(t, c, 2, 10, 30)
+
+		// The head goes: site 0 coordinates round 0 of every stage.
+		if err := c.CrashSite(0); err != nil {
+			t.Fatal(err)
+		}
+		creditN(t, c, 1, 10, 40)
+		if err := c.ReplaceSite(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		assertEpoch(t, c, 2, 3, 0, 1, 2)
+		creditN(t, c, 0, 10, 51) // 50 credits + 1 membership change
+		assertConverged(t, c)
+		for site := 0; site < 3; site++ {
+			if st, err := c.SiteStats(site); err != nil || st.Aborts != 0 || st.Reorders != 0 {
+				t.Fatalf("site %d: %+v, %v; conservative delivery has no tentative order to get wrong", site, st, err)
+			}
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckHistory(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("auto-replace", func(t *testing.T) {
+		c := accountsCluster(t, otpdb.WithReplicas(3), conservative, otpdb.WithAutoReplace(150*time.Millisecond))
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		creditN(t, c, 0, 10, 10)
+		if err := c.CrashSite(2); err != nil {
+			t.Fatal(err)
+		}
+		waitEpoch(t, c, 2, time.Minute, 0, 1)
+		waitRebuilt(t, c, time.Minute)
+		creditN(t, c, 2, 1, 12) // 11 credits + 1 membership change
+		assertConverged(t, c)
+	})
 }
 
 func TestSeedLoadsInitialState(t *testing.T) {

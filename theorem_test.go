@@ -20,7 +20,27 @@ import (
 // transaction commits once at every site, the sites agree, the scheduler's
 // invariants hold, and the recorded history, snapshot queries included, is
 // 1-copy-serializable.
+//
+// Under ConservativeOrdering the same workload over the same broadcast has
+// nothing to lose: a transaction is delivered in its definitive position,
+// so no site aborts anything and every client sees the fast path.
 func TestTheoremOnHotAbortPath(t *testing.T) {
+	for _, ord := range orderings {
+		t.Run(ord.name, func(t *testing.T) { hotAbortPath(t, ord.ordering) })
+	}
+}
+
+// orderings is the table for tests that must hold whichever way the
+// broadcast delivers.
+var orderings = []struct {
+	name     string
+	ordering otpdb.Ordering
+}{
+	{"optimistic", otpdb.OptimisticOrdering},
+	{"conservative", otpdb.ConservativeOrdering},
+}
+
+func hotAbortPath(t *testing.T, ordering otpdb.Ordering) {
 	const perClient = 150
 	// next returns a client's i-th transaction: procedure and arguments.
 	workloads := []struct {
@@ -45,7 +65,7 @@ func TestTheoremOnHotAbortPath(t *testing.T) {
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
-			c := crossBranchCluster(t, otpdb.WithReplicas(3), otpdb.WithHistoryRecording(),
+			c := crossBranchCluster(t, otpdb.WithReplicas(3), otpdb.WithHistoryRecording(), otpdb.WithOrdering(ordering),
 				otpdb.WithNetworkDelay(500*time.Microsecond), otpdb.WithNetworkJitter(200*time.Microsecond))
 			for _, branch := range []otpdb.Class{"east", "west"} {
 				if err := c.Seed(branch, "acct", otpdb.Int64(10000)); err != nil {
@@ -62,14 +82,22 @@ func TestTheoremOnHotAbortPath(t *testing.T) {
 			committed := make(chan struct{}, 2*perClient)
 			var clients sync.WaitGroup
 			for site := 0; site < 2; site++ {
+				sess, err := c.Session(site)
+				if err != nil {
+					t.Fatal(err)
+				}
 				clients.Add(1)
 				go func() {
 					defer clients.Done()
 					for i := 0; i < perClient; i++ {
 						proc, args := w.next(i)
-						if err := c.Exec(ctx, site, proc, args...); err != nil {
+						res, err := sess.Exec(ctx, proc, args...)
+						if err != nil {
 							t.Errorf("site %d txn %d: %v", site, i, err)
 							return
+						}
+						if ordering == otpdb.ConservativeOrdering && res.Outcome != otpdb.FastPath {
+							t.Errorf("site %d txn %d: outcome %v under conservative ordering", site, i, res.Outcome)
 						}
 						committed <- struct{}{}
 					}
@@ -122,8 +150,81 @@ func TestTheoremOnHotAbortPath(t *testing.T) {
 				aborts += st.Aborts
 			}
 			t.Logf("%d aborts in %d commits (%.1f %%), %d snapshot queries", aborts, commits, 100*float64(aborts)/float64(commits), queries)
-			if 20*aborts <= commits {
+			switch {
+			case ordering == otpdb.ConservativeOrdering && aborts != 0:
+				t.Fatalf("%d aborts under conservative ordering", aborts)
+			case ordering == otpdb.OptimisticOrdering && 20*aborts <= commits:
 				t.Fatalf("%d aborts in %d commits: the abort path was not exercised", aborts, commits)
+			}
+			if ok, err := c.Converged(); err != nil || !ok {
+				t.Fatalf("converged = %v, %v", ok, err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckHistory(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTheoremAcrossRestart checks the theorem over a site's two lives. A
+// volatile site that crashes and rejoins is handed the definitive history
+// from the start and commits its old prefix a second time; the recorder
+// must take that for what it is — the same replica agreeing with itself —
+// and still hold each life to the definitive order.
+func TestTheoremAcrossRestart(t *testing.T) {
+	for _, ord := range orderings {
+		t.Run(ord.name, func(t *testing.T) {
+			c := crossBranchCluster(t, otpdb.WithReplicas(3), otpdb.WithHistoryRecording(), otpdb.WithOrdering(ord.ordering))
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			// round commits perClient deposits from each of sites 0 and 1.
+			const perClient = 40
+			total := 0
+			round := func() {
+				t.Helper()
+				var clients sync.WaitGroup
+				for site := 0; site < 2; site++ {
+					clients.Add(1)
+					go func() {
+						defer clients.Done()
+						for i := 0; i < perClient; i++ {
+							if err := c.Exec(ctx, site, "deposit-east", otpdb.String("acct"), otpdb.Int64(1)); err != nil {
+								t.Errorf("site %d txn %d: %v", site, i, err)
+								return
+							}
+						}
+					}()
+				}
+				clients.Wait()
+				if t.Failed() {
+					t.FailNow()
+				}
+				total += 2 * perClient
+				if err := c.WaitForCommits(ctx, total); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			round()
+			if err := c.CrashSite(2); err != nil {
+				t.Fatal(err)
+			}
+			round()
+			if err := c.RestartSite(ctx, 2); err != nil {
+				t.Fatal(err)
+			}
+			round()
+
+			for site := 0; site < 3; site++ {
+				if v, _, err := c.Read(site, "east", "acct"); err != nil || otpdb.AsInt64(v) != int64(total) {
+					t.Fatalf("site %d: balance %d, %v; want %d", site, otpdb.AsInt64(v), err, total)
+				}
 			}
 			if ok, err := c.Converged(); err != nil || !ok {
 				t.Fatalf("converged = %v, %v", ok, err)
