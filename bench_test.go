@@ -9,32 +9,47 @@ package otpdb_test
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"otpdb"
 	"otpdb/internal/abcast"
 	"otpdb/internal/experiments"
-	"otpdb/internal/netsim"
 	"otpdb/internal/otp"
 	"otpdb/internal/storage"
 )
 
-// BenchmarkFigure1SpontaneousOrder regenerates one point of Figure 1 per
-// iteration and reports the spontaneous-order percentage at the paper's
-// 4 ms anchor.
+// BenchmarkFigure1SpontaneousOrder regenerates one E1 cell per iteration
+// — two origins broadcasting every 8 δ on wan_jitter's link — and reports
+// its spontaneously ordered share and reorder share.
 func BenchmarkFigure1SpontaneousOrder(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		st := netsim.SpontaneousExperiment{
-			Sites:    4,
-			PerSite:  200,
-			Interval: 4 * time.Millisecond,
-			Seed:     int64(i),
-		}.Run()
-		last = st.Percent()
+	const delay = 500 * time.Microsecond
+	percent := func(cell string) float64 {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v
 	}
-	b.ReportMetric(last, "%ordered@4ms")
+	var ordered, reorders float64
+	for i := 0; i < b.N; i++ {
+		t, err := experiments.Figure1(experiments.Figure1Params{
+			Origins:   []int{2},
+			PerOrigin: 60,
+			Delay:     delay,
+			Jitter:    200 * time.Microsecond,
+			Intervals: []time.Duration{8 * delay},
+			Seed:      int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ordered, reorders = percent(t.Rows[0][4]), percent(t.Rows[0][5])
+	}
+	b.ReportMetric(ordered, "%ordered")
+	b.ReportMetric(reorders, "reorder%")
 }
 
 // BenchmarkAbortRate regenerates E2 cells: abort rate per committed

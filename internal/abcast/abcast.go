@@ -8,20 +8,15 @@
 // and the properties Termination, Global Agreement, Local Agreement,
 // Global Order and Local Order.
 //
-// Two implementations are provided:
-//
-//   - Optimistic: the OPT-ABcast realization. Messages are multicast to
-//     all sites and Opt-delivered the instant they are received; the
-//     definitive order is agreed in stages, one consensus instance per
-//     stage, each site proposing its tentative order. With spontaneous
-//     total order all proposals match and consensus terminates in one
-//     round-trip; mismatches cost extra rounds but deliveries are never
-//     wrong (commitment waits for TO). WithConservativeDelivery turns it
-//     into the classic atomic broadcast the paper compares against: Opt
-//     and TO are emitted together at definitive time, so nothing executes
-//     while the order is being agreed.
-//   - Scripted: a test double whose delivery schedule is fully under the
-//     caller's control.
+// Optimistic is the OPT-ABcast realization. Messages are multicast to all
+// sites and Opt-delivered the instant they are received; the definitive
+// order is agreed in stages, one consensus instance per stage, each site
+// proposing its tentative order. With spontaneous total order all
+// proposals match and consensus terminates in one round-trip; mismatches
+// cost extra rounds but deliveries are never wrong (commitment waits for
+// TO). WithConservativeDelivery turns it into the classic atomic broadcast
+// the paper compares against: Opt and TO are emitted together at
+// definitive time, so nothing executes while the order is being agreed.
 package abcast
 
 import (

@@ -232,58 +232,6 @@ func TestOptimisticStopIsClean(t *testing.T) {
 	}
 }
 
-func TestScriptedDefaultImmediateDelivery(t *testing.T) {
-	s := NewScripted(0, nil)
-	defer func() { _ = s.Stop() }()
-	id, err := s.Broadcast("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev1 := <-s.Deliveries()
-	ev2 := <-s.Deliveries()
-	if ev1.Kind != Opt || ev1.ID != id || ev1.Payload != "p" {
-		t.Fatalf("first event %+v", ev1)
-	}
-	if ev2.Kind != TO || ev2.ID != id {
-		t.Fatalf("second event %+v", ev2)
-	}
-}
-
-func TestScriptedCustomSchedule(t *testing.T) {
-	var captured []MsgID
-	var s *Scripted
-	s = NewScripted(1, func(id MsgID, payload any) {
-		captured = append(captured, id)
-	})
-	defer func() { _ = s.Stop() }()
-	idA, _ := s.Broadcast("a")
-	idB, _ := s.Broadcast("b")
-	// Opt in broadcast order, TO reversed.
-	s.InjectOpt(idA, "a")
-	s.InjectOpt(idB, "b")
-	s.InjectTO(idB)
-	s.InjectTO(idA)
-	var kinds []EventKind
-	var ids []MsgID
-	for i := 0; i < 4; i++ {
-		ev := <-s.Deliveries()
-		kinds = append(kinds, ev.Kind)
-		ids = append(ids, ev.ID)
-	}
-	want := []MsgID{idA, idB, idB, idA}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, ids[i], want[i])
-		}
-	}
-	if kinds[0] != Opt || kinds[1] != Opt || kinds[2] != TO || kinds[3] != TO {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	if len(captured) != 2 {
-		t.Fatalf("OnBroadcast captured %d ids", len(captured))
-	}
-}
-
 func TestEventKindString(t *testing.T) {
 	if Opt.String() != "Opt" || TO.String() != "TO" {
 		t.Fatal("EventKind.String broken")

@@ -28,7 +28,7 @@ func BenchmarkExecutorSubmit(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	r, err := New(Config{Broadcast: abcast.NewScripted(0, nil), Registry: reg})
+	r, err := New(Config{Broadcast: NewScripted(0, nil), Registry: reg})
 	if err != nil {
 		b.Fatal(err)
 	}

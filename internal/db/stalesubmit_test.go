@@ -42,7 +42,7 @@ func TestStaleSubmitAfterCommitIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []abcast.MsgID
-	bc := abcast.NewScripted(0, func(id abcast.MsgID, _ any) { ids = append(ids, id) })
+	bc := db.NewScripted(0, func(id abcast.MsgID, _ any) { ids = append(ids, id) })
 	rep, err := db.New(db.Config{Broadcast: bc, Registry: reg})
 	if err != nil {
 		t.Fatal(err)

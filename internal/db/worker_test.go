@@ -48,12 +48,12 @@ func parkedWorkers() []int {
 // delivered until the test injects it.
 type scriptedReplica struct {
 	rep *db.Replica
-	bc  *abcast.Scripted
+	bc  *db.Scripted
 }
 
 func newScriptedReplica(t *testing.T, reg *sproc.Registry) *scriptedReplica {
 	t.Helper()
-	bc := abcast.NewScripted(0, func(abcast.MsgID, any) {})
+	bc := db.NewScripted(0, func(abcast.MsgID, any) {})
 	rep, err := db.New(db.Config{Broadcast: bc, Registry: reg})
 	if err != nil {
 		t.Fatal(err)

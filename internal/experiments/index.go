@@ -21,7 +21,7 @@ type Experiment struct {
 // its file's params function.
 var Index = []Experiment{
 	{"E1", "figure1", "spontaneous total order vs load interval (Figure 1)",
-		func(quick bool) (Table, error) { return Figure1(figure1Params(quick)), nil }},
+		sized(figure1Params, Figure1)},
 	{"E2", "abortrate", "aborts/commit fall with more conflict classes (§3.2)",
 		func(quick bool) (Table, error) { return AbortRate(abortRateParams(quick)), nil }},
 	{"E3", "overlap", "OTP commit ≈ max(E, D) vs conservative E+D (§4)",

@@ -52,26 +52,45 @@ type orderingResult struct {
 	fastShare    float64 // site 0's fast stages, percent
 }
 
-// orderingRun measures the engine under one delivery policy.
-func orderingRun(p OrderingParams, opts ...abcast.Option) (orderingResult, error) {
-	hub := transport.NewHub(p.Sites,
-		transport.WithDelay(p.NetDelay),
-		transport.WithJitter(p.Jitter),
-		transport.WithSeed(11))
-	defer hub.Close()
-
-	engines := make([]*abcast.Optimistic, p.Sites)
-	for i := range engines {
+// startEngines runs the broadcast engine at n sites over one memnet hub
+// whose links take delay + U[0, jitter): a consensus engine and an
+// abcast.Optimistic configured by opts per site. stop tears the sites down
+// in reverse and closes the hub.
+func startEngines(n int, delay, jitter time.Duration, seed int64, opts ...abcast.Option) (engines []*abcast.Optimistic, stop func(), err error) {
+	hub := transport.NewHub(n,
+		transport.WithDelay(delay),
+		transport.WithJitter(jitter),
+		transport.WithSeed(seed))
+	var stops []func()
+	stop = func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
+		hub.Close()
+	}
+	for i := 0; i < n; i++ {
 		ep := hub.Endpoint(transport.NodeID(i))
 		cons := consensus.New(consensus.Config{Endpoint: ep, RoundTimeout: 100 * time.Millisecond})
 		cons.Start()
-		defer cons.Stop()
-		engines[i] = abcast.NewOptimistic(ep, cons, opts...)
-		if err := engines[i].Start(); err != nil {
-			return orderingResult{}, err
+		stops = append(stops, cons.Stop)
+		e := abcast.NewOptimistic(ep, cons, opts...)
+		if err := e.Start(); err != nil {
+			stop()
+			return nil, nil, err
 		}
-		defer func() { _ = engines[i].Stop() }()
+		stops = append(stops, func() { _ = e.Stop() })
+		engines = append(engines, e)
 	}
+	return engines, stop, nil
+}
+
+// orderingRun measures the engine under one delivery policy.
+func orderingRun(p OrderingParams, opts ...abcast.Option) (orderingResult, error) {
+	engines, stop, err := startEngines(p.Sites, p.NetDelay, p.Jitter, 11, opts...)
+	if err != nil {
+		return orderingResult{}, err
+	}
+	defer stop()
 
 	optHist := metrics.NewHistogram()
 	toHist := metrics.NewHistogram()

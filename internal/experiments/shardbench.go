@@ -21,9 +21,8 @@ import (
 // transactions spanning two shards grows.
 //
 // The primary scaling sweep uses WithCommitFlushDelay — a deterministic
-// per-group flush device (sized to a typical small-write fsync) — for
-// the same reason Figure 1 uses netsim's modeled network: the benchmark
-// host confounds the measurement. Concurrent fsyncs from different WAL
+// per-group flush device (sized to a typical small-write fsync) — because
+// the benchmark host confounds the measurement. Concurrent fsyncs from different WAL
 // files serialize in the shared filesystem journal (measured here:
 // ~4/5ths of a single lane at 4 writers), so the real-fsync sweep mostly
 // measures one ext4 journal, not the protocol. Both sweeps are reported.

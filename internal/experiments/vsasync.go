@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"otpdb"
-	"otpdb/internal/baseline"
 	"otpdb/internal/metrics"
 	"otpdb/internal/sproc"
 	"otpdb/internal/storage"
@@ -118,17 +117,10 @@ func runAsyncSide(p VsAsyncParams) (vsAsyncResult, error) {
 	}
 	hub := transport.NewHub(p.Sites, transport.WithDelay(p.NetDelay), transport.WithSeed(2))
 	defer hub.Close()
-	var reps []*baseline.AsyncReplica
-	for i := 0; i < p.Sites; i++ {
-		rep := baseline.NewAsync(hub.Endpoint(transport.NodeID(i)), reg, nil)
-		rep.Start()
-		reps = append(reps, rep)
+	reps := make([]*asyncReplica, p.Sites)
+	for i := range reps {
+		reps[i] = startAsync(hub.Endpoint(transport.NodeID(i)), reg)
 	}
-	defer func() {
-		for _, rep := range reps {
-			rep.Stop()
-		}
-	}()
 
 	hist := metrics.NewHistogram()
 	var wg sync.WaitGroup
@@ -136,48 +128,36 @@ func runAsyncSide(p VsAsyncParams) (vsAsyncResult, error) {
 	var errOnce sync.Once
 	for _, rep := range reps {
 		wg.Add(1)
-		go func(rep *baseline.AsyncReplica) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < p.IncrementsPerSite; i++ {
 				start := time.Now()
-				if err := rep.Exec("incr"); err != nil {
+				if err := rep.exec("incr"); err != nil {
 					errOnce.Do(func() { execErr = err })
 					return
 				}
 				hist.Observe(time.Since(start))
 			}
-		}(rep)
+		}()
 	}
 	wg.Wait()
 	if execErr != nil {
 		return vsAsyncResult{}, execErr
 	}
 	// Quiesce: every replica has applied every remote write set.
-	expectedApplies := uint64((p.Sites - 1) * p.IncrementsPerSite)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		done := true
-		for _, rep := range reps {
-			if rep.Stats().RemoteApplies < expectedApplies {
-				done = false
-				break
-			}
-		}
-		if done || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	for _, rep := range reps {
+		rep.waitApplied(uint64((p.Sites - 1) * p.IncrementsPerSite))
 	}
 
 	res := vsAsyncResult{meanLatency: hist.Mean(), p95Latency: hist.Percentile(95)}
 	expected := int64(p.Sites * p.IncrementsPerSite)
-	d0 := reps[0].Store().Digest()
+	d0 := reps[0].store.Digest()
 	for _, rep := range reps {
-		v, _ := rep.Get("counter", "n")
+		v, _ := rep.store.Get(storage.Partition(incr.Class), "n")
 		if got := storage.ValueInt64(v); expected-got > res.lost {
 			res.lost = expected - got
 		}
-		if rep.Store().Digest() != d0 {
+		if rep.store.Digest() != d0 {
 			res.diverged++
 		}
 	}
@@ -222,3 +202,136 @@ func VsAsync(p VsAsyncParams) (Table, error) {
 		fmt.Sprintf("%d", asyncRes.diverged))
 	return t, nil
 }
+
+// streamAsync carries asynchronous replication's write sets.
+const streamAsync = "async.update"
+
+// writeSet is the propagated effect of a locally committed transaction.
+type writeSet struct {
+	partition storage.Partition
+	keys      []storage.Key
+	values    []storage.Value
+}
+
+// asyncReplica is one site of the commercial-style asynchronous
+// replication of Section 1 ([20]): an update commits locally first and its
+// write set propagates to the other sites afterwards, with no total order.
+// Commit latency is purely local, but concurrent conflicting updates are
+// silently lost and replicas can diverge — the trade-off the paper's
+// architecture avoids.
+type asyncReplica struct {
+	ep    transport.Endpoint
+	reg   *sproc.Registry
+	store *storage.Store
+
+	mu      sync.Mutex
+	nextIdx map[storage.Partition]int64
+	applied uint64    // remote write sets installed
+	change  sync.Cond // on mu: broadcast after each installed write set
+}
+
+// startAsync creates a replica on ep and starts its apply loop, which
+// runs until ep's hub is closed.
+func startAsync(ep transport.Endpoint, reg *sproc.Registry) *asyncReplica {
+	r := &asyncReplica{ep: ep, reg: reg, store: storage.NewStore(), nextIdx: make(map[storage.Partition]int64)}
+	r.change.L = &r.mu
+	in := ep.Subscribe(streamAsync)
+	go func() {
+		for env := range in {
+			if ws, ok := env.Msg.(writeSet); ok {
+				r.apply(ws)
+			}
+		}
+	}()
+	return r
+}
+
+// exec runs an update procedure locally, commits it, and sends its write
+// set to the other sites. It returns once the local commit is done — the
+// low latency the paper's Section 1 credits asynchronous schemes with.
+func (r *asyncReplica) exec(proc string) error {
+	up, err := r.reg.Update(proc)
+	if err != nil {
+		return err
+	}
+	part := storage.Partition(up.Class)
+	// A remote apply may hold the partition briefly; park on its release.
+	stx, err := r.store.BeginWait(part, storage.Buffered, nil)
+	if err != nil {
+		return err
+	}
+	if _, err := up.Fn(asyncCtx{stx}); err != nil {
+		_ = stx.Abort()
+		return err
+	}
+	// Collect the write set before committing (Commit consumes the txn):
+	// each key once, at its last written value.
+	keys := stx.WriteSet()
+	ws := writeSet{partition: part}
+	seen := make(map[storage.Key]bool, len(keys))
+	for i := len(keys) - 1; i >= 0; i-- {
+		k := keys[i]
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		v, _ := stx.Read(k)
+		ws.keys = append(ws.keys, k)
+		ws.values = append(ws.values, v)
+	}
+	if err := stx.Commit(r.next(part)); err != nil {
+		return fmt.Errorf("async: local commit: %w", err)
+	}
+	// Fire-and-forget propagation — the defining property (and flaw) of
+	// asynchronous replication.
+	for i := 0; i < r.ep.N(); i++ {
+		if to := transport.NodeID(i); to != r.ep.ID() {
+			_ = r.ep.Send(to, streamAsync, ws)
+		}
+	}
+	return nil
+}
+
+// apply installs a remote write set blindly (last writer wins by arrival
+// order) — concurrent conflicting local updates are overwritten, which is
+// how asynchronous replication loses updates.
+func (r *asyncReplica) apply(ws writeSet) {
+	stx, err := r.store.BeginWait(ws.partition, storage.Buffered, nil)
+	if err != nil {
+		return
+	}
+	for i, k := range ws.keys {
+		_ = stx.Write(k, ws.values[i])
+	}
+	_ = stx.Commit(r.next(ws.partition))
+	r.mu.Lock()
+	r.applied++
+	r.change.Broadcast()
+	r.mu.Unlock()
+}
+
+// next numbers the partition's next commit; the caller holds the partition.
+func (r *asyncReplica) next(part storage.Partition) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nextIdx[part]++
+	return r.nextIdx[part]
+}
+
+// waitApplied returns once n remote write sets have been installed.
+func (r *asyncReplica) waitApplied(n uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.applied < n {
+		r.change.Wait()
+	}
+}
+
+// asyncCtx implements sproc.UpdateCtx directly over a storage txn.
+type asyncCtx struct{ stx *storage.Txn }
+
+func (c asyncCtx) Args() []storage.Value { return nil }
+
+func (c asyncCtx) Read(key storage.Key) (storage.Value, bool) { return c.stx.Read(key) }
+
+func (c asyncCtx) Write(key storage.Key, v storage.Value) error { return c.stx.Write(key, v) }

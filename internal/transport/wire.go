@@ -31,7 +31,7 @@ import (
 // The body is written by the message's own codec, found under its tag:
 //
 //	0x00       any type known to Register     gob (cold paths: statex, obs,
-//	                                          baseline, DefEntry)
+//	                                          DefEntry)
 //	0x01       nil
 //	0x08       fd.Heartbeat                   internal/fd
 //	0x10-0x14  consensus.Msg{Estimate,Propose,Ack,Decide,DecideReq}
