@@ -185,6 +185,116 @@ func TestManyNewKeysStayReadable(t *testing.T) {
 	}
 }
 
+// TestLoadRacingFirstReaders drives the boundary of in-place seeding:
+// one goroutine Loads keys while readers (Get, SnapshotRead, Keys) start
+// partway through and publish the partition. Every key whose Load
+// returned before a read is visible to that read, keys loaded after the
+// publication are readable, and Keys and VersionCount end exact. Under
+// -race it checks that no read overlaps an in-place write. Then one
+// checkpoint, installed into a store nobody has read and into one whose
+// partitions are published, gives equal digests.
+func TestLoadRacingFirstReaders(t *testing.T) {
+	const keys = 4096
+	key := func(i int) Key { return Key(fmt.Sprintf("k%04d", i)) }
+	s := NewStore()
+	var loaded atomic.Int64 // keys whose Load has returned
+	start, stop := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := int(loaded.Load())
+				k := (i*7919 + g) % n
+				switch g {
+				case 0:
+					if v, ok := s.Get("p", key(k)); !ok || ValueInt64(v) != int64(k) {
+						t.Errorf("Get %s = %d,%v with %d loaded", key(k), ValueInt64(v), ok, n)
+						return
+					}
+				case 1:
+					if v, ok := s.SnapshotRead("p", key(k), 0); !ok || ValueInt64(v) != int64(k) {
+						t.Errorf("SnapshotRead %s = %d,%v with %d loaded", key(k), ValueInt64(v), ok, n)
+						return
+					}
+				case 2:
+					if got := len(s.Keys("p")); got < n {
+						t.Errorf("Keys lists %d with %d loaded", got, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	stopReaders := func() {
+		close(stop)
+		wg.Wait()
+	}
+	published := func() bool { return s.lookup("p").published.Load() }
+	for i := 0; i < keys; i++ {
+		s.Load("p", key(i), Int64Value(int64(i)))
+		loaded.Store(int64(i + 1))
+		switch i {
+		case keys / 4:
+			close(start)
+		case keys / 2:
+			// The second half is loaded into a published partition, however
+			// the readers were scheduled.
+			if !testutil.Await(5*time.Second, published) {
+				stopReaders()
+				t.Fatal("no reader published the partition")
+			}
+		}
+	}
+	stopReaders()
+	for i := 0; i < keys; i++ {
+		if v, ok := s.Get("p", key(i)); !ok || ValueInt64(v) != int64(i) {
+			t.Fatalf("Get %s = %d,%v", key(i), ValueInt64(v), ok)
+		}
+	}
+	if got := s.Keys("p"); len(got) != keys || got[0] != key(0) || got[keys-1] != key(keys-1) {
+		t.Fatalf("Keys lists %d keys, want %d", len(got), keys)
+	}
+	if n := s.VersionCount(); n != keys {
+		t.Fatalf("VersionCount = %d, want %d", n, keys)
+	}
+
+	for i := int64(1); i <= 3; i++ {
+		tx, _ := s.Begin("p", Buffered)
+		_ = tx.Write(key(int(i)), Int64Value(-i))
+		if err := tx.Commit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Load("q", "nil", nil)
+	ck := s.CheckpointAt(3)
+	fresh, read := NewStore(), NewStore()
+	for _, pc := range ck.Partitions {
+		read.Load(pc.Partition, pc.Keys[0].Key, StringValue("overwritten"))
+		read.Keys(pc.Partition)
+	}
+	fresh.InstallCheckpoint(ck)
+	read.InstallCheckpoint(ck)
+	for _, pc := range ck.Partitions {
+		if fresh.lookup(pc.Partition).published.Load() || !read.lookup(pc.Partition).published.Load() {
+			t.Fatalf("%s: want the fresh store unpublished, the read one published", pc.Partition)
+		}
+	}
+	if a, b, want := fresh.Digest(), read.Digest(), s.Digest(); a != want || b != want {
+		t.Fatalf("digests: unpublished %x, published %x, source %x", a, b, want)
+	}
+	if a, b := fresh.VersionCount(), read.VersionCount(); a != keys+1 || b != keys+1 {
+		t.Fatalf("VersionCount: unpublished %d, published %d, want %d", a, b, keys+1)
+	}
+}
+
 // TestPruneCorrectness: after Prune(w), reads at or above w still see
 // exact snapshots, reads below w fail loudly with ErrSnapshotPruned,
 // and the watermark is observable.

@@ -33,8 +33,15 @@
 //   - Keys live in an atomic copy-on-write native map (one plain map
 //     lookup on the hot path), fronted by a small sync.Map overflow for
 //     recently created keys; the overflow is merged into a fresh base
-//     map geometrically, so key creation — including bulk seeding via
-//     Load — stays amortized O(1) instead of O(keys) per insert.
+//     map geometrically, so key creation stays amortized O(1) instead of
+//     O(keys) per insert.
+//   - Until the first read of a partition, the seed, recovery and
+//     rejoin paths (Load, InstallCheckpoint) write straight into its
+//     base map, one map insert and one state per key: nothing can be
+//     looking. The first reader marks the partition published under a
+//     small mutex those paths take too; from then on they go through the
+//     copy-on-write directory like any other writer, and a reader pays
+//     one atomic load of a flag that never changes again.
 //
 // Writers — at most one update transaction per partition, enforced via
 // the partition's active slot — serialize against each other and against
@@ -180,8 +187,15 @@ type keyMap = map[Key]*entry
 // O(1) while the hot read path stays a single native map lookup (the
 // overflow is consulted only on a base miss while overflowN != 0).
 type partition struct {
-	mu            sync.Mutex
-	keys          atomic.Pointer[keyMap]
+	mu   sync.Mutex
+	keys atomic.Pointer[keyMap]
+	// published is set, under seedMu, by the first getEntry or
+	// forEachEntry and never cleared; it sits beside keys, which every
+	// read loads next. While it is false install writes into the base map
+	// in place, checking it under seedMu. Lock order: mu, then seedMu
+	// (ensureEntry reads under mu).
+	published     atomic.Bool
+	seedMu        sync.Mutex
 	overflow      sync.Map // Key -> *entry, recently created
 	overflowN     atomic.Int32
 	lastCommitted atomic.Int64
@@ -234,8 +248,21 @@ func (pt *partition) addVersion(e *entry, toIndex int64, v Value) {
 	}
 }
 
-// getEntry returns the key's entry, or nil. Lock-free.
+// publish is what the first read of a partition does: it ends the
+// in-place seeding, and from then on every writer goes through the
+// copy-on-write directory. Readers call it while published is false.
+func (pt *partition) publish() {
+	pt.seedMu.Lock()
+	pt.published.Store(true)
+	pt.seedMu.Unlock()
+}
+
+// getEntry returns the key's entry, or nil. Lock-free once the partition
+// is published.
 func (pt *partition) getEntry(k Key) *entry {
+	if !pt.published.Load() {
+		pt.publish()
+	}
 	if e := (*pt.keys.Load())[k]; e != nil {
 		return e
 	}
@@ -252,22 +279,59 @@ func (pt *partition) getEntry(k Key) *entry {
 	return nil
 }
 
-// ensureEntry returns the key's entry, creating one if needed. New keys
-// go to the overflow; the overflow is folded into a fresh base once it
-// reaches a quarter of the base size (amortized O(1) per creation).
+// newEntry builds an entry whose first state is st.
+func newEntry(st *versionState) *entry {
+	e := &entry{}
+	e.state.Store(st)
+	return e
+}
+
+// ensureEntry returns the key's entry, creating an empty one if needed.
 // Callers hold pt.mu.
 func (pt *partition) ensureEntry(k Key) *entry {
 	if e := pt.getEntry(k); e != nil {
 		return e
 	}
-	e := &entry{}
-	e.state.Store(&versionState{})
+	return pt.addEntry(k, &versionState{})
+}
+
+// addEntry creates the entry of a key the published partition lacks. New
+// keys go to the overflow; the overflow is folded into a fresh base once
+// it reaches a quarter of the base size (amortized O(1) per creation).
+// Callers hold pt.mu.
+func (pt *partition) addEntry(k Key, st *versionState) *entry {
+	e := newEntry(st)
 	pt.overflow.Store(k, e)
 	n := int(pt.overflowN.Add(1))
 	if 4*n > len(*pt.keys.Load()) {
 		pt.mergeOverflowLocked()
 	}
 	return e
+}
+
+// install gives k the one-version chain (toIndex, v), replacing whatever
+// chain it had: the seed, recovery and rejoin paths. Before the partition
+// is published the entry goes straight into the base map. Callers hold
+// pt.mu.
+func (pt *partition) install(k Key, toIndex int64, v Value) {
+	st := &versionState{current: v, idx: []int64{toIndex}, vals: []Value{v}}
+	pt.seedMu.Lock()
+	if !pt.published.Load() {
+		base := *pt.keys.Load()
+		if e := base[k]; e != nil {
+			e.state.Store(st)
+		} else {
+			base[k] = newEntry(st)
+		}
+		pt.seedMu.Unlock()
+		return
+	}
+	pt.seedMu.Unlock()
+	if e := pt.getEntry(k); e != nil {
+		e.state.Store(st)
+	} else {
+		pt.addEntry(k, st)
+	}
 }
 
 // mergeOverflowLocked folds the overflow into a fresh base map and
@@ -312,19 +376,30 @@ func (pt *partition) deleteEntry(k Key) {
 
 // forEachEntry visits every key (base + overflow, deduplicated). The
 // iteration order is unspecified; callers needing a stable view hold
-// pt.mu (as Digest and Prune do).
+// pt.mu (as Digest and Prune do). Without it every key created before
+// the call is still visited: the overflow is read before the base,
+// because a merge publishes the base holding the overflow's keys before
+// it deletes them there.
 func (pt *partition) forEachEntry(fn func(Key, *entry)) {
+	if !pt.published.Load() {
+		pt.publish()
+	}
+	var recent keyMap
+	if pt.overflowN.Load() != 0 {
+		recent = make(keyMap)
+		pt.overflow.Range(func(k, v any) bool {
+			recent[k.(Key)] = v.(*entry)
+			return true
+		})
+	}
 	base := *pt.keys.Load()
 	for k, e := range base {
 		fn(k, e)
 	}
-	if pt.overflowN.Load() != 0 {
-		pt.overflow.Range(func(k, v any) bool {
-			if _, dup := base[k.(Key)]; !dup {
-				fn(k.(Key), v.(*entry))
-			}
-			return true
-		})
+	for k, e := range recent {
+		if _, dup := base[k]; !dup {
+			fn(k, e)
+		}
 	}
 }
 
@@ -390,18 +465,15 @@ func (s *Store) part(p Partition) *partition {
 }
 
 // Load seeds initial data (version index 0), bypassing transactions. Use
-// before the replica starts processing.
+// before the replica starts processing: until something reads a
+// partition, Load writes its keys in place, without the copy-on-write
+// directory's overflow and folds. After that it is still correct, at the
+// price of a runtime key creation.
 func (s *Store) Load(p Partition, k Key, v Value) {
 	pt := s.part(p)
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	e := pt.ensureEntry(k)
-	stored := v.clone()
-	e.state.Store(&versionState{
-		current: stored,
-		idx:     []int64{0},
-		vals:    []Value{stored},
-	})
+	pt.install(k, 0, v.clone())
 }
 
 // Get reads the latest committed value of a key, lock-free. The returned
@@ -1005,18 +1077,13 @@ func (s *Store) CheckpointAt(maxIndex int64) *Checkpoint {
 // the prune watermark advances to the checkpoint index (state below it
 // was never transferred, so snapshot reads below it fail loudly, exactly
 // as after a Prune). Intended for empty or freshly seeded stores during
-// recovery and rejoin.
+// recovery and rejoin, which it fills in place like Load.
 func (s *Store) InstallCheckpoint(ck *Checkpoint) {
 	for _, pc := range ck.Partitions {
 		pt := s.part(pc.Partition)
 		pt.mu.Lock()
 		for _, kv := range pc.Keys {
-			e := pt.ensureEntry(kv.Key)
-			e.state.Store(&versionState{
-				current: kv.Value,
-				idx:     []int64{kv.TOIndex},
-				vals:    []Value{kv.Value},
-			})
+			pt.install(kv.Key, kv.TOIndex, kv.Value)
 		}
 		if pc.LastCommitted > pt.lastCommitted.Load() {
 			pt.lastCommitted.Store(pc.LastCommitted)

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +271,47 @@ func TestKeysAndPartitionsSorted(t *testing.T) {
 	keys := s.Keys("b")
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "z" {
 		t.Fatalf("keys = %v", keys)
+	}
+}
+
+// TestSeedAllocBudget holds what seeding a fresh store costs: every site
+// of a cluster seeds its full copy before it answers (the benchmark: 8
+// classes × 1 024 keys of 136 bytes). Until a partition is read, Load
+// writes into its base map in place — per key the value's copy, the
+// entry, its state and the chain's two columns, plus the map's growth —
+// and not through the overflow, its folds and its deletes, which Load
+// takes after the first read at 8.6 allocations and 693 bytes a key.
+func TestSeedAllocBudget(t *testing.T) {
+	const parts, keys, stores = 8, 1024, 3
+	const maxMallocs, maxBytes = 6, 450
+	names := make([]Partition, parts)
+	for i := range names {
+		names[i] = Partition(fmt.Sprintf("c%d", i))
+	}
+	keyNames := make([]Key, keys)
+	for i := range keyNames {
+		keyNames[i] = Key(fmt.Sprintf("k%04d", i))
+	}
+	val := make(Value, 136)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range stores {
+		s := NewStore()
+		for _, p := range names {
+			for _, k := range keyNames {
+				s.Load(p, k, val)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(stores * parts * keys)
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("per seeded key: %.2f allocations, %.0f bytes", mallocs, bytes)
+	if mallocs > maxMallocs || bytes > maxBytes {
+		t.Errorf("seeding allocates %.2f objects and %.0f bytes a key, budget %d and %d",
+			mallocs, bytes, maxMallocs, maxBytes)
 	}
 }
 

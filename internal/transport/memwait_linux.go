@@ -16,10 +16,10 @@ const (
 
 // sleeper is the delivery goroutine's wait: sleep for a duration or
 // until woken, whichever comes first. On Linux it is a futex wait, which
-// the kernel times with a high-resolution timer; a runtime timer in an
-// otherwise idle process is rounded up to the netpoller's 1 ms wait
-// (golang/go#44343), which turns every sub-millisecond delay into
-// ≈ 1.1 ms.
+// the kernel ends about its timer slack late (50 µs by default; DESIGN.md
+// §1 "memnet"); a runtime timer in an otherwise idle process is rounded
+// up to the netpoller's 1 ms wait (golang/go#44343), which turns every
+// sub-millisecond delay into ≈ 1.1 ms.
 type sleeper struct {
 	// word is 1 from a wake until the wait it ends returns. It is a
 	// plain uint32 accessed through sync/atomic functions because the

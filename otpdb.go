@@ -367,11 +367,12 @@ type group struct {
 	stops    []func()     // per site: what the cluster runs beside the stack, then the stack
 }
 
-// seedEntry is a deferred store seed, tagged with the class it loads so
-// Start can route it to the owning shard ("" seeds every shard).
+// seedEntry is one initial value, loaded at version 0 into every fresh
+// store of the shard owning its class.
 type seedEntry struct {
 	class Class
-	fn    func(*storage.Store)
+	key   Key
+	value Value
 }
 
 // Cluster is an in-process set of replicated shard groups (one group in
@@ -561,10 +562,7 @@ func (c *Cluster) Seed(class Class, key Key, value Value) error {
 	if c.started {
 		return ErrStarted
 	}
-	v := value
-	c.seeds = append(c.seeds, seedEntry{class: class, fn: func(s *storage.Store) {
-		s.Load(storage.Partition(class), key, v)
-	}})
+	c.seeds = append(c.seeds, seedEntry{class: class, key: key, value: value})
 	return nil
 }
 
@@ -597,8 +595,8 @@ func (c *Cluster) siteDir(g, i int) string {
 // seedStore loads a fresh store with every seed owned by shard g.
 func (c *Cluster) seedStore(g int, store *storage.Store) {
 	for _, se := range c.seeds {
-		if se.class == "" || c.smap.Locate(se.class) == g {
-			se.fn(store)
+		if c.smap.Locate(se.class) == g {
+			store.Load(storage.Partition(se.class), se.key, se.value)
 		}
 	}
 }
