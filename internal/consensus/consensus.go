@@ -34,11 +34,14 @@
 // that decided — reaching a process that has decided is answered with
 // MsgDecide; MsgDecideReq closes gaps the ordering layer detects.
 //
-// A decision is kept for the decisionHorizon instances that follow it and
-// then forgotten, with everything else about its instance: what reaches a
-// process about an instance below its horizon is counted and dropped. The
-// sender is further behind than the ordering layer can bring back from
-// retained history either, and rejoins by state transfer.
+// An undecided instance is a struct in a map. Its decision moves to a slot
+// of a ring indexed by instance mod decisionHorizon — value, instance and
+// deciding round, 32 bytes — and the struct, rounds and all, serves a later
+// instance. The slot is overwritten decisionHorizon instances later, and
+// then the instance is forgotten: what reaches a process about an instance
+// below its horizon is counted and dropped. The sender is further behind
+// than the ordering layer can bring back from retained history either, and
+// rejoins by state transfer.
 //
 // Safety (agreement, validity) holds under arbitrary failure-detector
 // mistakes; termination needs a majority of correct processes and ◇S.
@@ -243,14 +246,18 @@ type Engine struct {
 	// how many went to the decisions queue before: what it had to move.
 	sink   func(*Decision)
 	queued int
-	// instances holds an instance from the first message about it until
-	// horizon instances above it have decided: the undecided ones and a
-	// window of decision tombstones, [floor, top]. Nothing is held for an
-	// instance below floor.
+	// instances holds an undecided instance from the first message about
+	// it until it decides or falls below floor. free keeps the structs of
+	// decided ones, emptied, for the next instances.
 	instances map[uint64]*instance
-	horizon   uint64 // decisionHorizon; tests lower it
-	top       uint64 // highest decided instance
-	floor     uint64 // lowest instance that may still be in instances
+	free      []*instance
+	// ring holds the decisions of [floor, top], instance inst at slot inst
+	// mod horizon, in chunks of decChunk slots allocated when the window
+	// first reaches them. Nothing is held for an instance below floor.
+	ring    [][]slot
+	horizon uint64 // ring slots: decisionHorizon; tests lower it
+	top     uint64 // highest decided instance
+	floor   uint64 // lowest instance still held
 	// active holds the instances proposed here and still undecided: the
 	// only ones a tick has to look at.
 	active map[uint64]*instance
@@ -308,25 +315,33 @@ type Engine struct {
 // state transfer anyway.
 const decisionHorizon = 64 << 10
 
-// instance is the per-consensus-instance state machine. Once decided it
-// is a tombstone: dec and quorumRound only.
+// decChunk is the number of slots the decision ring grows by.
+const decChunk = 1024
+
+// slot is a decided instance as the ring keeps it.
+type slot struct {
+	val any
+	tag uint64 // the instance + 1; 0 while the slot is empty
+	// quorumRound is the round whose ack quorum decided here, -1 when the
+	// decision came by MsgDecide.
+	quorumRound int
+}
+
+// instance is the state machine of an undecided consensus instance.
 type instance struct {
-	dec       Decision // Instance from the start, Value once decided
-	round     int      // round this process is in; -1 until proposed here
+	inst      uint64
+	round     int // round this process is in; -1 until proposed here
 	estimate  any
 	ts        stamp
 	startedAt time.Time // local Propose time, read only with a metrics scope
 	started   bool      // local Propose seen
 	deadline  uint64    // the tick at which a started instance leaves its round
-	decided   bool
-	// quorumRound is the round whose ack quorum decided here, -1 while
-	// undecided or when the decision came by MsgDecide.
-	quorumRound int
 
 	// Any process may coordinate some round and may decide from any
 	// round's acks — even of instances it never proposed — so every
 	// instance tracks rounds: the few it has seen traffic of, in order of
-	// first use.
+	// first use. Past len, a recycled struct keeps the emptied rounds of
+	// the instances it served before.
 	rounds []*round
 }
 
@@ -378,6 +393,12 @@ func (st *instance) at(r int, epoch uint64) *round {
 			}
 			return rd
 		}
+	}
+	if n := len(st.rounds); n < cap(st.rounds) && st.rounds[:n+1][n] != nil {
+		st.rounds = st.rounds[:n+1]
+		rd := st.rounds[n]
+		rd.r, rd.epoch = r, epoch
+		return rd
 	}
 	rd := &round{r: r, epoch: epoch}
 	st.rounds = append(st.rounds, rd)
@@ -448,8 +469,8 @@ func (e *Engine) Decisions() <-chan Decision { return e.decisions.Chan() }
 // goroutine, instead of queueing it for Decisions: the ordering layer's
 // way of getting decisions into the queue it already waits on. Decisions
 // reached before the call — the engine may be running — go to sink first,
-// in order, so nobody may be reading Decisions. sink must not block, and
-// must not modify the decision; the pointer stays valid.
+// in order, so nobody may be reading Decisions. sink must not block; each
+// decision it is handed is its own to keep.
 func (e *Engine) SetSink(sink func(*Decision)) {
 	e.ep.Post(Stream, sinkReq(sink))
 }
@@ -533,44 +554,82 @@ func (e *Engine) run() {
 	}
 }
 
-// get returns the state of inst, creating it on first use, or nil when
-// inst is below the horizon: the caller drops what it was handling.
-func (e *Engine) get(inst uint64) *instance {
-	st, ok := e.instances[inst]
-	if !ok {
-		if inst < e.floor {
-			e.belowCount.Inc()
-			return nil
-		}
-		st = &instance{dec: Decision{Instance: inst}, round: -1, quorumRound: -1}
-		e.instances[inst] = st
+// decided returns the ring slot of inst if inst is decided and not below
+// the horizon, nil otherwise.
+func (e *Engine) decided(inst uint64) *slot {
+	if inst < e.floor || e.ring == nil {
+		return nil
 	}
+	i := inst % e.horizon
+	if c := e.ring[i/decChunk]; c != nil && c[i%decChunk].tag == inst+1 {
+		return &c[i%decChunk]
+	}
+	return nil
+}
+
+// keep writes the decision of inst into its ring slot, over the one
+// horizon instances below it.
+func (e *Engine) keep(inst uint64, val any, quorumRound int) {
+	if e.ring == nil {
+		e.ring = make([][]slot, (e.horizon+decChunk-1)/decChunk)
+	}
+	i := inst % e.horizon
+	c := i / decChunk
+	if e.ring[c] == nil {
+		e.ring[c] = make([]slot, min(decChunk, e.horizon-c*decChunk))
+	}
+	e.ring[c][i%decChunk] = slot{val: val, tag: inst + 1, quorumRound: quorumRound}
+}
+
+// get returns the state of the undecided instance inst, creating it on
+// first use, or nil when inst is below the horizon: the caller drops what
+// it was handling. Callers have looked in the ring first.
+func (e *Engine) get(inst uint64) *instance {
+	if st, ok := e.instances[inst]; ok {
+		return st
+	}
+	if inst < e.floor {
+		e.belowCount.Inc()
+		return nil
+	}
+	var st *instance
+	if n := len(e.free); n > 0 {
+		st, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		st = new(instance)
+	}
+	st.inst, st.round = inst, -1
+	e.instances[inst] = st
 	return st
 }
 
-// retire forgets every instance that the decision of top has pushed below
-// the horizon, decided or not.
+// release empties a struct the engine is done with and keeps it for a
+// later instance, with its rounds and their vote slices: no proposal,
+// ack, estimate or stamp of one instance may be seen by the next.
+func (e *Engine) release(st *instance) {
+	for _, rd := range st.rounds {
+		clear(rd.ests)
+		*rd = round{acks: rd.acks[:0], ests: rd.ests[:0]}
+	}
+	*st = instance{rounds: st.rounds[:0]}
+	e.free = append(e.free, st)
+}
+
+// retire moves floor up behind top and forgets the undecided instances
+// that fell below it. The ring's slots below floor are left to be
+// overwritten.
 func (e *Engine) retire() {
 	if e.top < e.horizon || e.top-e.horizon < e.floor {
 		return
 	}
-	floor := e.top - e.horizon + 1
-	if floor-e.floor > uint64(len(e.instances)) {
-		// A jump (the first decision after joining at a late instance):
-		// walk what is held, not the numbers in between.
-		for inst := range e.instances {
-			if inst < floor {
-				delete(e.instances, inst)
-				delete(e.active, inst)
-			}
-		}
-	} else {
-		for inst := e.floor; inst < floor; inst++ {
+	e.floor = e.top - e.horizon + 1
+	for inst, st := range e.instances {
+		if inst < e.floor {
 			delete(e.instances, inst)
 			delete(e.active, inst)
+			e.release(st)
 		}
 	}
-	e.floor = floor
 }
 
 // snapshot is the engine goroutine's view.Snapshot: it also keeps
@@ -616,8 +675,11 @@ func (e *Engine) drainLoopback() {
 }
 
 func (e *Engine) handlePropose(inst uint64, val any) {
+	if e.decided(inst) != nil {
+		return
+	}
 	st := e.get(inst)
-	if st == nil || st.decided || st.started {
+	if st == nil || st.started {
 		return
 	}
 	st.started = true
@@ -644,7 +706,7 @@ func (e *Engine) startRound(st *instance, r int) {
 	timeout := e.timeout << uint(min(r, 6))
 	st.deadline = e.tick + 1 + uint64((timeout+e.tickEvery-1)/e.tickEvery)
 	e.send(coordOf(members, r), MsgEstimate{
-		Inst:    st.dec.Instance,
+		Inst:    st.inst,
 		Round:   r,
 		Epoch:   epoch,
 		Est:     st.estimate,
@@ -701,8 +763,8 @@ func (e *Engine) onDecideReq(from transport.NodeID, m MsgDecideReq) {
 		return
 	}
 	for inst := m.From; inst <= e.top; inst++ {
-		if st := e.instances[inst]; st != nil && st.decided {
-			e.sendDecision(from, st)
+		if d := e.decided(inst); d != nil {
+			e.sendDecision(from, inst, d.val)
 		}
 	}
 }
@@ -714,8 +776,8 @@ func (e *Engine) onDecideReq(from transport.NodeID, m MsgDecideReq) {
 // sender crashed between two sends — converges. The handlers do this
 // before they look at the message's epoch: a decision holds in any
 // epoch, and a process left behind in an old one needs it most.
-func (e *Engine) sendDecision(to transport.NodeID, st *instance) {
-	e.send(to, MsgDecide{Inst: st.dec.Instance, Val: st.dec.Value})
+func (e *Engine) sendDecision(to transport.NodeID, inst uint64, val any) {
+	e.send(to, MsgDecide{Inst: inst, Val: val})
 }
 
 // onEstimate is the coordinator's step. In round 0 the process that owns
@@ -731,12 +793,12 @@ func (e *Engine) sendDecision(to transport.NodeID, st *instance) {
 // majority and the stamp, so a configuration change landing mid-handler
 // cannot mix the two epochs.
 func (e *Engine) onEstimate(from transport.NodeID, m MsgEstimate) {
-	st := e.get(m.Inst)
-	if st == nil {
+	if d := e.decided(m.Inst); d != nil {
+		e.sendDecision(from, m.Inst, d.val)
 		return
 	}
-	if st.decided {
-		e.sendDecision(from, st)
+	st := e.get(m.Inst)
+	if st == nil {
 		return
 	}
 	epoch, members := e.snapshot()
@@ -776,12 +838,12 @@ func (e *Engine) onEstimate(from transport.NodeID, m MsgEstimate) {
 // in, because any round's acks may decide — and acks it when it is this
 // process's current round.
 func (e *Engine) onPropose(from transport.NodeID, m MsgPropose) {
-	st := e.get(m.Inst)
-	if st == nil {
+	if d := e.decided(m.Inst); d != nil {
+		e.sendDecision(from, m.Inst, d.val)
 		return
 	}
-	if st.decided {
-		e.sendDecision(from, st)
+	st := e.get(m.Inst)
+	if st == nil {
 		return
 	}
 	epoch, members := e.snapshot()
@@ -816,23 +878,23 @@ func (e *Engine) ack(st *instance, rd *round, epoch uint64, members []transport.
 	// coordinator could propose a value different from one already locked
 	// by a round-0 majority — the classic CT locking argument.
 	st.ts = stamp{st.round + 1, epoch}
-	e.broadcast(members, MsgAck{Inst: st.dec.Instance, Round: st.round, Epoch: epoch})
+	e.broadcast(members, MsgAck{Inst: st.inst, Round: st.round, Epoch: epoch})
 }
 
 // onAck counts one ack per sender and round. Like onEstimate, the filter,
 // the quorum count and the membership all come from one snapshot.
 func (e *Engine) onAck(from transport.NodeID, m MsgAck) {
-	st := e.get(m.Inst)
-	if st == nil {
-		return
-	}
-	if st.decided {
+	if d := e.decided(m.Inst); d != nil {
 		// An ack of the round that decided here trails its own quorum: the
 		// sender is being sent the same acks. Any other round's ack comes
 		// from a process the decision has not reached.
-		if m.Round != st.quorumRound {
-			e.sendDecision(from, st)
+		if m.Round != d.quorumRound {
+			e.sendDecision(from, m.Inst, d.val)
 		}
+		return
+	}
+	st := e.get(m.Inst)
+	if st == nil {
 		return
 	}
 	epoch, members := e.snapshot()
@@ -858,41 +920,45 @@ func (e *Engine) tryDecide(st *instance, r int, rd *round, members []transport.N
 	if !rd.hasProp || len(rd.acks) < majorityOf(members) {
 		return
 	}
-	st.quorumRound = r
 	if r == 0 {
 		e.fastCount.Inc()
 	}
-	e.decide(st, rd.val)
+	e.decide(st, rd.val, r)
 }
 
 func (e *Engine) onDecide(m MsgDecide) {
-	if st := e.get(m.Inst); st != nil && !st.decided {
-		e.decide(st, m.Val)
+	if e.decided(m.Inst) != nil {
+		return
+	}
+	if st := e.get(m.Inst); st != nil {
+		e.decide(st, m.Val, -1)
 	}
 }
 
-func (e *Engine) decide(st *instance, val any) {
-	st.decided = true
-	st.dec.Value = val
+// decide moves st's decision into the ring, announces it and releases st,
+// which the caller must not touch again.
+func (e *Engine) decide(st *instance, val any, quorumRound int) {
+	inst := st.inst
 	e.decCount.Inc()
 	if st.started {
 		if e.timed {
 			e.decLatency.Observe(time.Since(st.startedAt))
 		}
 		e.rounds.ObserveInt(int64(st.round) + 1)
-		delete(e.active, st.dec.Instance)
+		delete(e.active, inst)
 	}
+	delete(e.instances, inst)
+	e.release(st)
+	e.keep(inst, val, quorumRound)
 	if e.sink != nil {
-		e.sink(&st.dec)
+		// A copy: the slot is overwritten horizon decisions later.
+		e.sink(&Decision{Instance: inst, Value: val})
 	} else {
 		e.queued++
-		e.decisions.Push(st.dec)
+		e.decisions.Push(Decision{Instance: inst, Value: val})
 	}
-	// Release the round state; only the decision tombstone remains, and
-	// that until the horizon passes it.
-	st.estimate, st.rounds = nil, nil
-	if st.dec.Instance > e.top {
-		e.top = st.dec.Instance
+	if inst > e.top {
+		e.top = inst
 		e.retire()
 	}
 }
@@ -931,19 +997,14 @@ func (e *Engine) Dump() string {
 
 func (e *Engine) dumpLocked() string {
 	out := fmt.Sprintf("%v:", e)
-	undecided := 0
 	for inst, st := range e.instances {
-		if st.decided {
-			continue
-		}
-		undecided++
 		out += fmt.Sprintf(" [inst=%d round=%d started=%v", inst, st.round, st.started)
 		for _, rd := range st.rounds {
 			out += fmt.Sprintf(" r%d{prop=%v acked=%v acks=%d}", rd.r, rd.hasProp, rd.acked, len(rd.acks))
 		}
 		out += "]"
 	}
-	if undecided == 0 {
+	if len(e.instances) == 0 {
 		out += " all-decided"
 	}
 	return out

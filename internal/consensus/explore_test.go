@@ -187,9 +187,9 @@ func (w *world) step(i int) {
 	default:
 		e.handleEnvelope(transport.Envelope{From: p.from, Stream: Stream, Msg: p.msg})
 	}
-	if st := e.instances[exploreInst]; before == nil && st != nil && st.decided {
-		if st.quorumRound == 0 {
-			w.round0[st.dec.Value.(string)] = true
+	if d := e.decided(exploreInst); before == nil && d != nil {
+		if d.quorumRound == 0 {
+			w.round0[d.val.(string)] = true
 		}
 		if _, ok := p.msg.(MsgPropose); ok && p.from != p.to {
 			w.overtaken = true
@@ -198,8 +198,8 @@ func (w *world) step(i int) {
 }
 
 func (e *Engine) decidedValue() any {
-	if st := e.instances[exploreInst]; st != nil && st.decided {
-		return st.dec.Value
+	if d := e.decided(exploreInst); d != nil {
+		return d.val
 	}
 	return nil
 }
@@ -262,9 +262,10 @@ func (w *world) fingerprint() string {
 	var b strings.Builder
 	for id, e := range w.engines {
 		fmt.Fprintf(&b, "n%d down=%v view=%d/%d own0=%v ", id, w.down[id], w.views[id].epoch, e.epoch, e.ownsRound0)
-		if st := e.instances[exploreInst]; st != nil {
-			fmt.Fprintf(&b, "r=%d est=%v ts=%v started=%v decided=%v/%v q=%d",
-				st.round, st.estimate, st.ts, st.started, st.decided, st.dec.Value, st.quorumRound)
+		if d := e.decided(exploreInst); d != nil {
+			fmt.Fprintf(&b, "decided=%v q=%d", d.val, d.quorumRound)
+		} else if st := e.instances[exploreInst]; st != nil {
+			fmt.Fprintf(&b, "r=%d est=%v ts=%v started=%v", st.round, st.estimate, st.ts, st.started)
 			rounds := slices.Clone(st.rounds)
 			slices.SortFunc(rounds, func(a, b *round) int { return a.r - b.r })
 			for _, rd := range rounds {
