@@ -235,8 +235,7 @@ func (s *Site) Start(ctx context.Context, donors []transport.NodeID, required bo
 	s.Replica = rep
 
 	// Every site doubles as a state-transfer donor.
-	s.donor = statex.NewServer(ep, statex.ReplicaSource{Replica: rep, Engine: s.Engine},
-		statex.WithEvents(s.cfg.Events))
+	s.donor = statex.NewServer(ep, statex.ReplicaSource{Replica: rep, Engine: s.Engine}, s.cfg.Events)
 	s.donor.Start()
 	s.stops = append(s.stops, s.donor.Stop)
 	return nil
@@ -253,7 +252,6 @@ func (s *Site) fetch(ctx context.Context, donors []transport.NodeID, required bo
 	for round := 0; round < probeRounds; round++ {
 		xfer, err = statex.Fetch(ctx, s.cfg.Endpoint, s.Base, s.donorOrder(donors), statex.Options{
 			RespTimeout: probeTimeout,
-			Parallel:    true,
 			Metrics:     s.cfg.Metrics,
 			Events:      s.cfg.Events,
 		})

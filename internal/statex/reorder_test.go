@@ -30,7 +30,7 @@ func TestFetchReorderedStreamAssembles(t *testing.T) {
 		ep := hub.Endpoint(1)
 		cks := ckptChunks(t, req.Xfer, ck, 64)
 		var msgs []any
-		msgs = append(msgs, JoinResp{Xfer: req.Xfer, Mode: CheckpointTail, Frontier: 7})
+		msgs = append(msgs, JoinResp{Xfer: req.Xfer, Mode: CheckpointTail})
 		for _, c := range cks {
 			msgs = append(msgs, c)
 		}
@@ -44,7 +44,7 @@ func TestFetchReorderedStreamAssembles(t *testing.T) {
 	}, make(chan uint64, 1))
 
 	xfer, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, ChunkTimeout: 2 * time.Second})
+		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func TestFetchTruncatedStreamRejected(t *testing.T) {
 	tail := mkEntries(1, 8)
 	scriptDonor(hub.Endpoint(1), func(joiner transport.NodeID, req JoinReq) {
 		ep := hub.Endpoint(1)
-		_ = ep.Send(joiner, StreamXfer, JoinResp{Xfer: req.Xfer, Mode: TailOnly, Frontier: 8})
+		_ = ep.Send(joiner, StreamXfer, JoinResp{Xfer: req.Xfer, Mode: TailOnly})
 		_ = ep.Send(joiner, StreamXfer, TailChunk{Xfer: req.Xfer, Seq: 0, Entries: tail[:4]})
 		// Chunk 1 (entries 5..8) is lost for good; Done still promises it.
 		_ = ep.Send(joiner, StreamXfer, Done{Xfer: req.Xfer, StartStage: 9, ResumeSeq: 3, Chunks: 2, Frontier: 8})
 	}, make(chan uint64, 1))
 
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, ChunkTimeout: 300 * time.Millisecond})
+		Options{RespTimeout: 2 * time.Second, chunkTimeout: 300 * time.Millisecond})
 	if err == nil {
 		t.Fatal("truncated stream was accepted")
 	}

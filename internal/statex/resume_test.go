@@ -15,7 +15,7 @@ import (
 
 // resumeOpts keeps failover fast: the first donor's silence is detected
 // on the chunk timeout.
-var resumeOpts = Options{RespTimeout: 2 * time.Second, ChunkTimeout: 200 * time.Millisecond}
+var resumeOpts = Options{RespTimeout: 2 * time.Second, chunkTimeout: 200 * time.Millisecond}
 
 // TestFetchResumesTailAcrossFailover: donor 1 dies mid-tail after four
 // verified entries; the failover JoinReq advertises those entries, so
@@ -71,7 +71,7 @@ func TestFetchResumesTailAcrossFailover(t *testing.T) {
 }
 
 // ckptChunks encodes a checkpoint into wire chunks of the given size.
-func ckptChunks(t *testing.T, xfer uint64, ck *storage.Checkpoint, chunkBytes int) []CkptChunk {
+func ckptChunks(t testing.TB, xfer uint64, ck *storage.Checkpoint, chunkBytes int) []CkptChunk {
 	t.Helper()
 	data, err := recovery.EncodeCheckpoint(ck)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestFetchDiscardsPartialCheckpoint(t *testing.T) {
 
 	from2 := make(chan int64, 1)
 	good := &fakeSource{entries: mkEntries(3, 6), oldest: 3, stage: 4}
-	donor2 := NewServer(hub.Endpoint(2), good)
+	donor2 := NewServer(hub.Endpoint(2), good, nil)
 	donor2.Start()
 	defer donor2.Stop()
 	// Observe the failover's advertised index through a tap on the

@@ -41,7 +41,6 @@ type Source interface {
 type ReplicaSource struct {
 	Replica interface {
 		Checkpoint(ctx context.Context) (*storage.Checkpoint, error)
-		LastTO() int64
 	}
 	Engine interface {
 		DefinitiveLog(from uint64, origin transport.NodeID) (abcast.DefLog, error)
@@ -55,55 +54,28 @@ func (s ReplicaSource) Checkpoint(ctx context.Context) (*storage.Checkpoint, err
 	return s.Replica.Checkpoint(ctx)
 }
 
-// Frontier reports the replica's current definitive index — the
-// optional negotiation hint a parallel joiner tails from (see
-// JoinResp.Frontier).
-func (s ReplicaSource) Frontier() int64 {
-	return s.Replica.LastTO()
-}
-
 // DefinitiveLog implements Source.
 func (s ReplicaSource) DefinitiveLog(from uint64, origin transport.NodeID) (abcast.DefLog, error) {
 	return s.Engine.DefinitiveLog(from, origin)
-}
-
-// ServerOption configures a Server.
-type ServerOption func(*Server)
-
-// WithChunkBytes sets the checkpoint chunk size (default 256 KiB).
-func WithChunkBytes(n int) ServerOption {
-	return func(s *Server) { s.chunkBytes = n }
-}
-
-// WithTailBatch sets how many backlog entries ride in one TailChunk
-// (default 1024).
-func WithTailBatch(n int) ServerOption {
-	return func(s *Server) { s.tailBatch = n }
-}
-
-// WithCheckpointTimeout bounds how long one transfer may pin the donor's
-// checkpoint machinery (default 30s). A joiner that vanished mid-
-// negotiation cannot hold versions pinned past this deadline.
-func WithCheckpointTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.ckptTimeout = d }
-}
-
-// WithEvents arms the flight recorder: every transfer served is logged
-// (start and completion) so donor activity survives in the causal log.
-func WithEvents(rec *events.Recorder) ServerOption {
-	return func(s *Server) { s.events = rec }
 }
 
 // Server serves state transfers at a live site. One server per
 // endpoint; transfers run concurrently, each on its own goroutine with
 // its own cancelable context (Abort from the joiner, or Stop, cancels).
 type Server struct {
-	ep          transport.Endpoint
-	src         Source
-	chunkBytes  int
-	tailBatch   int
+	ep  transport.Endpoint
+	src Source
+	// chunkBytes is the checkpoint chunk size (256 KiB).
+	chunkBytes int
+	// tailBatch is how many backlog entries ride in one TailChunk (1024).
+	tailBatch int
+	// ckptTimeout bounds how long one transfer may pin the donor's
+	// checkpoint machinery (30s): a joiner that vanished mid-negotiation
+	// cannot hold versions pinned past this deadline.
 	ckptTimeout time.Duration
-	events      *events.Recorder
+	// events, when non-nil, logs every transfer served (start and
+	// completion) so donor activity survives in the causal log.
+	events *events.Recorder
 
 	mu      sync.Mutex
 	active  map[xferKey]context.CancelFunc
@@ -117,26 +89,24 @@ type Server struct {
 	done   chan struct{}
 }
 
-// NewServer creates a donor server bound to ep serving from src. Call
+// NewServer creates a donor server bound to ep serving from src; rec
+// (nil to disable) is the flight recorder transfers are logged to. Call
 // Start to begin answering requests.
-func NewServer(ep transport.Endpoint, src Source, opts ...ServerOption) *Server {
+func NewServer(ep transport.Endpoint, src Source, rec *events.Recorder) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		ep:          ep,
 		src:         src,
 		chunkBytes:  256 << 10,
 		tailBatch:   1024,
 		ckptTimeout: 30 * time.Second,
+		events:      rec,
 		active:      make(map[xferKey]context.CancelFunc),
 		ctx:         ctx,
 		cancel:      cancel,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
 }
 
 // Start launches the request loop.
@@ -255,40 +225,17 @@ func (s *Server) serve(ctx context.Context, joiner transport.NodeID, req JoinReq
 	base := req.From
 	switch {
 	case err == nil:
-		frontier := req.From + int64(len(log.Entries))
-		if err := send(JoinResp{Xfer: req.Xfer, Mode: TailOnly, Frontier: frontier}); err != nil {
+		if err := send(JoinResp{Xfer: req.Xfer, Mode: TailOnly}); err != nil {
 			return
 		}
 	case errors.Is(err, abcast.ErrHistoryPruned):
-		if req.TailOnly {
-			// The joiner wants only a tail (it is streaming a checkpoint
-			// from another donor); a checkpoint from here would be a
-			// duplicate, so decline instead.
-			_ = send(JoinResp{Xfer: req.Xfer, Err: err.Error()})
-			return
-		}
-		// Frontier lets a parallel joiner start a tail elsewhere before
-		// this checkpoint lands (the capture can only move the index
-		// upward, so a tail from here overlaps rather than gaps). Zero
-		// when the source cannot report one; the joiner then completes
-		// sequentially.
-		var frontier int64
-		if f, ok := s.src.(interface{ Frontier() int64 }); ok {
-			frontier = f.Frontier()
-		}
-		if err := send(JoinResp{Xfer: req.Xfer, Mode: CheckpointTail, Frontier: frontier}); err != nil {
+		if err := send(JoinResp{Xfer: req.Xfer, Mode: CheckpointTail}); err != nil {
 			return
 		}
 		log, base, err = s.serveCheckpoint(ctx, joiner, req)
 		if err != nil {
 			_ = send(Done{Xfer: req.Xfer, Err: err.Error()})
 			return
-		}
-		if req.NoTail {
-			// Checkpoint-only transfer: the joiner tails from another
-			// donor. Done still carries the stage/sequence pair, though a
-			// parallel joiner takes those from its final tail donor.
-			log.Entries = nil
 		}
 	default:
 		_ = send(JoinResp{Xfer: req.Xfer, Err: err.Error()})

@@ -24,11 +24,12 @@
 //     backlog + live stages cover the definitive order with no gap and
 //     no overlap.
 //
-// The client (Fetch) tries donors in order and fails over to the next
-// peer when a transfer dies mid-stream: a silent donor (per-chunk
-// receive timeout), a CRC-corrupt or out-of-sequence chunk, and an
-// explicit donor error all abandon the attempt, send Abort so the donor
-// unpins promptly, and move on.
+// A transfer is one negotiation with one donor at a time. The client
+// (Fetch) tries donors in order and fails over to the next peer when a
+// transfer dies mid-stream: a silent donor (per-chunk receive timeout),
+// a CRC-corrupt or out-of-sequence chunk, and an explicit donor error
+// all abandon the attempt, send Abort so the donor unpins promptly, and
+// resume with the next donor.
 //
 // Failover resumes rather than restarts: verified progress survives the
 // donor switch. A fully received (CRC-validated, decoded) checkpoint is
@@ -111,18 +112,6 @@ type (
 		Xfer uint64
 		// From is the joiner's recovered definitive index (0 = nothing).
 		From int64
-		// TailOnly, when set, forbids checkpoint mode: the donor serves
-		// the backlog above From or declines outright. A parallel fetch
-		// uses it for the tail half — a checkpoint from this donor would
-		// duplicate the one already streaming from the other donor.
-		TailOnly bool
-		// NoTail, when set, trims checkpoint mode to the checkpoint
-		// alone: the donor streams its snapshot and terminates without
-		// TailChunks, because the joiner is tailing from another donor in
-		// parallel. Ignored in tail-only mode (when the donor's ring
-		// covers From there is no checkpoint to split off, and the tail
-		// is the whole transfer).
-		NoTail bool
 	}
 	// JoinResp is the donor's negotiation answer.
 	//
@@ -131,14 +120,6 @@ type (
 		Xfer uint64
 		// Mode is the transfer shape the donor chose.
 		Mode Mode
-		// Frontier is the donor's definitive index at negotiation time.
-		// A parallel fetch uses it as the tail donor's start: the
-		// checkpoint about to be captured lands at or above it, so a
-		// tail from Frontier overlaps the checkpoint rather than leaving
-		// a gap below it. Zero when the donor cannot report one (older
-		// donors, sources without a frontier) — the joiner then skips
-		// the parallel tail and completes sequentially.
-		Frontier int64
 		// Err, when non-empty, declines the transfer (the joiner fails
 		// over to another donor).
 		Err string
@@ -241,23 +222,14 @@ type Options struct {
 	// RespTimeout bounds the wait for the donor's JoinResp (default 5s).
 	// This is also the price of probing a dead donor, so keep it short.
 	RespTimeout time.Duration
-	// ChunkTimeout bounds the silence between stream messages after the
+	// chunkTimeout bounds the silence between stream messages after the
 	// JoinResp (default 45s). It must exceed the donor's checkpoint-
-	// capture deadline (WithCheckpointTimeout, default 30s), which is
-	// the longest legitimate silence — between the JoinResp and the
-	// first chunk, while the donor waits on its commit frontier. A
-	// capture that overruns then fails donor-side first (a terminal
-	// Done{Err}, immediate failover) instead of burning this timeout.
-	ChunkTimeout time.Duration
-	// Parallel, with two or more donors, splits a checkpoint transfer
-	// across them: the checkpoint streams from the first donor
-	// (NoTail) while the backlog above its frontier tails from the
-	// second (TailOnly) — the two biggest transfer components ride
-	// different donors' uplinks concurrently, cutting rejoin time for
-	// large states. Any failure on the parallel path falls back to the
-	// sequential protocol with whatever progress was verified, so
-	// Parallel never makes a fetch less likely to succeed.
-	Parallel bool
+	// capture deadline (Server.ckptTimeout, 30s), which is the longest
+	// legitimate silence — between the JoinResp and the first chunk,
+	// while the donor waits on its commit frontier. A capture that
+	// overruns then fails donor-side first (a terminal Done{Err},
+	// immediate failover) instead of burning this timeout.
+	chunkTimeout time.Duration
 	// Metrics, when non-nil, registers transfer telemetry (bytes and
 	// chunks received, catch-up entries, donor failovers) under the
 	// scope's labels.
@@ -287,8 +259,8 @@ func (o Options) withDefaults() Options {
 	if o.RespTimeout <= 0 {
 		o.RespTimeout = 5 * time.Second
 	}
-	if o.ChunkTimeout <= 0 {
-		o.ChunkTimeout = 45 * time.Second
+	if o.chunkTimeout <= 0 {
+		o.chunkTimeout = 45 * time.Second
 	}
 	return o
 }
@@ -359,19 +331,6 @@ func Fetch(ctx context.Context, ep transport.Endpoint, from int64, donors []tran
 	opts.Events.Record(site, events.KindStatex,
 		"phase", "fetch", "from", strconv.FormatInt(from, 10),
 		"donors", fmt.Sprint(donors))
-	if opts.Parallel && len(donors) >= 2 {
-		t, err := fetchParallel(ctx, ep, sub, prog, from, donors, opts, xm)
-		if err != nil {
-			return nil, err
-		}
-		if t != nil {
-			return t, nil
-		}
-		// The parallel phase did not finish the transfer (it may have
-		// banked a checkpoint and a backlog prefix into prog); the
-		// sequential loop below completes — or, after a total parallel
-		// failure, restarts — the fetch.
-	}
 	var errs []error
 	for _, donor := range donors {
 		if err := ctx.Err(); err != nil {
@@ -392,160 +351,6 @@ func Fetch(ctx context.Context, ep transport.Endpoint, from int64, donors []tran
 	}
 	opts.Events.Record(site, events.KindStatex, "phase", "exhausted")
 	return nil, fmt.Errorf("statex: no donor could serve: %w", errors.Join(errs...))
-}
-
-// fetchParallel runs the split phase of a parallel fetch: donors[0]
-// streams its checkpoint (JoinReq.NoTail) while donors[1] tails the
-// backlog above donors[0]'s advertised frontier (JoinReq.TailOnly),
-// the two streams demultiplexed by sender on the shared subscription.
-// The phase ends without a terminal Done of its own — it banks the
-// checkpoint and the contiguous backlog prefix above it into prog and
-// returns (nil, nil), leaving the sequential loop to fetch the (small)
-// remainder under an atomically consistent Done. Two exceptions return
-// a complete Transfer directly: the checkpoint donor's ring covered
-// the advertised index (TailOnly answer — the "checkpoint" transfer
-// was the whole thing), or nothing was salvageable (also (nil, nil):
-// the sequential loop simply restarts from scratch). A non-nil error
-// is returned only for terminal conditions (context cancelled,
-// endpoint closed).
-func fetchParallel(ctx context.Context, ep transport.Endpoint, sub <-chan transport.Envelope,
-	prog *progress, from int64, donors []transport.NodeID, opts Options, xm xferMetrics) (*Transfer, error) {
-	ckDonor, tailDonor := donors[0], donors[1]
-	if ckDonor == tailDonor {
-		return nil, nil
-	}
-	advFrom := prog.advertise(from)
-	ckXfer := nextXferID()
-	if err := ep.Send(ckDonor, StreamReq, JoinReq{Xfer: ckXfer, From: advFrom, NoTail: true}); err != nil {
-		return nil, nil
-	}
-	ckSt := &attempt{donor: ckDonor, prog: prog, from: from, advFrom: advFrom, m: xm}
-	var (
-		tailSt   *attempt
-		tailXfer uint64
-		frontier int64
-		ckFin    bool
-		tailFin  bool
-		tailDead bool
-	)
-	abortCk := func() { _ = ep.Send(ckDonor, StreamReq, Abort{Xfer: ckXfer}) }
-	abortTail := func() {
-		if tailSt != nil && !tailFin && !tailDead {
-			_ = ep.Send(tailDonor, StreamReq, Abort{Xfer: tailXfer})
-		}
-	}
-
-	wait := opts.RespTimeout
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for !ckFin || (tailSt != nil && !tailFin && !tailDead) {
-		var env transport.Envelope
-		select {
-		case <-ctx.Done():
-			abortCk()
-			abortTail()
-			return nil, ctx.Err()
-		case <-timer.C:
-			abortCk()
-			abortTail()
-			ckSt.salvage()
-			return nil, nil
-		case e, ok := <-sub:
-			if !ok {
-				return nil, transport.ErrClosed
-			}
-			env = e
-		}
-		switch env.From {
-		case ckDonor:
-			if jr, ok := env.Msg.(JoinResp); ok && jr.Xfer == ckXfer {
-				frontier = jr.Frontier
-			}
-			done, final, err := ckSt.onMessage(env.Msg, ckXfer)
-			if err != nil {
-				// The checkpoint half is the foundation; without it the
-				// speculative tail has nothing to attach to. Fold what
-				// completed into prog and let the sequential loop retry.
-				abortCk()
-				abortTail()
-				ckSt.salvage()
-				return nil, nil
-			}
-			if final {
-				ckFin = true
-				if ckSt.mode == TailOnly {
-					abortTail()
-					t, aerr := ckSt.assemble(done)
-					if aerr != nil {
-						ckSt.salvage()
-						return nil, nil
-					}
-					ckSt.succeeded = true
-					return t, nil
-				}
-			}
-			if !ckFin && ckSt.gotResp && ckSt.mode == CheckpointTail && tailSt == nil && !tailDead && frontier > advFrom {
-				// The donor confirmed a checkpoint is coming and told us
-				// its frontier: start tailing from there in parallel. The
-				// checkpoint will land at or above the frontier, so the
-				// tail overlaps it — overlap is trimmed at stitch time,
-				// a gap could not be.
-				tailXfer = nextXferID()
-				if ep.Send(tailDonor, StreamReq, JoinReq{Xfer: tailXfer, From: frontier, TailOnly: true}) == nil {
-					tailSt = &attempt{donor: tailDonor, prog: &progress{}, from: frontier, advFrom: frontier, m: xm}
-				} else {
-					tailDead = true
-				}
-			}
-		case tailDonor:
-			if tailSt == nil {
-				continue
-			}
-			_, final, err := tailSt.onMessage(env.Msg, tailXfer)
-			if err != nil {
-				// The tail half is pure speculation; losing it only costs
-				// the overlap. Drop it and keep the checkpoint streaming.
-				_ = ep.Send(tailDonor, StreamReq, Abort{Xfer: tailXfer})
-				tailDead = true
-			} else if final {
-				tailFin = true
-			}
-		default:
-			continue
-		}
-		if ckSt.gotResp {
-			wait = opts.ChunkTimeout
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-	}
-
-	// Bank the split transfer: the decoded checkpoint becomes the base,
-	// and the tail entries above its index become the verified prefix
-	// (tail entries start at frontier+1 ≤ ck.Index+1, verified
-	// contiguous on receipt, so trimming the overlap leaves exactly
-	// ck.Index+1...). The sequential loop completes the fetch from
-	// advertise() = ck.Index + len(prefix) under a terminal Done.
-	if !ckSt.ckptDone {
-		return nil, nil
-	}
-	ck, err := recovery.DecodeCheckpoint(ckSt.ckptBuf.Bytes())
-	if err != nil {
-		return nil, nil
-	}
-	prog.ck = ck
-	prog.entries = nil
-	if tailSt != nil && tailFin && len(tailSt.entries) > 0 {
-		if skip := ck.Index - frontier; skip >= 0 && int64(len(tailSt.entries)) > skip {
-			prog.entries = append([]abcast.DefEntry(nil), tailSt.entries[skip:]...)
-		}
-	}
-	return nil, nil
 }
 
 // attempt is the receive-side state machine of one transfer attempt.
@@ -634,7 +439,7 @@ func fetchFrom(ctx context.Context, ep transport.Endpoint, sub <-chan transport.
 			return t, aerr
 		}
 		if st.gotResp {
-			wait = opts.ChunkTimeout
+			wait = opts.chunkTimeout
 		}
 		if !timer.Stop() {
 			select {

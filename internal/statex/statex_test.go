@@ -85,7 +85,7 @@ func TestFetchTailOnly(t *testing.T) {
 	hub := transport.NewHub(2)
 	defer hub.Close()
 	src := &fakeSource{entries: mkEntries(1, 10), oldest: 1, stage: 6, resume: 3}
-	donor := NewServer(hub.Endpoint(1), src)
+	donor := NewServer(hub.Endpoint(1), src, nil)
 	donor.Start()
 	defer donor.Stop()
 
@@ -120,7 +120,8 @@ func TestFetchCheckpointFallback(t *testing.T) {
 	src := &fakeSource{ck: ck, entries: mkEntries(8, 12), oldest: 8, stage: 9, resume: 0,
 		delivered: []abcast.SeqRange{{Origin: 1, Lo: 1, Hi: 12}}}
 	// Tiny chunks so the stream genuinely exercises multi-chunk framing.
-	donor := NewServer(hub.Endpoint(1), src, WithChunkBytes(64), WithTailBatch(2))
+	donor := NewServer(hub.Endpoint(1), src, nil)
+	donor.chunkBytes, donor.tailBatch = 64, 2
 	donor.Start()
 	defer donor.Stop()
 
@@ -186,12 +187,12 @@ func TestFetchFailoverOnTruncatedStream(t *testing.T) {
 		// ... and silence: the donor died mid-transfer.
 	}, aborted)
 	good := &fakeSource{entries: mkEntries(1, 6), oldest: 1, stage: 4}
-	donor2 := NewServer(hub.Endpoint(2), good)
+	donor2 := NewServer(hub.Endpoint(2), good, nil)
 	donor2.Start()
 	defer donor2.Stop()
 
 	xfer, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1, 2},
-		Options{RespTimeout: time.Second, ChunkTimeout: 150 * time.Millisecond})
+		Options{RespTimeout: time.Second, chunkTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +218,13 @@ func TestFetchFailoverOnCorruptChunk(t *testing.T) {
 		})
 	}, make(chan uint64, 1))
 	good := &fakeSource{entries: mkEntries(1, 3), oldest: 1, stage: 2}
-	donor2 := NewServer(hub.Endpoint(2), good)
+	donor2 := NewServer(hub.Endpoint(2), good, nil)
 	donor2.Start()
 	defer donor2.Stop()
 
 	start := time.Now()
 	xfer, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1, 2},
-		Options{RespTimeout: 5 * time.Second, ChunkTimeout: 5 * time.Second})
+		Options{RespTimeout: 5 * time.Second, chunkTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestFetchCorruptChunkErrorSurfaces(t *testing.T) {
 		})
 	}, make(chan uint64, 1))
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, ChunkTimeout: 2 * time.Second})
+		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("err = %v, want CRC mismatch", err)
 	}
@@ -266,7 +267,7 @@ func TestFetchBacklogGapRejected(t *testing.T) {
 		_ = ep.Send(joiner, StreamXfer, Done{Xfer: req.Xfer, StartStage: 2, Chunks: 1, Frontier: 3})
 	}, make(chan uint64, 1))
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, ChunkTimeout: 2 * time.Second})
+		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "backlog gap") {
 		t.Fatalf("err = %v, want backlog gap", err)
 	}
@@ -282,12 +283,13 @@ func TestServerBoundsCheckpointPin(t *testing.T) {
 	defer hub.Close()
 	observed := make(chan error, 1)
 	src := &fakeSource{oldest: 100, blockCkpt: observed} // everything pruned -> checkpoint mode
-	donor := NewServer(hub.Endpoint(1), src, WithCheckpointTimeout(100*time.Millisecond))
+	donor := NewServer(hub.Endpoint(1), src, nil)
+	donor.ckptTimeout = 100 * time.Millisecond
 	donor.Start()
 	defer donor.Stop()
 
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, ChunkTimeout: 2 * time.Second})
+		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "donor aborted") {
 		t.Fatalf("err = %v, want donor aborted", err)
 	}
@@ -315,12 +317,13 @@ func TestAbortCancelsDonorCheckpoint(t *testing.T) {
 	defer hub.Close()
 	observed := make(chan error, 1)
 	src := &fakeSource{oldest: 100, blockCkpt: observed}
-	donor := NewServer(hub.Endpoint(1), src, WithCheckpointTimeout(time.Minute))
+	donor := NewServer(hub.Endpoint(1), src, nil)
+	donor.ckptTimeout = time.Minute
 	donor.Start()
 	defer donor.Stop()
 
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, ChunkTimeout: 100 * time.Millisecond})
+		Options{RespTimeout: 2 * time.Second, chunkTimeout: 100 * time.Millisecond})
 	if err == nil {
 		t.Fatal("fetch against a wedged donor succeeded")
 	}

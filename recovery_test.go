@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"otpdb"
+	"otpdb/internal/events"
 	"otpdb/internal/testutil"
 )
 
@@ -331,10 +332,12 @@ func TestRestartSiteDurable(t *testing.T) {
 // fall back from tail-only to a full checkpoint + tail — and the
 // rejoined site still reconverges.
 func TestRestartSiteCheckpointFallback(t *testing.T) {
+	flight := events.NewRecorder(4096)
 	cluster := counterCluster(t,
 		otpdb.WithReplicas(3),
 		otpdb.WithConsensusRoundTimeout(50*time.Millisecond),
 		otpdb.WithDefLogCap(32), // the survivors retain the last 32 deliveries
+		otpdb.WithEvents(flight),
 	)
 	if err := cluster.Seed("counter", "seeded", otpdb.Int64(77)); err != nil {
 		t.Fatal(err)
@@ -359,6 +362,17 @@ func TestRestartSiteCheckpointFallback(t *testing.T) {
 	}
 	if mode, err := cluster.RejoinMode(2); err != nil || mode != "checkpoint+tail" {
 		t.Fatalf("RejoinMode = %q, %v; want checkpoint+tail", mode, err)
+	}
+	// One negotiation with one donor: across all donors the rejoin is
+	// served once, and the joiner's fetch completes after it.
+	var phases []string
+	for _, ev := range flight.Events() {
+		if p := ev.Fields["phase"]; ev.Kind == events.KindStatex && (p == "serve" || p == "fetched") {
+			phases = append(phases, ev.String())
+		}
+	}
+	if len(phases) != 2 || !strings.Contains(phases[0], "phase=serve") || !strings.Contains(phases[1], "phase=fetched") {
+		t.Fatalf("statex rejoin events = %q, want one serve followed by one fetched", phases)
 	}
 
 	bumpN(t, cluster, 2, 5)
