@@ -132,62 +132,46 @@ func BenchmarkOTPManagerWithMismatch(b *testing.B) {
 	b.ReportMetric(float64(st.Aborts)/float64(b.N), "aborts/op")
 }
 
-// BenchmarkStorageCommit is the write-strategy ablation: buffered
-// write-at-commit versus in-place writes with undo logs.
+// BenchmarkStorageCommit measures one buffered transaction of four
+// writes committed as versions.
 func BenchmarkStorageCommit(b *testing.B) {
-	for _, mode := range []storage.Mode{storage.Buffered, storage.InPlaceUndo} {
-		name := "buffered"
-		if mode == storage.InPlaceUndo {
-			name = "inplace-undo"
+	s := storage.NewStore()
+	val := storage.Int64Value(42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx, err := s.Begin("p", storage.Buffered)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			s := storage.NewStore()
-			val := storage.Int64Value(42)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tx, err := s.Begin("p", mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for k := 0; k < 4; k++ {
-					_ = tx.Write(storage.Key(fmt.Sprintf("k%d", k)), val)
-				}
-				if err := tx.Commit(int64(i + 1)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		for k := 0; k < 4; k++ {
+			_ = tx.Write(storage.Key(fmt.Sprintf("k%d", k)), val)
+		}
+		if err := tx.Commit(int64(i + 1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkStorageAbort is the undo-cost ablation: rolling back a
-// transaction under each write strategy.
+// BenchmarkStorageAbort measures rolling back a transaction of four
+// writes to existing keys: the buffer is discarded.
 func BenchmarkStorageAbort(b *testing.B) {
-	for _, mode := range []storage.Mode{storage.Buffered, storage.InPlaceUndo} {
-		name := "buffered"
-		if mode == storage.InPlaceUndo {
-			name = "inplace-undo"
+	s := storage.NewStore()
+	for k := 0; k < 4; k++ {
+		s.Load("p", storage.Key(fmt.Sprintf("k%d", k)), storage.Int64Value(0))
+	}
+	val := storage.Int64Value(42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx, err := s.Begin("p", storage.Buffered)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			s := storage.NewStore()
-			for k := 0; k < 4; k++ {
-				s.Load("p", storage.Key(fmt.Sprintf("k%d", k)), storage.Int64Value(0))
-			}
-			val := storage.Int64Value(42)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tx, err := s.Begin("p", mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for k := 0; k < 4; k++ {
-					_ = tx.Write(storage.Key(fmt.Sprintf("k%d", k)), val)
-				}
-				if err := tx.Abort(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		for k := 0; k < 4; k++ {
+			_ = tx.Write(storage.Key(fmt.Sprintf("k%d", k)), val)
+		}
+		if err := tx.Abort(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

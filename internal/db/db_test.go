@@ -101,7 +101,6 @@ type cluster struct {
 type clusterOpts struct {
 	jitter  time.Duration
 	queries db.QueryMode
-	mode    storage.Mode
 	seed    func(s *storage.Store)
 }
 
@@ -131,7 +130,6 @@ func newCluster(t *testing.T, n int, reg *sproc.Registry, o clusterOpts) *cluste
 			Broadcast: bc,
 			Registry:  reg,
 			Store:     store,
-			WriteMode: o.mode,
 			Queries:   o.queries,
 			History:   rec,
 		})
@@ -390,31 +388,6 @@ func TestExecContextCancellation(t *testing.T) {
 	}
 	// The broadcast is irrevocable: the transaction still commits.
 	c.quiesce(t, 1, 10*time.Second)
-}
-
-func TestInPlaceUndoModeConverges(t *testing.T) {
-	reg := bankRegistry(t, 2, 2)
-	c := newCluster(t, 2, reg, clusterOpts{mode: storage.InPlaceUndo, jitter: time.Millisecond})
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	const perReplica = 10
-	for i, rep := range c.reps {
-		wg.Add(1)
-		go func(i int, rep *db.Replica) {
-			defer wg.Done()
-			for j := 0; j < perReplica; j++ {
-				class := fmt.Sprintf("c%d", j%2)
-				if _, err := rep.Exec(ctx, "deposit-"+class,
-					storage.StringValue("acct0"), storage.Int64Value(2)); err != nil {
-					t.Errorf("exec: %v", err)
-					return
-				}
-			}
-		}(i, rep)
-	}
-	wg.Wait()
-	c.quiesce(t, 2*perReplica, 30*time.Second)
-	c.checkConvergence(t)
 }
 
 func TestStopUnblocksWaiters(t *testing.T) {

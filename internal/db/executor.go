@@ -418,7 +418,7 @@ func (e *executor) runTxn(att *attempt) {
 // polling, and outside att.mu: a racing Abort must be able to close
 // abortCh while it parks.
 func (e *executor) begin(att *attempt) bool {
-	if e.r.store.BeginMultiWait(&att.txn, att.parts, e.r.mode, att.abortCh) != nil {
+	if e.r.store.BeginMultiWait(&att.txn, att.parts, att.abortCh) != nil {
 		return false
 	}
 	att.mu.Lock()

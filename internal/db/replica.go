@@ -99,8 +99,6 @@ type Config struct {
 	Registry *sproc.Registry
 	// Store is the local storage engine; nil creates an empty one.
 	Store *storage.Store
-	// WriteMode selects the executor's write strategy (default Buffered).
-	WriteMode storage.Mode
 	// Queries selects the query strategy (default SnapshotQueries).
 	Queries QueryMode
 	// History, when non-nil, receives commit and query observations.
@@ -164,7 +162,6 @@ type Replica struct {
 	bcast       abcast.Broadcaster
 	reg         *sproc.Registry
 	store       *storage.Store
-	mode        storage.Mode
 	qmode       QueryMode
 	hist        HistorySink
 	mgr         *otp.MultiManager
@@ -248,9 +245,6 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Store == nil {
 		cfg.Store = storage.NewStore()
 	}
-	if cfg.WriteMode == 0 {
-		cfg.WriteMode = storage.Buffered
-	}
 	if cfg.Queries == 0 {
 		cfg.Queries = SnapshotQueries
 	}
@@ -263,7 +257,6 @@ func New(cfg Config) (*Replica, error) {
 		bcast:       cfg.Broadcast,
 		reg:         cfg.Registry,
 		store:       cfg.Store,
-		mode:        cfg.WriteMode,
 		qmode:       cfg.Queries,
 		hist:        cfg.History,
 		cfgClass:    cfg.ConfigClass,

@@ -209,8 +209,7 @@ const streamAsync = "async.update"
 // writeSet is the propagated effect of a locally committed transaction.
 type writeSet struct {
 	partition storage.Partition
-	keys      []storage.Key
-	values    []storage.Value
+	writes    []storage.ClassKeyValue
 }
 
 // asyncReplica is one site of the commercial-style asynchronous
@@ -256,29 +255,15 @@ func (r *asyncReplica) exec(proc string) error {
 	}
 	part := storage.Partition(up.Class)
 	// A remote apply may hold the partition briefly; park on its release.
-	stx, err := r.store.BeginWait(part, storage.Buffered, nil)
-	if err != nil {
+	var stx storage.MultiTxn
+	if err := r.store.BeginMultiWait(&stx, []storage.Partition{part}, nil); err != nil {
 		return err
 	}
-	if _, err := up.Fn(asyncCtx{stx}); err != nil {
+	if _, err := up.Fn(asyncCtx{&stx, part}); err != nil {
 		_ = stx.Abort()
 		return err
 	}
-	// Collect the write set before committing (Commit consumes the txn):
-	// each key once, at its last written value.
-	keys := stx.WriteSet()
-	ws := writeSet{partition: part}
-	seen := make(map[storage.Key]bool, len(keys))
-	for i := len(keys) - 1; i >= 0; i-- {
-		k := keys[i]
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		v, _ := stx.Read(k)
-		ws.keys = append(ws.keys, k)
-		ws.values = append(ws.values, v)
-	}
+	ws := writeSet{partition: part, writes: stx.PendingWrites()}
 	if err := stx.Commit(r.next(part)); err != nil {
 		return fmt.Errorf("async: local commit: %w", err)
 	}
@@ -296,12 +281,12 @@ func (r *asyncReplica) exec(proc string) error {
 // order) — concurrent conflicting local updates are overwritten, which is
 // how asynchronous replication loses updates.
 func (r *asyncReplica) apply(ws writeSet) {
-	stx, err := r.store.BeginWait(ws.partition, storage.Buffered, nil)
-	if err != nil {
+	var stx storage.MultiTxn
+	if r.store.BeginMultiWait(&stx, []storage.Partition{ws.partition}, nil) != nil {
 		return
 	}
-	for i, k := range ws.keys {
-		_ = stx.Write(k, ws.values[i])
+	for _, w := range ws.writes {
+		_ = stx.Write(w.Partition, w.Key, w.Value)
 	}
 	_ = stx.Commit(r.next(ws.partition))
 	r.mu.Lock()
@@ -327,11 +312,15 @@ func (r *asyncReplica) waitApplied(n uint64) {
 	}
 }
 
-// asyncCtx implements sproc.UpdateCtx directly over a storage txn.
-type asyncCtx struct{ stx *storage.Txn }
+// asyncCtx implements sproc.UpdateCtx directly over a storage txn on one
+// partition.
+type asyncCtx struct {
+	stx  *storage.MultiTxn
+	part storage.Partition
+}
 
 func (c asyncCtx) Args() []storage.Value { return nil }
 
-func (c asyncCtx) Read(key storage.Key) (storage.Value, bool) { return c.stx.Read(key) }
+func (c asyncCtx) Read(key storage.Key) (storage.Value, bool) { return c.stx.Read(c.part, key) }
 
-func (c asyncCtx) Write(key storage.Key, v storage.Value) error { return c.stx.Write(key, v) }
+func (c asyncCtx) Write(key storage.Key, v storage.Value) error { return c.stx.Write(c.part, key, v) }

@@ -36,9 +36,9 @@ func TestParallelReadsRacingCommitters(t *testing.T) {
 				}
 				last := s.LastCommitted("p")
 				at := int64(i) % (last + 1)
-				v, idx, ok := s.SnapshotReadVersion("p", "k", at)
-				if !ok {
-					t.Errorf("snapshot at %d missing (last=%d)", at, last)
+				v, idx, ok, err := s.SnapshotReadAt("p", "k", at)
+				if err != nil || !ok {
+					t.Errorf("snapshot at %d missing (last=%d): %v", at, last, err)
 					return
 				}
 				if idx > at {
@@ -364,9 +364,11 @@ func TestPruneKeepsNewestAtOrBelowHorizon(t *testing.T) {
 	}
 }
 
-// TestBeginWaitWakesOnRelease: BeginWait parks while the partition is
-// busy and wakes on commit — no polling, no missed wakeup.
-func TestBeginWaitWakesOnRelease(t *testing.T) {
+// TestBeginMultiWaitWakesOnCommit: a one-partition BeginMultiWait parks
+// while the partition is busy and wakes when the holder commits — no
+// polling, no missed wakeup. (TestBeginMultiWaitAcquiresWhenAllFree
+// wakes on an abort.)
+func TestBeginMultiWaitWakesOnCommit(t *testing.T) {
 	s := NewStore()
 	tx, err := s.Begin("p", Buffered)
 	if err != nil {
@@ -374,15 +376,19 @@ func TestBeginWaitWakesOnRelease(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		wtx, err := s.BeginWait("p", Buffered, nil)
+		var mt MultiTxn
+		err := s.BeginMultiWait(&mt, []Partition{"p"}, nil)
 		if err == nil {
-			err = wtx.Abort()
+			if v, ok := mt.Read("p", "k"); !ok || ValueInt64(v) != 1 {
+				err = fmt.Errorf("woke before the commit was visible: %d,%v", ValueInt64(v), ok)
+			}
+			_ = mt.Abort()
 		}
 		got <- err
 	}()
 	select {
 	case err := <-got:
-		t.Fatalf("BeginWait returned %v while partition busy", err)
+		t.Fatalf("BeginMultiWait returned %v while partition busy", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	_ = tx.Write("k", Int64Value(1))
@@ -392,46 +398,11 @@ func TestBeginWaitWakesOnRelease(t *testing.T) {
 	select {
 	case err := <-got:
 		if err != nil {
-			t.Fatalf("BeginWait after release: %v", err)
+			t.Fatalf("BeginMultiWait after commit: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("BeginWait missed the release wakeup")
+		t.Fatal("BeginMultiWait missed the commit wakeup")
 	}
-}
-
-// TestBeginWaitCancel: the cancel channel aborts the wait with
-// ErrCanceled and deregisters the waiter.
-func TestBeginWaitCancel(t *testing.T) {
-	s := NewStore()
-	tx, err := s.Begin("p", Buffered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel := make(chan struct{})
-	got := make(chan error, 1)
-	go func() {
-		_, err := s.BeginWait("p", Buffered, cancel)
-		got <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(cancel)
-	select {
-	case err := <-got:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancel did not unblock BeginWait")
-	}
-	// The holder still releases normally and future begins work.
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	tx2, err := s.Begin("p", Buffered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx2.Abort()
 }
 
 // TestBeginMultiWaitAcquiresWhenAllFree: a multi-partition wait parks on
@@ -445,7 +416,7 @@ func TestBeginMultiWaitAcquiresWhenAllFree(t *testing.T) {
 	got := make(chan error, 1)
 	go func() {
 		var mt MultiTxn
-		err := s.BeginMultiWait(&mt, []Partition{"a", "b", "c"}, Buffered, nil)
+		err := s.BeginMultiWait(&mt, []Partition{"a", "b", "c"}, nil)
 		if err == nil {
 			err = mt.Abort()
 		}
@@ -458,7 +429,7 @@ func TestBeginMultiWaitAcquiresWhenAllFree(t *testing.T) {
 	}
 	// While the waiter retries, partitions a and c must not stay locked
 	// (all-or-nothing acquisition releases them).
-	if txa, err := s.BeginWait("a", Buffered, nil); err != nil {
+	if txa, err := s.Begin("a", Buffered); err != nil {
 		t.Fatalf("partition a wedged: %v", err)
 	} else {
 		_ = txa.Abort()
@@ -487,7 +458,7 @@ func TestBeginMultiWaitCancel(t *testing.T) {
 	cancel := make(chan struct{})
 	got := make(chan error, 1)
 	go func() {
-		got <- s.BeginMultiWait(new(MultiTxn), []Partition{"a", "b"}, Buffered, cancel)
+		got <- s.BeginMultiWait(new(MultiTxn), []Partition{"a", "b"}, cancel)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(cancel)
@@ -501,7 +472,7 @@ func TestBeginMultiWaitCancel(t *testing.T) {
 	}
 	_ = hold.Abort()
 	// Nothing left locked.
-	mt, err := s.BeginMulti([]Partition{"a", "b"}, Buffered)
+	mt, err := s.BeginMulti([]Partition{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,13 +55,13 @@ func (t *MultiTxn) setParts(parts []Partition) error {
 
 // acquire begins a Txn on every partition of order, all or nothing: on a
 // busy partition it releases what it holds and returns that partition.
-func (t *MultiTxn) acquire(s *Store, mode Mode) (busy Partition, err error) {
+func (t *MultiTxn) acquire(s *Store) (busy Partition, err error) {
 	for len(t.own) < len(t.order) {
 		t.own = append(t.own, new(Txn))
 	}
 	t.done = false
 	for i, p := range t.order {
-		if err := s.begin(t.own[i], p, mode); err != nil {
+		if err := s.begin(t.own[i], p); err != nil {
 			t.txs = t.own[:i]
 			_ = t.Abort()
 			return p, err
@@ -74,12 +74,12 @@ func (t *MultiTxn) acquire(s *Store, mode Mode) (busy Partition, err error) {
 // BeginMulti starts a transaction over the given set of partitions
 // (deduplicated; acquisition in sorted order). On any failure the already
 // acquired partitions are released.
-func (s *Store) BeginMulti(parts []Partition, mode Mode) (*MultiTxn, error) {
+func (s *Store) BeginMulti(parts []Partition) (*MultiTxn, error) {
 	mt := new(MultiTxn)
 	if err := mt.setParts(parts); err != nil {
 		return nil, err
 	}
-	if _, err := mt.acquire(s, mode); err != nil {
+	if _, err := mt.acquire(s); err != nil {
 		return nil, err
 	}
 	return mt, nil
@@ -89,19 +89,17 @@ func (s *Store) BeginMulti(parts []Partition, mode Mode) (*MultiTxn, error) {
 // partitions like BeginMulti, but blocks until every partition is free
 // instead of returning ErrPartitionBusy. Acquisition is all-or-nothing:
 // on a busy partition the already acquired ones are released and the
-// caller parks on the busy partition's release channel — no polling.
-// cancel, when non-nil, aborts the wait with ErrCanceled.
-func (s *Store) BeginMultiWait(mt *MultiTxn, parts []Partition, mode Mode, cancel <-chan struct{}) error {
-	if mode != Buffered && mode != InPlaceUndo {
-		return fmt.Errorf("storage: invalid mode %d", mode)
-	}
+// caller parks on the busy partition's release channel (closed by a
+// commit or an abort) — no polling. cancel, when non-nil, aborts the wait
+// with ErrCanceled.
+func (s *Store) BeginMultiWait(mt *MultiTxn, parts []Partition, cancel <-chan struct{}) error {
 	if err := mt.setParts(parts); err != nil {
 		return err
 	}
 	for {
 		// Holding nothing while waiting avoids a deadlock against a racing
 		// abort that still owns a later partition.
-		busy, err := mt.acquire(s, mode)
+		busy, err := mt.acquire(s)
 		if err == nil {
 			return nil
 		}

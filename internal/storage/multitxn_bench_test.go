@@ -19,7 +19,7 @@ func BenchmarkBeginMulti(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for b.Loop() {
-				mt, err := s.BeginMulti(parts, Buffered)
+				mt, err := s.BeginMulti(parts)
 				if err == nil {
 					err = mt.Abort()
 				}

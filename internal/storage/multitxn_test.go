@@ -7,7 +7,7 @@ import (
 
 func TestMultiTxnSpansPartitionsAtomically(t *testing.T) {
 	s := NewStore()
-	mt, err := s.BeginMulti([]Partition{"a", "b"}, Buffered)
+	mt, err := s.BeginMulti([]Partition{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMultiTxnSpansPartitionsAtomically(t *testing.T) {
 func TestMultiTxnAbortRollsBackAll(t *testing.T) {
 	s := NewStore()
 	s.Load("a", "k", Int64Value(10))
-	mt, err := s.BeginMulti([]Partition{"a", "b"}, InPlaceUndo)
+	mt, err := s.BeginMulti([]Partition{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestMultiTxnAbortRollsBackAll(t *testing.T) {
 
 func TestMultiTxnForeignPartitionRejected(t *testing.T) {
 	s := NewStore()
-	mt, err := s.BeginMulti([]Partition{"a"}, Buffered)
+	mt, err := s.BeginMulti([]Partition{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMultiTxnBusyPartitionReleasesAcquired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BeginMulti([]Partition{"a", "b"}, Buffered); !errors.Is(err, ErrPartitionBusy) {
+	if _, err := s.BeginMulti([]Partition{"a", "b"}); !errors.Is(err, ErrPartitionBusy) {
 		t.Fatalf("err = %v, want ErrPartitionBusy", err)
 	}
 	// Partition "a" must have been released by the failed BeginMulti.
@@ -94,7 +94,7 @@ func TestMultiTxnBusyPartitionReleasesAcquired(t *testing.T) {
 
 func TestMultiTxnDedupesAndSortsPartitions(t *testing.T) {
 	s := NewStore()
-	mt, err := s.BeginMulti([]Partition{"b", "a", "b"}, Buffered)
+	mt, err := s.BeginMulti([]Partition{"b", "a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMultiTxnDedupesAndSortsPartitions(t *testing.T) {
 
 func TestMultiTxnDoneSemantics(t *testing.T) {
 	s := NewStore()
-	mt, _ := s.BeginMulti([]Partition{"a"}, Buffered)
+	mt, _ := s.BeginMulti([]Partition{"a"})
 	if err := mt.Commit(1); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMultiTxnDoneSemantics(t *testing.T) {
 	if err := mt.Abort(); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("abort after commit err = %v", err)
 	}
-	if _, err := s.BeginMulti(nil, Buffered); err == nil {
+	if _, err := s.BeginMulti(nil); err == nil {
 		t.Fatal("empty partition set accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestMultiTxnDoneSemantics(t *testing.T) {
 func TestMultiTxnReadSetQualified(t *testing.T) {
 	s := NewStore()
 	s.Load("a", "k", Int64Value(5))
-	mt, _ := s.BeginMulti([]Partition{"a", "b"}, Buffered)
+	mt, _ := s.BeginMulti([]Partition{"a", "b"})
 	defer func() { _ = mt.Abort() }()
 	if v, ok := mt.Read("a", "k"); !ok || ValueInt64(v) != 5 {
 		t.Fatalf("read = %d,%v", ValueInt64(v), ok)

@@ -1,19 +1,14 @@
 // Package storage is the replicated database's local storage engine: an
 // in-memory key-value store partitioned by conflict class, with
 // multi-version history for the snapshot queries of Section 5 of the
-// paper and undo support for the OTP abort path.
+// paper.
 //
-// The engine supports two write strategies (the ablation DESIGN.md §5
-// calls out):
-//
-//   - Buffered: transaction writes go to a private buffer and are applied
-//     at commit. Aborting discards the buffer. This is the default; it
-//     matches the paper's execution model exactly because a transaction
-//     never sees another's uncommitted data (only the head of a class
-//     queue executes).
-//   - InPlaceUndo: writes are applied immediately and an undo log of
-//     before-images is kept; aborting restores the before-images in
-//     reverse order ("traditional recovery techniques", Section 3.2).
+// There is one write strategy: a transaction's writes go to a private
+// buffer and become committed versions at commit; aborting discards the
+// buffer, so a transaction the Correctness Check undoes leaves no effects
+// (the "traditional recovery techniques" of Section 3.2). No transaction
+// ever sees another's uncommitted data, which matches the paper's
+// execution model (only the head of a class queue executes).
 //
 // Committed versions are labelled with the transaction's definitive
 // (TO-delivery) index. A query with index q reads, per partition, the
@@ -115,16 +110,11 @@ func StringValue(s string) Value { return Value(s) }
 // ValueString decodes a Value as a string.
 func ValueString(v Value) string { return string(v) }
 
-// Mode selects the write strategy of a transaction.
+// Mode names the write strategy Begin is asked for. There is one.
 type Mode int
 
-// Write strategies.
-const (
-	// Buffered applies writes at commit time from a private buffer.
-	Buffered Mode = iota + 1
-	// InPlaceUndo applies writes immediately, keeping undo records.
-	InPlaceUndo
-)
+// Buffered applies writes at commit time from a private buffer.
+const Buffered Mode = 1
 
 // Version is one committed version of a key.
 type Version struct {
@@ -134,30 +124,31 @@ type Version struct {
 	Value Value
 }
 
-// versionState is the immutable published state of one key: the current
-// value plus the version chain as parallel slices (ascending TOIndex).
-// The index column is separate from the value column so the snapshot
-// binary search walks a dense []int64 — 8-byte strides instead of
-// 24-byte Version structs, which matters on deep chains where the search
-// is cache-miss bound. Writers build the successor state and publish it
-// atomically; readers load and use it without coordination. Appends may
-// share the columns' backing arrays with older states — older states
-// never index past their own length, so the sharing is invisible to
-// them.
+// versionState is the immutable published state of one key: its version
+// chain as parallel slices (ascending TOIndex), never empty; the tip is
+// the key's current value. The index column is separate from the value
+// column so the snapshot binary search walks a dense []int64 — 8-byte
+// strides instead of 24-byte Version structs, which matters on deep
+// chains where the search is cache-miss bound. Writers build the
+// successor state and publish it atomically; readers load and use it
+// without coordination. Appends may share the columns' backing arrays
+// with older states — older states never index past their own length, so
+// the sharing is invisible to them.
 type versionState struct {
-	current Value
-	idx     []int64 // version TO indexes, ascending
-	vals    []Value // parallel committed values
+	idx  []int64 // version TO indexes, ascending
+	vals []Value // parallel committed values
 }
 
-// appendVersion derives the successor state with one more version, which
-// is also the current value.
+// latest returns the chain's tip: the key's current value (nil reads as
+// absent) and the TO index that wrote it.
+func (st *versionState) latest() (Value, int64) {
+	n := len(st.idx) - 1
+	return st.vals[n], st.idx[n]
+}
+
+// appendVersion derives the successor state with one more version.
 func (st *versionState) appendVersion(toIndex int64, v Value) *versionState {
-	return &versionState{
-		current: v,
-		idx:     append(st.idx, toIndex),
-		vals:    append(st.vals, v),
-	}
+	return &versionState{idx: append(st.idx, toIndex), vals: append(st.vals, v)}
 }
 
 // entry is one key's slot: an atomic pointer to its published state.
@@ -238,9 +229,15 @@ func (pt *partition) waitChLocked() chan struct{} {
 	return pt.freeCh
 }
 
-// addVersion publishes e's successor state with one more committed
-// version and lists e for the next Prune. Callers hold pt.mu.
-func (pt *partition) addVersion(e *entry, toIndex int64, v Value) {
+// addVersion appends the committed version (toIndex, v) to k's chain —
+// a new key starts with that one version — and lists a lengthened chain
+// for the next Prune. Callers hold pt.mu.
+func (pt *partition) addVersion(k Key, toIndex int64, v Value) {
+	e := pt.getEntry(k)
+	if e == nil {
+		pt.addEntry(k, &versionState{idx: []int64{toIndex}, vals: []Value{v}})
+		return
+	}
 	e.state.Store(e.load().appendVersion(toIndex, v))
 	if !e.listed {
 		e.listed = true
@@ -286,27 +283,16 @@ func newEntry(st *versionState) *entry {
 	return e
 }
 
-// ensureEntry returns the key's entry, creating an empty one if needed.
-// Callers hold pt.mu.
-func (pt *partition) ensureEntry(k Key) *entry {
-	if e := pt.getEntry(k); e != nil {
-		return e
-	}
-	return pt.addEntry(k, &versionState{})
-}
-
 // addEntry creates the entry of a key the published partition lacks. New
 // keys go to the overflow; the overflow is folded into a fresh base once
 // it reaches a quarter of the base size (amortized O(1) per creation).
 // Callers hold pt.mu.
-func (pt *partition) addEntry(k Key, st *versionState) *entry {
-	e := newEntry(st)
-	pt.overflow.Store(k, e)
+func (pt *partition) addEntry(k Key, st *versionState) {
+	pt.overflow.Store(k, newEntry(st))
 	n := int(pt.overflowN.Add(1))
 	if 4*n > len(*pt.keys.Load()) {
 		pt.mergeOverflowLocked()
 	}
-	return e
 }
 
 // install gives k the one-version chain (toIndex, v), replacing whatever
@@ -314,7 +300,7 @@ func (pt *partition) addEntry(k Key, st *versionState) *entry {
 // is published the entry goes straight into the base map. Callers hold
 // pt.mu.
 func (pt *partition) install(k Key, toIndex int64, v Value) {
-	st := &versionState{current: v, idx: []int64{toIndex}, vals: []Value{v}}
+	st := &versionState{idx: []int64{toIndex}, vals: []Value{v}}
 	pt.seedMu.Lock()
 	if !pt.published.Load() {
 		base := *pt.keys.Load()
@@ -353,25 +339,6 @@ func (pt *partition) mergeOverflowLocked() {
 		pt.overflow.Delete(k)
 	}
 	pt.overflowN.Store(0)
-}
-
-// deleteEntry removes a key. Callers hold pt.mu.
-func (pt *partition) deleteEntry(k Key) {
-	if _, ok := pt.overflow.Load(k); ok {
-		pt.overflow.Delete(k)
-		pt.overflowN.Add(-1)
-	}
-	old := *pt.keys.Load()
-	if _, ok := old[k]; !ok {
-		return
-	}
-	next := make(keyMap, len(old))
-	for kk, vv := range old {
-		if kk != k {
-			next[kk] = vv
-		}
-	}
-	pt.keys.Store(&next)
 }
 
 // forEachEntry visits every key (base + overflow, deduplicated). The
@@ -417,8 +384,8 @@ var (
 	ErrPartitionBusy = errors.New("storage: partition has an active transaction")
 	// ErrTxnDone is returned by operations on a committed/aborted txn.
 	ErrTxnDone = errors.New("storage: transaction already finished")
-	// ErrCanceled is returned by BeginWait/BeginMultiWait when the
-	// caller's cancel channel fires before the partitions free up.
+	// ErrCanceled is returned by BeginMultiWait when the caller's cancel
+	// channel fires before the partitions free up.
 	ErrCanceled = errors.New("storage: begin wait canceled")
 	// ErrSnapshotPruned is returned by SnapshotReadAt for indexes below
 	// the partition's prune watermark: the versions needed to answer the
@@ -487,11 +454,8 @@ func (s *Store) Get(p Partition, k Key) (Value, bool) {
 	if e == nil {
 		return nil, false
 	}
-	st := e.load()
-	if st.current == nil {
-		return nil, false
-	}
-	return st.current, true
+	v, _ := e.load().latest()
+	return v, v != nil
 }
 
 // searchVersions returns the position of the first version index
@@ -516,25 +480,15 @@ func searchVersions(idx []int64, maxIndex int64) int {
 // whether such a version exists (reads below the prune watermark report
 // false; use SnapshotReadAt to distinguish them loudly).
 func (s *Store) SnapshotRead(p Partition, k Key, maxIndex int64) (Value, bool) {
-	v, _, ok := s.SnapshotReadVersion(p, k, maxIndex)
+	v, _, ok, _ := s.SnapshotReadAt(p, k, maxIndex)
 	return v, ok
 }
 
-// SnapshotReadVersion is SnapshotRead returning additionally the TO index
-// of the version observed; the serializability checker uses it to verify
-// that every query saw exactly the snapshot Section 5 prescribes.
-func (s *Store) SnapshotReadVersion(p Partition, k Key, maxIndex int64) (Value, int64, bool) {
-	v, idx, ok, err := s.SnapshotReadAt(p, k, maxIndex)
-	if err != nil {
-		return nil, 0, false
-	}
-	return v, idx, ok
-}
-
-// SnapshotReadAt is the error-reporting snapshot read: it returns
-// ErrSnapshotPruned when maxIndex is below the partition's prune
-// watermark (the exact snapshot may have been discarded), and ok=false
-// when no version at or below maxIndex exists. Lock-free.
+// SnapshotReadAt is the error-reporting snapshot read, which also returns
+// the TO index of the version observed: it returns ErrSnapshotPruned when
+// maxIndex is below the partition's prune watermark (the exact snapshot
+// may have been discarded), and ok=false when no version at or below
+// maxIndex exists. Lock-free.
 func (s *Store) SnapshotReadAt(p Partition, k Key, maxIndex int64) (Value, int64, bool, error) {
 	pt := s.lookup(p)
 	if pt == nil {
@@ -551,9 +505,8 @@ func (s *Store) SnapshotReadAt(p Partition, k Key, maxIndex int64) (Value, int64
 	st := e.load()
 	// Fast path: reads at or past the chain tip take the newest version
 	// without searching (the common case for fresh snapshots).
-	n := len(st.idx)
-	if n > 0 && st.idx[n-1] <= maxIndex {
-		return st.vals[n-1], st.idx[n-1], true, nil
+	if v, idx := st.latest(); idx <= maxIndex {
+		return v, idx, true, nil
 	}
 	if i := searchVersions(st.idx, maxIndex); i > 0 {
 		return st.vals[i-1], st.idx[i-1], true, nil
@@ -581,15 +534,11 @@ func (s *Store) GetVersioned(p Partition, k Key) (Value, int64, bool) {
 	if e == nil {
 		return nil, 0, false
 	}
-	st := e.load()
-	if st.current == nil {
+	v, idx := e.load().latest()
+	if v == nil {
 		return nil, 0, false
 	}
-	idx := int64(0)
-	if n := len(st.idx); n > 0 {
-		idx = st.idx[n-1]
-	}
-	return st.current, idx, true
+	return v, idx, true
 }
 
 // LastCommitted reports the TO index of the last transaction committed in
@@ -657,7 +606,8 @@ func (s *Store) Digest() uint64 {
 			_, _ = h.Write([]byte{0})
 			_, _ = h.Write([]byte(k))
 			_, _ = h.Write([]byte{0})
-			_, _ = h.Write(entries[k].load().current)
+			v, _ := entries[k].load().latest()
+			_, _ = h.Write(v)
 			_, _ = h.Write([]byte{0})
 		}
 		pt.mu.Unlock()
@@ -696,9 +646,8 @@ func (s *Store) Prune(minSnapshot int64) int {
 				// most are — appends its next version in place.
 				n := len(st.idx) - (i - 1)
 				st = &versionState{
-					current: st.current,
-					idx:     append(make([]int64, 0, n+1), st.idx[i-1:]...),
-					vals:    append(make([]Value, 0, n+1), st.vals[i-1:]...),
+					idx:  append(make([]int64, 0, n+1), st.idx[i-1:]...),
+					vals: append(make([]Value, 0, n+1), st.vals[i-1:]...),
 				}
 				e.state.Store(st)
 			}
@@ -715,9 +664,6 @@ func (s *Store) Prune(minSnapshot int64) int {
 	return removed
 }
 
-// Vacuum is the historical name of Prune, kept for compatibility.
-func (s *Store) Vacuum(horizon int64) int { return s.Prune(horizon) }
-
 // VersionCount reports the total number of stored versions (for GC tests).
 func (s *Store) VersionCount() int {
 	n := 0
@@ -730,28 +676,18 @@ func (s *Store) VersionCount() int {
 	return n
 }
 
-// undoRecord is a before-image for InPlaceUndo transactions.
-type undoRecord struct {
-	key    Key
-	value  Value // nil means the key did not exist
-	wasSet bool
-}
-
 // Txn is a single-partition update transaction. It is not safe for
 // concurrent use (one stored procedure runs in one goroutine). A finished
 // Txn may be begun again (MultiTxn does): its buffers keep their arrays.
 type Txn struct {
 	pt   *partition
 	p    Partition
-	mode Mode
 	done bool
 
-	// buffer holds the Buffered mode's pending writes, one per key in
-	// first-write order. A stored procedure writes a handful of keys, so
-	// finding one is a short scan and the buffer costs no allocation once
-	// the slice has grown.
+	// buffer holds the pending writes, one per key in first-write order. A
+	// stored procedure writes a handful of keys, so finding one is a short
+	// scan and the buffer costs no allocation once the slice has grown.
 	buffer   []bufferedWrite
-	undo     []undoRecord // InPlaceUndo mode
 	readSet  []Key
 	writeSet []Key
 }
@@ -761,73 +697,33 @@ type bufferedWrite struct {
 	value Value
 }
 
-// beginLocked makes tx the active transaction of a free partition.
-// Callers hold pt.mu and have checked pt.active == nil.
-func (tx *Txn) beginLocked(pt *partition, p Partition, mode Mode) {
-	clear(tx.buffer) // drop the values; the keys' strings go with them
-	clear(tx.undo)
-	*tx = Txn{pt: pt, p: p, mode: mode,
-		buffer: tx.buffer[:0], undo: tx.undo[:0], readSet: tx.readSet[:0], writeSet: tx.writeSet[:0]}
-	pt.active = tx
-}
-
-// Begin starts an update transaction on partition p. At most one
-// transaction may be active per partition; the OTP scheduler guarantees
-// this, and the store enforces it.
+// Begin starts an update transaction on partition p; mode must be
+// Buffered. At most one transaction may be active per partition; the OTP
+// scheduler guarantees this, and the store enforces it.
 func (s *Store) Begin(p Partition, mode Mode) (*Txn, error) {
+	if mode != Buffered {
+		return nil, fmt.Errorf("storage: invalid mode %d", mode)
+	}
 	tx := new(Txn)
-	if err := s.begin(tx, p, mode); err != nil {
+	if err := s.begin(tx, p); err != nil {
 		return nil, err
 	}
 	return tx, nil
 }
 
-// begin is Begin on a caller-supplied (new or finished) Txn.
-func (s *Store) begin(tx *Txn, p Partition, mode Mode) error {
-	if mode != Buffered && mode != InPlaceUndo {
-		return fmt.Errorf("storage: invalid mode %d", mode)
-	}
+// begin makes tx — new or finished — the active transaction of p.
+func (s *Store) begin(tx *Txn, p Partition) error {
 	pt := s.part(p)
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if pt.active != nil {
 		return fmt.Errorf("%w: %s", ErrPartitionBusy, p)
 	}
-	tx.beginLocked(pt, p, mode)
+	clear(tx.buffer) // drop the values; the keys' strings go with them
+	*tx = Txn{pt: pt, p: p,
+		buffer: tx.buffer[:0], readSet: tx.readSet[:0], writeSet: tx.writeSet[:0]}
+	pt.active = tx
 	return nil
-}
-
-// BeginWait is Begin that blocks until the partition is free instead of
-// returning ErrPartitionBusy. A release of the partition (commit or
-// abort) wakes waiters through a channel — no polling. cancel, when
-// non-nil, aborts the wait with ErrCanceled.
-func (s *Store) BeginWait(p Partition, mode Mode, cancel <-chan struct{}) (*Txn, error) {
-	if mode != Buffered && mode != InPlaceUndo {
-		return nil, fmt.Errorf("storage: invalid mode %d", mode)
-	}
-	pt := s.part(p)
-	for {
-		pt.mu.Lock()
-		if pt.active == nil {
-			tx := new(Txn)
-			tx.beginLocked(pt, p, mode)
-			pt.mu.Unlock()
-			return tx, nil
-		}
-		ch := pt.waitChLocked()
-		pt.mu.Unlock()
-		select {
-		case <-ch:
-		case <-cancel:
-			pt.mu.Lock()
-			pt.waiters--
-			pt.mu.Unlock()
-			return nil, ErrCanceled
-		}
-		pt.mu.Lock()
-		pt.waiters--
-		pt.mu.Unlock()
-	}
 }
 
 // Read returns the value of k as seen by the transaction (its own writes
@@ -838,47 +734,30 @@ func (t *Txn) Read(k Key) (Value, bool) {
 		return nil, false
 	}
 	t.readSet = append(t.readSet, k)
-	if t.mode == Buffered {
-		// The buffer is private to the transaction's goroutine.
-		if w := t.buffered(k); w != nil {
-			return w.value, w.value != nil
-		}
+	if w := t.buffered(k); w != nil {
+		return w.value, w.value != nil
 	}
 	e := t.pt.getEntry(k)
 	if e == nil {
 		return nil, false
 	}
-	st := e.load()
-	if st.current == nil {
-		return nil, false
-	}
-	return st.current, true
+	v, _ := e.load().latest()
+	return v, v != nil
 }
 
-// Write sets k to v within the transaction. v is copied; the caller may
-// reuse its buffer.
+// Write sets k to v within the transaction's private buffer, so it takes
+// no lock; the last write of a key wins. v is copied; the caller may reuse
+// its buffer.
 func (t *Txn) Write(k Key, v Value) error {
 	if t.done {
 		return ErrTxnDone
 	}
 	t.writeSet = append(t.writeSet, k)
-	if t.mode == Buffered {
-		// Private buffer: no lock needed. The last write of a key wins.
-		if w := t.buffered(k); w != nil {
-			w.value = v.clone()
-		} else {
-			t.buffer = append(t.buffer, bufferedWrite{k, v.clone()})
-		}
-		return nil
+	if w := t.buffered(k); w != nil {
+		w.value = v.clone()
+	} else {
+		t.buffer = append(t.buffer, bufferedWrite{k, v.clone()})
 	}
-	// InPlaceUndo: apply now (dirty values become visible, which is the
-	// point of the ablation), remember the before-image.
-	t.pt.mu.Lock()
-	defer t.pt.mu.Unlock()
-	e := t.pt.ensureEntry(k)
-	st := e.load()
-	t.undo = append(t.undo, undoRecord{key: k, value: st.current, wasSet: st.current != nil})
-	e.state.Store(&versionState{current: v.clone(), idx: st.idx, vals: st.vals})
 	return nil
 }
 
@@ -901,41 +780,16 @@ func (t *Txn) WriteSet() []Key { return append([]Key(nil), t.writeSet...) }
 // Partition returns the transaction's partition.
 func (t *Txn) Partition() Partition { return t.p }
 
-// Abort rolls the transaction back: buffered writes are discarded,
-// in-place writes are undone from the before-images in reverse order.
+// Abort rolls the transaction back: its buffered writes are discarded,
+// and nothing else ever saw them.
 func (t *Txn) Abort() error {
 	if t.done {
 		return ErrTxnDone
 	}
 	t.done = true
-	pt := t.pt
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if t.mode == Buffered {
-		pt.release()
-		return nil
-	}
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		rec := t.undo[i]
-		e := pt.getEntry(rec.key)
-		st := e.load()
-		cur := rec.value
-		if !rec.wasSet {
-			cur = nil
-		}
-		e.state.Store(&versionState{current: cur, idx: st.idx, vals: st.vals})
-	}
-	// Remove phantom entries for keys the transaction created: they must
-	// not linger (they would be visible in Keys and perturb Digest).
-	for _, rec := range t.undo {
-		if e := pt.getEntry(rec.key); e != nil {
-			if st := e.load(); st.current == nil && len(st.idx) == 0 {
-				pt.deleteEntry(rec.key)
-			}
-		}
-	}
-	t.undo = nil
-	pt.release()
+	t.pt.mu.Lock()
+	t.pt.release()
+	t.pt.mu.Unlock()
 	return nil
 }
 
@@ -955,27 +809,10 @@ func (t *Txn) Commit(toIndex int64) error {
 		return fmt.Errorf("storage: commit index %d not after last committed %d in %s",
 			toIndex, pt.lastCommitted.Load(), t.p)
 	}
-	switch t.mode {
-	case Buffered:
-		for _, w := range t.buffer {
-			// The buffered value was cloned on the way in and becomes the
-			// immutable committed version: current and the version chain
-			// share it.
-			pt.addVersion(pt.ensureEntry(w.key), toIndex, w.value)
-		}
-	case InPlaceUndo:
-		// Current values are already in place; record versions for the
-		// written keys (last write wins per key).
-		seen := make(map[Key]bool, len(t.writeSet))
-		for i := len(t.writeSet) - 1; i >= 0; i-- {
-			k := t.writeSet[i]
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			e := pt.getEntry(k)
-			pt.addVersion(e, toIndex, e.load().current)
-		}
+	for _, w := range t.buffer {
+		// The buffered value was cloned on the way in and becomes the
+		// immutable committed version.
+		pt.addVersion(w.key, toIndex, w.value)
 	}
 	// Publish the commit index last: a reader that observes it sees every
 	// version state published above.
@@ -1114,9 +951,7 @@ func (s *Store) InstallCommit(toIndex int64, writes []ClassKeyValue) bool {
 		if toIndex > pt.lastCommitted.Load() {
 			applied = true
 			for _, w := range writes[i:j] {
-				e := pt.ensureEntry(w.Key)
-				v := w.Value.clone()
-				e.state.Store(e.load().appendVersion(toIndex, v))
+				pt.addVersion(w.Key, toIndex, w.Value.clone())
 			}
 			pt.lastCommitted.Store(toIndex)
 		}
@@ -1130,28 +965,8 @@ func (s *Store) InstallCommit(toIndex int64, writes []ClassKeyValue) bool {
 // (last write wins per key), for write-ahead logging. Call before
 // Commit; the returned values alias the transaction's buffers.
 func (t *Txn) pendingWrites(out []ClassKeyValue) []ClassKeyValue {
-	switch t.mode {
-	case Buffered:
-		for _, w := range t.buffer {
-			out = append(out, ClassKeyValue{Partition: t.p, Key: w.key, Value: w.value})
-		}
-	case InPlaceUndo:
-		// Writes are already in place; the committed value is the entry's
-		// current one. Only this transaction writes the partition, so the
-		// values are stable until commit.
-		seen := make(map[Key]bool, len(t.writeSet))
-		for i := len(t.writeSet) - 1; i >= 0; i-- {
-			k := t.writeSet[i]
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			var v Value
-			if e := t.pt.getEntry(k); e != nil {
-				v = e.load().current
-			}
-			out = append(out, ClassKeyValue{Partition: t.p, Key: k, Value: v})
-		}
+	for _, w := range t.buffer {
+		out = append(out, ClassKeyValue{Partition: t.p, Key: w.key, Value: w.value})
 	}
 	return out
 }

@@ -3,7 +3,9 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,41 +63,6 @@ func TestBufferedAbortDiscards(t *testing.T) {
 	v, _ := s.Get("p", "k")
 	if ValueString(v) != "orig" {
 		t.Fatalf("abort leaked write: %q", v)
-	}
-}
-
-func TestInPlaceUndoAbortRestores(t *testing.T) {
-	s := NewStore()
-	s.Load("p", "a", StringValue("A"))
-	tx, _ := s.Begin("p", InPlaceUndo)
-	_ = tx.Write("a", StringValue("A'"))
-	_ = tx.Write("b", StringValue("B")) // key did not exist
-	_ = tx.Write("a", StringValue("A''"))
-	// In-place: visible immediately (single writer per partition).
-	if v, _ := s.Get("p", "a"); ValueString(v) != "A''" {
-		t.Fatalf("in-place write not visible: %q", v)
-	}
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.Get("p", "a"); ValueString(v) != "A" {
-		t.Fatalf("undo failed for a: %q", v)
-	}
-	if _, ok := s.Get("p", "b"); ok {
-		t.Fatal("undo failed: b still exists")
-	}
-}
-
-func TestInPlaceCommitCreatesVersions(t *testing.T) {
-	s := NewStore()
-	tx, _ := s.Begin("p", InPlaceUndo)
-	_ = tx.Write("k", StringValue("v1"))
-	if err := tx.Commit(1); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := s.SnapshotRead("p", "k", 1)
-	if !ok || ValueString(v) != "v1" {
-		t.Fatalf("snapshot = %q,%v", v, ok)
 	}
 }
 
@@ -244,9 +211,9 @@ func TestVacuumKeepsSnapshotHorizon(t *testing.T) {
 		_ = tx.Commit(i)
 	}
 	before := s.VersionCount()
-	removed := s.Vacuum(5)
+	removed := s.Prune(5)
 	if removed == 0 || s.VersionCount() != before-removed {
-		t.Fatalf("vacuum removed %d, count %d (before %d)", removed, s.VersionCount(), before)
+		t.Fatalf("prune removed %d, count %d (before %d)", removed, s.VersionCount(), before)
 	}
 	// Snapshot at the horizon still answers correctly.
 	v, ok := s.SnapshotRead("p", "k", 5)
@@ -255,7 +222,7 @@ func TestVacuumKeepsSnapshotHorizon(t *testing.T) {
 	}
 	// Older snapshots may be gone (that is the contract).
 	if _, ok := s.SnapshotRead("p", "k", 3); ok {
-		t.Fatal("pre-horizon version survived vacuum")
+		t.Fatal("pre-horizon version survived prune")
 	}
 }
 
@@ -283,7 +250,7 @@ func TestKeysAndPartitionsSorted(t *testing.T) {
 // takes after the first read at 8.6 allocations and 693 bytes a key.
 func TestSeedAllocBudget(t *testing.T) {
 	const parts, keys, stores = 8, 1024, 3
-	const maxMallocs, maxBytes = 6, 450
+	const maxMallocs, maxBytes = 6, 360
 	names := make([]Partition, parts)
 	for i := range names {
 		names[i] = Partition(fmt.Sprintf("c%d", i))
@@ -357,34 +324,62 @@ func TestQuickVersionChainsAscend(t *testing.T) {
 	}
 }
 
-func TestQuickBufferedAndInPlaceConverge(t *testing.T) {
+// TestQuickStoreMatchesModel runs random sequences of committed and
+// aborted transactions against a plain map. Afterwards Get, Keys and
+// SnapshotRead at every committed index agree with the model: an aborted
+// transaction leaves no value, no key and no version behind, and the last
+// write of a key within a transaction is the one that commits.
+func TestQuickStoreMatchesModel(t *testing.T) {
 	type op struct {
-		Key byte
-		Val int16
+		Keys [2]byte // written in this order: Val, then -Val
+		Val  int16
 	}
 	f := func(ops []op, abortMask uint8) bool {
-		a, b := NewStore(), NewStore()
-		idx := int64(0)
+		s := NewStore()
+		model := map[Key]int64{}
+		var snaps []map[Key]int64 // snaps[i]: the model after commit i+1
 		for i, o := range ops {
-			k := Key([]byte{'k', o.Key % 4})
-			doAbort := (abortMask>>(uint(i)%8))&1 == 1
-			txA, _ := a.Begin("p", Buffered)
-			txB, _ := b.Begin("p", InPlaceUndo)
-			_ = txA.Write(k, Int64Value(int64(o.Val)))
-			_ = txB.Write(k, Int64Value(int64(o.Val)))
-			if doAbort {
-				_ = txA.Abort()
-				_ = txB.Abort()
+			tx, err := s.Begin("p", Buffered)
+			if err != nil {
+				return false
+			}
+			ka, kb := Key([]byte{'k', '0' + o.Keys[0]%4}), Key([]byte{'k', '0' + o.Keys[1]%4})
+			_ = tx.Write(ka, Int64Value(int64(o.Val)))
+			_ = tx.Write(kb, Int64Value(-int64(o.Val)))
+			if (abortMask>>(uint(i)%8))&1 == 1 {
+				if tx.Abort() != nil {
+					return false
+				}
 				continue
 			}
-			idx++
-			if txA.Commit(idx) != nil || txB.Commit(idx) != nil {
+			if tx.Commit(int64(len(snaps)+1)) != nil {
+				return false
+			}
+			model[ka] = int64(o.Val)
+			model[kb] = -int64(o.Val)
+			snaps = append(snaps, maps.Clone(model))
+		}
+		keys := slices.Sorted(maps.Keys(model))
+		if !slices.Equal(s.Keys("p"), keys) {
+			return false
+		}
+		for _, k := range keys {
+			if v, ok := s.Get("p", k); !ok || ValueInt64(v) != model[k] {
 				return false
 			}
 		}
-		return a.Digest() == b.Digest()
+		for i, snap := range snaps {
+			for _, k := range keys {
+				v, ok := s.SnapshotRead("p", k, int64(i+1))
+				want, exists := snap[k]
+				if ok != exists || ok && ValueInt64(v) != want {
+					return false
+				}
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
