@@ -33,10 +33,7 @@ func main() {
 }
 
 func run() error {
-	cluster, err := otpdb.NewCluster(
-		otpdb.WithReplicas(sites),
-		otpdb.WithConsensusRoundTimeout(50*time.Millisecond),
-	)
+	cluster, err := otpdb.NewCluster(otpdb.WithReplicas(sites))
 	if err != nil {
 		return err
 	}

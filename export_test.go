@@ -1,6 +1,29 @@
 package otpdb
 
-import "otpdb/internal/shard"
+import (
+	"time"
+
+	"otpdb/internal/shard"
+)
+
+// WithConsensusRoundTimeout replaces the 100 ms consensus round timeout:
+// lower values recover faster from a crashed coordinator at the cost of
+// spurious rounds.
+func WithConsensusRoundTimeout(d time.Duration) Option {
+	return func(c *config) { c.roundTimeout = d }
+}
+
+// WithCrossShardTimeouts replaces the cross-shard protocol's timeouts
+// (3s and 5s): vote bounds a coordinator's wait for every shard's prepare
+// vote before it proposes abort, and resolve is how long an orphaned
+// prepare may block before the resolver presumes its coordinator dead
+// (resolve must exceed vote).
+func WithCrossShardTimeouts(vote, resolve time.Duration) Option {
+	return func(c *config) {
+		c.voteTimeout = vote
+		c.resolveAfter = resolve
+	}
+}
 
 // Test hooks on the cross-shard coordinator (crash-point injection).
 // Install after Start and before submitting cross-shard transactions.

@@ -205,11 +205,9 @@ type Config struct {
 	Suspector fd.Suspector
 	// RoundTimeout bounds how long a process waits for a round to decide
 	// before entering the next one, in addition to failure-detector
-	// suspicion. Defaults to 100 ms.
+	// suspicion. Defaults to 100 ms. Deadlines are checked ticksPerRound
+	// times per RoundTimeout.
 	RoundTimeout time.Duration
-	// TickEvery is the deadline-check granularity. Defaults to
-	// RoundTimeout/4.
-	TickEvery time.Duration
 	// CatchUpFrom, when positive, makes the engine broadcast a decision
 	// retransmission request for instances >= CatchUpFrom as soon as it
 	// starts — the rejoin path of a restarted site. Decisions made at
@@ -315,6 +313,10 @@ type Engine struct {
 // state transfer anyway.
 const decisionHorizon = 64 << 10
 
+// ticksPerRound is how many times per RoundTimeout the deadline timer
+// fires: the granularity of round deadlines.
+const ticksPerRound = 4
+
 // decChunk is the number of slots the decision ring grows by.
 const decChunk = 1024
 
@@ -419,9 +421,6 @@ func New(cfg Config) *Engine {
 	if cfg.RoundTimeout <= 0 {
 		cfg.RoundTimeout = 100 * time.Millisecond
 	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = cfg.RoundTimeout / 4
-	}
 	epoch, members := cfg.View.Snapshot()
 	e := &Engine{
 		ep:         cfg.Endpoint,
@@ -429,7 +428,7 @@ func New(cfg Config) *Engine {
 		susp:       cfg.Suspector,
 		view:       cfg.View,
 		timeout:    cfg.RoundTimeout,
-		tickEvery:  cfg.TickEvery,
+		tickEvery:  cfg.RoundTimeout / ticksPerRound,
 		catchUp:    cfg.CatchUpFrom,
 		epoch:      epoch,
 		decisions:  queue.New[Decision](),

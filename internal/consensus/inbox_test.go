@@ -121,7 +121,7 @@ func TestInboxNoTimerAfterStop(t *testing.T) {
 	h := transport.NewHub(1)
 	defer h.Close()
 	const tick = 2 * time.Millisecond
-	e := New(Config{Endpoint: h.Endpoint(0), RoundTimeout: 4 * tick, TickEvery: tick})
+	e := New(Config{Endpoint: h.Endpoint(0), RoundTimeout: ticksPerRound * tick})
 	e.Start()
 	if err := e.Propose(1, "v"); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestInboxDeadlinesCountTicks(t *testing.T) {
 	const tick = 5 * time.Millisecond
 	engines := make([]*Engine, 3)
 	for i := 1; i < 3; i++ {
-		engines[i] = New(Config{Endpoint: h.Endpoint(transport.NodeID(i)), RoundTimeout: 4 * tick, TickEvery: tick})
+		engines[i] = New(Config{Endpoint: h.Endpoint(transport.NodeID(i)), RoundTimeout: ticksPerRound * tick})
 		engines[i].Start()
 		defer engines[i].Stop()
 	}

@@ -103,12 +103,6 @@ type Config struct {
 	Queries QueryMode
 	// History, when non-nil, receives commit and query observations.
 	History HistorySink
-	// PruneInterval is the number of local commits between version-prune
-	// passes: every interval the store's watermark advances to the oldest
-	// active query snapshot (or the last TO index when no query is
-	// active) and versions below it are discarded. 0 selects the default
-	// (1024); negative disables pruning.
-	PruneInterval int
 	// Durability, when non-nil, makes the replica durable: every
 	// definitive commit is appended to the write-ahead log before the
 	// submitting client is acknowledged, and a checkpoint is taken every
@@ -152,9 +146,11 @@ type Config struct {
 	Shard int
 }
 
-// defaultPruneInterval is the commit count between prune passes when
-// Config.PruneInterval is 0.
-const defaultPruneInterval = 1024
+// commitsPerPrune is the number of local commits between version-prune
+// passes: at each, the store's watermark advances to the oldest active
+// query snapshot (or the last TO index when no query is active) and
+// versions below it are discarded.
+const commitsPerPrune = 1024
 
 // Replica is one site of the replicated database.
 type Replica struct {
@@ -207,7 +203,7 @@ type Replica struct {
 	// still read; every pruneEvery commits the store's watermark advances
 	// to the oldest pinned snapshot (or lastTO when none is active).
 	activeSnaps map[int64]int // qIndex -> active query count
-	pruneEvery  int           // <=0 disables
+	pruneEvery  int           // commitsPerPrune; in-package tests lower it
 	sincePrune  int
 
 	// Durability: every commit is WAL-logged by the executor before the
@@ -248,10 +244,6 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Queries == 0 {
 		cfg.Queries = SnapshotQueries
 	}
-	pruneEvery := cfg.PruneInterval
-	if pruneEvery == 0 {
-		pruneEvery = defaultPruneInterval
-	}
 	r := &Replica{
 		id:          cfg.ID,
 		bcast:       cfg.Broadcast,
@@ -270,7 +262,7 @@ func New(cfg Config) (*Replica, error) {
 		waiters:     make(map[abcast.MsgID]func(CommitResult)),
 		classLast:   make(map[sproc.ClassID]int64),
 		activeSnaps: make(map[int64]int),
-		pruneEvery:  pruneEvery,
+		pruneEvery:  commitsPerPrune,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -559,12 +551,10 @@ func (r *Replica) onCommit(tx *otp.MultiTxn) {
 	r.commits++
 	r.commitCond.Broadcast()
 	horizon := int64(0)
-	if r.pruneEvery > 0 {
-		r.sincePrune++
-		if r.sincePrune >= r.pruneEvery {
-			r.sincePrune = 0
-			horizon = r.pruneHorizonLocked()
-		}
+	r.sincePrune++
+	if r.sincePrune >= r.pruneEvery {
+		r.sincePrune = 0
+		horizon = r.pruneHorizonLocked()
 	}
 	ckpt := false
 	if r.dur != nil && r.ckptEvery > 0 && !r.stopped {
@@ -615,45 +605,24 @@ func (r *Replica) backgroundCheckpoint() {
 }
 
 // Checkpoint captures a consistent snapshot of the committed state at
-// this replica's current definitive index: it waits (exactly as a
-// Section 5 query would) until every transaction at or below that index
-// has committed locally, pins the index against version pruning, and
-// serializes the per-key state. The same snapshot serves cold-restart
-// checkpoints and live replica catch-up (Cluster.RestartSite streams it
-// to the rejoining site).
+// this replica's current definitive index: it is a query snapshot
+// (BeginSnap), pinned against version pruning until it returns, that
+// waits for every class as a Section 5 read would and then serializes
+// the per-key state. The same snapshot serves cold-restart checkpoints
+// and live replica catch-up (Cluster.RestartSite streams it to the
+// rejoining site).
 func (r *Replica) Checkpoint(ctx context.Context) (*storage.Checkpoint, error) {
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		return nil, ErrStopped
+	snap, err := r.BeginSnap(ctx)
+	if err != nil {
+		return nil, err
 	}
-	q := r.lastTO
-	targets := make(map[sproc.ClassID]int64, len(r.classLast))
-	for c, idx := range r.classLast {
-		targets[c] = idx
-	}
-	// Pin the snapshot against pruning, exactly as queries do.
-	r.activeSnaps[q]++
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		if r.activeSnaps[q] <= 1 {
-			delete(r.activeSnaps, q)
-		} else {
-			r.activeSnaps[q]--
-		}
-		r.mu.Unlock()
-	}()
+	defer snap.Close()
 	for _, p := range r.store.Partitions() {
-		target := targets[sproc.ClassID(p)]
-		if target > q {
-			target = q
-		}
-		if err := r.waitCommitted(ctx, p, target); err != nil {
+		if err := snap.wait(p); err != nil {
 			return nil, err
 		}
 	}
-	return r.store.CheckpointAt(q), nil
+	return r.store.CheckpointAt(snap.qIndex), nil
 }
 
 // pruneHorizonLocked computes the oldest snapshot index still reachable:
@@ -904,13 +873,7 @@ func (s *QuerySnap) Read(class sproc.ClassID, key storage.Key) (storage.Value, b
 		s.note(class, key, ver)
 		return v, ok
 	}
-	// Section 5: wait until the last TO-delivered transaction of this
-	// class with index <= qIndex has committed, then read its version.
-	target := s.targets[class]
-	if target > s.qIndex {
-		target = s.qIndex
-	}
-	if err := s.r.waitCommitted(s.ctx, part, target); err != nil {
+	if err := s.wait(part); err != nil {
 		s.err = err
 		return nil, false
 	}
@@ -924,6 +887,12 @@ func (s *QuerySnap) Read(class sproc.ClassID, key storage.Key) (storage.Value, b
 	}
 	s.note(class, key, ver)
 	return v, ok
+}
+
+// wait is Section 5's rule for one class: it returns once the last
+// transaction of the class TO-delivered at or below qIndex has committed.
+func (s *QuerySnap) wait(part storage.Partition) error {
+	return s.r.waitCommitted(s.ctx, part, min(s.targets[sproc.ClassID(part)], s.qIndex))
 }
 
 // note keeps one read for Record, when there is a sink to record to.
@@ -972,5 +941,4 @@ func (r *Replica) waitCommitted(ctx context.Context, part storage.Partition, tar
 // the TCP transport.
 func RegisterWire() {
 	sproc.RegisterWire()
-	transport.Register([]storage.Value(nil))
 }

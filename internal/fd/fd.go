@@ -75,13 +75,17 @@ var _ Suspector = StaticSuspector{}
 // Suspected implements Suspector.
 func (s StaticSuspector) Suspected(n transport.NodeID) bool { return s[n] }
 
+// timeoutIntervals is how many heartbeat periods of silence make a node
+// suspected.
+const timeoutIntervals = 4
+
 // Config parameterises a Detector.
 type Config struct {
-	// Interval is the heartbeat period. Defaults to 25 ms.
+	// Interval is the heartbeat period. Defaults to 25 ms. A node silent
+	// for timeoutIntervals periods is suspected.
 	Interval time.Duration
-	// Timeout is the silence threshold after which a node is suspected.
-	// Defaults to 4x Interval.
-	Timeout time.Duration
+	// timeout overrides that silence threshold; in-package tests only.
+	timeout time.Duration
 	// Incarnation, when non-zero, overrides the clock-derived process
 	// incarnation stamped on heartbeats. Durable deployments pass a
 	// transport.PersistentIncarnation so a clock stepping backwards
@@ -133,8 +137,8 @@ func New(ep transport.Endpoint, cfg Config) *Detector {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 25 * time.Millisecond
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 4 * cfg.Interval
+	if cfg.timeout <= 0 {
+		cfg.timeout = timeoutIntervals * cfg.Interval
 	}
 	if cfg.Incarnation == 0 {
 		cfg.Incarnation = uint64(time.Now().UnixNano())
@@ -142,7 +146,7 @@ func New(ep transport.Endpoint, cfg Config) *Detector {
 	return &Detector{
 		ep:           ep,
 		interval:     cfg.Interval,
-		timeout:      cfg.Timeout,
+		timeout:      cfg.timeout,
 		inc:          cfg.Incarnation,
 		events:       cfg.Events,
 		lastSeen:     make(map[transport.NodeID]time.Time),

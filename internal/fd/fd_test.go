@@ -37,7 +37,7 @@ func eventually(t *testing.T, timeout time.Duration, cond func() bool, msg strin
 func TestNoFalseSuspicionWhenAllAlive(t *testing.T) {
 	h := transport.NewHub(3)
 	defer h.Close()
-	ds := startDetectors(t, h, 3, Config{Interval: 5 * time.Millisecond, Timeout: time.Minute})
+	ds := startDetectors(t, h, 3, Config{Interval: 5 * time.Millisecond, timeout: time.Minute})
 	testutil.Consistently(t, 250*time.Millisecond, func() {
 		for i, d := range ds {
 			for j := 0; j < 3; j++ {

@@ -33,7 +33,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"otpdb/internal/metrics"
 	"otpdb/internal/storage"
@@ -50,10 +49,6 @@ const (
 type Options struct {
 	// Sync is the WAL fsync policy (default wal.SyncGrouped).
 	Sync wal.SyncPolicy
-	// GroupInterval is the grouped-fsync period (default 2 ms).
-	GroupInterval time.Duration
-	// SegmentBytes caps WAL segments (default 4 MiB).
-	SegmentBytes int64
 	// CheckpointEvery is the number of commits between checkpoints
 	// (default 4096; negative disables periodic checkpoints).
 	CheckpointEvery int
@@ -90,12 +85,7 @@ func Open(dir string, opts Options) (*Durability, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	log, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
-		SegmentBytes:  opts.SegmentBytes,
-		Sync:          opts.Sync,
-		GroupInterval: opts.GroupInterval,
-		Metrics:       opts.Metrics,
-	})
+	log, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{Sync: opts.Sync, Metrics: opts.Metrics})
 	if err != nil {
 		return nil, err
 	}

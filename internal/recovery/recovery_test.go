@@ -15,12 +15,24 @@ func write(idx int64, key string, val int64) wal.Record {
 	}}}
 }
 
-// buildState commits 1..n into a fresh store and the durability log.
-func buildState(t *testing.T, d *Durability, n int64) *storage.Store {
+// segmentFill is the value padding at which about 31 records fill a 4 MiB
+// WAL segment, so a test of a hundred commits spans four segments.
+const segmentFill = 128 << 10
+
+// padded returns rec with pad zero bytes appended to its one value, which
+// still decodes to the same int64.
+func padded(rec wal.Record, pad int) wal.Record {
+	rec.Writes[0].Value = append(rec.Writes[0].Value, make([]byte, pad)...)
+	return rec
+}
+
+// buildState commits 1..n into a fresh store and the durability log, each
+// value padded by pad bytes.
+func buildState(t *testing.T, d *Durability, n int64, pad int) *storage.Store {
 	t.Helper()
 	s := storage.NewStore()
 	for i := int64(1); i <= n; i++ {
-		rec := write(i, "k", i)
+		rec := padded(write(i, "k", i), pad)
 		if err := d.Append(rec); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
@@ -35,7 +47,7 @@ func TestRecoverLogOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := buildState(t, d, 100)
+	live := buildState(t, d, 100, 0)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +112,22 @@ func TestRecoverStopsAtLogHole(t *testing.T) {
 
 func TestRecoverCheckpointPlusTail(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Sync: wal.SyncNever, SegmentBytes: 512})
+	d, err := Open(dir, Options{Sync: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := buildState(t, d, 60)
+	// Padded so that the checkpoint deletes the first segment: recovery
+	// cannot succeed from the log alone.
+	live := buildState(t, d, 60, segmentFill)
 	// Checkpoint at 60, then 40 more commits land in the tail.
 	if !d.TryBeginCheckpoint() {
 		t.Fatal("checkpoint slot busy")
 	}
 	if err := d.Checkpoint(live.CheckpointAt(60)); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, walSubdir, "wal-*.seg")); len(segs) != 1 {
+		t.Fatalf("%d WAL segments after the checkpoint, want 1", len(segs))
 	}
 	for i := int64(61); i <= 100; i++ {
 		rec := write(i, "k", i)
@@ -150,7 +167,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := buildState(t, d, 50)
+	live := buildState(t, d, 50, 0)
 	// Two checkpoints: 30 (valid) and 50 (to be corrupted). Keep the WAL
 	// intact so the tail above 30 replays. pruneCheckpoints would delete
 	// the older file, so save both manually.
@@ -198,11 +215,11 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 
 func TestCheckpointBoundsReplayAndPrunes(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Sync: wal.SyncNever, SegmentBytes: 256})
+	d, err := Open(dir, Options{Sync: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := buildState(t, d, 100)
+	live := buildState(t, d, 100, segmentFill)
 	if !d.TryBeginCheckpoint() {
 		t.Fatal("slot busy")
 	}

@@ -23,6 +23,10 @@ var (
 	errCrashed = errors.New("shard: coordinator crashed (test hook)")
 )
 
+// maxAttempts bounds commit attempts (each with a fresh XID and a
+// re-executed phase 0) before Exec gives up with ErrAborted.
+const maxAttempts = 8
+
 // CoordConfig parameterises a Coordinator.
 type CoordConfig struct {
 	// VoteTimeout bounds the wait for every shard's prepare vote before
@@ -30,10 +34,6 @@ type CoordConfig struct {
 	// ResolveAfter so a live coordinator always decides before the
 	// resolver presumes it dead. Defaults to 3s.
 	VoteTimeout time.Duration
-	// MaxRetries bounds commit attempts (each with a fresh XID and
-	// re-executed phase 0) before giving up with ErrAborted. Defaults
-	// to 8.
-	MaxRetries int
 	// Metrics, when non-nil, registers coordinator telemetry (vote
 	// latency, cross-shard commits/aborts/retries) under the scope's
 	// labels.
@@ -87,9 +87,6 @@ func NewCoordinator(h *Hub, m *Map, reg *sproc.Registry, cfg CoordConfig) *Coord
 	if cfg.VoteTimeout <= 0 {
 		cfg.VoteTimeout = 3 * time.Second
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 8
-	}
 	return &Coordinator{
 		hub: h, m: m, reg: reg, cfg: cfg,
 		voteLat:      cfg.Metrics.Histogram("shard_vote_seconds"),
@@ -123,7 +120,7 @@ func (c *Coordinator) Exec(ctx context.Context, proc string, args ...storage.Val
 	}
 	c.cspan(trace, metrics.SpanXSubmit, proc)
 	var lastErr error = ErrAborted
-	for attempt := 0; attempt < c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		res, err := c.tryOnce(ctx, mu, split, args, trace)
 		if err == nil {
 			res.Outcome = classify(attempt > 0, false)

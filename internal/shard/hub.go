@@ -17,6 +17,9 @@ import (
 // record is the durable truth; the cache only short-circuits lookups.
 const decisionCacheCap = 4096
 
+// resolveTick is the resolver's scan period.
+const resolveTick = 200 * time.Millisecond
+
 // Config parameterises a Hub.
 type Config struct {
 	// Origin is this process's node identity, stamped into XIDs.
@@ -27,10 +30,8 @@ type Config struct {
 	// presumes its coordinator dead and proposes abort at the home
 	// shard. It MUST exceed the coordinators' VoteTimeout, or the
 	// resolver aborts transactions their live coordinator is still
-	// driving. Defaults to 5s.
+	// driving. Defaults to 5s. The resolver scans every resolveTick.
 	ResolveAfter time.Duration
-	// ResolveTick is the resolver's scan period. Defaults to 200ms.
-	ResolveTick time.Duration
 	// Metrics, when non-nil, registers hub telemetry (presumed-abort
 	// resolutions) under the scope's labels.
 	Metrics *metrics.Scope
@@ -63,7 +64,6 @@ type Hub struct {
 	origin       transport.NodeID
 	inc          uint64
 	resolveAfter time.Duration
-	resolveTick  time.Duration
 
 	// presumedAborts counts resolver-initiated abort proposals for
 	// prepares whose coordinator was presumed crashed.
@@ -91,9 +91,6 @@ func NewHub(cfg Config) *Hub {
 	if cfg.ResolveAfter <= 0 {
 		cfg.ResolveAfter = 5 * time.Second
 	}
-	if cfg.ResolveTick <= 0 {
-		cfg.ResolveTick = 200 * time.Millisecond
-	}
 	if cfg.Incarnation == 0 {
 		cfg.Incarnation = uint64(time.Now().UnixNano())
 	}
@@ -101,7 +98,6 @@ func NewHub(cfg Config) *Hub {
 		origin:         cfg.Origin,
 		inc:            cfg.Incarnation,
 		resolveAfter:   cfg.ResolveAfter,
-		resolveTick:    cfg.ResolveTick,
 		presumedAborts: cfg.Metrics.Counter("shard_presumed_abort_total"),
 		attached:       make(map[int][]func() *db.Replica),
 		votes:          make(map[XID]map[int]bool),
@@ -484,7 +480,7 @@ func (h *Hub) runDecide(ctx sproc.UpdateCtx) (storage.Value, error) {
 // verdict wins everywhere.
 func (h *Hub) resolver() {
 	defer close(h.done)
-	ticker := time.NewTicker(h.resolveTick)
+	ticker := time.NewTicker(resolveTick)
 	defer ticker.Stop()
 	for {
 		select {

@@ -35,14 +35,11 @@ import (
 )
 
 // The join policy, one for every deployment: donors the failure detector
-// does not suspect are asked first, each donor gets probeTimeout to
-// answer the negotiation, and the donor list is walked probeRounds
+// does not suspect are asked first, each donor gets statex's negotiation
+// timeout (3 s) to answer, and the donor list is walked probeRounds
 // times — the second round catches a staggered restart where the first
 // raced the donors' own start-up.
-const (
-	probeRounds  = 2
-	probeTimeout = 3 * time.Second
-)
+const probeRounds = 2
 
 // Config describes one site. Every field is a value some lower layer
 // already takes; the site only routes it there.
@@ -75,7 +72,7 @@ type Config struct {
 	// keeps the engine's default.
 	DefLogCap int
 	// Replica is the template of the replica's configuration. Registry,
-	// Queries, History, PruneInterval, CommitDelay, Trace and Shard pass
+	// Queries, History, CommitDelay, Trace and Shard pass
 	// through; the site sets the rest (identity, broadcast, store,
 	// durability, resume index, metrics and the membership hook).
 	Replica db.Config
@@ -250,9 +247,8 @@ func (s *Site) fetch(ctx context.Context, donors []transport.NodeID, required bo
 	var err error
 	for round := 0; round < probeRounds; round++ {
 		xfer, err = statex.Fetch(ctx, s.cfg.Endpoint, s.Base, s.donorOrder(donors), statex.Options{
-			RespTimeout: probeTimeout,
-			Metrics:     s.cfg.Metrics,
-			Events:      s.cfg.Events,
+			Metrics: s.cfg.Metrics,
+			Events:  s.cfg.Events,
 		})
 		if err == nil || ctx.Err() != nil {
 			break

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -267,46 +266,6 @@ func (r *Registry) Query(name string) (Query, error) {
 		return Query{}, fmt.Errorf("%w: %s", ErrUnknownProc, name)
 	}
 	return q, nil
-}
-
-// UpdateNames lists registered update procedures in sorted order.
-func (r *Registry) UpdateNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.updates))
-	for n := range r.updates {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// QueryNames lists registered queries in sorted order.
-func (r *Registry) QueryNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.queries))
-	for n := range r.queries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Classes lists the distinct conflict classes of all update procedures.
-func (r *Registry) Classes() []ClassID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	set := make(map[ClassID]bool)
-	for _, u := range r.updates {
-		set[u.Class] = true
-	}
-	out := make([]ClassID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Request is the broadcast payload of an update transaction: the

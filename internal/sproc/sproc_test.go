@@ -67,25 +67,3 @@ func TestValidationRejectsIncomplete(t *testing.T) {
 		t.Fatal("bodyless query accepted")
 	}
 }
-
-func TestNamesAndClassesSorted(t *testing.T) {
-	r := NewRegistry()
-	_ = r.RegisterUpdate(Update{Name: "b", Class: "z", Fn: noopUpdate})
-	_ = r.RegisterUpdate(Update{Name: "a", Class: "y", Fn: noopUpdate})
-	_ = r.RegisterUpdate(Update{Name: "c", Class: "y", Fn: noopUpdate})
-	_ = r.RegisterQuery(Query{Name: "q2", Fn: noopQuery})
-	_ = r.RegisterQuery(Query{Name: "q1", Fn: noopQuery})
-
-	names := r.UpdateNames()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("update names = %v", names)
-	}
-	qnames := r.QueryNames()
-	if len(qnames) != 2 || qnames[0] != "q1" {
-		t.Fatalf("query names = %v", qnames)
-	}
-	classes := r.Classes()
-	if len(classes) != 2 || classes[0] != "y" || classes[1] != "z" {
-		t.Fatalf("classes = %v", classes)
-	}
-}

@@ -44,7 +44,7 @@ func TestFetchReorderedStreamAssembles(t *testing.T) {
 	}, make(chan uint64, 1))
 
 	xfer, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
+		Options{respTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFetchTruncatedStreamRejected(t *testing.T) {
 	}, make(chan uint64, 1))
 
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, chunkTimeout: 300 * time.Millisecond})
+		Options{respTimeout: 2 * time.Second, chunkTimeout: 300 * time.Millisecond})
 	if err == nil {
 		t.Fatal("truncated stream was accepted")
 	}

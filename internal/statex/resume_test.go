@@ -15,7 +15,7 @@ import (
 
 // resumeOpts keeps failover fast: the first donor's silence is detected
 // on the chunk timeout.
-var resumeOpts = Options{RespTimeout: 2 * time.Second, chunkTimeout: 200 * time.Millisecond}
+var resumeOpts = Options{respTimeout: 2 * time.Second, chunkTimeout: 200 * time.Millisecond}
 
 // TestFetchResumesTailAcrossFailover: donor 1 dies mid-tail after four
 // verified entries; the failover JoinReq advertises those entries, so

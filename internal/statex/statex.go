@@ -219,9 +219,9 @@ type Transfer struct {
 
 // Options tunes the client side of a transfer.
 type Options struct {
-	// RespTimeout bounds the wait for the donor's JoinResp (default 5s).
-	// This is also the price of probing a dead donor, so keep it short.
-	RespTimeout time.Duration
+	// respTimeout bounds the wait for the donor's JoinResp (default
+	// negotiationTimeout); in-package tests lower it.
+	respTimeout time.Duration
 	// chunkTimeout bounds the silence between stream messages after the
 	// JoinResp (default 45s). It must exceed the donor's checkpoint-
 	// capture deadline (Server.ckptTimeout, 30s), which is the longest
@@ -255,9 +255,13 @@ func newXferMetrics(s *metrics.Scope) xferMetrics {
 	}
 }
 
+// negotiationTimeout is how long a joiner waits for a donor's JoinResp. It is
+// also the price of probing a dead donor, so it is short.
+const negotiationTimeout = 3 * time.Second
+
 func (o Options) withDefaults() Options {
-	if o.RespTimeout <= 0 {
-		o.RespTimeout = 5 * time.Second
+	if o.respTimeout <= 0 {
+		o.respTimeout = negotiationTimeout
 	}
 	if o.chunkTimeout <= 0 {
 		o.chunkTimeout = 45 * time.Second
@@ -405,7 +409,7 @@ func fetchFrom(ctx context.Context, ep transport.Endpoint, sub <-chan transport.
 
 	st := &attempt{donor: donor, prog: prog, from: from, advFrom: advFrom, m: xm}
 	defer st.salvage()
-	wait := opts.RespTimeout
+	wait := opts.respTimeout
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for {

@@ -192,7 +192,7 @@ func TestFetchFailoverOnTruncatedStream(t *testing.T) {
 	defer donor2.Stop()
 
 	xfer, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1, 2},
-		Options{RespTimeout: time.Second, chunkTimeout: 150 * time.Millisecond})
+		Options{respTimeout: time.Second, chunkTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestFetchFailoverOnCorruptChunk(t *testing.T) {
 
 	start := time.Now()
 	xfer, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1, 2},
-		Options{RespTimeout: 5 * time.Second, chunkTimeout: 5 * time.Second})
+		Options{respTimeout: 5 * time.Second, chunkTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestFetchCorruptChunkErrorSurfaces(t *testing.T) {
 		})
 	}, make(chan uint64, 1))
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
+		Options{respTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("err = %v, want CRC mismatch", err)
 	}
@@ -267,7 +267,7 @@ func TestFetchBacklogGapRejected(t *testing.T) {
 		_ = ep.Send(joiner, StreamXfer, Done{Xfer: req.Xfer, StartStage: 2, Chunks: 1, Frontier: 3})
 	}, make(chan uint64, 1))
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
+		Options{respTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "backlog gap") {
 		t.Fatalf("err = %v, want backlog gap", err)
 	}
@@ -289,7 +289,7 @@ func TestServerBoundsCheckpointPin(t *testing.T) {
 	defer donor.Stop()
 
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
+		Options{respTimeout: 2 * time.Second, chunkTimeout: 2 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "donor aborted") {
 		t.Fatalf("err = %v, want donor aborted", err)
 	}
@@ -323,7 +323,7 @@ func TestAbortCancelsDonorCheckpoint(t *testing.T) {
 	defer donor.Stop()
 
 	_, err := Fetch(context.Background(), hub.Endpoint(0), 0, []transport.NodeID{1},
-		Options{RespTimeout: 2 * time.Second, chunkTimeout: 100 * time.Millisecond})
+		Options{respTimeout: 2 * time.Second, chunkTimeout: 100 * time.Millisecond})
 	if err == nil {
 		t.Fatal("fetch against a wedged donor succeeded")
 	}

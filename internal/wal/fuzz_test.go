@@ -41,7 +41,7 @@ type fuzzLog struct {
 
 func buildFuzzLog(f *testing.F, recs []Record) fuzzLog {
 	dir := f.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentBytes: 160})
+	l, err := Open(dir, Options{Sync: SyncNever, segmentBytes: 160})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -65,7 +65,7 @@ const (
 	// SyncEveryCommit fsyncs before Append returns: an acknowledged
 	// commit is durable against machine crashes.
 	SyncEveryCommit SyncPolicy = iota + 1
-	// SyncGrouped fsyncs on a background timer (GroupInterval): commits
+	// SyncGrouped fsyncs on a background timer (every 2 ms): commits
 	// acknowledged within the last interval may be lost on a machine
 	// crash, never on a process crash.
 	SyncGrouped
@@ -111,30 +111,34 @@ type Record struct {
 
 // Options configures a Log.
 type Options struct {
-	// SegmentBytes caps a segment file before rotation (default 4 MiB).
-	SegmentBytes int64
 	// Sync is the fsync policy (default SyncGrouped).
 	Sync SyncPolicy
-	// GroupInterval is the SyncGrouped flush period (default 2 ms).
-	GroupInterval time.Duration
 	// Metrics, when non-nil, registers the log's runtime telemetry
 	// (fsync latency, appends, segment rotations) under the scope's
 	// labels.
 	Metrics *metrics.Scope
+
+	// segmentBytes, when positive, replaces the 4 MiB segment cap; set by
+	// in-package tests only.
+	segmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = segmentCap
 	}
 	if o.Sync == 0 {
 		o.Sync = SyncGrouped
 	}
-	if o.GroupInterval <= 0 {
-		o.GroupInterval = 2 * time.Millisecond
-	}
 	return o
 }
+
+const (
+	// segmentCap caps a segment file before rotation.
+	segmentCap = 4 << 20
+	// groupInterval is the SyncGrouped flush period.
+	groupInterval = 2 * time.Millisecond
+)
 
 const (
 	segPrefix  = "wal-"
@@ -332,7 +336,7 @@ func (l *Log) Append(rec Record) error {
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
-	if l.size+int64(len(buf)) > l.opts.SegmentBytes && l.size > headerSize {
+	if l.size+int64(len(buf)) > l.opts.segmentBytes && l.size > headerSize {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -376,7 +380,7 @@ func (l *Log) syncLocked() error {
 // groupFlusher is the SyncGrouped background fsync loop.
 func (l *Log) groupFlusher() {
 	defer close(l.groupDone)
-	t := time.NewTicker(l.opts.GroupInterval)
+	t := time.NewTicker(groupInterval)
 	defer t.Stop()
 	for {
 		select {

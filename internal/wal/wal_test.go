@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"otpdb/internal/storage"
 )
@@ -164,7 +163,7 @@ func TestCorruptCRCTruncated(t *testing.T) {
 func TestSegmentRotationAndTruncateBelow(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every few records.
-	l := openT(t, dir, Options{Sync: SyncNever, SegmentBytes: 256})
+	l := openT(t, dir, Options{Sync: SyncNever, segmentBytes: 256})
 	appendN(t, l, 1, 200)
 	segs, err := l.segments()
 	if err != nil {
@@ -245,7 +244,7 @@ func TestDirtyReopenSeesEverythingWritten(t *testing.T) {
 
 func TestGroupSyncPolicy(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, dir, Options{Sync: SyncGrouped, GroupInterval: time.Millisecond})
+	l := openT(t, dir, Options{Sync: SyncGrouped})
 	appendN(t, l, 1, 100)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -263,7 +262,7 @@ func TestOutOfOrderAppendsKeepSegmentOrder(t *testing.T) {
 	// append order — otherwise replay reorders and TruncateBelow can
 	// delete the active segment.
 	dir := t.TempDir()
-	l := openT(t, dir, Options{Sync: SyncNever, SegmentBytes: 160})
+	l := openT(t, dir, Options{Sync: SyncNever, segmentBytes: 160})
 	order := []int64{10, 11, 2, 12, 3, 13, 14, 4, 15}
 	for _, idx := range order {
 		if err := l.Append(rec(idx, "p", "k", idx)); err != nil {

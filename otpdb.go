@@ -182,13 +182,13 @@ type config struct {
 	seed         int64
 	ordering     Ordering
 	queryMode    db.QueryMode
-	roundTimeout time.Duration
+	roundTimeout time.Duration // 100 ms; tests lower it (export_test.go)
 	recordHist   bool
 	durDir       string
 	syncPolicy   SyncPolicy
 	ckptEvery    int
 	defLogCap    int
-	voteTimeout  time.Duration
+	voteTimeout  time.Duration // 0: shard's defaults; tests lower both
 	resolveAfter time.Duration
 	commitDelay  time.Duration
 	autoReplace  bool
@@ -236,13 +236,6 @@ func WithDirtyQueries() Option {
 // WithHistoryRecording enables recording of commits and query reads so
 // CheckHistory can verify 1-copy-serializability after a run.
 func WithHistoryRecording() Option { return func(c *config) { c.recordHist = true } }
-
-// WithConsensusRoundTimeout tunes the consensus coordinator timeout
-// (default 100 ms; lower values recover faster from crashed coordinators
-// at the cost of spurious rounds).
-func WithConsensusRoundTimeout(d time.Duration) Option {
-	return func(c *config) { c.roundTimeout = d }
-}
 
 // WithDurability makes every replica durable under dir (one
 // subdirectory per site, or per shard and site with WithShards):
@@ -342,18 +335,6 @@ func WithTraceRing(t *metrics.TraceRing) Option {
 // harness dumps it automatically when an invariant trips.
 func WithEvents(rec *events.Recorder) Option {
 	return func(c *config) { c.events = rec }
-}
-
-// WithCrossShardTimeouts tunes the cross-shard protocol: vote bounds a
-// coordinator's wait for every shard's prepare vote before it proposes
-// abort, and resolve is how long an orphaned prepare may block before
-// the resolver presumes its coordinator dead (resolve must exceed vote).
-// Defaults: 3s and 5s.
-func WithCrossShardTimeouts(vote, resolve time.Duration) Option {
-	return func(c *config) {
-		c.voteTimeout = vote
-		c.resolveAfter = resolve
-	}
 }
 
 // group is one shard's replica group: its own in-memory network and one
@@ -822,21 +803,15 @@ func (c *Cluster) Size() int {
 
 // RecoveredIndex reports the definitive index a durable site resumed at
 // on Start (0 for a fresh or non-durable site). With WithShards this is
-// shard 0's index; see ShardRecoveredIndex.
+// shard 0's index.
 func (c *Cluster) RecoveredIndex(site int) (int64, error) {
-	return c.ShardRecoveredIndex(site, 0)
-}
-
-// ShardRecoveredIndex reports the definitive index one shard of a
-// durable site resumed at on Start.
-func (c *Cluster) ShardRecoveredIndex(site, shardID int) (int64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	grp, err := c.groupLocked(shardID)
+	grp, err := c.groupLocked(0)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := c.replicaLocked(shardID, site); err != nil {
+	if _, err := c.replicaLocked(0, site); err != nil {
 		return 0, err
 	}
 	return grp.sites[site].Base, nil
