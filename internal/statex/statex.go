@@ -25,24 +25,13 @@
 //     no overlap.
 //
 // A transfer is one negotiation with one donor at a time. The client
-// (Fetch) tries donors in order and fails over to the next peer when a
-// transfer dies mid-stream: a silent donor (per-chunk receive timeout),
-// a CRC-corrupt or out-of-sequence chunk, and an explicit donor error
-// all abandon the attempt, send Abort so the donor unpins promptly, and
-// resume with the next donor.
-//
-// Failover resumes rather than restarts: verified progress survives the
-// donor switch. A fully received (CRC-validated, decoded) checkpoint is
-// retained and the next donor is asked only for the range above it, and
-// the verified contiguous prefix of the backlog is kept — the next
-// JoinReq advertises base + received entries, so only the missing range
-// is re-fetched. Definitive entries are identical at every site, which
-// is what makes cross-donor stitching sound. The one thing that cannot
-// resume across donors is a *partial* checkpoint stream: checkpoint
-// bytes are donor-specific encodings (two donors' checkpoints of the
-// same state need not be byte-identical), so chunks from one donor can
-// never be completed by another; an incomplete checkpoint is discarded
-// and the next donor streams its own from chunk 0.
+// (Fetch) tries donors in order: a silent donor (per-chunk receive
+// timeout), a CRC-corrupt or out-of-sequence chunk, and an explicit
+// donor error all abandon the attempt and send Abort so the donor
+// unpins promptly. The next donor starts over — a fresh JoinReq from
+// the joiner's recovered index, nothing kept from the failed attempt —
+// so a returned Transfer is exactly one donor's stream: its checkpoint,
+// backlog and Done all come from that donor's one atomic capture.
 package statex
 
 import (
@@ -287,48 +276,18 @@ func init() {
 
 func nextXferID() uint64 { return xferCounter.Add(1) }
 
-// progress is the verified state retained across donor attempts, so a
-// failover re-fetches only the missing range instead of restarting the
-// transfer from scratch.
-type progress struct {
-	// ck is a fully received and decoded checkpoint from an earlier
-	// attempt (nil when none completed).
-	ck *storage.Checkpoint
-	// entries is the verified contiguous backlog prefix above base():
-	// entries[i].Seq == base()+1+i.
-	entries []abcast.DefEntry
-}
-
-// base is the definitive index the retained state reaches before the
-// backlog prefix: the retained checkpoint's index, or the joiner's own
-// recovered index.
-func (p *progress) base(from int64) int64 {
-	if p.ck != nil {
-		return p.ck.Index
-	}
-	return from
-}
-
-// advertise is the index the next JoinReq carries: everything at or
-// below it is already verified locally.
-func (p *progress) advertise(from int64) int64 {
-	return p.base(from) + int64(len(p.entries))
-}
-
 // Fetch negotiates and downloads a state transfer from the first donor
 // able to serve it, failing over down the donors list when a transfer
 // dies mid-stream. `from` is the definitive index the joiner recovered
-// locally. Verified progress (a completed checkpoint, the contiguous
-// backlog prefix) carries across the failover: later donors are asked
-// only for the missing range. The endpoint must be attached to the
-// cluster transport; no broadcast engine needs to be running yet.
+// locally; every donor is asked from there, so a failover starts the
+// transfer over. The endpoint must be attached to the cluster
+// transport; no broadcast engine needs to be running yet.
 func Fetch(ctx context.Context, ep transport.Endpoint, from int64, donors []transport.NodeID, opts Options) (*Transfer, error) {
 	if len(donors) == 0 {
 		return nil, errors.New("statex: no donors to fetch from")
 	}
 	opts = opts.withDefaults()
 	sub := ep.Subscribe(StreamXfer)
-	prog := &progress{}
 	xm := newXferMetrics(opts.Metrics)
 	failovers := opts.Metrics.Counter("statex_donor_failover_total")
 	site := int(ep.ID())
@@ -341,7 +300,7 @@ func Fetch(ctx context.Context, ep transport.Endpoint, from int64, donors []tran
 			errs = append(errs, err)
 			break
 		}
-		t, err := fetchFrom(ctx, ep, sub, prog, from, donor, opts, xm)
+		t, err := fetchFrom(ctx, ep, sub, from, donor, opts, xm)
 		if err == nil {
 			opts.Events.Record(site, events.KindStatex,
 				"phase", "fetched", "donor", donor.String(),
@@ -360,12 +319,8 @@ func Fetch(ctx context.Context, ep transport.Endpoint, from int64, donors []tran
 // attempt is the receive-side state machine of one transfer attempt.
 type attempt struct {
 	donor transport.NodeID
-	// prog is the cross-attempt verified state; from is the joiner's
-	// original recovered index. advFrom is what this attempt advertised
-	// (prog.advertise(from) at attempt start).
-	prog    *progress
-	from    int64
-	advFrom int64
+	// from is the joiner's recovered index, which this attempt advertised.
+	from int64
 
 	// m counts verified receive-side progress. Always populated via
 	// newXferMetrics (unregistered instruments without a scope).
@@ -389,26 +344,19 @@ type attempt struct {
 	pendCk   map[int]CkptChunk
 	pendTail map[int]TailChunk
 	fin      *Done
-	// succeeded marks an attempt whose Transfer assembled: its progress
-	// went into the result, so the deferred salvage has nothing to do
-	// (and must not re-decode a large checkpoint for nothing).
-	succeeded bool
 }
 
-// fetchFrom runs one attempt against one donor, resuming from the
-// retained progress. On failure, newly verified progress is salvaged
-// into prog before returning.
+// fetchFrom runs one attempt against one donor, from the joiner's
+// recovered index.
 func fetchFrom(ctx context.Context, ep transport.Endpoint, sub <-chan transport.Envelope,
-	prog *progress, from int64, donor transport.NodeID, opts Options, xm xferMetrics) (*Transfer, error) {
+	from int64, donor transport.NodeID, opts Options, xm xferMetrics) (*Transfer, error) {
 	xfer := nextXferID()
-	advFrom := prog.advertise(from)
-	if err := ep.Send(donor, StreamReq, JoinReq{Xfer: xfer, From: advFrom}); err != nil {
+	if err := ep.Send(donor, StreamReq, JoinReq{Xfer: xfer, From: from}); err != nil {
 		return nil, err
 	}
 	abort := func() { _ = ep.Send(donor, StreamReq, Abort{Xfer: xfer}) }
 
-	st := &attempt{donor: donor, prog: prog, from: from, advFrom: advFrom, m: xm}
-	defer st.salvage()
+	st := &attempt{donor: donor, from: from, m: xm}
 	wait := opts.respTimeout
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
@@ -436,11 +384,7 @@ func fetchFrom(ctx context.Context, ep transport.Endpoint, sub <-chan transport.
 			return nil, err
 		}
 		if final {
-			t, aerr := st.assemble(done)
-			if aerr == nil {
-				st.succeeded = true
-			}
-			return t, aerr
+			return st.assemble(done)
 		}
 		if st.gotResp {
 			wait = opts.chunkTimeout
@@ -476,11 +420,11 @@ func (st *attempt) onMessage(msg any, xfer uint64) (Done, bool, error) {
 		st.gotResp = true
 		st.mode = m.Mode
 		if m.Mode == TailOnly {
-			// The tail continues the verified prefix: position advFrom+1
+			// The tail continues the joiner's own state: position from+1
 			// first. In checkpoint mode the start is the (yet unknown)
 			// checkpoint index + 1, pinned when the first entry arrives
 			// and cross-checked against the decoded index in assemble.
-			st.expectSeq = uint64(st.advFrom) + 1
+			st.expectSeq = uint64(st.from) + 1
 		}
 	case CkptChunk:
 		if m.Xfer != xfer || m.Seq < st.ckptSeq {
@@ -529,7 +473,7 @@ func (st *attempt) onMessage(msg any, xfer uint64) (Done, bool, error) {
 
 // drain applies buffered chunks in order as far as contiguity allows.
 // Checkpoint bytes first (their Last flag gates the tail), then tail
-// entries, each verified on apply so salvaged progress is trustworthy.
+// entries, each verified on apply.
 //
 //otp:fenced pendCk/pendTail only hold chunks onMessage admitted after comparing m.Xfer against this attempt's id
 func (st *attempt) drain() error {
@@ -561,8 +505,8 @@ func (st *attempt) drain() error {
 		}
 		delete(st.pendTail, st.tailSeq)
 		st.tailSeq++
-		// Verify contiguity as entries arrive, not at assembly: entries
-		// verified here are salvageable progress if the stream dies.
+		// Verify contiguity as entries arrive, not at assembly: a gap
+		// fails the attempt at the chunk that carries it.
 		for _, ent := range m.Entries {
 			if st.expectSeq == 0 {
 				st.expectSeq = ent.Seq
@@ -578,52 +522,13 @@ func (st *attempt) drain() error {
 	}
 }
 
-// salvage folds this attempt's verified progress into the cross-attempt
-// state so the next donor serves only the missing range. A completed
-// (decoded) checkpoint supersedes everything retained before it; a
-// partial checkpoint stream is discarded (its bytes are donor-specific
-// and cannot be completed by another donor). Tail entries are kept only
-// when they verifiably extend the retained prefix. Runs via defer; a
-// successful attempt skips it — its progress is already in the result,
-// and re-decoding a large checkpoint for nothing would double the
-// joiner's install cost.
-func (st *attempt) salvage() {
-	if st.succeeded {
-		return
-	}
-	switch st.mode {
-	case CheckpointTail:
-		if !st.ckptDone {
-			return
-		}
-		ck, err := recovery.DecodeCheckpoint(st.ckptBuf.Bytes())
-		if err != nil {
-			return
-		}
-		st.prog.ck = ck
-		st.prog.entries = nil
-		if len(st.entries) > 0 && st.entries[0].Seq == uint64(ck.Index)+1 {
-			st.prog.entries = st.entries
-		}
-	case TailOnly:
-		// Verified on receipt to start at advFrom+1, which is exactly
-		// base()+len(prog.entries)+1: a contiguous extension.
-		st.prog.entries = append(st.prog.entries, st.entries...)
-	}
-}
-
-// assemble validates the completed stream and builds the Transfer,
-// stitching retained progress from earlier attempts under this donor's
-// terminal Done.
+// assemble validates the completed stream and builds the Transfer from
+// this donor's checkpoint (if any), backlog and terminal Done.
 //
 //otp:fenced the Done passed in is st.fin, stored by onMessage only after comparing m.Xfer against this attempt's id
 func (st *attempt) assemble(d Done) (*Transfer, error) {
-	t := &Transfer{Mode: st.mode, Donor: st.donor}
-	var entries []abcast.DefEntry
-	switch st.mode {
-	case CheckpointTail:
-		// This donor streamed its own checkpoint; it supersedes any
-		// retained one (its index is at least the advertised from).
+	t := &Transfer{Mode: st.mode, Donor: st.donor, Base: st.from}
+	if st.mode == CheckpointTail {
 		if !st.ckptDone {
 			return nil, errors.New("statex: checkpoint stream truncated")
 		}
@@ -633,17 +538,8 @@ func (st *attempt) assemble(d Done) (*Transfer, error) {
 		}
 		t.Checkpoint = ck
 		t.Base = ck.Index
-		entries = st.entries
-	case TailOnly:
-		// This donor extended the verified prefix; the base (and any
-		// checkpoint) come from the retained progress.
-		t.Checkpoint = st.prog.ck
-		t.Base = st.prog.base(st.from)
-		if t.Checkpoint != nil {
-			t.Mode = CheckpointTail
-		}
-		entries = append(append([]abcast.DefEntry{}, st.prog.entries...), st.entries...)
 	}
+	entries := st.entries
 	for i, ent := range entries {
 		if ent.Seq != uint64(t.Base)+1+uint64(i) {
 			return nil, fmt.Errorf("statex: backlog gap: entry %d has position %d, want %d",

@@ -951,7 +951,9 @@ func (c *Cluster) WaitForCommits(ctx context.Context, n int) error {
 	}
 	// Sharded: poll each live site's definitive indexes summed across
 	// groups (at quiescence every TO delivery has committed exactly
-	// once, so sum(LastTO) counts commits including recovered bases).
+	// once, so sum(LastTO) counts commits including recovered bases),
+	// failing with db.ErrStopped once the cluster stops, as a replica's
+	// WaitCommits does.
 	type siteReps struct{ reps []*db.Replica }
 	var sites []siteReps
 	for i := range c.groups[0].sites {
@@ -967,6 +969,12 @@ func (c *Cluster) WaitForCommits(ctx context.Context, n int) error {
 	c.mu.RUnlock()
 	for _, sr := range sites {
 		for {
+			c.mu.RLock()
+			stopped := c.stopped
+			c.mu.RUnlock()
+			if stopped {
+				return db.ErrStopped
+			}
 			var total int64
 			pending := 0
 			for _, rep := range sr.reps {

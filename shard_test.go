@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"otpdb"
+	"otpdb/internal/db"
 	"otpdb/internal/testutil"
 )
 
@@ -108,6 +109,27 @@ func readInt64(t *testing.T, c *otpdb.Cluster, site int, class otpdb.Class, key 
 		t.Fatal(err)
 	}
 	return otpdb.AsInt64(v), ok
+}
+
+// TestShardedWaitForCommitsStops: with two shards, a WaitForCommits that
+// cannot be met returns db.ErrStopped once the cluster stops — both the
+// wait already running at Stop and one begun after it — as a
+// single-shard cluster's does, instead of sitting out its context.
+func TestShardedWaitForCommitsStops(t *testing.T) {
+	c := newShardedCluster(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	running := make(chan error, 1)
+	go func() { running <- c.WaitForCommits(ctx, 1000) }()
+	time.Sleep(20 * time.Millisecond)
+	start := time.Now()
+	c.Stop()
+	if err := <-running; !errors.Is(err, db.ErrStopped) {
+		t.Fatalf("running wait = %v after %v, want db.ErrStopped", err, time.Since(start))
+	}
+	if err := c.WaitForCommits(ctx, 1000); !errors.Is(err, db.ErrStopped) {
+		t.Fatalf("wait after Stop = %v after %v, want db.ErrStopped", err, time.Since(start))
+	}
 }
 
 func TestShardRoutingSingleShard(t *testing.T) {
