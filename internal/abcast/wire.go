@@ -13,18 +13,18 @@ const (
 	tagMsgID
 	tagMsgIDs
 	tagBodyReq
+	tagDefEntries
 )
 
 // RegisterWire makes the broadcast message types known to the TCP
-// transport: codecs for what every commit sends, gob for the
-// retained-history entries state transfer streams.
-// Payload types must be registered separately.
+// transport: what every commit sends, and the retained-history entries
+// state transfer streams. Payload types must be registered separately.
 func RegisterWire() {
 	transport.RegisterCodec(tagDataMsg, DataMsg.AppendWire, decodeDataMsg)
 	transport.RegisterCodec(tagMsgID, MsgID.AppendWire, decodeMsgID)
 	transport.RegisterCodec(tagMsgIDs, appendMsgIDs, decodeMsgIDs)
 	transport.RegisterCodec(tagBodyReq, BodyReq.AppendWire, decodeBodyReq)
-	transport.Register(DefEntry{}, []DefEntry(nil))
+	transport.RegisterCodec(tagDefEntries, appendDefEntries, decodeDefEntries)
 }
 
 func (m MsgID) append(b []byte) []byte {
@@ -84,4 +84,30 @@ func (q BodyReq) AppendWire(b []byte) ([]byte, error) { return appendMsgIDs(q.ID
 func decodeBodyReq(b []byte) (BodyReq, error) {
 	ids, err := decodeMsgIDs(b)
 	return BodyReq{IDs: ids}, err
+}
+
+// appendDefEntries appends a count, then per entry its seq, id, HasBody
+// and the payload as a nested value.
+func appendDefEntries(es []DefEntry, b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(es)))
+	for _, e := range es {
+		b = transport.AppendBool(e.ID.append(binary.AppendUvarint(b, e.Seq)), e.HasBody)
+		var err error
+		if b, err = transport.AppendAny(b, e.Payload); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+func decodeDefEntries(b []byte) ([]DefEntry, error) {
+	r := transport.NewWireReader(b)
+	var es []DefEntry
+	if n := r.Count(9); n > 0 { // seq, id, flag and an empty nested value
+		es = make([]DefEntry, n)
+		for i := range es {
+			es[i] = DefEntry{Seq: r.Uvarint(), ID: readMsgID(r), HasBody: r.Bool(), Payload: r.Any()}
+		}
+	}
+	return es, r.Done()
 }

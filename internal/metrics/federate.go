@@ -8,9 +8,9 @@ type BucketCount struct {
 	N   int64
 }
 
-// HistExport is a histogram snapshot that survives gob encoding: the
-// exact moments plus the sparse occupied-bucket list, in the shared
-// fixed bucket layout so merging is index-wise addition.
+// HistExport is a histogram snapshot in a form that travels between
+// sites: the exact moments plus the sparse occupied-bucket list, in the
+// shared fixed bucket layout so merging is index-wise addition.
 type HistExport struct {
 	Count, Sum, Min, Max int64
 	Buckets              []BucketCount

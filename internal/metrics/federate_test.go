@@ -1,36 +1,10 @@
 package metrics
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestHistExportRoundTrip: Export → gob → Rebuild preserves the exact
-// moments and the quantile structure.
-func TestHistExportRoundTrip(t *testing.T) {
-	h := NewHistogram()
-	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 50 * time.Millisecond, 3 * time.Second} {
-		h.Observe(d)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h.Export()); err != nil {
-		t.Fatal(err)
-	}
-	var ex HistExport
-	if err := gob.NewDecoder(&buf).Decode(&ex); err != nil {
-		t.Fatal(err)
-	}
-	got := ex.Rebuild()
-	if got.Count() != h.Count() || got.Sum() != h.Sum() || got.Min() != h.Min() || got.Max() != h.Max() {
-		t.Fatalf("round-trip: got n=%d sum=%v min=%v max=%v", got.Count(), got.Sum(), got.Min(), got.Max())
-	}
-	if got.Percentile(99) != h.Percentile(99) {
-		t.Fatalf("p99 changed: %v vs %v", got.Percentile(99), h.Percentile(99))
-	}
-}
 
 // TestHistogramMerge: merging two exports equals observing the union.
 func TestHistogramMerge(t *testing.T) {

@@ -52,15 +52,6 @@ type Reply struct {
 	Samples []metrics.WireSample
 }
 
-// RegisterWire registers the fan-out message types with the gob codec
-// used by the TCP transport.
-func RegisterWire() {
-	transport.Register(Query{}, Reply{},
-		metrics.TraceEvent{}, []metrics.TraceEvent(nil),
-		metrics.WireSample{}, []metrics.WireSample(nil),
-		metrics.HistExport{}, metrics.BucketCount{}, metrics.Label{})
-}
-
 // Config parameterises a Station.
 type Config struct {
 	// Site is this station's site index (stamped on replies).

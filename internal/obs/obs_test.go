@@ -169,3 +169,28 @@ func TestStationPartialOnTimeout(t *testing.T) {
 		t.Fatalf("live sites missing from partial stitch: %+v", spans)
 	}
 }
+
+// TestHistExportRoundTrip: Export → Reply codec → Rebuild preserves the
+// exact moments and the quantile structure.
+func TestHistExportRoundTrip(t *testing.T) {
+	h := metrics.NewHistogram()
+	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 50 * time.Millisecond, 3 * time.Second} {
+		h.Observe(d)
+	}
+	ex := h.Export()
+	b, err := Reply{Samples: []metrics.WireSample{{Name: "h", Kind: metrics.KindHistogram, Hist: &ex}}}.AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := decodeReply(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.Samples[0].Hist.Rebuild()
+	if got.Count() != h.Count() || got.Sum() != h.Sum() || got.Min() != h.Min() || got.Max() != h.Max() {
+		t.Fatalf("round-trip: got n=%d sum=%v min=%v max=%v", got.Count(), got.Sum(), got.Min(), got.Max())
+	}
+	if got.Percentile(99) != h.Percentile(99) {
+		t.Fatalf("p99 changed: %v vs %v", got.Percentile(99), h.Percentile(99))
+	}
+}

@@ -51,7 +51,7 @@ func fuzzCheckpoints(t testing.TB) [][]byte {
 // checkpoint file or a state transfer would. It must return an error or
 // a checkpoint and never panic. Each input is tried as it is and with its
 // last four bytes replaced by the checksum of the rest, so that mutations
-// reach the gob body behind the CRC. A decoded checkpoint, installed into
+// reach the body behind the CRC. A decoded checkpoint, installed into
 // a fresh store and taken again at its index, encodes to the same bytes
 // as the decoded one whenever that is canonical, as every CheckpointAt
 // is; otherwise the round trip yields a canonical checkpoint that the

@@ -6,7 +6,7 @@
 // A site's data directory holds:
 //
 //	wal/                      segmented commit log (internal/wal)
-//	checkpoint-<index>.ckpt   gob-encoded storage.Checkpoint + CRC-32C
+//	checkpoint-<index>.ckpt   storage.Checkpoint + CRC-32C (EncodeCheckpointTo)
 //
 // Cold restart (Recover) installs the newest valid checkpoint and
 // replays the log tail above it; replay is idempotent, so a checkpoint
@@ -21,7 +21,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -36,6 +35,7 @@ import (
 
 	"otpdb/internal/metrics"
 	"otpdb/internal/storage"
+	"otpdb/internal/transport"
 	"otpdb/internal/wal"
 )
 
@@ -101,7 +101,9 @@ func (d *Durability) CheckpointEvery() int { return d.opts.CheckpointEvery }
 // Recover rebuilds the committed state into store: the newest valid
 // checkpoint is installed (corrupt ones fall back to older), then the
 // log tail above it is replayed. It returns the definitive index the
-// store is recovered to — the replica resumes counting from there.
+// store is recovered to — the replica resumes counting from there. A
+// fallback that cannot reach the index of a newer, unreadable checkpoint
+// (the log below it may be gone) is an error naming that file.
 //
 // Non-conflicting commits append slightly out of TOIndex order, so a
 // crash can leave the log holding index N+1 without N. Resuming past
@@ -114,9 +116,11 @@ func (d *Durability) CheckpointEvery() int { return d.opts.CheckpointEvery }
 // both idempotent against the duplicate.
 func (d *Durability) Recover(store *storage.Store) (int64, error) {
 	base := int64(0)
-	if ck, ok, err := d.latestCheckpoint(); err != nil {
+	ck, unreadable, err := d.latestCheckpoint()
+	if err != nil {
 		return 0, err
-	} else if ok {
+	}
+	if ck != nil {
 		store.InstallCheckpoint(ck)
 		base = ck.Index
 	}
@@ -131,7 +135,11 @@ func (d *Durability) Recover(store *storage.Store) (int64, error) {
 	for seen[last+1] {
 		last++
 	}
-	err := d.log.Replay(base, func(rec wal.Record) error {
+	if unreadable.err != nil && last < unreadable.index {
+		return 0, fmt.Errorf("recovery: checkpoint %s is unreadable (%w), and the log from index %d reaches only %d",
+			unreadable.path, unreadable.err, base, last)
+	}
+	err = d.log.Replay(base, func(rec wal.Record) error {
 		if rec.TOIndex <= last {
 			store.InstallCommit(rec.TOIndex, rec.Writes)
 		}
@@ -206,6 +214,7 @@ func (d *Durability) ResetTo(ck *storage.Checkpoint) error {
 type ckptFile struct {
 	index int64
 	path  string
+	err   error // why it could not be loaded, once tried
 }
 
 // checkpointFiles lists checkpoint files in ascending index order.
@@ -231,19 +240,25 @@ func (d *Durability) checkpointFiles() ([]ckptFile, error) {
 }
 
 // latestCheckpoint loads the newest checkpoint that validates; corrupt
-// files (torn rename, bit rot) are skipped in favour of older ones.
-func (d *Durability) latestCheckpoint() (*storage.Checkpoint, bool, error) {
+// files (torn rename, bit rot, an older format) are skipped in favour of
+// older ones. It also returns the newest file it skipped, if any.
+func (d *Durability) latestCheckpoint() (*storage.Checkpoint, ckptFile, error) {
 	files, err := d.checkpointFiles()
 	if err != nil {
-		return nil, false, err
+		return nil, ckptFile{}, err
 	}
+	var unreadable ckptFile
 	for i := len(files) - 1; i >= 0; i-- {
 		ck, err := loadCheckpoint(files[i].path)
 		if err == nil {
-			return ck, true, nil
+			return ck, unreadable, nil
+		}
+		if unreadable.err == nil {
+			files[i].err = err
+			unreadable = files[i]
 		}
 	}
-	return nil, false, nil
+	return nil, unreadable, nil
 }
 
 // pruneCheckpoints removes checkpoint files older than keepIndex.
@@ -265,86 +280,37 @@ func (d *Durability) pruneCheckpoints(keepIndex int64) error {
 // castagnoli matches the WAL's CRC flavour.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Gob collapses zero-length byte slices to nil on decode, but the store
-// distinguishes an empty committed value (key present) from nil (key
-// absent) — the WAL preserves the distinction explicitly, and the
-// checkpoint must too. The wire structs below carry a presence flag and
-// are converted at the save/load boundary.
-type (
-	ckptWire struct {
-		Index      int64
-		Partitions []ckptWirePartition
-	}
-	ckptWirePartition struct {
-		Partition     string
-		LastCommitted int64
-		Keys          []ckptWireKV
-	}
-	ckptWireKV struct {
-		Key      string
-		TOIndex  int64
-		HasValue bool
-		Value    []byte
-	}
-)
+// ckptMagic opens every checkpoint body: a file written in any other
+// format (gob, before wire version 2) is refused, not misread.
+const ckptMagic = "OTPC\x01"
 
-func toWire(ck *storage.Checkpoint) ckptWire {
-	w := ckptWire{Index: ck.Index}
-	for _, pc := range ck.Partitions {
-		wp := ckptWirePartition{
-			Partition:     string(pc.Partition),
-			LastCommitted: pc.LastCommitted,
-		}
-		for _, kv := range pc.Keys {
-			wp.Keys = append(wp.Keys, ckptWireKV{
-				Key:      string(kv.Key),
-				TOIndex:  kv.TOIndex,
-				HasValue: kv.Value != nil,
-				Value:    kv.Value,
-			})
-		}
-		w.Partitions = append(w.Partitions, wp)
-	}
-	return w
-}
-
-func fromWire(w ckptWire) *storage.Checkpoint {
-	ck := &storage.Checkpoint{Index: w.Index}
-	for _, wp := range w.Partitions {
-		pc := storage.PartitionCheckpoint{
-			Partition:     storage.Partition(wp.Partition),
-			LastCommitted: wp.LastCommitted,
-		}
-		for _, kv := range wp.Keys {
-			v := storage.Value(kv.Value)
-			if kv.HasValue && v == nil {
-				v = storage.Value{} // gob collapsed empty to nil; restore presence
-			} else if !kv.HasValue {
-				v = nil
-			}
-			pc.Keys = append(pc.Keys, storage.KeyVersion{
-				Key:     storage.Key(kv.Key),
-				TOIndex: kv.TOIndex,
-				Value:   v,
-			})
-		}
-		ck.Partitions = append(ck.Partitions, pc)
-	}
-	return ck
-}
-
-// EncodeCheckpointTo streams a checkpoint in the durable on-disk
-// format: gob body + CRC-32C trailer. Checkpoint files and the statex
+// EncodeCheckpointTo streams a checkpoint in the durable on-disk format,
+// one partition at a time: ckptMagic, the index (varint), the partition
+// count, and per partition its name, floor (varint) and key count, each
+// key with its version (varint) and its value as
+// transport.AppendNullable writes it (uvarint(len+1), 0 for nil); then
+// the CRC-32C of all that, big-endian. Checkpoint files and the statex
 // wire transfer share this encoding, so a checkpoint received from a
 // peer is bit-identical to one written locally.
 func EncodeCheckpointTo(w io.Writer, ck *storage.Checkpoint) error {
 	crc := crc32.New(castagnoli)
-	if err := gob.NewEncoder(io.MultiWriter(w, crc)).Encode(toWire(ck)); err != nil {
-		return fmt.Errorf("recovery: encode checkpoint: %w", err)
+	body := io.MultiWriter(w, crc)
+	b := binary.AppendUvarint(binary.AppendVarint([]byte(ckptMagic), ck.Index), uint64(len(ck.Partitions)))
+	for i := 0; ; i++ {
+		if _, err := body.Write(b); err != nil {
+			return fmt.Errorf("recovery: %w", err)
+		}
+		if i == len(ck.Partitions) {
+			break
+		}
+		pc := ck.Partitions[i]
+		b = binary.AppendVarint(transport.AppendString(b[:0], pc.Partition), pc.LastCommitted)
+		b = binary.AppendUvarint(b, uint64(len(pc.Keys)))
+		for _, kv := range pc.Keys {
+			b = transport.AppendNullable(binary.AppendVarint(transport.AppendString(b, kv.Key), kv.TOIndex), kv.Value)
+		}
 	}
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := w.Write(trailer[:]); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(b[:0], crc.Sum32())); err != nil {
 		return fmt.Errorf("recovery: %w", err)
 	}
 	return nil
@@ -369,11 +335,29 @@ func DecodeCheckpoint(data []byte) (*storage.Checkpoint, error) {
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(trailer) {
 		return nil, errors.New("recovery: checkpoint CRC mismatch")
 	}
-	var w ckptWire
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&w); err != nil {
+	r := transport.NewWireReader(body)
+	if string(r.Take(len(ckptMagic))) != ckptMagic {
+		return nil, errors.New("recovery: not a checkpoint of this format (written before wire version 2?)")
+	}
+	ck := &storage.Checkpoint{Index: r.Varint()}
+	if n := r.Count(3); n > 0 { // name, floor and key count: a byte each or more
+		ck.Partitions = make([]storage.PartitionCheckpoint, n)
+		for i := range ck.Partitions {
+			pc := &ck.Partitions[i]
+			pc.Partition, pc.LastCommitted = storage.Partition(r.String()), r.Varint()
+			if n := r.Count(3); n > 0 { // key, version and value: a byte each or more
+				pc.Keys = make([]storage.KeyVersion, n)
+				for j := range pc.Keys {
+					pc.Keys[j] = storage.KeyVersion{Key: storage.Key(r.String()), TOIndex: r.Varint(),
+						Value: bytes.Clone(r.Nullable())}
+				}
+			}
+		}
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("recovery: decode checkpoint: %w", err)
 	}
-	return fromWire(w), nil
+	return ck, nil
 }
 
 // saveCheckpoint writes a checkpoint durably: the encoded form streamed

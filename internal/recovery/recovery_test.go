@@ -3,6 +3,7 @@ package recovery
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"otpdb/internal/storage"
@@ -213,6 +214,53 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	}
 }
 
+// TestUnreadableCheckpointAboveTruncatedLog: the only checkpoint is
+// unreadable and the log below it was deleted when it was taken, so no
+// fallback reaches its index. Recover must say so, naming the file,
+// rather than restart the site with nothing.
+func TestUnreadableCheckpointAboveTruncatedLog(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := buildState(t, d, 100, segmentFill)
+	if !d.TryBeginCheckpoint() {
+		t.Fatal("checkpoint slot taken")
+	}
+	if err := d.Checkpoint(live.CheckpointAt(90)); err != nil {
+		t.Fatal(err)
+	}
+	files, err := d.checkpointFiles()
+	if err != nil || len(files) != 1 {
+		t.Fatalf("checkpoint files = %v (%v)", files, err)
+	}
+	data, err := os.ReadFile(files[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(files[0].path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = d2.Close() }()
+	if d2.LastIndex() != 100 {
+		t.Fatalf("LastIndex = %d, want 100", d2.LastIndex())
+	}
+	got, err := d2.Recover(storage.NewStore())
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(files[0].path)) {
+		t.Fatalf("Recover = (%d, %v), want an error naming %s", got, err, filepath.Base(files[0].path))
+	}
+}
+
 func TestCheckpointBoundsReplayAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, Options{Sync: wal.SyncNever})
@@ -281,7 +329,7 @@ func TestRecoverEmptyDir(t *testing.T) {
 }
 
 func TestCheckpointPreservesEmptyVsNilValues(t *testing.T) {
-	// Gob collapses empty slices to nil; the checkpoint codec must not —
+	// The checkpoint codec must keep empty and nil values apart —
 	// an empty committed value means "key present", nil means "absent".
 	s := storage.NewStore()
 	s.InstallCommit(1, []storage.ClassKeyValue{

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"otpdb/internal/sproc"
@@ -97,19 +97,76 @@ type decidePayload struct {
 // home shard. First write wins; later decides read it back instead.
 func recordKey(x XID) storage.Key { return storage.Key("txn/" + x.String()) }
 
-func encode(v any) (storage.Value, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("shard: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+func (x XID) append(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(x.Origin))
+	return binary.AppendUvarint(binary.AppendUvarint(b, x.Inc), x.Seq)
 }
 
-func decode(b storage.Value, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("shard: decode: %w", err)
+func readXID(r *transport.WireReader) XID {
+	return XID{Origin: transport.NodeID(r.Varint()), Inc: r.Uvarint(), Seq: r.Uvarint()}
+}
+
+// encode writes the prepare argument: the attempt (origin, inc, seq),
+// shard, home, the shard set (count, shards), then the reads and the
+// writes (count; class, key, value as transport.AppendNullable writes
+// it, the present flag).
+func (p prepPayload) encode() storage.Value {
+	b := binary.AppendVarint(binary.AppendVarint(p.XID.append(nil), int64(p.Shard)), int64(p.Home))
+	b = binary.AppendUvarint(b, uint64(len(p.Shards)))
+	for _, s := range p.Shards {
+		b = binary.AppendVarint(b, int64(s))
 	}
-	return nil
+	for _, rws := range [][]RW{p.Reads, p.Writes} {
+		b = binary.AppendUvarint(b, uint64(len(rws)))
+		for _, rw := range rws {
+			b = transport.AppendNullable(transport.AppendString(transport.AppendString(b, rw.Class), rw.Key), rw.Value)
+			b = transport.AppendBool(b, rw.Present)
+		}
+	}
+	return b
+}
+
+func decodePrepare(v storage.Value) (prepPayload, error) {
+	r := transport.NewWireReader(v)
+	p := prepPayload{XID: readXID(r), Shard: int(r.Varint()), Home: int(r.Varint())}
+	if n := r.Count(1); n > 0 {
+		p.Shards = make([]int, n)
+		for i := range p.Shards {
+			p.Shards[i] = int(r.Varint())
+		}
+	}
+	p.Reads, p.Writes = readRWs(r), readRWs(r)
+	if err := r.Done(); err != nil {
+		return p, fmt.Errorf("shard: decode prepare: %w", err)
+	}
+	return p, nil
+}
+
+func readRWs(r *transport.WireReader) []RW {
+	n := r.Count(4) // class, key, value and flag: a byte each or more
+	if n == 0 {
+		return nil
+	}
+	rws := make([]RW, n)
+	for i := range rws {
+		rws[i] = RW{Class: sproc.ClassID(r.Name()), Key: storage.Key(r.String()),
+			Value: bytes.Clone(r.Nullable()), Present: r.Bool()}
+	}
+	return rws
+}
+
+// encode writes the decide argument: the attempt, then the verdict.
+func (d decidePayload) encode() storage.Value {
+	return binary.AppendVarint(d.XID.append(nil), int64(d.Verdict))
+}
+
+func decodeDecide(v storage.Value) (decidePayload, error) {
+	r := transport.NewWireReader(v)
+	d := decidePayload{XID: readXID(r), Verdict: Verdict(r.Varint())}
+	if err := r.Done(); err != nil {
+		return d, fmt.Errorf("shard: decode decide: %w", err)
+	}
+	return d, nil
 }
 
 // encodeVerdict renders a verdict as the decide record value.

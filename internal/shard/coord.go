@@ -195,11 +195,7 @@ func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split m
 			Reads:  ownedBy(c.m, s, pc.reads),
 			Writes: ownedBy(c.m, s, pc.writes),
 		}
-		enc, err := encode(payload)
-		if err != nil {
-			return Result{}, err
-		}
-		req := sproc.Request{Proc: PrepareProc, Args: []storage.Value{enc}, Classes: split[s], Trace: trace}
+		req := sproc.Request{Proc: PrepareProc, Args: []storage.Value{payload.encode()}, Classes: split[s], Trace: trace}
 		r := c.hub.localReplica(s)
 		if r == nil {
 			return Result{}, fmt.Errorf("shard: no live local replica of shard %d", s)
@@ -274,15 +270,11 @@ func (c *Coordinator) tryOnce(ctx context.Context, mu sproc.MultiUpdate, split m
 // carries the transaction's trace ID so the home shard's replicas span
 // it like any traced transaction.
 func (c *Coordinator) decide(ctx context.Context, xid XID, home int, v Verdict, trace string) (Verdict, error) {
-	enc, err := encode(decidePayload{XID: xid, Verdict: v})
-	if err != nil {
-		return VerdictNone, err
-	}
 	r := c.hub.localReplica(home)
 	if r == nil {
 		return VerdictNone, fmt.Errorf("shard: no live local replica of home shard %d", home)
 	}
-	req := sproc.Request{Proc: DecideProc, Args: []storage.Value{enc}, Trace: trace}
+	req := sproc.Request{Proc: DecideProc, Args: []storage.Value{decidePayload{XID: xid, Verdict: v}.encode()}, Trace: trace}
 	ch := make(chan db.CommitResult, 1)
 	id, err := r.SubmitRequest(req, func(res db.CommitResult) { ch <- res })
 	if err != nil {

@@ -350,8 +350,8 @@ func (h *Hub) runPrepare(ctx sproc.MultiUpdateCtx) (storage.Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("shard: prepare wants 1 arg, got %d", len(args))
 	}
-	var p prepPayload
-	if err := decode(args[0], &p); err != nil {
+	p, err := decodePrepare(args[0])
+	if err != nil {
 		return nil, err
 	}
 	tc, ok := ctx.(sproc.TxnControl)
@@ -447,8 +447,8 @@ func (h *Hub) runDecide(ctx sproc.UpdateCtx) (storage.Value, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("shard: decide wants 1 arg, got %d", len(args))
 	}
-	var d decidePayload
-	if err := decode(args[0], &d); err != nil {
+	d, err := decodeDecide(args[0])
+	if err != nil {
 		return nil, err
 	}
 	tc, ok := ctx.(sproc.TxnControl)
@@ -526,11 +526,7 @@ func (h *Hub) resolver() {
 // local replica. Fire-and-forget: the decide's own local execution
 // applies the winner via applyDecision.
 func (h *Hub) submitDecide(x XID, home int, v Verdict) {
-	enc, err := encode(decidePayload{XID: x, Verdict: v})
-	if err != nil {
-		return
-	}
-	req := sproc.Request{Proc: DecideProc, Args: []storage.Value{enc}}
+	req := sproc.Request{Proc: DecideProc, Args: []storage.Value{decidePayload{XID: x, Verdict: v}.encode()}}
 	for _, r := range h.localReplicas(home) {
 		if _, err := r.SubmitRequest(req, nil); err == nil {
 			return

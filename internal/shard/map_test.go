@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"otpdb/internal/sproc"
@@ -99,24 +100,34 @@ func TestMapSingleShardTakesAll(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	x := XID{Origin: 3, Inc: 99, Seq: 7}
-	p := prepPayload{
+	for _, p := range []prepPayload{{}, {
 		XID:    x,
 		Shard:  1,
 		Home:   0,
 		Shards: []int{0, 1},
-		Reads:  []RW{{Class: "a", Key: "k", Value: []byte("v"), Present: true}},
+		Reads: []RW{{Class: "a", Key: "k", Value: []byte("v"), Present: true},
+			{Class: "a", Key: "absent"}, {Class: "b", Key: "empty", Value: []byte{}, Present: true}},
 		Writes: []RW{{Class: "a", Key: "k", Value: []byte("w"), Present: true}},
+	}} {
+		enc := p.encode()
+		got, err := decodePrepare(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("round trip mangled payload:\n got %+v\nwant %+v", got, p)
+		}
+		if _, err := decodePrepare(enc[:len(enc)-1]); err == nil {
+			t.Fatalf("truncated prepare payload %+v decoded", p)
+		}
 	}
-	enc, err := encode(p)
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range []decidePayload{{}, {XID: x, Verdict: VerdictAbort}} {
+		if got, err := decodeDecide(d.encode()); err != nil || got != d {
+			t.Fatalf("decide payload %+v came back as %+v (%v)", d, got, err)
+		}
 	}
-	var got prepPayload
-	if err := decode(enc, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.XID != x || got.Shard != 1 || len(got.Reads) != 1 || string(got.Writes[0].Value) != "w" {
-		t.Fatalf("round trip mangled payload: %+v", got)
+	if _, err := decodeDecide(append(decidePayload{XID: x}.encode(), 0)); err == nil {
+		t.Fatal("decide payload with a trailing byte decoded")
 	}
 	for _, v := range []Verdict{VerdictNone, VerdictCommit, VerdictAbort} {
 		if v == VerdictNone {

@@ -1,6 +1,7 @@
 package sproc
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"otpdb/internal/storage"
@@ -21,31 +22,16 @@ func RegisterWire() {
 	transport.RegisterCodec(tagValue, appendValue, decodeValue)
 }
 
-// appendValue appends uvarint(len+1) and the bytes; 0 stands for nil, so
+// appendValue appends the value as transport.AppendNullable writes it, so
 // a nil value and an empty one stay apart.
 func appendValue(v storage.Value, b []byte) ([]byte, error) {
-	if v == nil {
-		return append(b, 0), nil
-	}
-	return append(binary.AppendUvarint(b, uint64(len(v))+1), v...), nil
-}
-
-// takeValue reads one value without copying it.
-func takeValue(r *transport.WireReader) (p []byte, present bool) {
-	n := r.Uvarint()
-	if n == 0 {
-		return nil, false
-	}
-	return r.Take(int(n - 1)), true
+	return transport.AppendNullable(b, v), nil
 }
 
 func decodeValue(b []byte) (storage.Value, error) {
 	r := transport.NewWireReader(b)
-	p, present := takeValue(r)
-	if err := r.Done(); err != nil || !present {
-		return nil, err
-	}
-	return append(storage.Value{}, p...), nil
+	v := bytes.Clone(r.Nullable())
+	return v, r.Done()
 }
 
 // AppendWire appends the procedure name, the arguments (count, then each
@@ -54,7 +40,7 @@ func (q Request) AppendWire(b []byte) ([]byte, error) {
 	b = transport.AppendString(b, q.Proc)
 	b = binary.AppendUvarint(b, uint64(len(q.Args)))
 	for _, a := range q.Args {
-		b, _ = appendValue(a, b)
+		b = transport.AppendNullable(b, a)
 	}
 	b = binary.AppendUvarint(b, uint64(len(q.Classes)))
 	for _, c := range q.Classes {
@@ -71,13 +57,12 @@ func decodeRequest(b []byte) (Request, error) {
 		// request's arguments live and die together.
 		size, scan := 0, *r
 		for i := 0; i < n; i++ {
-			p, _ := takeValue(&scan)
-			size += len(p)
+			size += len(scan.Nullable())
 		}
 		q.Args = make([]storage.Value, n)
 		backing := make([]byte, 0, size)
 		for i := range q.Args {
-			if p, present := takeValue(r); present {
+			if p := r.Nullable(); p != nil {
 				at := len(backing)
 				backing = append(backing, p...)
 				q.Args[i] = backing[at:len(backing):len(backing)]

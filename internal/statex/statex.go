@@ -14,9 +14,9 @@
 //     tail" when the backlog ring has evicted that range and the joiner
 //     needs a full snapshot first.
 //  3. In checkpoint mode the donor streams its newest consistent
-//     checkpoint in CRC-framed chunks (CkptChunk) — the same gob+CRC
-//     encoding internal/recovery writes to disk, so a received
-//     checkpoint is bit-identical to a local one.
+//     checkpoint in CRC-framed chunks (CkptChunk) — the same encoding
+//     internal/recovery writes to disk, so a received checkpoint is
+//     bit-identical to a local one.
 //  4. The donor streams the definitive backlog above the base index
 //     (TailChunk) and terminates with Done, which carries the consensus
 //     stage to resume at and the joiner's pre-crash broadcast sequence
@@ -115,9 +115,9 @@ type (
 	}
 	// CkptChunk is one CRC-framed slice of the encoded checkpoint.
 	// Chunks are numbered from 0 and the last one is flagged; the
-	// assembled bytes are the recovery checkpoint encoding (gob body +
-	// CRC-32C trailer), which the joiner validates a second time as a
-	// whole on decode.
+	// assembled bytes are the recovery checkpoint encoding (body +
+	// CRC-32C trailer, recovery.EncodeCheckpointTo), which the joiner
+	// validates a second time as a whole on decode.
 	//
 	//otp:fence Xfer
 	CkptChunk struct {
@@ -173,12 +173,6 @@ type (
 		Xfer uint64
 	}
 )
-
-// RegisterWire registers the state-transfer message types with the gob
-// codec used by the TCP transport.
-func RegisterWire() {
-	transport.Register(JoinReq{}, JoinResp{}, CkptChunk{}, TailChunk{}, Done{}, Abort{})
-}
 
 // ResumeSeqSlack is added to the donor-reported broadcast sequence floor
 // when the joiner resumes numbering its own messages. A single donor can

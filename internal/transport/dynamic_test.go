@@ -8,7 +8,7 @@ import (
 // TestTCPAddPeerJoinsMesh: a node attached after startup exchanges
 // traffic with the existing mesh once both sides add each other.
 func TestTCPAddPeerJoinsMesh(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 2)
 	addrs := freeAddrs(t, 1)
 	joiner, err := ListenTCP(TCPConfig{
@@ -52,7 +52,7 @@ func TestTCPAddPeerJoinsMesh(t *testing.T) {
 // TestTCPRemovePeerPromptEvenWhileDialingDeadAddress: tearing down the
 // link to a dead peer must not hang on the dial retry loop.
 func TestTCPRemovePeerPromptEvenWhileDialingDeadAddress(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	addrs := freeAddrs(t, 2) // addr 1 is never listened on
 	node, err := ListenTCP(TCPConfig{ID: 0, Addrs: addrs, DialRetry: time.Hour})
 	if err != nil {
@@ -82,7 +82,7 @@ func TestTCPRemovePeerPromptEvenWhileDialingDeadAddress(t *testing.T) {
 // TestTCPReplacePeerAddress: re-addressing an existing peer dials the
 // new address and traffic flows to the new process.
 func TestTCPReplacePeerAddress(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 2)
 	addrs := freeAddrs(t, 1)
 	// The replacement process for id 1 at a new address.

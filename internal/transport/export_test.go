@@ -4,7 +4,6 @@ package transport
 // own the codecs) drives directly.
 var (
 	AppendValue  = appendValue
-	AppendGob    = appendGob
 	AppendShared = appendShared
 	DecodeValue  = decodeValue
 	DecodeFrame  = decodeFrame

@@ -23,7 +23,7 @@ func ownCopyTransports(t *testing.T, opts []MemOption, test func(t *testing.T, s
 		test(t, h.Endpoint(0), h.Endpoint(1), h)
 	})
 	t.Run("tcp", func(t *testing.T) {
-		Register(tcpTestMsg{})
+		registerTestMsg()
 		nodes := startMesh(t, 2)
 		test(t, nodes[0], nodes[1], nil)
 	})

@@ -23,7 +23,7 @@ func postTransports(t *testing.T, test func(t *testing.T, self, peer Endpoint)) 
 		test(t, h.Endpoint(0), h.Endpoint(1))
 	})
 	t.Run("tcp", func(t *testing.T) {
-		Register(tcpTestMsg{})
+		registerTestMsg()
 		nodes := startMesh(t, 2)
 		test(t, nodes[0], nodes[1])
 	})
@@ -172,7 +172,7 @@ func TestPostIgnoresTheNetworkModel(t *testing.T) {
 
 // TestPostIsNotTraffic: nothing is encoded, written or queued for a peer.
 func TestPostIsNotTraffic(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	addrs := freeAddrs(t, 2)
 	n0, scope := meteredNode(t, addrs, 0)
 	n1, _ := meteredNode(t, addrs, 1)

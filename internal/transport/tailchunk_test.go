@@ -14,13 +14,11 @@ import (
 )
 
 // TestTCPCarriesTailChunk sends a rejoin backlog over a two-node tcpnet
-// mesh. A statex.TailChunk has no hand-written codec, so it travels as a
-// gob body, and each entry's payload is a sproc.Request inside an
-// interface: the one path where request arguments are gob-encoded. The
-// packages' RegisterWire calls are all it needs.
+// mesh. A statex.TailChunk nests its entries, abcast's []DefEntry, and
+// each entry nests its payload, a sproc.Request: three packages' codecs
+// in one body. The packages' RegisterWire calls are all it needs.
 func TestTCPCarriesTailChunk(t *testing.T) {
 	registerAll()
-	statex.RegisterWire()
 	addrs := make(map[transport.NodeID]string, 2)
 	for i := 0; i < 2; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"testing"
@@ -48,8 +49,19 @@ type tcpTestMsg struct {
 	S string
 }
 
+// registerTestMsg gives tcpTestMsg a codec, under a tag no package owns.
+func registerTestMsg() {
+	RegisterCodec(0x7e, func(m tcpTestMsg, b []byte) ([]byte, error) {
+		return AppendString(binary.AppendVarint(b, int64(m.K)), m.S), nil
+	}, func(b []byte) (tcpTestMsg, error) {
+		r := NewWireReader(b)
+		m := tcpTestMsg{K: int(r.Varint()), S: r.String()}
+		return m, r.Done()
+	})
+}
+
 func TestTCPSendAndReceive(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 2)
 	in := nodes[1].Subscribe("s")
 	if err := nodes[0].Send(1, "s", tcpTestMsg{K: 7, S: "hi"}); err != nil {
@@ -63,7 +75,7 @@ func TestTCPSendAndReceive(t *testing.T) {
 }
 
 func TestTCPBroadcastReachesAllIncludingSelf(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 3)
 	chans := make([]<-chan Envelope, 3)
 	for i, n := range nodes {
@@ -81,7 +93,7 @@ func TestTCPBroadcastReachesAllIncludingSelf(t *testing.T) {
 }
 
 func TestTCPFIFOOrder(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 2)
 	in := nodes[1].Subscribe("fifo")
 	const total = 200
@@ -100,7 +112,7 @@ func TestTCPFIFOOrder(t *testing.T) {
 }
 
 func TestTCPSelfSendLoopsBack(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 2)
 	in := nodes[0].Subscribe("self")
 	if err := nodes[0].Send(0, "self", tcpTestMsg{K: 9}); err != nil {
@@ -133,7 +145,7 @@ func TestTCPCloseIsIdempotent(t *testing.T) {
 }
 
 func TestTCPReconnectAfterPeerRestart(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	addrs := freeAddrs(t, 2)
 	n0, err := ListenTCP(TCPConfig{ID: 0, Addrs: addrs, DialRetry: 20 * time.Millisecond})
 	if err != nil {
@@ -181,7 +193,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 // its pre-crash sequence floor — exactly the situation of a killed otpd
 // rejoining a live cluster.
 func TestTCPRestartedSenderIsHeard(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	addrs := freeAddrs(t, 2)
 	n0, err := ListenTCP(TCPConfig{ID: 0, Addrs: addrs, DialRetry: 20 * time.Millisecond})
 	if err != nil {
@@ -234,7 +246,7 @@ func TestTCPRestartedSenderIsHeard(t *testing.T) {
 }
 
 func TestTCPManyStreamsConcurrently(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 2)
 	const streams = 8
 	chans := make([]<-chan Envelope, streams)

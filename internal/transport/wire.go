@@ -2,9 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -28,24 +26,27 @@ import (
 // decoding it needs no state from earlier frames, so retransmitting is
 // rewriting the same bytes.
 //
-// The body is written by the message's own codec, found under its tag:
+// The body is written by the message's own codec, found under its tag;
+// a value whose type has no codec is an encode error:
 //
-//	0x00       any type known to Register     gob (cold paths: statex, obs,
-//	                                          DefEntry)
 //	0x01       nil
 //	0x08       fd.Heartbeat                   internal/fd
 //	0x10-0x14  consensus.Msg{Estimate,Propose,Ack,Decide,DecideReq}
 //	                                          internal/consensus
-//	0x20-0x23  abcast.{DataMsg,MsgID,[]MsgID,BodyReq}
+//	0x20-0x24  abcast.{DataMsg,MsgID,[]MsgID,BodyReq,[]DefEntry}
 //	                                          internal/abcast
 //	0x30-0x31  sproc.Request, storage.Value   internal/sproc
+//	0x40-0x45  statex.{JoinReq,JoinResp,CkptChunk,TailChunk,Done,Abort}
+//	                                          internal/statex
+//	0x50-0x51  obs.{Query,Reply}              internal/obs
 //
-// A field of type any inside a body (DataMsg.Payload, consensus Est/Val)
-// is a nested value, [u32 len][tag][body], through the same table — so
-// consensus carries abcast's id lists without importing abcast.
+// A field of type any inside a body (DataMsg.Payload, consensus Est/Val,
+// DefEntry.Payload) is a nested value, [u32 len][tag][body], through the
+// same table — so consensus carries abcast's id lists without importing
+// abcast.
 const (
 	wireMagic   = "OTPW"
-	wireVersion = 1
+	wireVersion = 2
 
 	kindData = 1
 	kindAck  = 2
@@ -59,7 +60,6 @@ const (
 	// claim above the cap is a corrupt or hostile stream.
 	maxFrame = 64 << 20
 
-	tagGob = 0x00
 	tagNil = 0x01
 )
 
@@ -103,24 +103,14 @@ var (
 	codecs  atomic.Pointer[codecTable]
 )
 
-// Register makes concrete message types known to the gob codec that
-// carries every message without a hand-written codec (tag 0), and every
-// value nested inside such a message. Every type sent through
-// Endpoint.Send/Broadcast as the dynamic value of Envelope.Msg must be
-// registered by both ends, here or with RegisterCodec.
-func Register(values ...any) {
-	for _, v := range values {
-		gob.Register(v)
-	}
-}
-
 // RegisterCodec puts a hand-written codec for T into the tag table: enc
 // appends the body to a buffer (conventionally the method T.AppendWire),
 // dec parses exactly one body and must not retain it. Tags are stable
 // wire constants from the owning package's range (see the table above).
-// T stays registered with gob as well, for when it travels inside a
-// tag-0 body. Registering the same pair again is a no-op; a tag or type
-// claimed twice is a programming error.
+// Every type sent through Endpoint.Send/Broadcast over tcpnet, or nested
+// in such a message, must be registered by both ends. Registering the
+// same pair again is a no-op; a tag or type claimed twice is a
+// programming error.
 func RegisterCodec[T any](tag byte, enc func(T, []byte) ([]byte, error), dec func([]byte) (T, error)) {
 	var zero T
 	typ := reflect.TypeOf(zero)
@@ -136,10 +126,9 @@ func RegisterCodec[T any](tag byte, enc func(T, []byte) ([]byte, error), dec fun
 			panic(fmt.Sprintf("transport: wire tag %#x / type %v registered twice", tag, typ))
 		}
 	}
-	if tag == tagGob || tag == tagNil {
+	if tag == tagNil {
 		panic(fmt.Sprintf("transport: wire tag %#x is reserved", tag))
 	}
-	gob.Register(zero)
 	next := &codecTable{byType: map[reflect.Type]*codec{}}
 	if old != nil {
 		next.byTag = old.byTag
@@ -167,18 +156,7 @@ func appendValue(b []byte, v any) ([]byte, error) {
 			return c.enc(v, append(b, c.tag))
 		}
 	}
-	return appendGob(b, v)
-}
-
-// appendGob is appendValue for types without a codec of their own. It is
-// a function of its own so that taking v's address, which moves v to the
-// heap, is not paid by the types that have one.
-func appendGob(b []byte, v any) ([]byte, error) {
-	w := appendWriter{append(b, tagGob)}
-	if err := gob.NewEncoder(&w).Encode(&v); err != nil {
-		return b, fmt.Errorf("transport: encode %T: %w", v, err)
-	}
-	return w.b, nil
+	return b, fmt.Errorf("transport: encode %T: no codec registered", v)
 }
 
 // decodeValue parses [tag][body], which must fill b.
@@ -187,18 +165,11 @@ func decodeValue(b []byte) (any, error) {
 		return nil, errors.New("value without a tag")
 	}
 	tag, body := b[0], b[1:]
-	switch tag {
-	case tagNil:
+	if tag == tagNil {
 		if len(body) != 0 {
 			return nil, fmt.Errorf("nil value with a %d-byte body", len(body))
 		}
 		return nil, nil
-	case tagGob:
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("gob body: %v", err)
-		}
-		return v, nil
 	}
 	var c *codec
 	if t := codecs.Load(); t != nil {
@@ -212,13 +183,6 @@ func decodeValue(b []byte) (any, error) {
 		return nil, fmt.Errorf("tag %#x (%v): %v", tag, c.typ, err)
 	}
 	return v, nil
-}
-
-type appendWriter struct{ b []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // AppendAny appends v as a nested value, [u32 len][tag][body]: what a
@@ -236,6 +200,23 @@ func AppendAny(b []byte, v any) ([]byte, error) {
 // AppendString appends s behind its uvarint length.
 func AppendString[S ~string](b []byte, s S) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// AppendNullable appends p as uvarint(len+1) and the bytes; 0 stands for
+// nil, so a nil byte string and an empty one stay apart.
+func AppendNullable[B ~[]byte](b []byte, p B) []byte {
+	if p == nil {
+		return append(b, 0)
+	}
+	return append(binary.AppendUvarint(b, uint64(len(p))+1), p...)
+}
+
+// AppendBool appends v as one byte, 1 or 0.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // WireReader is a cursor over a body for hand-written decoders. The
@@ -291,6 +272,20 @@ func (r *WireReader) Count(elemSize int) int {
 	return int(n)
 }
 
+// Uint64 reads a fixed-width big-endian uint64.
+func (r *WireReader) Uint64() uint64 {
+	if p := r.Take(8); p != nil {
+		return binary.BigEndian.Uint64(p)
+	}
+	return 0
+}
+
+// Bool reads one byte; anything but 0 is true.
+func (r *WireReader) Bool() bool {
+	p := r.Take(1)
+	return p != nil && p[0] != 0
+}
+
 // Take reads the next n bytes as they are. The result aliases the body:
 // copy it before keeping it.
 func (r *WireReader) Take(n int) []byte {
@@ -305,6 +300,15 @@ func (r *WireReader) Take(n int) []byte {
 
 // Bytes reads a length-prefixed byte string; it aliases the body too.
 func (r *WireReader) Bytes() []byte { return r.Take(r.Count(1)) }
+
+// Nullable reads what AppendNullable wrote, nil for 0; it aliases the
+// body too.
+func (r *WireReader) Nullable() []byte {
+	if n := r.Uvarint(); n > 0 {
+		return r.Take(int(n - 1)) // a length over the body fails in Take, negative or not
+	}
+	return nil
+}
 
 // String reads a length-prefixed string.
 func (r *WireReader) String() string { return string(r.Bytes()) }

@@ -29,10 +29,10 @@ func frameBytes(t testing.TB, seq, inc uint64, from NodeID, stream string, msg a
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	var stream bytes.Buffer
 	want := []frame{
-		{Seq: 1, Inc: 7, Env: Envelope{From: 2, Stream: "s", Msg: tcpTestMsg{K: 1, S: "gob body"}}},
+		{Seq: 1, Inc: 7, Env: Envelope{From: 2, Stream: "s", Msg: tcpTestMsg{K: 1, S: "codec body"}}},
 		{Seq: 2, Inc: 7, Env: Envelope{From: 2, Stream: "", Msg: nil}},
 		// Larger than the read buffer: the frame reader's second path.
 		{Seq: 1<<64 - 1, Inc: 1<<64 - 1, Env: Envelope{From: -1, Stream: "big", Msg: tcpTestMsg{S: string(make([]byte, 3*readBufSize))}}},
@@ -100,11 +100,12 @@ func dialRaw(t *testing.T, n *TCPNode) rawPeer {
 }
 
 // TestTCPRefusesForeignPeers: a peer that opens with a gob stream (an old
-// binary), with another wire version, with a frame longer than the cap or
-// with a tag nobody registered is refused — connection closed, counted,
-// nothing delivered — and the node keeps serving everybody else.
+// binary), with another wire version (1 had gob bodies under tag 0), with
+// a frame longer than the cap or with a tag nobody registered (0 among
+// them) is refused — connection closed, counted, nothing delivered — and
+// the node keeps serving everybody else.
 func TestTCPRefusesForeignPeers(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	n, scope := meteredNode(t, freeAddrs(t, 1), 0)
 	mismatches := scope.Counter("transport_wire_mismatch_total")
 	in := n.Subscribe("s")
@@ -116,15 +117,18 @@ func TestTCPRefusesForeignPeers(t *testing.T) {
 	overCap := binary.BigEndian.AppendUint32(opening(), maxFrame+1)
 	unknownTag := frameBytes(t, 1, 1, 5, "s", nil)
 	unknownTag[len(unknownTag)-1] = 0x7f
+	gobTag := frameBytes(t, 1, 1, 5, "s", nil)
+	gobTag[len(gobTag)-1] = 0x00
 	cases := []struct {
 		name  string
 		opens []byte
 		hello bool // the node answers the hello before it gives up
 	}{
 		{"gob stream", gobStream.Bytes(), false},
-		{"wire version 2", []byte(wireMagic + "\x02"), false},
+		{"wire version 1", []byte(wireMagic + "\x01"), false},
 		{"frame over the cap", overCap, true},
 		{"unknown tag", append(opening(), unknownTag...), true},
+		{"tag 0", append(opening(), gobTag...), true},
 		{"ack where data belongs", append(opening(), 0, 0, 0, framePrefix-4, kindAck,
 			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1), true},
 	}
@@ -170,7 +174,7 @@ func TestTCPRefusesForeignPeers(t *testing.T) {
 // another format. The link counts it, keeps what it has to send, backs
 // off and delivers once a node that speaks the format listens there.
 func TestTCPDialerMeetsForeignAcceptor(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	addrs := freeAddrs(t, 2)
 	ln, err := net.Listen("tcp", addrs[1])
 	if err != nil {
@@ -220,7 +224,7 @@ func TestTCPDialerMeetsForeignAcceptor(t *testing.T) {
 // acknowledged is written again from the link's byte buffer; the receiver
 // must see every message exactly once and in order.
 func TestTCPKilledConnectionsExactlyOnceFIFO(t *testing.T) {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	nodes := startMesh(t, 2)
 	in := nodes[1].Subscribe("s")
 	link := nodes[0].out[1]
@@ -299,7 +303,7 @@ func TestTCPSendReportsEncodeError(t *testing.T) {
 
 // fuzzFrames is what the frame fuzzers start from.
 func fuzzFrames(t testing.TB) [][]byte {
-	Register(tcpTestMsg{})
+	registerTestMsg()
 	a := frameBytes(t, 1, 9, 0, "s", tcpTestMsg{K: 1, S: "x"})
 	b := frameBytes(t, 2, 9, 0, "cons", nil)
 	return [][]byte{

@@ -55,6 +55,7 @@ import (
 
 	"otpdb/internal/metrics"
 	"otpdb/internal/storage"
+	"otpdb/internal/transport"
 )
 
 // SyncPolicy selects when appended records are fsynced.
@@ -503,101 +504,64 @@ func encodeRecord(rec Record) []byte {
 	return buf
 }
 
-// decodeRecord parses a framed payload (CRC already verified).
+// decodeRecord parses a framed payload (CRC already verified): the
+// fields encodeRecord writes, read with a transport.WireReader.
 func decodeRecord(payload []byte) (Record, error) {
-	bad := func() (Record, error) { return Record{}, errors.New("wal: malformed record payload") }
-	if len(payload) < 8 {
-		return bad()
-	}
-	rec := Record{TOIndex: int64(binary.BigEndian.Uint64(payload))}
-	rest := payload[8:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return bad()
-	}
-	rest = rest[n:]
-	take := func(length uint64) ([]byte, bool) {
-		if uint64(len(rest)) < length {
-			return nil, false
-		}
-		out := rest[:length]
-		rest = rest[length:]
-		return out, true
-	}
-	takeVar := func() (uint64, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	for i := uint64(0); i < count; i++ {
-		var w storage.ClassKeyValue
-		pl, ok := takeVar()
-		if !ok {
-			return bad()
-		}
-		pb, ok := take(pl)
-		if !ok {
-			return bad()
-		}
-		w.Partition = storage.Partition(pb)
-		kl, ok := takeVar()
-		if !ok {
-			return bad()
-		}
-		kb, ok := take(kl)
-		if !ok {
-			return bad()
-		}
-		w.Key = storage.Key(kb)
-		flag, ok := take(1)
-		if !ok {
-			return bad()
-		}
-		if flag[0] != 0 {
-			vl, ok := takeVar()
-			if !ok {
-				return bad()
+	r := transport.NewWireReader(payload)
+	rec := Record{TOIndex: int64(r.Uint64())}
+	if n := r.Count(3); n > 0 { // partition, key and flag: a byte each or more
+		rec.Writes = make([]storage.ClassKeyValue, n)
+		for i := range rec.Writes {
+			w := &rec.Writes[i]
+			w.Partition, w.Key = storage.Partition(r.Bytes()), storage.Key(r.Bytes())
+			if r.Bool() {
+				// A non-nil copy even when empty: the store distinguishes
+				// empty values from absent ones.
+				w.Value = append(storage.Value{}, r.Bytes()...)
 			}
-			vb, ok := take(vl)
-			if !ok {
-				return bad()
-			}
-			// make (not append) so a zero-length value stays non-nil —
-			// the store distinguishes empty values from absent ones.
-			w.Value = make(storage.Value, vl)
-			copy(w.Value, vb)
 		}
-		rec.Writes = append(rec.Writes, w)
+	}
+	if err := r.Done(); err != nil {
+		return Record{}, fmt.Errorf("wal: malformed record payload: %w", err)
 	}
 	return rec, nil
 }
 
 // validateSegment scans a segment and returns the largest TOIndex of its
-// valid prefix and that prefix's byte length. A short/garbled header is
-// reported as a zero-length prefix (the whole file is a torn creation).
+// valid prefix and that prefix's byte length.
 func validateSegment(path string) (last int64, validLen int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
+	validLen, err = scanFrames(data, func(rec Record) error {
+		last = max(last, rec.TOIndex)
+		return nil
+	})
+	return last, validLen, err
+}
+
+// scanFrames hands the records of a segment's valid prefix to fn, in
+// order, and returns the prefix's byte length. A short or garbled header
+// is a zero-length prefix (the whole file is a torn creation); the
+// prefix ends at the first frame that is incomplete, fails its CRC or
+// does not decode.
+func scanFrames(data []byte, fn func(Record) error) (int64, error) {
 	if len(data) < headerSize || [8]byte(data[:headerSize]) != segMagic {
-		return 0, 0, nil
+		return 0, nil
 	}
 	off := int64(headerSize)
 	for {
 		n, payload := nextFrame(data, off)
 		if payload == nil {
-			return last, off, nil
+			return off, nil
 		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return last, off, nil
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return off, nil
 		}
-		if rec.TOIndex > last {
-			last = rec.TOIndex
+		if err := fn(rec); err != nil {
+			return off, err
 		}
 		off += n
 	}
@@ -630,26 +594,13 @@ func replaySegment(path string, from int64, fn func(Record) error) error {
 		}
 		return fmt.Errorf("wal: %w", err)
 	}
-	if len(data) < headerSize || [8]byte(data[:headerSize]) != segMagic {
-		return nil
-	}
-	off := int64(headerSize)
-	for {
-		n, payload := nextFrame(data, off)
-		if payload == nil {
-			return nil
-		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return nil
-		}
+	_, err = scanFrames(data, func(rec Record) error {
 		if rec.TOIndex > from {
-			if err := fn(rec); err != nil {
-				return err
-			}
+			return fn(rec)
 		}
-		off += n
-	}
+		return nil
+	})
+	return err
 }
 
 // syncDir fsyncs a directory so renames and creations are durable.
