@@ -146,10 +146,11 @@ func (f *FaultInjector) ClearLinks() error {
 	return nil
 }
 
-// StallCommits makes every shard replica at a site sleep for d in its
-// commit path — a stalled WAL fsync / saturated disk. Zero clears the
-// stall. The stall is a sleep, not a spin: it models a blocked device,
-// and a chaos run hosts dozens of sites in one process.
+// StallCommits makes every shard replica at a site dwell for d before
+// each definitive delivery — a stalled WAL fsync / saturated disk, and
+// E12's modeled flush device. Zero clears the stall. The dwell is
+// transport.Dwell, not a spin: a chaos run hosts dozens of sites in one
+// process.
 func (f *FaultInjector) StallCommits(site int, d time.Duration) error {
 	if err := f.checkSites(site); err != nil {
 		return err

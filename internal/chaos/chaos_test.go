@@ -1,9 +1,12 @@
 package chaos
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
+
+	"otpdb/internal/transport"
 )
 
 // quickScenario shrinks a shipped scenario for unit-test runtimes.
@@ -116,6 +119,61 @@ func TestExpandPairsRepairs(t *testing.T) {
 				t.Fatalf("%s: unbalanced %v (count %d):\n%s", sc.Name, k, n, sched)
 			}
 		}
+	}
+}
+
+// fakeLinks is a linkSetter that keeps the current override per link.
+type fakeLinks map[[2]int]transport.LinkProfile
+
+func (f fakeLinks) SetLink(from, to int, p transport.LinkProfile) error {
+	f[[2]int{from, to}] = p
+	return nil
+}
+
+func (f fakeLinks) ClearLink(from, to int) error {
+	delete(f, [2]int{from, to})
+	return nil
+}
+
+// TestCalmRestoresInstalledLink: in every multi-region scenario, each
+// calm of the schedule leaves its link exactly as installTopology laid
+// it — the standing WAN profile, or no override on an intra-region link.
+func TestCalmRestoresInstalledLink(t *testing.T) {
+	calms := 0
+	for _, quick := range []bool{false, true} {
+		for _, sc := range Scenarios(quick) {
+			if sc.Regions <= 1 {
+				continue
+			}
+			for _, seed := range []int64{1, 7, 42} {
+				links := wanLinks(sc, seed)
+				net := fakeLinks{}
+				installTopology(net, links)
+				installed := maps.Clone(net)
+				if len(installed) == 0 {
+					t.Fatalf("%s seed %d: no WAN link installed", sc.Name, seed)
+				}
+				for _, e := range Expand(sc, seed) {
+					l := [2]int{e.A, e.B}
+					switch e.Kind {
+					case "spike":
+						_ = net.SetLink(e.A, e.B, transport.LinkProfile{Delay: e.Dur, Jitter: e.Dur / 2})
+					case "calm":
+						calmLink(net, links, e.A, e.B)
+						calms++
+						got, gok := net[l]
+						want, wok := installed[l]
+						if gok != wok || got != want {
+							t.Fatalf("%s seed %d: calm %d->%d left %+v (%v), installed %+v (%v)",
+								sc.Name, seed, e.A, e.B, got, gok, want, wok)
+						}
+					}
+				}
+			}
+		}
+	}
+	if calms == 0 {
+		t.Fatal("no calm event in any multi-region scenario")
 	}
 }
 

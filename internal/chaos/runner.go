@@ -154,9 +154,8 @@ func RunKeep(sc Scenario, seed int64, opt Options) (*Result, *otpdb.Cluster, err
 	if err := c.Start(); err != nil {
 		return nil, nil, err
 	}
-	if sc.Regions > 1 {
-		installTopology(c, sc, seed)
-	}
+	links := wanLinks(sc, seed)
+	installTopology(c.Fault(), links)
 
 	// Warm-up: one commit per class so every shard has traffic before
 	// faults begin.
@@ -181,11 +180,11 @@ func RunKeep(sc Scenario, seed int64, opt Options) (*Result, *otpdb.Cluster, err
 	}
 	mon := startEpochMonitor(c, sc.Sites, shards)
 	phaseStart := time.Now()
-	anchors := runSchedule(c, sc, seed, sched, flight, logf)
+	anchors := runSchedule(c, sc, links, sched, flight, logf)
 	phaseEnd := time.Now()
 
 	// Repair everything the schedule left open, then drain the workload.
-	repairViolations := repairAll(c, sc, seed, anchors, flight, logf)
+	repairViolations := repairAll(c, sc, links, anchors, flight, logf)
 	close(stop)
 	if !waitGroupWithin(&wg, 90*time.Second) {
 		repairViolations = append(repairViolations, "workload did not drain within 90s of repairs")
@@ -254,61 +253,62 @@ func RunKeep(sc Scenario, seed int64, opt Options) (*Result, *otpdb.Cluster, err
 	return res, c, nil
 }
 
-// installTopology lays the WAN RTT matrix over every inter-region
-// directed link. The per-direction asymmetry factors come from their
-// own deterministic rng, consumed in fixed (from, to) order — part of
-// the scenario's reproducibility contract.
-func installTopology(c *otpdb.Cluster, sc Scenario, seed int64) {
+// wanLinks is the standing profile of every inter-region directed link
+// under the WAN RTT matrix, by (from, to); nil for one region. The
+// per-direction asymmetry factors come from their own deterministic rng,
+// consumed in fixed (from, to) order — part of the scenario's
+// reproducibility contract. A run computes it once: installTopology lays
+// it over the network and calmLink restores a spiked link from it.
+func wanLinks(sc Scenario, seed int64) map[[2]int]transport.LinkProfile {
+	if sc.Regions <= 1 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed + 1))
-	f := c.Fault()
+	links := make(map[[2]int]transport.LinkProfile)
 	for from := 0; from < sc.Sites; from++ {
 		for to := 0; to < sc.Sites; to++ {
 			if from == to || sc.Region(from) == sc.Region(to) {
 				continue
 			}
 			factor := 0.8 + 0.4*rng.Float64() // asymmetric per direction
-			p := transport.LinkProfile{
+			links[[2]int{from, to}] = transport.LinkProfile{
 				Delay:  time.Duration(float64(sc.RegionRTT/2) * factor),
 				Jitter: sc.RegionJitter,
 				Loss:   sc.Loss,
 			}
-			_ = f.SetLink(from, to, p)
 		}
+	}
+	return links
+}
+
+// linkSetter is the part of otpdb.FaultInjector that shapes links.
+type linkSetter interface {
+	SetLink(from, to int, p transport.LinkProfile) error
+	ClearLink(from, to int) error
+}
+
+// installTopology lays the standing WAN links over the network.
+func installTopology(f linkSetter, links map[[2]int]transport.LinkProfile) {
+	for l, p := range links {
+		_ = f.SetLink(l[0], l[1], p)
 	}
 }
 
-// baseProfile reports the link's standing profile so a delay spike can
-// be calmed back to it (zero Delay means "no override": clear instead).
-func baseProfile(sc Scenario, seed int64, from, to int) (transport.LinkProfile, bool) {
-	if sc.Regions <= 1 || sc.Region(from) == sc.Region(to) {
-		return transport.LinkProfile{}, false
+// calmLink ends a delay spike: the link gets its standing profile back,
+// or loses its override when it has none.
+func calmLink(f linkSetter, links map[[2]int]transport.LinkProfile, from, to int) {
+	if p, ok := links[[2]int{from, to}]; ok {
+		_ = f.SetLink(from, to, p)
+	} else {
+		_ = f.ClearLink(from, to)
 	}
-	// Re-derive the same factor installTopology drew: replay its rng up
-	// to this link.
-	rng := rand.New(rand.NewSource(seed + 1))
-	for f := 0; f < sc.Sites; f++ {
-		for t := 0; t < sc.Sites; t++ {
-			if f == t || sc.Region(f) == sc.Region(t) {
-				continue
-			}
-			factor := 0.8 + 0.4*rng.Float64()
-			if f == from && t == to {
-				return transport.LinkProfile{
-					Delay:  time.Duration(float64(sc.RegionRTT/2) * factor),
-					Jitter: sc.RegionJitter,
-					Loss:   sc.Loss,
-				}, true
-			}
-		}
-	}
-	return transport.LinkProfile{}, false
 }
 
 // runSchedule applies the expanded schedule in real time and returns
 // the recovery anchors of the disruptive events. Restarts run async so
 // a slow rejoin cannot skew later event times; their completions are
 // joined before returning.
-func runSchedule(c *otpdb.Cluster, sc Scenario, seed int64, sched Schedule, flight *events.Recorder, logf func(string, ...any)) []*anchor {
+func runSchedule(c *otpdb.Cluster, sc Scenario, links map[[2]int]transport.LinkProfile, sched Schedule, flight *events.Recorder, logf func(string, ...any)) []*anchor {
 	f := c.Fault()
 	start := time.Now()
 	var anchors []*anchor
@@ -387,11 +387,7 @@ func runSchedule(c *otpdb.Cluster, sc Scenario, seed int64, sched Schedule, flig
 		case "spike":
 			_ = f.SetLink(e.A, e.B, transport.LinkProfile{Delay: e.Dur, Jitter: e.Dur / 2})
 		case "calm":
-			if p, ok := baseProfile(sc, seed, e.A, e.B); ok {
-				_ = f.SetLink(e.A, e.B, p)
-			} else {
-				_ = f.ClearLink(e.A, e.B)
-			}
+			calmLink(f, links, e.A, e.B)
 		case "ghost":
 			for _, s := range c.CrashedSites() {
 				if s == e.A {
@@ -409,15 +405,13 @@ func runSchedule(c *otpdb.Cluster, sc Scenario, seed int64, sched Schedule, flig
 // partitions, clear links and stalls, and bring every crashed site
 // back — by waiting for auto-replace when the scenario armed it (its
 // acceptance criterion), by RestartSite otherwise. Returns violations.
-func repairAll(c *otpdb.Cluster, sc Scenario, seed int64, anchors []*anchor, flight *events.Recorder, logf func(string, ...any)) []string {
+func repairAll(c *otpdb.Cluster, sc Scenario, links map[[2]int]transport.LinkProfile, anchors []*anchor, flight *events.Recorder, logf func(string, ...any)) []string {
 	var out []string
 	f := c.Fault()
 	flight.Record(-1, events.KindRepair, "what", "heal-all")
 	_ = f.HealAll()
 	_ = f.ClearLinks()
-	if sc.Regions > 1 {
-		installTopology(c, sc, seed)
-	}
+	installTopology(f, links)
 	for i := 0; i < sc.Sites; i++ {
 		_ = f.StallCommits(i, 0)
 	}

@@ -39,7 +39,7 @@ const (
 	// survivors rely on coordinator rotation for liveness.
 	Partition FaultClass = "partition"
 	// SlowDisk stalls a site's commit path (a blocked WAL fsync): every
-	// commit at the site sleeps for the stall length until cleared.
+	// commit at the site dwells for the stall length until cleared.
 	SlowDisk FaultClass = "slow-disk"
 	// DelaySpike temporarily degrades one directed link far beyond its
 	// base profile, then restores the base.

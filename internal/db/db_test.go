@@ -157,7 +157,7 @@ func (c *cluster) quiesce(t *testing.T, want int, timeout time.Duration) {
 		if err := rep.WaitCommits(ctx, want); err != nil {
 			for i, rep := range c.reps {
 				t.Logf("replica %d: committed=%d pending=%d",
-					i, len(rep.Manager().Committed()), rep.Manager().Pending())
+					i, rep.Manager().Stats().Commits, rep.Manager().Pending())
 			}
 			t.Fatalf("cluster did not quiesce at %d commits: %v", want, err)
 		}
@@ -300,7 +300,7 @@ func TestSnapshotQueriesSeeConsistentTotals(t *testing.T) {
 	}
 	close(stopUpdates)
 	updWG.Wait()
-	committed := len(c.reps[0].Manager().Committed())
+	committed := int(c.reps[0].Manager().Stats().Commits)
 	c.quiesce(t, committed, 30*time.Second)
 	c.checkConvergence(t)
 }
@@ -388,6 +388,27 @@ func TestExecContextCancellation(t *testing.T) {
 	}
 	// The broadcast is irrevocable: the transaction still commits.
 	c.quiesce(t, 1, 10*time.Second)
+}
+
+// TestStopEndsCommitStall: Stop must not sit out a slow-disk stall. With
+// a 2 s stall set and a backlog of TO confirmations queued behind the one
+// that is dwelling, Stop ends the dwell and starts no other.
+func TestStopEndsCommitStall(t *testing.T) {
+	reg := bankRegistry(t, 1, 1)
+	c := newCluster(t, 1, reg, clusterOpts{})
+	rep := c.reps[0]
+	rep.SetCommitStall(2 * time.Second)
+	for i := 0; i < 20; i++ {
+		if _, err := rep.SubmitNotify("deposit-c0", []storage.Value{storage.StringValue("acct0"), storage.Int64Value(1)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // the first TO dwells, the rest queue
+	start := time.Now()
+	rep.Stop()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Stop took %v with a 2 s stall set; want ≤ 100 ms", took)
+	}
 }
 
 func TestStopUnblocksWaiters(t *testing.T) {

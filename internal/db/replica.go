@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,14 +113,6 @@ type Config struct {
 	// store must hold exactly the committed state at that index (as
 	// Durability.Recover and Cluster.RestartSite arrange).
 	InitialTOIndex int64
-	// CommitDelay, when positive, models a serial commit-flush device in
-	// the definitive delivery path: the delivery loop dwells this long
-	// before processing each TO confirmation, the way a per-commit WAL
-	// fsync serializes a group's commit pipeline. Benchmarks use it to
-	// study shard scaling with a deterministic device instead of the
-	// host filesystem (whose shared journal serializes concurrent
-	// fsyncs); it composes with — but is independent of — Durability.
-	CommitDelay time.Duration
 	// ConfigClass, when set together with OnConfigCommit, names the
 	// reserved conflict class carrying group-configuration commands
 	// (internal/member). Whenever a transaction of that class commits
@@ -154,19 +145,18 @@ const commitsPerPrune = 1024
 
 // Replica is one site of the replicated database.
 type Replica struct {
-	id          transport.NodeID
-	bcast       abcast.Broadcaster
-	reg         *sproc.Registry
-	store       *storage.Store
-	qmode       QueryMode
-	hist        HistorySink
-	mgr         *otp.MultiManager
-	cfgClass    sproc.ClassID
-	cfgHook     func(value storage.Value, toIndex int64)
-	commitDelay time.Duration
-	trace       *metrics.TraceRing
-	shard       int
-	txnFails    *metrics.Counter
+	id       transport.NodeID
+	bcast    abcast.Broadcaster
+	reg      *sproc.Registry
+	store    *storage.Store
+	qmode    QueryMode
+	hist     HistorySink
+	mgr      *otp.MultiManager
+	cfgClass sproc.ClassID
+	cfgHook  func(value storage.Value, toIndex int64)
+	trace    *metrics.TraceRing
+	shard    int
+	txnFails *metrics.Counter
 
 	// traceIDs maps an in-flight message to the cluster-wide trace ID
 	// its request carried, so every span this replica records for it can
@@ -181,13 +171,12 @@ type Replica struct {
 	traceIDs map[abcast.MsgID]string
 	txnKeys  map[abcast.MsgID]string
 
-	// stallNanos, when nonzero, adds a sleep before each definitive
-	// delivery — the slow-disk fault of the chaos harness (a WAL device
-	// that has gone out to lunch). Unlike CommitDelay's load-independent
-	// spin (a calibrated benchmark device), the stall is a plain sleep:
-	// it models a device that is genuinely blocked, and chaos runs
-	// dozens of sites in one process, where spinning would starve the
-	// survivors the harness is trying to observe.
+	// stallNanos, when nonzero, adds a dwell before each definitive
+	// delivery: the modeled slow disk, a serial flush device in the
+	// commit pipeline. Chaos sets it as a slow-disk fault, E12 as the
+	// per-commit flush of its scaling sweep. The dwell is transport.Dwell,
+	// so a sub-millisecond stall costs about its nominal length and no
+	// processor; Stop ends it.
 	stallNanos atomic.Int64
 
 	mu         sync.Mutex
@@ -253,7 +242,6 @@ func New(cfg Config) (*Replica, error) {
 		hist:        cfg.History,
 		cfgClass:    cfg.ConfigClass,
 		cfgHook:     cfg.OnConfigCommit,
-		commitDelay: cfg.CommitDelay,
 		trace:       cfg.Trace,
 		shard:       cfg.Shard,
 		txnFails:    cfg.Metrics.Counter("otp_txn_fail_total"),
@@ -440,10 +428,9 @@ func (r *Replica) LastTO() int64 {
 	return r.lastTO
 }
 
-// SetCommitStall adds an extra dwell before every subsequent definitive
-// delivery at this replica, modelling a stalled WAL fsync (slow-disk
-// fault injection). It composes with Config.CommitDelay; zero clears
-// the stall. Safe to call concurrently with delivery.
+// SetCommitStall adds a dwell of d before every subsequent definitive
+// delivery at this replica, modelling a slow or stalled WAL flush; zero
+// clears the stall. Safe to call concurrently with delivery.
 func (r *Replica) SetCommitStall(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -510,23 +497,9 @@ func (r *Replica) onDelivery(ev abcast.Event) {
 		r.optCount++
 		r.mu.Unlock()
 	case abcast.TO:
-		if stall := time.Duration(r.stallNanos.Load()); stall > 0 {
-			time.Sleep(stall)
-		}
-		if r.commitDelay > 0 {
-			// Modeled commit-flush device: serialize the group's
-			// definitive pipeline (see Config.CommitDelay). A yielding
-			// wall-clock wait, not time.Sleep: timer sleeps on a
-			// virtualized host are floored near a millisecond when the
-			// process is idle yet approach nominal when it is busy, so a
-			// sleep-based device would speed up exactly when more shards
-			// keep the CPU warm, inflating scaling results. The elapsed-
-			// time check is load-independent; Gosched donates the CPU to
-			// real work between checks.
-			for start := time.Now(); time.Since(start) < r.commitDelay; {
-				runtime.Gosched()
-			}
-		}
+		// The slow disk: a stall does not outlast Stop, and none starts
+		// after it.
+		transport.Dwell(time.Duration(r.stallNanos.Load()), r.stop)
 		// Record the class's definitive index for query snapshots before
 		// the manager processes the confirmation (queries capture the
 		// pair atomically under r.mu).

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"otpdb"
+	"otpdb/internal/transport"
 )
 
 // This file is E12 (DESIGN.md §10): horizontal scaling across shard
@@ -20,12 +20,16 @@ import (
 // (c) what the two-phase cross-shard protocol costs as the fraction of
 // transactions spanning two shards grows.
 //
-// The primary scaling sweep uses WithCommitFlushDelay — a deterministic
-// per-group flush device (sized to a typical small-write fsync) — because
-// the benchmark host confounds the measurement. Concurrent fsyncs from different WAL
-// files serialize in the shared filesystem journal (measured here:
-// ~4/5ths of a single lane at 4 writers), so the real-fsync sweep mostly
-// measures one ext4 journal, not the protocol. Both sweeps are reported.
+// The primary scaling sweep models a per-group flush device (sized to a
+// typical small-write fsync) with the slow-disk stall the chaos harness
+// injects, FaultInjector.StallCommits, armed on every site: each TO
+// confirmation dwells that long (transport.Dwell) before it is
+// processed, the way a per-commit WAL fsync serializes a group's commit
+// pipeline. It is modeled because the benchmark host confounds the
+// measurement. Concurrent fsyncs from different WAL files serialize in
+// the shared filesystem journal (measured here: ~4/5ths of a single lane
+// at 4 writers), so the real-fsync sweep mostly measures one ext4
+// journal, not the protocol. Both sweeps are reported.
 
 // ShardBenchParams sizes the sharding benchmark.
 type ShardBenchParams struct {
@@ -119,8 +123,9 @@ type ShardReport struct {
 
 // shardCluster builds a durable sharded cluster with classes c<i> pinned
 // to shard i and a bump-c<i> increment procedure per class; withCross
-// also registers the two-shard transfer procedure.
-func shardCluster(replicas, shards int, withCross bool, opts ...otpdb.Option) (*otpdb.Cluster, error) {
+// also registers the two-shard transfer procedure. A positive flush arms
+// the modeled flush device on every site once the cluster runs.
+func shardCluster(replicas, shards int, withCross bool, flush time.Duration, opts ...otpdb.Option) (*otpdb.Cluster, error) {
 	cluster, err := otpdb.NewCluster(append([]otpdb.Option{
 		otpdb.WithReplicas(replicas),
 		otpdb.WithShards(shards),
@@ -166,13 +171,19 @@ func shardCluster(replicas, shards int, withCross bool, opts ...otpdb.Option) (*
 	if err := cluster.Start(); err != nil {
 		return nil, err
 	}
+	for i := 0; i < replicas && flush > 0; i++ {
+		if err := cluster.Fault().StallCommits(i, flush); err != nil {
+			cluster.Stop()
+			return nil, err
+		}
+	}
 	return cluster, nil
 }
 
 // shardCell drives txns transactions, depth in flight, through one
 // session of a fresh sharded cluster.
-func shardCell(p ShardBenchParams, shards int, withCross bool, txns int, opts []otpdb.Option, proc func(i int) (string, []otpdb.Value)) (Load, error) {
-	cluster, err := shardCluster(p.Replicas, shards, withCross, opts...)
+func shardCell(p ShardBenchParams, shards int, withCross bool, txns int, flush time.Duration, opts []otpdb.Option, proc func(i int) (string, []otpdb.Value)) (Load, error) {
+	cluster, err := shardCluster(p.Replicas, shards, withCross, flush, opts...)
 	if err != nil {
 		return Load{}, err
 	}
@@ -185,12 +196,13 @@ func shardCell(p ShardBenchParams, shards int, withCross bool, txns int, opts []
 }
 
 // scaleSweep runs one scaling sweep: aggregate pipelined throughput per
-// shard count, speedup relative to the sweep's own 1-shard cell. opts
-// yields each cell's cluster options.
-func scaleSweep(p ShardBenchParams, txns int, opts func(shards int) []otpdb.Option) ([]ShardScaleCell, error) {
+// shard count, speedup relative to the sweep's own 1-shard cell. flush
+// is the modeled flush device (0: none), opts yields each cell's cluster
+// options.
+func scaleSweep(p ShardBenchParams, txns int, flush time.Duration, opts func(shards int) []otpdb.Option) ([]ShardScaleCell, error) {
 	var cells []ShardScaleCell
 	for _, s := range p.Shards {
-		ld, err := shardCell(p, s, false, txns, opts(s), func(i int) (string, []otpdb.Value) {
+		ld, err := shardCell(p, s, false, txns, flush, opts(s), func(i int) (string, []otpdb.Value) {
 			return fmt.Sprintf("bump-c%d", i%s), nil
 		})
 		if err != nil {
@@ -203,16 +215,13 @@ func scaleSweep(p ShardBenchParams, txns int, opts func(shards int) []otpdb.Opti
 }
 
 // effectiveSleep measures what the host actually delivers for one
-// modeled flush-device wait (the same yielding wall-clock wait the
-// replica performs; on an otherwise idle host it sits within a few
-// percent of nominal).
+// modeled flush-device wait: transport.Dwell, the wait a stalled replica
+// dwells in, which ends about the kernel's timer slack late.
 func effectiveSleep(d time.Duration) time.Duration {
 	const n = 64
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		for s := time.Now(); time.Since(s) < d; {
-			runtime.Gosched()
-		}
+		transport.Dwell(d, nil)
 	}
 	return time.Since(start) / n
 }
@@ -226,9 +235,8 @@ func ShardBench(p ShardBenchParams) (ShardReport, error) {
 	}
 
 	// Primary sweep: modeled per-group flush device.
-	flush := []otpdb.Option{otpdb.WithCommitFlushDelay(p.FlushDelay)}
 	var err error
-	rep.Scale, err = scaleSweep(p, p.Txns, func(int) []otpdb.Option { return flush })
+	rep.Scale, err = scaleSweep(p, p.Txns, p.FlushDelay, func(int) []otpdb.Option { return nil })
 	if err != nil {
 		return rep, fmt.Errorf("scale: %w", err)
 	}
@@ -240,7 +248,7 @@ func ShardBench(p ShardBenchParams) (ShardReport, error) {
 		return rep, err
 	}
 	defer os.RemoveAll(dir)
-	rep.ScaleDurable, err = scaleSweep(p, p.DurableTxns, func(s int) []otpdb.Option {
+	rep.ScaleDurable, err = scaleSweep(p, p.DurableTxns, 0, func(s int) []otpdb.Option {
 		return []otpdb.Option{
 			otpdb.WithDurability(fmt.Sprintf("%s/s%d", dir, s)),
 			otpdb.WithSyncPolicy(otpdb.SyncEveryCommit),
@@ -254,7 +262,7 @@ func ShardBench(p ShardBenchParams) (ShardReport, error) {
 		// Deterministic Bresenham-style interleaving of cross-shard
 		// transactions at the requested ratio.
 		cross, acc := 0, 0.0
-		ld, err := shardCell(p, p.CrossShards, true, p.CrossTxns, flush, func(i int) (string, []otpdb.Value) {
+		ld, err := shardCell(p, p.CrossShards, true, p.CrossTxns, p.FlushDelay, nil, func(i int) (string, []otpdb.Value) {
 			acc += ratio
 			if acc >= 1 {
 				acc--

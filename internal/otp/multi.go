@@ -96,14 +96,12 @@ type MultiExecutor interface {
 	Commit(tx *MultiTxn)
 }
 
-// MultiHooks are optional observation points. OnCommit and OnAbort are
-// invoked outside the manager lock; OnTODelivered is invoked under it (it
-// must be fast and must not call back into the manager).
+// MultiHooks are optional observation points. OnCommit is invoked
+// outside the manager lock; OnTODelivered is invoked under it (it must
+// be fast and must not call back into the manager).
 type MultiHooks struct {
 	// OnCommit fires after MultiExecutor.Commit for each transaction.
 	OnCommit func(tx *MultiTxn)
-	// OnAbort fires after MultiExecutor.Abort for each CC8 abort.
-	OnAbort func(tx *MultiTxn)
 	// OnTODelivered fires when a transaction's definitive index is
 	// assigned, before any rescheduling. The query layer uses it to track
 	// the largest definitive index per conflict class (Section 5).
@@ -135,7 +133,6 @@ type MultiManager struct {
 	index  map[abcast.MsgID]*MultiTxn
 
 	nextTOIndex int64
-	committed   commitLog
 	stats       Stats
 }
 
@@ -310,7 +307,6 @@ func (m *MultiManager) commitLocked(tx *MultiTxn, acts []multiAction) []multiAct
 		m.queues[class] = q[1:]
 	}
 	delete(m.index, tx.ID)
-	m.committed.add(CommitRecord{ID: tx.ID, Class: tx.Classes[0], TOIndex: tx.toIndex})
 	m.stats.Commits++
 	tx.refs.Add(1)
 	tx.committed.Store(1)
@@ -374,9 +370,6 @@ func (m *MultiManager) perform(acts []multiAction) {
 		switch a.kind {
 		case actAbort:
 			m.exec.Abort(a.tx)
-			if m.hooks.OnAbort != nil {
-				m.hooks.OnAbort(a.tx)
-			}
 		case actCommit:
 			m.exec.Commit(a.tx)
 			if m.hooks.OnCommit != nil {
@@ -403,16 +396,6 @@ func (m *MultiManager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// Committed returns a copy of the commit log in commit order. The Class
-// field holds the transaction's first declared class. The log retains
-// about the most recent commitLogCap records (commitLog); callers needing the full history
-// of a long run should consume the OnCommit hook.
-func (m *MultiManager) Committed() []CommitRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.committed.snapshot()
 }
 
 // Pending reports delivered-but-uncommitted transactions.

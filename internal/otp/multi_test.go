@@ -2,6 +2,7 @@ package otp
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -195,14 +196,19 @@ func TestMultiIdleHeadNotAbortedOnDisplacement(t *testing.T) {
 }
 
 func TestMultiDuplicateClassesNormalized(t *testing.T) {
-	m, _ := newMulti(true)
+	exec := newMultiExec(true)
+	var committed [][]ClassID
+	m := NewMultiManager(exec, MultiHooks{OnCommit: func(tx *MultiTxn) {
+		committed = append(committed, slices.Clone(tx.Classes))
+	}})
+	exec.mgr = m
 	mustOptM(t, m, 1, "B", "A", "B")
 	mustTOM(t, m, 1)
 	if m.Pending() != 0 {
 		t.Fatal("txn with duplicate classes stuck")
 	}
-	if len(m.Committed()) != 1 || m.Committed()[0].Class != "A" {
-		t.Fatalf("committed = %v", m.Committed())
+	if len(committed) != 1 || !slices.Equal(committed[0], []ClassID{"A", "B"}) {
+		t.Fatalf("committed = %v", committed)
 	}
 }
 

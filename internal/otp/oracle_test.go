@@ -2,6 +2,7 @@ package otp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"otpdb/internal/abcast"
@@ -87,8 +88,15 @@ type Manager struct {
 	index  map[abcast.MsgID]*Txn
 
 	nextTOIndex int64
-	committed   commitLog
+	committed   []CommitRecord
 	stats       Stats
+}
+
+// CommitRecord is one entry of the oracle's commit log.
+type CommitRecord struct {
+	ID      abcast.MsgID
+	Class   ClassID
+	TOIndex int64
 }
 
 type action struct {
@@ -215,7 +223,7 @@ func (m *Manager) commitLocked(tx *Txn, acts []action) []action {
 	}
 	m.queues[tx.Class] = q[1:]
 	delete(m.index, tx.ID)
-	m.committed.add(CommitRecord{ID: tx.ID, Class: tx.Class, TOIndex: tx.toIndex})
+	m.committed = append(m.committed, CommitRecord{ID: tx.ID, Class: tx.Class, TOIndex: tx.toIndex})
 	m.stats.Commits++
 	acts = append(acts, action{kind: actCommit, tx: tx})
 	if next := m.queues[tx.Class]; len(next) > 0 { // E3/CC4
@@ -302,13 +310,11 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// Committed returns a copy of the local commit log, in commit order. The
-// log retains the most recent commitLogCap records; callers needing the
-// full history of a long run should consume the OnCommit hook.
+// Committed returns a copy of the local commit log, in commit order.
 func (m *Manager) Committed() []CommitRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.committed.snapshot()
+	return slices.Clone(m.committed)
 }
 
 // LastTOIndex returns the index of the most recent TO-delivered

@@ -146,7 +146,7 @@ func TestQuickStarvationFreedom(t *testing.T) {
 	f := func(seed int64, txns, classes, disp uint8) bool {
 		s := quickSchedule(seed, txns, classes)
 		r := s.run(t, int(disp%8))
-		return r.m.Pending() == 0 && len(r.m.Committed()) == s.numTxns
+		return r.m.Pending() == 0 && r.m.Stats().Commits == uint64(s.numTxns)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

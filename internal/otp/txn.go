@@ -14,9 +14,8 @@
 // Figure 6).
 //
 // The MultiManager is a synchronous state machine: its On* methods are
-// driven by the broadcast layer (live engine) or directly by tests and
-// the deterministic simulation. Actual data access is delegated to a
-// MultiExecutor.
+// driven by the replica's delivery loop (internal/db) or directly by
+// tests. Actual data access is delegated to a MultiExecutor.
 package otp
 
 import (
@@ -92,13 +91,6 @@ func (s State) String() string {
 	return fmt.Sprintf("%v[%s;%s]", s.ID, s.Exec, s.Deliv)
 }
 
-// CommitRecord is one entry of the local commit log.
-type CommitRecord struct {
-	ID      abcast.MsgID
-	Class   ClassID
-	TOIndex int64
-}
-
 // Stats counts manager events; the experiment harness reads them.
 type Stats struct {
 	// OptDelivered counts Opt-delivered transactions (queue appends).
@@ -127,49 +119,6 @@ var (
 	// ErrDuplicate is returned when a transaction is delivered twice.
 	ErrDuplicate = errors.New("otp: duplicate delivery")
 )
-
-// commitLogCap bounds the in-memory commit log. An unbounded log is a
-// slow memory leak on a long-running replica (and its reallocation
-// dominated the commit hot path); callers needing the full history
-// should consume the OnCommit hook instead.
-const commitLogCap = 1 << 16
-
-// commitLogChunk is the number of records the commit log grows by.
-const commitLogChunk = 1 << 10
-
-// commitLog holds the most recent commit records — commitLogCap of them,
-// to within a chunk — in chunks: it grows a chunk at a time, never copying
-// what it holds, and at the cap the oldest chunk's array becomes the
-// newest.
-type commitLog struct {
-	full [][]CommitRecord // filled chunks, oldest first
-	recs []CommitRecord   // the chunk being filled
-}
-
-// add appends a record, evicting the oldest chunk once the log is full.
-func (l *commitLog) add(rec CommitRecord) {
-	if len(l.recs) == commitLogChunk {
-		l.full = append(l.full, l.recs)
-		l.recs = nil
-		if len(l.full) == commitLogCap/commitLogChunk {
-			l.recs = l.full[0][:0]
-			l.full = append(l.full[:0], l.full[1:]...)
-		}
-	}
-	if l.recs == nil {
-		l.recs = make([]CommitRecord, 0, commitLogChunk)
-	}
-	l.recs = append(l.recs, rec)
-}
-
-// snapshot returns the retained records in commit order.
-func (l *commitLog) snapshot() []CommitRecord {
-	out := make([]CommitRecord, 0, len(l.full)*commitLogChunk+len(l.recs))
-	for _, chunk := range l.full {
-		out = append(out, chunk...)
-	}
-	return append(out, l.recs...)
-}
 
 // actionKind orders deferred executor calls.
 type actionKind int

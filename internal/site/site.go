@@ -72,9 +72,9 @@ type Config struct {
 	// keeps the engine's default.
 	DefLogCap int
 	// Replica is the template of the replica's configuration. Registry,
-	// Queries, History, CommitDelay, Trace and Shard pass
-	// through; the site sets the rest (identity, broadcast, store,
-	// durability, resume index, metrics and the membership hook).
+	// Queries, History, Trace and Shard pass through; the site sets the
+	// rest (identity, broadcast, store, durability, resume index, metrics
+	// and the membership hook).
 	Replica db.Config
 	// Metrics labels the telemetry of every layer of the site.
 	Metrics *metrics.Scope

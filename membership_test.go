@@ -226,7 +226,8 @@ func TestReplaceSiteReadmitsDeadIdentity(t *testing.T) {
 // the first epoch, and nobody inherits it. After the head is replaced
 // consensus_owns_round0 reads 0 at every site, the replacement included,
 // and every stage costs three delays until the whole cluster restarts
-// (ROADMAP 4c). A per-epoch promise flips the last assertion.
+// (ROADMAP, "Two-delay stages do not survive the first
+// reconfiguration"). A per-epoch promise flips the last assertion.
 func TestReplaceHeadLosesRound0(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := accountsCluster(t, otpdb.WithReplicas(3), otpdb.WithMetrics(reg))

@@ -190,7 +190,6 @@ type config struct {
 	defLogCap    int
 	voteTimeout  time.Duration // 0: shard's defaults; tests lower both
 	resolveAfter time.Duration
-	commitDelay  time.Duration
 	autoReplace  bool
 	suspectWin   time.Duration
 	metrics      *metrics.Registry
@@ -273,17 +272,6 @@ func WithCheckpointEvery(n int) Option {
 // tests and benchmarks.
 func WithDefLogCap(n int) Option {
 	return func(c *config) { c.defLogCap = n }
-}
-
-// WithCommitFlushDelay models a serial commit-flush device in every
-// replica's definitive delivery path: each TO confirmation dwells d
-// before it is processed, the way a per-commit WAL fsync serializes a
-// group's commit pipeline. Like WithNetworkDelay for the transport, this
-// gives benchmarks a deterministic device model — shard-scaling cells
-// use it instead of the host filesystem, whose shared journal serializes
-// concurrent fsyncs across groups.
-func WithCommitFlushDelay(d time.Duration) Option {
-	return func(c *config) { c.commitDelay = d }
 }
 
 // WithAutoReplace closes the self-healing loop: every live site runs a
@@ -600,11 +588,10 @@ func (c *Cluster) startSite(ctx context.Context, grp *group, g, i int, ep transp
 		RoundTimeout:    c.cfg.roundTimeout,
 		DefLogCap:       c.cfg.defLogCap,
 		Replica: db.Config{
-			Registry:    c.registry,
-			Queries:     c.cfg.queryMode,
-			CommitDelay: c.cfg.commitDelay,
-			Trace:       c.cfg.trace,
-			Shard:       g,
+			Registry: c.registry,
+			Queries:  c.cfg.queryMode,
+			Trace:    c.cfg.trace,
+			Shard:    g,
 		},
 		Metrics: scope,
 		Events:  c.cfg.events,

@@ -18,6 +18,12 @@ func accountsCluster(t *testing.T, opts ...otpdb.Option) *otpdb.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return withAccounts(t, c)
+}
+
+// withAccounts registers the banking schema on c and stops c when the
+// test ends.
+func withAccounts(t *testing.T, c *otpdb.Cluster) *otpdb.Cluster {
 	c.MustRegisterUpdate(otpdb.Update{
 		Name:  "credit",
 		Class: "accounts",
@@ -265,6 +271,111 @@ func TestSiteStatsExposesCounters(t *testing.T) {
 	}
 	if st.Commits != 1 || st.Pending != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestOpenReopens drives the embedded entry point: Open, register,
+// Start, commit, Stop, then Open the same directory again. The second
+// Start resumes at the first one's last commit with its state.
+func TestOpenReopens(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	const n = 5
+	c, err := otpdb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withAccounts(t, c)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := c.Exec(ctx, 0, "credit", otpdb.String("alice"), otpdb.Int64(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Stop()
+
+	c, err = otpdb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withAccounts(t, c)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := c.RecoveredIndex(0); err != nil || idx != n {
+		t.Fatalf("RecoveredIndex(0) = %d, %v; want %d", idx, err, n)
+	}
+	v, err := c.QueryAt(ctx, 0, "balance", otpdb.String("alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := otpdb.AsInt64(v); got != 10*n {
+		t.Fatalf("balance after reopen = %d, want %d", got, 10*n)
+	}
+}
+
+// holdingCluster is a one-site accounts cluster whose "hold" update keeps
+// the accounts class busy for 2 s; hold is submitted before it returns.
+func holdingCluster(t *testing.T) *otpdb.Cluster {
+	t.Helper()
+	c := accountsCluster(t, otpdb.WithReplicas(1))
+	c.MustRegisterUpdate(otpdb.Update{
+		Name:  "hold",
+		Class: "accounts",
+		Cost:  2 * time.Second,
+		Fn:    func(otpdb.UpdateCtx) (otpdb.Value, error) { return nil, nil },
+	})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(0, "hold"); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestWaitForCommitsHonoursCancel: cancelling the context ends a
+// WaitForCommits that a held class keeps waiting, with the context's
+// error, long before the class commits.
+func TestWaitForCommitsHonoursCancel(t *testing.T) {
+	c := holdingCluster(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := c.WaitForCommits(ctx, 1)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitForCommits = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("WaitForCommits returned %v after its context ended", took)
+	}
+}
+
+// TestQueryWaitHonoursCancel: a §5 query that waits for a held class to
+// commit returns the context's error as soon as the context ends.
+func TestQueryWaitHonoursCancel(t *testing.T) {
+	c := holdingCluster(t)
+	// The query waits only once hold is TO-delivered; until then it
+	// reads at once, and the loop tries again.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		_, err := c.QueryAt(ctx, 0, "balance", otpdb.String("alice"))
+		took := time.Since(start)
+		cancel()
+		if took > time.Second {
+			t.Fatalf("query returned %v, %v after its context ended", err, took)
+		}
+		if err == nil && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("query = %v, want %v", err, context.DeadlineExceeded)
+		}
+		return
 	}
 }
 
