@@ -7,6 +7,7 @@ package otpdb_test
 // cmd/otpbench for the full tables.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strconv"
@@ -221,7 +222,9 @@ func BenchmarkSnapshotReadParallel(b *testing.B) {
 
 // BenchmarkStoreSeed measures what a three-site cluster spends seeding
 // before it answers: three fresh stores of 8 classes × 1 024 keys of 136
-// bytes each, reported per seeded key.
+// bytes each, reported per seeded key. "load" seeds each store key by key
+// (Store.Load, as the bench's hand-assembled stack does); "image"
+// installs one checkpoint into all three, as the facade does.
 func BenchmarkStoreSeed(b *testing.B) {
 	const sites, classes, keys = 3, 8, 1024
 	parts := make([]storage.Partition, classes)
@@ -233,19 +236,41 @@ func BenchmarkStoreSeed(b *testing.B) {
 		names[i] = storage.Key(fmt.Sprintf("k%04d", i))
 	}
 	val := make(storage.Value, 136)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for range sites {
-			s := storage.NewStore()
-			for _, p := range parts {
-				for _, k := range names {
-					s.Load(p, k, val)
+	perKey := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sites*classes*keys), "ns/key")
+	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for range sites {
+				s := storage.NewStore()
+				for _, p := range parts {
+					for _, k := range names {
+						s.Load(p, k, val)
+					}
 				}
 			}
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sites*classes*keys), "ns/key")
+		perKey(b)
+	})
+	b.Run("image", func(b *testing.B) {
+		img := &storage.Checkpoint{}
+		for _, p := range parts {
+			pc := storage.PartitionCheckpoint{Partition: p}
+			for _, k := range names {
+				pc.Keys = append(pc.Keys, storage.KeyVersion{Key: k, Value: bytes.Clone(val)})
+			}
+			img.Partitions = append(img.Partitions, pc)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for range sites {
+				storage.NewStore().InstallCheckpoint(img)
+			}
+		}
+		perKey(b)
+	})
 }
 
 // BenchmarkStorageCommitSharded measures per-partition commit

@@ -162,6 +162,21 @@ func TestDuplicateBodyAfterRelease(t *testing.T) {
 	}
 }
 
+// A rejoined site's first broadcast can run before its engine goroutine
+// has replayed the backlog; it must still number past ResumeSeq, or it
+// reuses the ID of a message it sent before the crash, whose replayed
+// commit then answers the new submission.
+func TestJoinedEngineNumbersPastResumeSeqAtOnce(t *testing.T) {
+	h := transport.NewHub(3)
+	t.Cleanup(h.Close)
+	cons := consensus.New(consensus.Config{Endpoint: h.Endpoint(0), RoundTimeout: time.Hour})
+	o := NewOptimistic(h.Endpoint(0), cons, WithJoin(JoinState{ResumeSeq: 41}))
+	id, err := o.Broadcast("new")
+	if err != nil || id != (MsgID{Origin: 0, Seq: 42}) {
+		t.Fatalf("first broadcast after the join = %v, %v; want m0.42", id, err)
+	}
+}
+
 // A site that joined from a bare checkpoint is sent, by the survivors'
 // links, every body they queued while it was down. It knows none of those
 // ids from its backlog; the donor's delivered sets are what tells it they

@@ -187,9 +187,14 @@ type JoinState struct {
 // Option configures an Optimistic engine.
 type Option func(*Optimistic)
 
-// WithJoin makes the engine start in rejoin mode.
+// WithJoin makes the engine start in rejoin mode. Broadcast numbers from
+// js.ResumeSeq+1 at once: a broadcast that runs before the engine has
+// replayed the backlog must not reuse an ID the backlog holds.
 func WithJoin(js JoinState) Option {
-	return func(o *Optimistic) { o.join = &js }
+	return func(o *Optimistic) {
+		o.join = &js
+		o.nextSeq = js.ResumeSeq
+	}
 }
 
 // WithDefLogCap bounds the retained definitive history (default 64Ki
@@ -388,11 +393,6 @@ func (o *Optimistic) applyJoin() {
 		o.stage = j.StartStage
 		o.nextProcess = j.StartStage
 	}
-	o.mu.Lock()
-	if j.ResumeSeq > o.nextSeq {
-		o.nextSeq = j.ResumeSeq
-	}
-	o.mu.Unlock()
 	for _, r := range j.Delivered {
 		o.delivered.of(r.Origin).addRun(r.Lo, r.Hi)
 	}

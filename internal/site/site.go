@@ -51,9 +51,10 @@ type Config struct {
 	// of a fresh store. Recovered or transferred state carrying a newer
 	// committed configuration overrides it.
 	Bootstrap member.Config
-	// Seed, when non-nil, loads initial data into a fresh store
-	// (version 0, like Bootstrap).
-	Seed func(*storage.Store)
+	// Seed, when non-nil, is the initial data a fresh store installs
+	// (a checkpoint at index 0, like Bootstrap). The store shares its
+	// values, so one image may seed every site.
+	Seed *storage.Checkpoint
 	// Dir is the durability directory; empty makes the site volatile.
 	Dir string
 	// Sync and CheckpointEvery configure the durability under Dir (see
@@ -128,7 +129,7 @@ func Open(cfg Config) (*Site, error) {
 	s := &Site{cfg: cfg, store: storage.NewStore()}
 	member.Seed(s.store, cfg.Bootstrap)
 	if cfg.Seed != nil {
-		cfg.Seed(s.store)
+		s.store.InstallCheckpoint(cfg.Seed)
 	}
 	if cfg.Dir != "" {
 		dur, err := recovery.Open(cfg.Dir, recovery.Options{

@@ -295,6 +295,46 @@ func TestLoadRacingFirstReaders(t *testing.T) {
 	}
 }
 
+// TestInstallImageRacingFirstReaders installs one image into fresh
+// stores while readers make the first reads of the same partition.
+// Whichever takes the partition first, the image's slab or the per-key
+// path after publication, a key read after InstallCheckpoint returned
+// holds the image's own bytes, and under -race no read overlaps the
+// in-place install.
+func TestInstallImageRacingFirstReaders(t *testing.T) {
+	img := seedImage()
+	pc := img.Partitions[0]
+	for round := 0; round < 8; round++ {
+		s := NewStore()
+		var installed atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					done := installed.Load()
+					kv := pc.Keys[(i*7919+g)%len(pc.Keys)]
+					v, ok := s.Get(pc.Partition, kv.Key)
+					if (done && !ok) || (ok && &v[0] != &kv.Value[0]) {
+						t.Errorf("round %d: %s = %v, %v after install %v; want the image's value", round, kv.Key, ok, v, done)
+						return
+					}
+					if done {
+						return
+					}
+				}
+			}()
+		}
+		s.InstallCheckpoint(img)
+		installed.Store(true)
+		wg.Wait()
+		if n := s.VersionCount(); n != len(img.Partitions)*len(pc.Keys) {
+			t.Fatalf("round %d: VersionCount = %d", round, n)
+		}
+	}
+}
+
 // TestPruneCorrectness: after Prune(w), reads at or above w still see
 // exact snapshots, reads below w fail loudly with ErrSnapshotPruned,
 // and the watermark is observable.

@@ -32,11 +32,14 @@
 //     O(keys) per insert.
 //   - Until the first read of a partition, the seed, recovery and
 //     rejoin paths (Load, InstallCheckpoint) write straight into its
-//     base map, one map insert and one state per key: nothing can be
-//     looking. The first reader marks the partition published under a
-//     small mutex those paths take too; from then on they go through the
-//     copy-on-write directory like any other writer, and a reader pays
-//     one atomic load of a flag that never changes again.
+//     base map, one map insert and one block (entry, state and chain)
+//     per key: nothing can be looking. InstallCheckpoint into such a
+//     partition that holds no key yet sizes the map once and takes every
+//     key's block from one slab. The first reader marks the partition
+//     published under a small mutex those paths take too; from then on
+//     they go through the copy-on-write directory like any other writer,
+//     and a reader pays one atomic load of a flag that never changes
+//     again.
 //
 // Writers — at most one update transaction per partition, enforced via
 // the partition's active slot — serialize against each other and against
@@ -47,7 +50,9 @@
 // # Value immutability
 //
 // Values handed to the store (Load, Write) are copied at the boundary,
-// so callers may reuse buffers. Values handed OUT of the store
+// so callers may reuse buffers; InstallCheckpoint shares the
+// checkpoint's values instead, so one checkpoint can seed every site's
+// store. Values handed OUT of the store
 // (Get, SnapshotRead, Txn.Read, ...) are NOT copied: they alias the
 // committed version, which is immutable by contract. Callers must treat
 // returned Values as read-only. This removes one allocation per read
@@ -73,7 +78,8 @@ type Partition string
 type Key string
 
 // Value is an immutable byte string. The store copies values at its
-// boundaries on the way in (callers may reuse buffers) and returns
+// boundaries on the way in (Load, Write: callers may reuse buffers),
+// shares an installed checkpoint's, and returns
 // aliases of committed versions on the way out (callers must not
 // mutate them).
 type Value []byte
@@ -235,7 +241,7 @@ func (pt *partition) waitChLocked() chan struct{} {
 func (pt *partition) addVersion(k Key, toIndex int64, v Value) {
 	e := pt.getEntry(k)
 	if e == nil {
-		pt.addEntry(k, &versionState{idx: []int64{toIndex}, vals: []Value{v}})
+		pt.addEntry(k, new(keyBlock).init(toIndex, v))
 		return
 	}
 	e.state.Store(e.load().appendVersion(toIndex, v))
@@ -276,19 +282,33 @@ func (pt *partition) getEntry(k Key) *entry {
 	return nil
 }
 
-// newEntry builds an entry whose first state is st.
-func newEntry(st *versionState) *entry {
-	e := &entry{}
-	e.state.Store(st)
-	return e
+// keyBlock is one allocation holding a key with a one-version chain: the
+// entry, its state and the chain's two one-element columns. The columns have
+// capacity 1, so the next commit's appendVersion copies them and never
+// writes into a neighbour's array when the block is part of a slab.
+type keyBlock struct {
+	e   entry
+	st  versionState
+	idx [1]int64
+	val [1]Value
 }
 
-// addEntry creates the entry of a key the published partition lacks. New
+// init fills b with the one-version chain (toIndex, v) and returns its
+// entry.
+func (b *keyBlock) init(toIndex int64, v Value) *entry {
+	b.idx[0], b.val[0] = toIndex, v
+	//otplint:allow atomiccow st is the value e.state publishes, never an atomic operand, and is written before it is published
+	b.st = versionState{idx: b.idx[:], vals: b.val[:]}
+	b.e.state.Store(&b.st)
+	return &b.e
+}
+
+// addEntry adds the entry of a key the published partition lacks. New
 // keys go to the overflow; the overflow is folded into a fresh base once
 // it reaches a quarter of the base size (amortized O(1) per creation).
 // Callers hold pt.mu.
-func (pt *partition) addEntry(k Key, st *versionState) {
-	pt.overflow.Store(k, newEntry(st))
+func (pt *partition) addEntry(k Key, e *entry) {
+	pt.overflow.Store(k, e)
 	n := int(pt.overflowN.Add(1))
 	if 4*n > len(*pt.keys.Load()) {
 		pt.mergeOverflowLocked()
@@ -300,24 +320,44 @@ func (pt *partition) addEntry(k Key, st *versionState) {
 // is published the entry goes straight into the base map. Callers hold
 // pt.mu.
 func (pt *partition) install(k Key, toIndex int64, v Value) {
-	st := &versionState{idx: []int64{toIndex}, vals: []Value{v}}
+	ne := new(keyBlock).init(toIndex, v)
 	pt.seedMu.Lock()
 	if !pt.published.Load() {
 		base := *pt.keys.Load()
 		if e := base[k]; e != nil {
-			e.state.Store(st)
+			e.state.Store(ne.load())
 		} else {
-			base[k] = newEntry(st)
+			base[k] = ne
 		}
 		pt.seedMu.Unlock()
 		return
 	}
 	pt.seedMu.Unlock()
 	if e := pt.getEntry(k); e != nil {
-		e.state.Store(st)
+		e.state.Store(ne.load())
 	} else {
-		pt.addEntry(k, st)
+		pt.addEntry(k, ne)
 	}
+}
+
+// installFresh is install for every key of a checkpoint at once, when
+// nobody has read the partition and it holds no key yet: one base map
+// sized to the keys and one slab of key blocks. A key listed twice takes
+// its last version, as with install. It reports false, and installs
+// nothing, when the partition is not fresh. Callers hold pt.mu.
+func (pt *partition) installFresh(keys []KeyVersion) bool {
+	pt.seedMu.Lock()
+	defer pt.seedMu.Unlock()
+	if pt.published.Load() || len(*pt.keys.Load()) != 0 {
+		return false
+	}
+	base := make(keyMap, len(keys))
+	slab := make([]keyBlock, len(keys))
+	for i, kv := range keys {
+		base[kv.Key] = slab[i].init(kv.TOIndex, kv.Value)
+	}
+	pt.keys.Store(&base)
+	return true
 }
 
 // mergeOverflowLocked folds the overflow into a fresh base map and
@@ -914,13 +954,19 @@ func (s *Store) CheckpointAt(maxIndex int64) *Checkpoint {
 // the prune watermark advances to the checkpoint index (state below it
 // was never transferred, so snapshot reads below it fail loudly, exactly
 // as after a Prune). Intended for empty or freshly seeded stores during
-// recovery and rejoin, which it fills in place like Load.
+// seeding, recovery and rejoin, which it fills in place like Load; a
+// partition nobody has read that holds no key yet gets all its keys from
+// one allocation. The store shares the checkpoint's values (they are
+// immutable, see the package doc), so one checkpoint may seed many
+// stores.
 func (s *Store) InstallCheckpoint(ck *Checkpoint) {
 	for _, pc := range ck.Partitions {
 		pt := s.part(pc.Partition)
 		pt.mu.Lock()
-		for _, kv := range pc.Keys {
-			pt.install(kv.Key, kv.TOIndex, kv.Value)
+		if !pt.installFresh(pc.Keys) {
+			for _, kv := range pc.Keys {
+				pt.install(kv.Key, kv.TOIndex, kv.Value)
+			}
 		}
 		if pc.LastCommitted > pt.lastCommitted.Load() {
 			pt.lastCommitted.Store(pc.LastCommitted)

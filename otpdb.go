@@ -67,12 +67,15 @@
 package otpdb
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -336,14 +339,6 @@ type group struct {
 	stops    []func()     // per site: what the cluster runs beside the stack, then the stack
 }
 
-// seedEntry is one initial value, loaded at version 0 into every fresh
-// store of the shard owning its class.
-type seedEntry struct {
-	class Class
-	key   Key
-	value Value
-}
-
 // Cluster is an in-process set of replicated shard groups (one group in
 // the default single-shard configuration).
 type Cluster struct {
@@ -352,8 +347,9 @@ type Cluster struct {
 	smap      *shard.Map
 	shub      *shard.Hub
 	coord     *shard.Coordinator
-	seeds     []seedEntry
-	bootstrap member.Config // epoch-1 configuration seeded into every fresh store (set by Start)
+	seeds     map[Class][]storage.KeyVersion // Seed's copies, per class in call order
+	images    []*storage.Checkpoint          // per shard group, the seeds every fresh store installs (set by Start)
+	bootstrap member.Config                  // epoch-1 configuration seeded into every fresh store (set by Start)
 
 	// mu guards the per-site state below: RestartSite swaps a site's
 	// whole stack while sessions and cluster methods resolve replicas
@@ -465,7 +461,7 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, registry: sproc.NewRegistry(), smap: m}
+	c := &Cluster{cfg: cfg, registry: sproc.NewRegistry(), smap: m, seeds: make(map[Class][]storage.KeyVersion)}
 	return c, nil
 }
 
@@ -525,13 +521,14 @@ func (c *Cluster) MustRegisterQuery(q Query) {
 }
 
 // Seed loads an initial value into every replica's copy of a class before
-// the cluster starts (version index 0). The seed lands only in the
-// shard owning the class.
+// the cluster starts (version index 0). The value is copied, so the caller
+// may reuse its buffer; a nil value reads as absent, and the last Seed of
+// a key wins. The seed lands only in the shard owning the class.
 func (c *Cluster) Seed(class Class, key Key, value Value) error {
 	if c.started {
 		return ErrStarted
 	}
-	c.seeds = append(c.seeds, seedEntry{class: class, key: key, value: value})
+	c.seeds[class] = append(c.seeds[class], storage.KeyVersion{Key: key, Value: Value(bytes.Clone(value))})
 	return nil
 }
 
@@ -561,13 +558,26 @@ func (c *Cluster) siteDir(g, i int) string {
 	return filepath.Join(c.cfg.durDir, fmt.Sprintf("shard-%d", g), fmt.Sprintf("site-%d", i))
 }
 
-// seedStore loads a fresh store with every seed owned by shard g.
-func (c *Cluster) seedStore(g int, store *storage.Store) {
-	for _, se := range c.seeds {
-		if c.smap.Locate(se.class) == g {
-			store.Load(storage.Partition(se.class), se.key, se.value)
-		}
+// seedImages groups the seeds into one checkpoint at index 0 per shard
+// group, each class in the group owning it now that every PinClass is
+// in. Every site the group opens installs its image and shares the
+// image's values. A key seeded twice is listed twice, and
+// InstallCheckpoint keeps the last.
+func (c *Cluster) seedImages() []*storage.Checkpoint {
+	images := make([]*storage.Checkpoint, c.cfg.shards)
+	for g := range images {
+		images[g] = &storage.Checkpoint{}
 	}
+	for class, keys := range c.seeds {
+		img := images[c.smap.Locate(class)]
+		img.Partitions = append(img.Partitions, storage.PartitionCheckpoint{Partition: storage.Partition(class), Keys: keys})
+	}
+	for _, img := range images {
+		slices.SortFunc(img.Partitions, func(a, b storage.PartitionCheckpoint) int {
+			return cmp.Compare(a.Partition, b.Partition)
+		})
+	}
+	return images
 }
 
 // startSite brings site i of group g to life on ep (internal/site): a
@@ -581,7 +591,7 @@ func (c *Cluster) startSite(ctx context.Context, grp *group, g, i int, ep transp
 	cfg := site.Config{
 		Endpoint:        ep,
 		Bootstrap:       c.bootstrap,
-		Seed:            func(s *storage.Store) { c.seedStore(g, s) },
+		Seed:            c.images[g],
 		Sync:            c.cfg.syncPolicy,
 		CheckpointEvery: c.cfg.ckptEvery,
 		Conservative:    c.cfg.ordering == ConservativeOrdering,
@@ -658,6 +668,7 @@ func (c *Cluster) Start() error {
 		bootstrapIDs[transport.NodeID(i)] = ""
 	}
 	c.bootstrap = member.Bootstrap(bootstrapIDs)
+	c.images = c.seedImages()
 
 	if err := c.startGroups(); err != nil {
 		return err

@@ -193,10 +193,17 @@ func TestConservativeOrderingWorksToo(t *testing.T) {
 	})
 }
 
+// TestSeedLoadsInitialState: a seed reads at every site, a key seeded
+// twice reads its second value, and a nil seed reads as absent.
 func TestSeedLoadsInitialState(t *testing.T) {
 	c := accountsCluster(t, otpdb.WithReplicas(2))
-	if err := c.Seed("accounts", "alice", otpdb.Int64(500)); err != nil {
-		t.Fatal(err)
+	for _, s := range []struct {
+		key   otpdb.Key
+		value otpdb.Value
+	}{{"alice", otpdb.Int64(1)}, {"gone", nil}, {"alice", otpdb.Int64(500)}} {
+		if err := c.Seed("accounts", s.key, s.value); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
@@ -206,9 +213,126 @@ func TestSeedLoadsInitialState(t *testing.T) {
 		if err != nil || !ok || otpdb.AsInt64(v) != 500 {
 			t.Fatalf("site %d: %v %v %v", site, otpdb.AsInt64(v), ok, err)
 		}
+		if v, ok, err := c.Read(site, "accounts", "gone"); err != nil || ok {
+			t.Fatalf("site %d: nil seed reads %q, %v, %v; want absent", site, v, ok, err)
+		}
 	}
 	if err := c.Seed("accounts", "late", nil); !errors.Is(err, otpdb.ErrStarted) {
 		t.Fatalf("late seed = %v", err)
+	}
+}
+
+// TestSeedCopiesValue reuses one buffer for two seeds: each key keeps
+// the value it had when Seed was called.
+func TestSeedCopiesValue(t *testing.T) {
+	c := accountsCluster(t, otpdb.WithReplicas(2))
+	buf := otpdb.Value("one")
+	if err := c.Seed("accounts", "a", buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "two")
+	if err := c.Seed("accounts", "b", buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for site := 0; site < 2; site++ {
+		for key, want := range map[otpdb.Key]string{"a": "one", "b": "two"} {
+			if v, ok, err := c.Read(site, "accounts", key); err != nil || !ok || string(v) != want {
+				t.Fatalf("site %d: %s = %q, %v, %v; want %q", site, key, v, ok, err, want)
+			}
+		}
+	}
+}
+
+// TestSeedLandsOnPinnedShard seeds a class, then pins it away from the
+// shard its hash picks: the seed follows the pin, since Start groups the
+// seeds after every PinClass.
+func TestSeedLandsOnPinnedShard(t *testing.T) {
+	c, err := otpdb.NewCluster(otpdb.WithReplicas(2), otpdb.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	const class = "pinned"
+	pinned := 1 - c.ShardOf(class)
+	if err := c.Seed(class, "k", otpdb.Int64(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PinClass(class, pinned); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for site := 0; site < 2; site++ {
+		if v, ok, err := c.Read(site, class, "k"); err != nil || !ok || otpdb.AsInt64(v) != 7 {
+			t.Fatalf("site %d: k = %d, %v, %v; want 7", site, otpdb.AsInt64(v), ok, err)
+		}
+		// Both shards hold the same bootstrap configuration and nothing
+		// else but the seed, so equal digests would mean the seed landed
+		// in both.
+		on, err1 := c.ShardDigest(site, pinned)
+		off, err2 := c.ShardDigest(site, 1-pinned)
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		if on == off {
+			t.Fatalf("site %d: shard %d holds the seed pinned to shard %d", site, 1-pinned, pinned)
+		}
+	}
+}
+
+// TestSeededKeysSurviveCommitsAndRestart commits to seeded keys at every
+// site and restarts one: the sites converge, written keys hold their
+// commits and the keys nobody wrote still read their seed everywhere.
+func TestSeededKeysSurviveCommitsAndRestart(t *testing.T) {
+	c := accountsCluster(t, otpdb.WithReplicas(3))
+	const keys = 64
+	key := func(i int) otpdb.Key { return otpdb.Key(fmt.Sprintf("k%02d", i)) }
+	for i := 0; i < keys; i++ {
+		if err := c.Seed("accounts", key(i), otpdb.Int64(100+int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := memCtx(t)
+	credit := func(site, i int) {
+		t.Helper()
+		if err := c.Exec(ctx, site, "credit", otpdb.String(string(key(i))), otpdb.Int64(1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for site := 0; site < 3; site++ {
+		credit(site, site)
+	}
+	if err := c.CrashSite(2); err != nil {
+		t.Fatal(err)
+	}
+	credit(0, 3)
+	if err := c.RestartSite(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	// The restarted site commits too: its first broadcast must not reuse
+	// the ID of the one it sent before the crash.
+	credit(2, 4)
+	if err := c.WaitForCommits(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	assertConverged(t, c)
+	for site := 0; site < 3; site++ {
+		for i := 0; i < keys; i++ {
+			want := 100 + int64(i)
+			if i <= 4 {
+				want += 1000
+			}
+			if v, ok, err := c.Read(site, "accounts", key(i)); err != nil || !ok || otpdb.AsInt64(v) != want {
+				t.Fatalf("site %d: %s = %d, %v, %v; want %d", site, key(i), otpdb.AsInt64(v), ok, err, want)
+			}
+		}
 	}
 }
 
