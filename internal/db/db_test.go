@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +18,7 @@ import (
 	"otpdb/internal/history"
 	"otpdb/internal/sproc"
 	"otpdb/internal/storage"
+	"otpdb/internal/testutil"
 	"otpdb/internal/transport"
 )
 
@@ -388,6 +393,139 @@ func TestExecContextCancellation(t *testing.T) {
 	}
 	// The broadcast is irrevocable: the transaction still commits.
 	c.quiesce(t, 1, 10*time.Second)
+}
+
+// TestUpdateCostIsPrecise: a procedure's simulated service time costs
+// what it declares plus one wake-up, not the ≈ 1.1 ms a runtime timer
+// rounds a sub-millisecond wait up to in an idle process
+// (golang/go#44343). Thirty sequential calls of a 300 µs procedure on a
+// zero-delay replica, each beside a call of one without cost, take less
+// than 700 µs more than those at the median. The baseline keeps the
+// commit path's own time, longer under -race or beside other processes,
+// out of what the cost is charged.
+func TestUpdateCostIsPrecise(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("sub-millisecond waits are asserted on linux only")
+	}
+	const cost, calls, ceiling = 300 * time.Microsecond, 30, 700 * time.Microsecond
+	reg := bankRegistry(t, 1, 1)
+	for name, c := range map[string]time.Duration{"costly": cost, "free": 0} {
+		if err := reg.RegisterUpdate(sproc.Update{
+			Name:  name,
+			Class: "c0",
+			Cost:  c,
+			Fn:    func(sproc.UpdateCtx) (storage.Value, error) { return nil, nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newCluster(t, 1, reg, clusterOpts{})
+	exec := func(proc string) time.Duration {
+		start := time.Now()
+		if _, err := c.reps[0].Exec(context.Background(), proc); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	// Another process taking the processor makes a call late, never
+	// early, so one undisturbed attempt of three is the replica's.
+	var extra time.Duration
+	for attempt := 1; attempt <= 3; attempt++ {
+		costly, free := make([]time.Duration, calls), make([]time.Duration, calls)
+		for i := range costly {
+			if costly[i] = exec("costly"); costly[i] < cost {
+				t.Fatalf("a call of a %v procedure took %v", cost, costly[i])
+			}
+			free[i] = exec("free")
+		}
+		slices.Sort(costly)
+		slices.Sort(free)
+		extra = costly[calls/2] - free[calls/2]
+		t.Logf("attempt %d: median %v a call, %v without cost", attempt, costly[calls/2], free[calls/2])
+		if extra < ceiling {
+			return
+		}
+	}
+	t.Fatalf("a %v cost adds %v to a call at the median, want < %v", cost, extra, ceiling)
+}
+
+// TestAbortEndsCostWait: an abort ends an attempt's simulated service
+// time at once. T1 (Cost 5 s) is Opt-delivered and waits out its cost;
+// T2 of the same class is Opt- and then TO-delivered first, which aborts
+// T1. T2's procedure holds the class until the test lets it go, so T1 is
+// not run again meanwhile: the goroutine that waited for T1 must leave
+// its wait.
+func TestAbortEndsCostWait(t *testing.T) {
+	reg := sproc.NewRegistry()
+	if err := reg.RegisterUpdate(sproc.Update{
+		Name:  "slow",
+		Class: "c",
+		Cost:  5 * time.Second,
+		Fn:    func(sproc.UpdateCtx) (storage.Value, error) { return nil, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t2Running, t2Go := make(chan struct{}), make(chan struct{})
+	registerBump(t, reg, "held", "c", func(sproc.UpdateCtx) {
+		close(t2Running)
+		<-t2Go
+	})
+	s := newScriptedReplica(t, reg)
+	defer s.rep.Stop()
+	release := sync.OnceFunc(func() { close(t2Go) })
+	defer release()
+
+	start := time.Now()
+	before := dwellers()
+	// newDweller returns a goroutine waiting in Dwell that was not before.
+	newDweller := func() (int, bool) {
+		for g := range dwellers() {
+			if !before[g] {
+				return g, true
+			}
+		}
+		return 0, false
+	}
+	id1, req1, _ := s.submit(t, "slow")
+	id2, req2, done2 := s.submit(t, "held")
+	s.bc.InjectOpt(id1, req1)
+	var t1 int
+	testutil.Eventually(t, 5*time.Second, "T1 to wait out its cost", func() (ok bool) {
+		t1, ok = newDweller()
+		return ok
+	})
+	s.bc.InjectOpt(id2, req2)
+	s.bc.InjectTO(id2)
+	waitFor(t, t2Running, "T2 to run after T1's abort")
+	testutil.Eventually(t, time.Second, "T1's aborted attempt to leave its wait", func() bool {
+		return !dwellers()[t1]
+	})
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("took %v with a 5 s cost aborted", took)
+	}
+	// T2 commits and T1 runs again. Its new attempt is left waiting when
+	// the test ends; it must be waiting before the test does, or a later
+	// run of this test would take it for its own T1.
+	release()
+	waitFor(t, done2, "T2 to commit")
+	testutil.Eventually(t, 5*time.Second, "T1 to run again", func() bool {
+		_, ok := newDweller()
+		return ok
+	})
+}
+
+// dwellers is the set of goroutines waiting in transport.Dwell.
+func dwellers() map[int]bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	ids := make(map[int]bool)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "transport.Dwell(") {
+			id, _ := strconv.Atoi(strings.Fields(g)[1])
+			ids[id] = true
+		}
+	}
+	return ids
 }
 
 // TestStopEndsCommitStall: Stop must not sit out a slow-disk stall. With

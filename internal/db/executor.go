@@ -10,6 +10,7 @@ import (
 	"otpdb/internal/otp"
 	"otpdb/internal/sproc"
 	"otpdb/internal/storage"
+	"otpdb/internal/transport"
 	"otpdb/internal/wal"
 )
 
@@ -360,10 +361,11 @@ func (e *executor) runTxn(att *attempt) {
 
 	// Simulated service time, interruptible by abort.
 	if cost > 0 {
+		transport.Dwell(cost, att.abortCh)
 		select {
-		case <-time.After(cost):
 		case <-att.abortCh:
 			return
+		default:
 		}
 	}
 

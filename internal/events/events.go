@@ -1,7 +1,7 @@
 // Package events is the cluster's flight recorder: a bounded
 // structured log of rare-but-load-bearing transitions — epoch changes,
-// failure-detector suspicions, auto-replace rounds, shard-map flips,
-// state-transfer negotiations, chaos fault injections and repairs.
+// failure-detector suspicions, auto-replace rounds, state-transfer
+// negotiations, chaos fault injections and repairs.
 // Unlike the metrics registry (continuous rates) and the trace ring
 // (per-transaction lifecycles), the recorder answers "what sequence of
 // rare events led here": each entry is a kind plus key=value fields,
@@ -23,7 +23,6 @@ const (
 	KindSuspect     = "suspect"      // failure detector suspects a peer
 	KindClear       = "clear"        // suspicion cleared (peer answered)
 	KindReplace     = "auto-replace" // auto-replacement round outcome
-	KindShardMap    = "shard-map"    // class→shard map changed
 	KindStatex      = "statex"       // state transfer negotiation/serve
 	KindFault       = "fault"        // chaos harness fault injection
 	KindRepair      = "repair"       // chaos harness repair

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"otpdb/internal/abcast"
+	"otpdb/internal/transport"
 )
 
 // Figure1Params configures E1, Figure 1 measured on the broadcast engine:
@@ -134,7 +135,7 @@ func figure1Cell(p Figure1Params, origins int, interval time.Duration, seed int6
 			var first time.Time
 			for k := 0; k < p.PerOrigin; k++ {
 				due := start.Add(time.Duration(k)*interval + time.Duration(rng.Int63n(int64(interval))))
-				time.Sleep(time.Until(due))
+				transport.Dwell(time.Until(due), nil)
 				if _, errs[i] = e.Broadcast(k); errs[i] != nil {
 					return
 				}

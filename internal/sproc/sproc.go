@@ -63,9 +63,9 @@ type Update struct {
 	Class ClassID
 	// Fn is the procedure body.
 	Fn UpdateFn
-	// Cost is an optional simulated service time, used by the benchmark
-	// workloads to model transactions of a given length. The executor
-	// waits Cost before running Fn (abort interrupts the wait).
+	// Cost is an optional simulated service time, the execution time E
+	// of E3's transactions (`otpbench overlap`). The executor waits Cost
+	// in transport.Dwell before running Fn; an abort ends the wait.
 	Cost time.Duration
 
 	classes []ClassID // {Class}, built at registration for UpdateClasses

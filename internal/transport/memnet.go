@@ -2,7 +2,6 @@ package transport
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,63 +56,6 @@ type LinkProfile struct {
 // link identifies a directed hub link.
 type link struct{ from, to NodeID }
 
-// delivery is one delayed message on its way: what route decided, kept
-// until the delivery goroutine hands env to dst at due.
-type delivery struct {
-	due time.Time
-	seq uint64 // route order; breaks ties between equal due times
-	dst *memEndpoint
-	env Envelope
-}
-
-func (d *delivery) before(o *delivery) bool {
-	if d.due.Equal(o.due) {
-		return d.seq < o.seq
-	}
-	return d.due.Before(o.due)
-}
-
-// deliveryHeap is a binary min-heap on (due, seq). It is typed, not
-// container/heap, so that a push does not box its element.
-type deliveryHeap []delivery
-
-func (q *deliveryHeap) push(d delivery) {
-	*q = append(*q, d)
-	s := *q
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s[i].before(&s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (q *deliveryHeap) pop() delivery {
-	s := *q
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = delivery{} // drop the envelope's references
-	s = s[:last]
-	*q = s
-	for i := 0; ; {
-		least := i
-		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
-			if s[c].before(&s[least]) {
-				least = c
-			}
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-	return top
-}
-
 // Hub is an in-process transport connecting n endpoints. It provides
 // reliable FIFO channels by default; delay and jitter options can weaken
 // timing (never reliability) and Partition/Crash inject failures.
@@ -124,28 +66,15 @@ type Hub struct {
 	jitter    time.Duration
 	rng       *rand.Rand
 	parted    [][]bool
-	crashed   []bool
 	links     map[link]LinkProfile
 	closed    bool
-
-	// Delayed messages wait in queue for the delivery goroutine, which
-	// the first of them starts: a hub that never delays has none. The
-	// goroutine sleeps until the earliest due time; route wakes it when
-	// a message falls due before wakeAt.
-	queue   deliveryHeap
-	seq     uint64
-	sleeper *sleeper      // nil until the delivery goroutine is started
-	done    chan struct{} // closed when the delivery goroutine has exited
-	asleep  bool          // the goroutine is in (or about to enter) its sleep
-	wakeAt  time.Time     // what that sleep ends at; zero: no deadline
 }
 
 // NewHub creates a hub with n endpoints.
 func NewHub(n int, opts ...MemOption) *Hub {
 	h := &Hub{
-		rng:     rand.New(rand.NewSource(1)),
-		parted:  make([][]bool, n),
-		crashed: make([]bool, n),
+		rng:    rand.New(rand.NewSource(1)),
+		parted: make([][]bool, n),
 	}
 	for i := range h.parted {
 		h.parted[i] = make([]bool, n)
@@ -200,7 +129,6 @@ func (h *Hub) Add() Endpoint {
 		h.parted[i] = append(h.parted[i], false)
 	}
 	h.parted = append(h.parted, make([]bool, len(h.nodes)+1))
-	h.crashed = append(h.crashed, false)
 	ep := &memEndpoint{hub: h, id: id, box: newMailbox()}
 	h.nodes = append(h.nodes, ep)
 	return ep
@@ -258,7 +186,7 @@ func (h *Hub) ClearLinks() {
 func (h *Hub) Crash(n NodeID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.crashed[n] = true
+	h.nodes[n].crashed.Store(true)
 }
 
 // Restart revives a crashed node with a fresh endpoint (fresh mailbox) —
@@ -271,15 +199,13 @@ func (h *Hub) Restart(n NodeID) Endpoint {
 	old := h.nodes[n]
 	fresh := &memEndpoint{hub: h, id: n, box: newMailbox()}
 	h.nodes[n] = fresh
-	h.crashed[n] = false
 	h.mu.Unlock()
 	_ = old.Close()
 	return fresh
 }
 
 // Close shuts down every endpoint. Messages still on their way are
-// discarded, not waited for; the delivery goroutine, if one was started,
-// has exited when Close returns.
+// not waited for: the closed endpoints refuse them when they fall due.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -287,14 +213,8 @@ func (h *Hub) Close() {
 		return
 	}
 	h.closed = true
-	h.queue = nil
 	nodes := append([]*memEndpoint(nil), h.nodes...)
-	sleeper, done := h.sleeper, h.done
 	h.mu.Unlock()
-	if sleeper != nil {
-		sleeper.wake()
-		<-done
-	}
 	for _, n := range nodes {
 		_ = n.Close()
 	}
@@ -312,7 +232,7 @@ func (h *Hub) Inject(from, to NodeID, stream string, msg any) {
 // ghost bypasses the sender's crash state (see Inject).
 func (h *Hub) route(from, to NodeID, env Envelope, ghost bool) {
 	h.mu.Lock()
-	if h.closed || (h.crashed[from] && !ghost) || h.crashed[to] || h.parted[from][to] {
+	if h.closed || (h.nodes[from].crashed.Load() && !ghost) || h.nodes[to].crashed.Load() || h.parted[from][to] {
 		h.mu.Unlock()
 		return
 	}
@@ -334,78 +254,12 @@ func (h *Hub) route(from, to NodeID, env Envelope, ghost bool) {
 		delay += time.Duration(h.rng.Int63n(int64(jitter)))
 	}
 	dst := h.nodes[to]
+	h.mu.Unlock()
 	if delay == 0 {
-		h.mu.Unlock()
 		dst.box.enqueue(env)
 		return
 	}
-	due := time.Now().Add(delay)
-	h.seq++
-	h.queue.push(delivery{due: due, seq: h.seq, dst: dst, env: env})
-	if h.sleeper == nil {
-		h.sleeper = newSleeper()
-		h.done = make(chan struct{})
-		go h.deliver()
-	}
-	// A message must not be held behind a sleep toward a later one.
-	wake := h.asleep && (h.wakeAt.IsZero() || due.Before(h.wakeAt))
-	if wake {
-		h.wakeAt = due
-	}
-	h.mu.Unlock()
-	if wake {
-		h.sleeper.wake()
-	}
-}
-
-// deliver is the hub's delivery goroutine: it hands over every queued
-// message that has fallen due, in (due, seq) order, then sleeps until the
-// next due time or until route or Close wakes it. A message whose
-// destination is crashed when it falls due is dropped; one addressed to
-// an endpoint Restart has since replaced is dropped by that endpoint.
-func (h *Hub) deliver() {
-	defer close(h.done)
-
-	var due []delivery
-	for {
-		h.mu.Lock()
-		h.asleep = false
-		if h.closed {
-			h.mu.Unlock()
-			return
-		}
-		now := time.Now()
-		for len(h.queue) > 0 && !h.queue[0].due.After(now) {
-			if d := h.queue.pop(); !h.crashed[d.dst.id] {
-				due = append(due, d)
-			}
-		}
-		if len(due) > 0 {
-			h.mu.Unlock()
-			for i := range due {
-				due[i].dst.box.enqueue(due[i].env)
-				due[i] = delivery{}
-			}
-			due = due[:0]
-			// Let the goroutines this made runnable run here, on a
-			// thread that is awake, before it blocks in the kernel
-			// again: left in the run queue of a thread that is about
-			// to block they need a second thread woken to steal them
-			// (wan_jitter: 12.6 → 9.5 voluntary context switches and
-			// ≈ 230 → 180 µs of processor time per commit).
-			runtime.Gosched()
-			continue // time has passed: look again before sleeping
-		}
-		wait := time.Duration(-1)
-		h.wakeAt = time.Time{}
-		if len(h.queue) > 0 {
-			h.wakeAt = h.queue[0].due
-			wait = h.wakeAt.Sub(now)
-		}
-		h.asleep = true
-		h.mu.Unlock()
-		h.sleeper.sleep(wait)
-	}
+	modeled.after(delay, wakeup{dst: dst, env: env})
 }
 
 // memEndpoint is one node's attachment to a Hub.
@@ -416,6 +270,9 @@ type memEndpoint struct {
 	// closed makes Send and Broadcast fail; what arrives after Close is
 	// refused by the mailbox.
 	closed atomic.Bool
+	// crashed is set by Hub.Crash and read where a message is routed and
+	// where a delayed one falls due; Restart replaces the endpoint.
+	crashed atomic.Bool
 }
 
 var _ Endpoint = (*memEndpoint)(nil)

@@ -247,7 +247,7 @@ func TestMemJitterIsTime(t *testing.T) {
 }
 
 // TestMemShortLinkNotHeldBehindLongWait: a message routed while the
-// delivery goroutine sleeps toward a far due time is delivered at its own.
+// clock's goroutine sleeps toward a far due time is delivered at its own.
 func TestMemShortLinkNotHeldBehindLongWait(t *testing.T) {
 	timed(t)
 	const short = 300 * time.Microsecond
@@ -275,15 +275,15 @@ func TestMemShortLinkNotHeldBehindLongWait(t *testing.T) {
 // due times by route order, whatever order the heap met them in.
 func TestMemEqualDueTimesKeepRouteOrder(t *testing.T) {
 	due := time.Now()
-	var q deliveryHeap
+	var q wakeupHeap
 	const n = 64
 	for seq := uint64(1); seq <= n; seq++ {
-		q.push(delivery{due: due.Add(time.Millisecond), seq: seq})
+		q.push(wakeup{due: due.Add(time.Millisecond), seq: seq})
 	}
 	for seq := uint64(n + 1); seq <= 2*n; seq++ {
-		q.push(delivery{due: due, seq: seq})
+		q.push(wakeup{due: due, seq: seq})
 	}
-	var prev delivery
+	var prev wakeup
 	for i := 0; i < 2*n; i++ {
 		d := q.pop()
 		if i > 0 && !prev.before(&d) {
@@ -314,7 +314,7 @@ func TestMemDelayedLinkIsFIFO(t *testing.T) {
 }
 
 // TestMemCloseDiscardsInFlight: Close does not wait out the delays of
-// messages it is about to drop, and leaves no delivery goroutine behind.
+// messages it is about to drop.
 func TestMemCloseDiscardsInFlight(t *testing.T) {
 	h := NewHub(2, WithDelay(10*time.Second))
 	in := h.Endpoint(1).Subscribe("s")
@@ -324,11 +324,6 @@ func TestMemCloseDiscardsInFlight(t *testing.T) {
 	if took := time.Since(start); took > 100*time.Millisecond {
 		t.Fatalf("Close took %v with a 10s delay in flight", took)
 	}
-	select {
-	case <-h.done:
-	default:
-		t.Fatal("delivery goroutine still running after Close")
-	}
 	if env, ok := <-in; ok {
 		t.Fatalf("discarded message delivered: %+v", env)
 	}
@@ -337,20 +332,19 @@ func TestMemCloseDiscardsInFlight(t *testing.T) {
 }
 
 // TestMemZeroDelayHubStartsNoGoroutine: a hub that never delays keeps the
-// synchronous path and never starts the delivery goroutine.
+// synchronous path: it puts nothing on the clock, so it cannot be what
+// starts the clock's goroutine.
 func TestMemZeroDelayHubStartsNoGoroutine(t *testing.T) {
 	h := NewHub(3)
 	defer h.Close()
+	before := clockCalls()
 	in := h.Endpoint(1).Subscribe("s")
 	for i := 0; i < 10; i++ {
 		_ = h.Endpoint(0).Broadcast("s", i)
 		recvOne(t, in)
 	}
-	h.mu.Lock()
-	started := h.sleeper != nil || h.done != nil
-	h.mu.Unlock()
-	if started {
-		t.Fatal("zero-delay hub started a delivery goroutine")
+	if n := clockCalls() - before; n != 0 {
+		t.Fatalf("zero-delay hub put %d messages on the clock", n)
 	}
 }
 

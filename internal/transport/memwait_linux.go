@@ -14,7 +14,7 @@ const (
 	futexWakePrivate = 129
 )
 
-// sleeper is the delivery goroutine's wait: sleep for a duration or
+// sleeper is the clock goroutine's wait: sleep for a duration or
 // until woken, whichever comes first. On Linux it is a futex wait, which
 // the kernel ends about its timer slack late (50 µs by default; DESIGN.md
 // §1 "memnet"); a runtime timer in an otherwise idle process is rounded

@@ -4,7 +4,7 @@ package transport
 
 import "time"
 
-// sleeper is the delivery goroutine's wait: sleep for a duration or
+// sleeper is the clock goroutine's wait: sleep for a duration or
 // until woken, whichever comes first. Off Linux it is a runtime timer
 // beside a wake channel, as precise as the runtime's timers are there.
 type sleeper struct {
